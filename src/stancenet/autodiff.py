@@ -194,17 +194,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit((a, b), value, backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a rank-1 b is broadcast across the rows of a rank-2 a."""
-    a, b = _as_tensor(a), _as_tensor(b)
+def _check_row_broadcast(op: str, a: Tensor, b: Tensor):
+    """Allow equal shapes, or a rank-1 or one-row operand repeated over the rows of a rank-2 one.
+
+    Every other pair raises ShapeMismatch.
+    """
     if a.shape == b.shape:
-        def backward(g):
-            return g, g
-    elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        def backward(g):
-            return g, g.sum(axis=0)
-    else:
-        raise ShapeMismatch(f"add got incompatible shapes {a.shape} + {b.shape}")
+        return
+    for row, full in ((a, b), (b, a)):
+        if (full.ndim == 2 and (row.ndim == 1 or (row.ndim == 2 and row.shape[0] == 1))
+                and row.shape[-1] == full.shape[1]):
+            return
+    raise ShapeMismatch(f"{op} got incompatible shapes {a.shape} and {b.shape}")
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Fold a gradient back onto an operand that was repeated over rows."""
+    return g if g.shape == shape else g.sum(axis=0).reshape(shape)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; a rank-1 or one-row operand is repeated over the rows of the other."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_row_broadcast("add", a, b)
+
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+
     return _emit((a, b), a.data + b.data, backward)
 
 
@@ -213,13 +229,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
+    """Elementwise product, with the row broadcasting of ``add``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mul got incompatible shapes {a.shape} * {b.shape}")
+    _check_row_broadcast("mul", a, b)
 
     def backward(g):
-        return g * b.data, g * a.data
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _emit((a, b), a.data * b.data, backward)
 
@@ -390,6 +405,19 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full_like(x.data, float(g)),)
 
     return _emit((x,), np.asarray(x.data.sum()), backward)
+
+
+def sum_rows(x: Tensor) -> Tensor:
+    """Row sums of a rank-2 tensor, as a rank-1 tensor."""
+    x = _as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeMismatch(f"sum_rows needs a rank-2 tensor, got shape {x.shape}")
+    cols = x.shape[1]
+
+    def backward(g):
+        return (np.repeat(g[:, None], cols, axis=1),)
+
+    return _emit((x,), x.data.sum(axis=1), backward)
 
 
 def pick(x: Tensor, index: int) -> Tensor:

@@ -55,7 +55,6 @@ class RunConfig:
     lr_factor: float = 0.5
     seed: int = 0
     folds: int = 0
-    jobs: int = 1
     val_fraction: float = 0.25
     # model
     d: int = 64
@@ -65,7 +64,6 @@ class RunConfig:
     alpha: float = 0.5
     beta: float = 0.5
     mode: str = "All"
-    l2_coeff: float = 0.0
     injection_orientation: str = "retain"
     positional: bool = False
     no_knowledge: bool = False
@@ -149,10 +147,24 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
+def _load_corpus(cfg: RunConfig) -> tuple[list[td.EncodedArticle], int, td.Vocabulary]:
+    """The encoded corpus, its class count, and the vocabulary its word ids must index."""
+    corpus_path = _require(cfg.corpus, "encoded corpus")
+    encoded, classes = td.load_encoded(corpus_path)
+    vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
+    for a in encoded:
+        for ids in (a.sentences, a.title):
+            outside = ids[(ids < 0) | (ids >= len(vocab))]
+            if outside.size:
+                raise ConfigError(f"{corpus_path}: word id {outside[0]} is outside the "
+                                  f"{len(vocab)}-word vocabulary {cfg.vocab}")
+    return encoded, classes, vocab
+
+
 def _hyperparams(cfg: RunConfig, classes: int) -> md.HyperParams:
     return md.HyperParams(
         d=cfg.d, heads=cfg.heads, n=cfg.n, l=cfg.l, classes=classes,
-        alpha=cfg.alpha, beta=cfg.beta, mode=cfg.mode, l2_coeff=cfg.l2_coeff,
+        alpha=cfg.alpha, beta=cfg.beta, mode=cfg.mode,
         injection_orientation=cfg.injection_orientation, positional=cfg.positional,
     )
 
@@ -275,8 +287,7 @@ def load_kge_model(path) -> kg.KgeModel:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    encoded, classes = td.load_encoded(_require(cfg.corpus, "encoded corpus"))
-    vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
+    encoded, classes, vocab = _load_corpus(cfg)
     bundle = _load_bundle(cfg, len(vocab))
     hp = _hyperparams(cfg, classes)
     train_cfg = _train_config(cfg, hp)
@@ -284,7 +295,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.folds >= 2:
-        report = tr.cross_validate(encoded, bundle, cfg.folds, train_cfg, jobs=cfg.jobs)
+        report = tr.cross_validate(encoded, bundle, cfg.folds, train_cfg)
         cv_path = out_dir / "cv_report.csv"
         with open(cv_path, "w", encoding="utf-8") as fh:
             fh.write("fold,accuracy\n")
@@ -318,8 +329,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = build_config(args)
-    encoded, classes = td.load_encoded(_require(cfg.corpus, "encoded corpus"))
-    vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
+    encoded, classes, vocab = _load_corpus(cfg)
     params, hp, _ = md.load_checkpoint(_require(cfg.checkpoint, "checkpoint"),
                                        expected_n_words=len(vocab))
     bundle = _load_bundle(cfg, len(vocab))
@@ -330,8 +340,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
-    encoded, classes = td.load_encoded(_require(cfg.corpus, "encoded corpus"))
-    vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
+    encoded, classes, vocab = _load_corpus(cfg)
     bundle = _load_bundle(cfg, len(vocab))
     hp = _hyperparams(cfg, classes)
     train_cfg = _train_config(cfg, hp)
@@ -386,10 +395,10 @@ def _add_config_flags(sub, keys):
             sub.add_argument(flag, dest=key, default=None)
 
 
-MODEL_KEYS = ("d", "heads", "n", "l", "alpha", "beta", "mode", "l2_coeff",
-              "injection_orientation", "no_knowledge")
+MODEL_KEYS = ("d", "heads", "n", "l", "alpha", "beta", "mode", "injection_orientation",
+              "no_knowledge")
 TRAIN_KEYS = ("lr", "weight_decay", "batch_size", "epochs", "patience", "lr_factor",
-              "seed", "folds", "jobs", "val_fraction")
+              "seed", "folds", "val_fraction")
 PATH_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "checkpoint",
              "output_dir")
 

@@ -13,15 +13,21 @@ than corrupted ones. Three scoring functions are supported:
   score is gamma minus a weighted L2 modulus distance minus a weighted
   L1 phase distance through ``|sin((h_p + r_p - t_p) / 2)|``.
 
-Training minimises a self-adversarial negative-sampling loss with SGD;
-gradients come from the autodiff tape. Evaluation ranks every entity as a
-replacement for the head and for the tail of each test triple, in the
-filtered setting (other known-true triples are excluded from the
-candidate pool), with ties broken by ascending entity id.
+Each formula is written once, in ``_scores``, from autodiff ops over rows
+of entity embeddings: training scores a positive and its negatives as one
+batch on the tape, while ranking and ``score_triple`` run the same ops
+with no tape active.
+
+Training minimises a self-adversarial negative-sampling loss with SGD.
+Evaluation scores every entity as a replacement for the head and for the
+tail of each test triple and ranks the true one in the filtered setting:
+one mask per side drops the other known-true triples from the candidate
+pool, and ties are broken by ascending entity id.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -162,95 +168,59 @@ def init_kge_model(n_entities: int, n_relations: int, config: KgeConfig) -> KgeM
 # Scoring
 # --------------------------------------------------------------------------
 
-def _candidate_scores(m: KgeModel, side: str, r: int, fixed: int) -> np.ndarray:
-    """Scores of every entity substituted on one side of (h, r, t).
+def _scores(m: KgeModel, h: Tensor, r: Tensor, t: Tensor) -> Tensor:
+    """Scores of the rows of (h, r, t) under m's method, as a [B] tensor.
 
-    side="head": score(c, r, fixed) for all c. side="tail": score(fixed, r, c).
+    h and t are [B, dim] entity rows, or one [1, dim] row shared by every
+    row of the other; r is one [1, w] relation row. Only m's method and
+    constants are read, so the same formulas serve tape-recorded training
+    and tape-free ranking.
     """
-    E = m.entity
-    rel = m.relation[r]
+    dim, half = m.dim, m.dim // 2
+
+    def halves(x):
+        return ad.slice_cols(x, 0, half), ad.slice_cols(x, half, dim)
+
     if m.method == "RotatE":
-        half = m.dim // 2
-        e_re, e_im = E[:, :half], E[:, half:]
-        f_re, f_im = m.entity[fixed, :half], m.entity[fixed, half:]
-        cos_r, sin_r = np.cos(rel), np.sin(rel)
-        if side == "head":
-            d_re = e_re * cos_r - e_im * sin_r - f_re
-            d_im = e_re * sin_r + e_im * cos_r - f_im
-        else:
-            hr_re = f_re * cos_r - f_im * sin_r
-            hr_im = f_re * sin_r + f_im * cos_r
-            d_re = hr_re - e_re
-            d_im = hr_im - e_im
-        return m.gamma - np.hypot(d_re, d_im).sum(axis=1)
-    if m.method == "ModE":
-        f = m.entity[fixed]
-        if side == "head":
-            return m.gamma - np.abs(E * rel - f).sum(axis=1)
-        return m.gamma - np.abs(f * rel - E).sum(axis=1)
-    # HAKE
-    half = m.dim // 2
-    e_m, e_p = E[:, :half], E[:, half:]
-    f_m, f_p = m.entity[fixed, :half], m.entity[fixed, half:]
-    r_m, r_p = rel[:half], rel[half:]
-    if side == "head":
-        d_m = e_m * r_m - f_m
-        d_p = e_p + r_p - f_p
-    else:
-        d_m = f_m * r_m - e_m
-        d_p = f_p + r_p - e_p
-    mod_term = np.sqrt((d_m * d_m).sum(axis=1))
-    phase_term = np.abs(np.sin(d_p / 2.0)).sum(axis=1)
-    return m.gamma - m.lambda_modulus * mod_term - m.lambda_phase * phase_term
+        (h_re, h_im), (t_re, t_im) = halves(h), halves(t)
+        cos_r, sin_r = ad.cos(r), ad.sin(r)
+        d_re = ad.sub(ad.sub(ad.mul(h_re, cos_r), ad.mul(h_im, sin_r)), t_re)
+        d_im = ad.sub(ad.add(ad.mul(h_re, sin_r), ad.mul(h_im, cos_r)), t_im)
+        sq = ad.add(ad.mul(d_re, d_re), ad.mul(d_im, d_im))
+        dist = ad.sum_rows(ad.sqrt(ad.add(sq, ad.constant(np.full(half, _GRAD_EPS)))))
+    elif m.method == "ModE":
+        dist = ad.sum_rows(ad.absolute(ad.sub(ad.mul(h, r), t)))
+    else:  # HAKE
+        (h_m, h_p), (t_m, t_p), (r_m, r_p) = halves(h), halves(t), halves(r)
+        d_m = ad.sub(ad.mul(h_m, r_m), t_m)
+        sq = ad.sum_rows(ad.mul(d_m, d_m))
+        mod_term = ad.sqrt(ad.add(sq, ad.constant(np.full(sq.shape, _GRAD_EPS))))
+        d_p = ad.scale(ad.sub(ad.add(h_p, r_p), t_p), 0.5)
+        phase_term = ad.sum_rows(ad.absolute(ad.sin(d_p)))
+        dist = ad.add(ad.scale(mod_term, m.lambda_modulus), ad.scale(phase_term, m.lambda_phase))
+    return ad.sub(ad.constant(np.full(dist.shape, m.gamma)), dist)
+
+
+def _row(table: np.ndarray, i: int) -> Tensor:
+    return ad.constant(table[i : i + 1])
 
 
 def score_triple(m: KgeModel, h: int, r: int, t: int) -> float:
     """Plausibility score of one triple; higher means more plausible."""
-    return float(_candidate_scores(m, "tail", r, h)[t])
+    return float(_scores(m, _row(m.entity, h), _row(m.relation, r), _row(m.entity, t)).data[0])
 
 
 # --------------------------------------------------------------------------
 # Training
 # --------------------------------------------------------------------------
 
-def _score_tensor(method, gamma, lam_m, lam_p, dim, ent: Tensor, rel: Tensor,
-                  h: int, r: int, t: int) -> Tensor:
-    """The scoring formula built from tape ops, for gradient-based training."""
-    h_row = ad.gather_rows(ent, [h])
-    t_row = ad.gather_rows(ent, [t])
-    r_row = ad.gather_rows(rel, [r])
-    if method == "RotatE":
-        half = dim // 2
-        eps = ad.constant(np.full((1, half), _GRAD_EPS))
-        h_re, h_im = ad.slice_cols(h_row, 0, half), ad.slice_cols(h_row, half, dim)
-        t_re, t_im = ad.slice_cols(t_row, 0, half), ad.slice_cols(t_row, half, dim)
-        cos_r, sin_r = ad.cos(r_row), ad.sin(r_row)
-        d_re = ad.sub(ad.sub(ad.mul(h_re, cos_r), ad.mul(h_im, sin_r)), t_re)
-        d_im = ad.sub(ad.add(ad.mul(h_re, sin_r), ad.mul(h_im, cos_r)), t_im)
-        moduli = ad.sqrt(ad.add(ad.add(ad.mul(d_re, d_re), ad.mul(d_im, d_im)), eps))
-        dist = ad.sum_all(moduli)
-    elif method == "ModE":
-        d = ad.sub(ad.mul(h_row, r_row), t_row)
-        dist = ad.sum_all(ad.absolute(d))
-    else:  # HAKE
-        half = dim // 2
-        h_m, h_p = ad.slice_cols(h_row, 0, half), ad.slice_cols(h_row, half, dim)
-        t_m, t_p = ad.slice_cols(t_row, 0, half), ad.slice_cols(t_row, half, dim)
-        r_m, r_p = ad.slice_cols(r_row, 0, half), ad.slice_cols(r_row, half, dim)
-        d_m = ad.sub(ad.mul(h_m, r_m), t_m)
-        mod_term = ad.sqrt(ad.add(ad.sum_all(ad.mul(d_m, d_m)), ad.constant(_GRAD_EPS)))
-        d_p = ad.scale(ad.sub(ad.add(h_p, r_p), t_p), 0.5)
-        phase_term = ad.sum_all(ad.absolute(ad.sin(d_p)))
-        dist = ad.add(ad.scale(mod_term, lam_m), ad.scale(phase_term, lam_p))
-    return ad.add(ad.constant(gamma), ad.scale(dist, -1.0))
-
-
 def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     """Fit embeddings to a triple store with self-adversarial negative sampling.
 
     One SGD step per positive triple, in a fixed order, so a seed fully
-    determines the final parameters. Per-epoch mean losses are recorded on
-    the returned model.
+    determines the final parameters. The positive and its negatives are
+    scored as one batch. Per-epoch mean losses are recorded on the
+    returned model.
     """
     if not store.triples:
         raise ValueError("cannot train on an empty triple store")
@@ -260,6 +230,9 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     rng = np.random.default_rng(config.seed + 1)
     n_ent = store.n_entities
     half = config.dim // 2
+    n_neg = config.negatives if n_ent >= 2 else 0
+    # loss = -sum_i weight_i * logsigmoid(sign_i * score_i); row 0 is the positive
+    signs = ad.constant(np.r_[1.0, -np.ones(n_neg)])
 
     def wrap_params():
         if config.method == "RotatE":
@@ -271,32 +244,25 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     for _ in range(config.epochs):
         losses = []
         for h, r, t in store.triples:
+            heads, tails = [h], [t]
+            for _ in range(n_neg):
+                corrupt_head = bool(rng.integers(0, 2))
+                cand = int(rng.integers(0, n_ent))
+                if cand == (h if corrupt_head else t):
+                    cand = (cand + 1) % n_ent
+                heads.append(cand if corrupt_head else h)
+                tails.append(t if corrupt_head else cand)
             with Tape() as tape:
-                pos = _score_tensor(config.method, config.gamma, config.lambda_modulus,
-                                    config.lambda_phase, config.dim, ent, rel, h, r, t)
-                loss = ad.scale(ad.logsigmoid(pos), -1.0)
-                if n_ent >= 2 and config.negatives > 0:
-                    neg_scores = []
-                    for k in range(config.negatives):
-                        corrupt_head = bool(rng.integers(0, 2))
-                        cand = int(rng.integers(0, n_ent))
-                        true_id = h if corrupt_head else t
-                        if cand == true_id:
-                            cand = (cand + 1) % n_ent
-                        if corrupt_head:
-                            neg_scores.append(_score_tensor(
-                                config.method, config.gamma, config.lambda_modulus,
-                                config.lambda_phase, config.dim, ent, rel, cand, r, t))
-                        else:
-                            neg_scores.append(_score_tensor(
-                                config.method, config.gamma, config.lambda_modulus,
-                                config.lambda_phase, config.dim, ent, rel, h, r, cand))
-                    raw = np.array([s.data for s in neg_scores])
+                scores = _scores(model, ad.gather_rows(ent, heads), ad.gather_rows(rel, [r]),
+                                 ad.gather_rows(ent, tails))
+                weights = np.ones(1 + n_neg)
+                if n_neg:
                     # adversarial weights are data, not part of the gradient
+                    raw = scores.data[1:]
                     w = np.exp(config.adv_temperature * (raw - raw.max()))
-                    w /= w.sum()
-                    for weight, s in zip(w, neg_scores):
-                        loss = ad.add(loss, ad.scale(ad.logsigmoid(ad.scale(s, -1.0)), -weight))
+                    weights[1:] = w / w.sum()
+                fit = ad.logsigmoid(ad.mul(scores, signs))
+                loss = ad.scale(ad.sum_all(ad.mul(fit, ad.constant(weights))), -1.0)
                 tape.backward(loss)
             losses.append(float(loss.data))
             for p in (ent, rel):
@@ -332,22 +298,25 @@ def evaluate_completion(
     """
     if not test:
         raise ValueError("evaluate_completion needs at least one test triple")
-    known = set(store.triples) | {tuple(tr) for tr in test}
+    known_heads: dict[tuple[int, int], list[int]] = defaultdict(list)
+    known_tails: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for h, r, t in set(store.triples) | {tuple(tr) for tr in test}:
+        known_heads[r, t].append(h)
+        known_tails[h, r].append(t)
+
+    ids = np.arange(m.n_entities)
+    every = ad.constant(m.entity)
     ranks: list[int] = []
     for h, r, t in test:
-        for side, true_id, fixed in (("head", h, t), ("tail", t, h)):
-            scores = _candidate_scores(m, side, r, fixed)
-            true_score = scores[true_id]
-            rank = 1
-            for c in range(m.n_entities):
-                if c == true_id:
-                    continue
-                candidate = (c, r, fixed) if side == "head" else (fixed, r, c)
-                if candidate in known:
-                    continue
-                if scores[c] > true_score or (scores[c] == true_score and c < true_id):
-                    rank += 1
-            ranks.append(rank)
+        rel = _row(m.relation, r)
+        for true_id, scores, known in (
+            (h, _scores(m, every, rel, _row(m.entity, t)), known_heads[r, t]),
+            (t, _scores(m, _row(m.entity, h), rel, every), known_tails[h, r]),
+        ):
+            s = scores.data
+            better = (s > s[true_id]) | ((s == s[true_id]) & (ids < true_id))
+            better[known] = False  # includes the true entity itself
+            ranks.append(1 + int(better.sum()))
 
     arr = np.array(ranks, dtype=np.float64)
     metrics = {"MR": float(arr.mean()), "MRR": float((1.0 / arr).mean())}
@@ -396,6 +365,9 @@ class KnowledgeEmbeddingTable:
         vectors = np.vstack(rows) if rows else np.zeros((0, width))
         if vectors.shape[1] != width:
             raise ValueError(f"{path}: row width {vectors.shape[1]} does not match dim={width}")
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{path}: row {bad[0]} has a non-finite value")
         coverage = (np.abs(vectors).sum(axis=1) > 0).astype(np.float64)
         return KnowledgeEmbeddingTable(stance, vectors, coverage)
 

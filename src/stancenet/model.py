@@ -45,7 +45,6 @@ class HyperParams:
     alpha: float = 0.5
     beta: float = 0.5
     mode: str = "All"
-    l2_coeff: float = 0.0
     injection_orientation: str = "retain"
     positional: bool = False
 
@@ -418,21 +417,9 @@ def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundl
     return ad.reshape(ad.softmax_rows(logits), (hp.classes,))
 
 
-def cross_entropy(probs: Tensor, label: int, params: Optional[ModelParams] = None,
-                  l2_coeff: float = 0.0) -> Tensor:
-    """-log p[label], with the probability floored at 1e-12, plus optional L2.
-
-    The L2 term sums the squared entries of every learnable tensor once;
-    batch averaging is the caller's job.
-    """
-    nll = ad.scale(ad.log(ad.clamp_min(ad.pick(probs, label), PROB_FLOOR)), -1.0)
-    if l2_coeff != 0.0 and params is not None:
-        reg = None
-        for _, t in params.named():
-            term = ad.sum_all(ad.mul(t, t))
-            reg = term if reg is None else ad.add(reg, term)
-        nll = ad.add(nll, ad.scale(reg, l2_coeff))
-    return nll
+def cross_entropy(probs: Tensor, label: int) -> Tensor:
+    """-log p[label], with the probability floored at 1e-12; batch averaging is the caller's job."""
+    return ad.scale(ad.log(ad.clamp_min(ad.pick(probs, label), PROB_FLOOR)), -1.0)
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +429,7 @@ def cross_entropy(probs: Tensor, label: int, params: Optional[ModelParams] = Non
 def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
     manifest = {
         "d": hp.d, "heads": hp.heads, "n": hp.n, "l": hp.l, "classes": hp.classes,
-        "alpha": hp.alpha, "beta": hp.beta, "mode": hp.mode, "l2_coeff": hp.l2_coeff,
+        "alpha": hp.alpha, "beta": hp.beta, "mode": hp.mode,
         "injection_orientation": hp.injection_orientation, "positional": hp.positional,
         "seed": seed, "n_words": params.word_table.shape[0],
     }
@@ -458,7 +445,7 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
         hp = HyperParams(
             d=manifest["d"], heads=manifest["heads"], n=manifest["n"], l=manifest["l"],
             classes=manifest["classes"], alpha=manifest["alpha"], beta=manifest["beta"],
-            mode=manifest["mode"], l2_coeff=manifest["l2_coeff"],
+            mode=manifest["mode"],
             injection_orientation=manifest["injection_orientation"],
             positional=manifest["positional"],
         )

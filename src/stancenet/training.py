@@ -6,15 +6,13 @@ without a strict improvement of the epoch-mean training loss. On top of
 the single training loop sit k-fold cross-validation, the alpha/beta
 grid sweep, and Welch's t-test for comparing accuracy samples.
 
-Weight decay and the loss-side L2 term cover the same regularizer; only
-one should be active. The default keeps decay in the optimizer
-(weight_decay=5e-2) and the loss term off (hp.l2_coeff=0).
+The L2 regularizer lives only in the optimizer, as coupled weight decay
+(weight_decay=5e-2 by default).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -95,7 +93,7 @@ def adam_step(
     """Bias-corrected Adam update, in place.
 
     Weight decay enters as an additive gradient term g + wd*x (classic L2
-    coupling), so it must stay off when the loss already carries an L2 term.
+    coupling), the same gradient as a wd/2 * ||x||^2 loss term.
     """
     b1, b2 = betas
     for (name, tensor), grad in zip(params, grads):
@@ -190,12 +188,6 @@ def train(
                 for extra in per_example[1:]:
                     batch_loss = ad.add(batch_loss, extra)
                 batch_loss = ad.scale(batch_loss, 1.0 / len(batch))
-                if hp.l2_coeff != 0.0:
-                    reg = None
-                    for _, t in named:
-                        term = ad.sum_all(ad.mul(t, t))
-                        reg = term if reg is None else ad.add(reg, term)
-                    batch_loss = ad.add(batch_loss, ad.scale(reg, hp.l2_coeff))
                 tape.backward(batch_loss)
             total_loss += float(batch_loss.data) * len(batch)
             adam_step(named, [t.grad for _, t in named], state, lr_used,
@@ -235,28 +227,17 @@ def cross_validate(
     bundle: KnowledgeBundle,
     k: int,
     cfg: TrainConfig,
-    jobs: int = 1,
 ) -> CvReport:
-    """Train on each fold's complement and evaluate on the fold.
+    """Train on each fold's complement and evaluate on the fold, in fold order.
 
-    Folds come from make_folds(len(corpus), k, cfg.seed). Fold runs share
-    nothing but the read-only corpus, so they may run on a thread pool;
-    results are merged in fold order either way.
+    Folds come from make_folds(len(corpus), k, cfg.seed).
     """
-    folds = make_folds(len(corpus), k, cfg.seed)
-
-    def run_fold(fold):
+    accuracies = []
+    for fold in make_folds(len(corpus), k, cfg.seed):
         held = set(fold)
         train_set = [a for i, a in enumerate(corpus) if i not in held]
-        val_set = [corpus[i] for i in fold]
         params, _ = train(train_set, bundle, cfg)
-        return evaluate_accuracy(params, bundle, val_set, cfg.hp)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            accuracies = list(pool.map(run_fold, folds))
-    else:
-        accuracies = [run_fold(fold) for fold in folds]
+        accuracies.append(evaluate_accuracy(params, bundle, [corpus[i] for i in fold], cfg.hp))
     mean = float(np.mean(accuracies))
     std = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0
     return CvReport(accuracies, mean, std)

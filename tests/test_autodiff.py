@@ -230,7 +230,16 @@ OP_CASES = [
     ("matmul_rhs", lambda x, rng: ad.matmul(Tensor(rng.uniform(-1, 1, (3, 4))), x), (4, 2)),
     ("add_same", lambda x, rng: ad.add(x, Tensor(rng.uniform(-1, 1, (3, 4)))), (3, 4)),
     ("add_bias", lambda x, rng: ad.add(Tensor(rng.uniform(-1, 1, (3, 4))), x), (4,)),
+    ("add_bias_lhs", lambda x, rng: ad.add(x, Tensor(rng.uniform(-1, 1, (3, 4)))), (4,)),
+    ("add_row_lhs", lambda x, rng: ad.add(x, Tensor(rng.uniform(-1, 1, (3, 4)))), (1, 4)),
+    ("add_row_rhs", lambda x, rng: ad.add(Tensor(rng.uniform(-1, 1, (3, 4))), x), (1, 4)),
+    ("add_over_row", lambda x, rng: ad.add(x, Tensor(rng.uniform(-1, 1, (1, 4)))), (3, 4)),
     ("mul", lambda x, rng: ad.mul(x, Tensor(rng.uniform(-1, 1, (3, 4)))), (3, 4)),
+    ("mul_vec_lhs", lambda x, rng: ad.mul(x, Tensor(rng.uniform(-1, 1, (3, 4)))), (4,)),
+    ("mul_vec_rhs", lambda x, rng: ad.mul(Tensor(rng.uniform(-1, 1, (3, 4))), x), (4,)),
+    ("mul_row_lhs", lambda x, rng: ad.mul(x, Tensor(rng.uniform(-1, 1, (3, 4)))), (1, 4)),
+    ("mul_row_rhs", lambda x, rng: ad.mul(Tensor(rng.uniform(-1, 1, (3, 4))), x), (1, 4)),
+    ("mul_over_row", lambda x, rng: ad.mul(Tensor(rng.uniform(-1, 1, (1, 4))), x), (3, 4)),
     ("scale", lambda x, rng: ad.scale(x, -1.7), (3, 4)),
     ("scale_rows_x", lambda x, rng: ad.scale_rows(x, Tensor(rng.uniform(-1, 1, 3))), (3, 4)),
     ("scale_rows_w", lambda x, rng: ad.scale_rows(Tensor(rng.uniform(-1, 1, (3, 4))), x), (3,)),
@@ -242,6 +251,7 @@ OP_CASES = [
     ("transpose", lambda x, rng: ad.transpose(x), (3, 4)),
     ("reshape", lambda x, rng: ad.reshape(x, (4, 3)), (3, 4)),
     ("slice_cols", lambda x, rng: ad.slice_cols(x, 1, 3), (3, 4)),
+    ("sum_rows", lambda x, rng: ad.sum_rows(x), (3, 4)),
     ("clamp_min", lambda x, rng: ad.clamp_min(x, -2.0), (3, 4)),
     ("exp", lambda x, rng: ad.exp(x), (3, 4)),
     ("sin", lambda x, rng: ad.sin(x), (3, 4)),
@@ -278,6 +288,16 @@ def test_positive_domain_op_gradients(name, build, shape):
         return _weighted(build(t, rng), np.random.default_rng(99))
 
     assert ad.finite_diff_check(f, x) < 1e-5
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+@pytest.mark.parametrize("a,b", [((2, 3), (3, 2)), ((2, 3), (2,)), ((2, 3), (2, 1)),
+                                 ((2, 3), (2, 2)), ((3,), (2,)), ((1, 3), (3, 1))])
+def test_non_row_broadcastable_shapes_rejected(op, a, b):
+    x, y = Tensor(np.ones(a)), Tensor(np.ones(b))
+    for lhs, rhs in ((x, y), (y, x)):
+        with pytest.raises(ShapeMismatch, match=r"\(.*\).*\(.*\)"):
+            op(lhs, rhs)
 
 
 def test_stack_rows_gradient():

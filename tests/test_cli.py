@@ -216,6 +216,13 @@ class TestTrain:
         assert rc == 2
         assert "mystery_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["jobs", "l2_coeff"])
+    def test_retired_config_keys_exit_2(self, tmp_path, capsys, key):
+        config = tmp_path / "old.cfg"
+        config.write_text(f"{key} = 1\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_trains_with_knowledge_tables(self, tmp_path):
         corpus = write_corpus(tmp_path)
         pre = preprocess(tmp_path, corpus)
@@ -270,6 +277,58 @@ class TestEval:
                    "--vocab", str(pre2 / "vocab.txt"), "--no-knowledge"])
         assert rc == 2
         assert "vocabulary" in capsys.readouterr().err
+
+
+class TestLoadBoundary:
+    """Bad input files exit 2 with a message naming the file, before any training."""
+
+    SMALL = ["--no-knowledge", "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3"]
+
+    def command_args(self, tmp_path, pre, command):
+        """What each command needs besides corpus, vocabulary and model shape."""
+        out = ["--output-dir", str(tmp_path / "run")]
+        if command == "train":
+            return ["--epochs", "1", *out]
+        if command == "sweep":
+            return ["--epochs", "1", "--alphas", "0.5", "--betas", "0.5", *out]
+        run = tmp_path / "ckpt"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), *self.SMALL, "--epochs", "1",
+                     "--output-dir", str(run)]) == 0
+        return ["--checkpoint", str(run / "checkpoint.npz")]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_table_row_exits_2(self, tmp_path, capsys, command):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        tables = write_tables(tmp_path, pre, d=8)
+        extra = self.command_args(tmp_path, pre, command)
+        lines = tables["table_lib"].read_text().splitlines()
+        lines[2 + 3] = " ".join(["nan"] + lines[2 + 3].split()[1:])  # word id 3
+        tables["table_lib"].write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main([command, "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"),
+                   *[f"--{key.replace('_', '-')}={path}" for key, path in tables.items()],
+                   "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                   *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(tables["table_lib"]) in err
+        assert "row 3" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_word_ids_beyond_vocabulary_exit_2(self, tmp_path, capsys, command):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        extra = self.command_args(tmp_path, pre, command)
+        short = tmp_path / "short_vocab.txt"
+        short.write_text("\n".join((pre / "vocab.txt").read_text().splitlines()[:4]) + "\n")
+        capsys.readouterr()
+        rc = main([command, "--corpus", str(pre / "corpus.npz"), "--vocab", str(short),
+                   *self.SMALL, *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(pre / "corpus.npz") in err
+        assert "4-word vocabulary" in err
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from stancenet import autodiff as ad
 from stancenet import kge
 from stancenet.kge import (
     KgeConfig,
@@ -168,11 +169,34 @@ class TestScoreTriple:
         rng = np.random.default_rng(5)
         for method in ["RotatE", "ModE", "HAKE"]:
             m = random_model(rng, method, n_ent=6, n_rel=2, dim=4)
+            every = ad.constant(m.entity)
+            rel, fixed = kge._row(m.relation, 1), kge._row(m.entity, 3)
             for side in ("head", "tail"):
-                scores = kge._candidate_scores(m, side, 1, 3)
+                h, t = (every, fixed) if side == "head" else (fixed, every)
+                scores = kge._scores(m, h, rel, t).data
                 for c in range(6):
                     direct = score_triple(m, c, 1, 3) if side == "head" else score_triple(m, 3, 1, c)
                     assert scores[c] == direct
+
+    @pytest.mark.parametrize("method", ["RotatE", "ModE", "HAKE"])
+    def test_batch_equals_single_rows(self, method):
+        """A [B] batch from the scorer equals B one-row calls bit for bit."""
+        rng = np.random.default_rng(13)
+        m = random_model(rng, method, n_ent=7, n_rel=2, dim=20)
+        heads, tails = [0, 3, 6, 2, 5], [1, 1, 4, 6, 0]
+        rel = kge._row(m.relation, 1)
+        batch = kge._scores(m, ad.constant(m.entity[heads]), rel,
+                            ad.constant(m.entity[tails])).data
+        single = [kge._scores(m, kge._row(m.entity, h), rel, kge._row(m.entity, t)).data[0]
+                  for h, t in zip(heads, tails)]
+        assert np.array_equal(batch, single)
+        for shared in range(m.n_entities):
+            row = kge._row(m.entity, shared)
+            as_head = kge._scores(m, row, rel, ad.constant(m.entity)).data
+            as_tail = kge._scores(m, ad.constant(m.entity), rel, row).data
+            for c in range(m.n_entities):
+                assert as_head[c] == score_triple(m, shared, 1, c)
+                assert as_tail[c] == score_triple(m, c, 1, shared)
 
 
 # --------------------------------------------------------------------------
@@ -389,17 +413,18 @@ class TestExportAlignedTable:
 
 
 def test_training_gradients_match_finite_differences():
-    """The tape-built scorers agree with central differences for all methods."""
-    from stancenet import autodiff as ad
-
+    """The scorer's tape gradients agree with central differences for all methods."""
     rng = np.random.default_rng(6)
     for method in ["RotatE", "ModE", "HAKE"]:
         dim = 4
         ent = ad.Tensor(rng.uniform(-1, 1, (3, dim)), requires_grad=True)
         rel_width = dim // 2 if method == "RotatE" else dim
         rel = ad.Tensor(rng.uniform(-1, 1, (2, rel_width)))
+        m = KgeModel(method, dim, 4.0, ent.data, rel.data)
 
         def f(t):
-            return kge._score_tensor(method, 4.0, 1.0, 1.0, dim, t, rel, 0, 1, 2)
+            scores = kge._scores(m, ad.gather_rows(t, [0, 1, 2, 0]), ad.gather_rows(rel, [1]),
+                                 ad.gather_rows(t, [2, 0, 1, 1]))
+            return ad.sum_all(scores)
 
         assert ad.finite_diff_check(f, ent) < 1e-5

@@ -6,6 +6,7 @@ with identity/zero-initialised parameters where the output is derivable
 by hand.
 """
 
+import json
 import math
 
 import numpy as np
@@ -473,15 +474,6 @@ class TestCrossEntropy:
         assert np.isfinite(val)
         assert val == pytest.approx(-math.log(1e-12), abs=1e-6)
 
-    def test_l2_term_counts_every_parameter_once(self):
-        hp = tiny_hp()
-        params = init_params(5, hp, seed=7)
-        probs = Tensor([0.5, 0.5])
-        plain = float(cross_entropy(probs, 0).data)
-        with_l2 = float(cross_entropy(probs, 0, params, l2_coeff=0.1).data)
-        total_sq = sum(float((t.data ** 2).sum()) for _, t in params.named())
-        assert with_l2 == pytest.approx(plain + 0.1 * total_sq, rel=1e-12)
-
     def test_gradient_reaches_probabilities(self):
         x = Tensor([0.1, -0.4, 0.3], requires_grad=True)
 
@@ -528,6 +520,23 @@ class TestCheckpoint:
         assert hp2 == hp
         for (name_a, t_a), (name_b, t_b) in zip(params.named(), loaded.named()):
             assert name_a == name_b
+            assert np.array_equal(t_a.data, t_b.data)
+
+    def test_manifest_with_retired_l2_coeff_loads(self, tmp_path):
+        """Checkpoints written while the loss-side L2 knob existed still load."""
+        hp = tiny_hp()
+        params = init_params(9, hp, seed=5)
+        path = tmp_path / "model.npz"
+        md.save_checkpoint(path, params, hp, seed=5)
+        with np.load(path) as data:
+            arrays = dict(data)
+        manifest = json.loads(bytes(arrays["manifest"]).decode())
+        manifest["l2_coeff"] = 0.25
+        arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        loaded, hp2, seed = md.load_checkpoint(path, expected_n_words=9)
+        assert (hp2, seed) == (hp, 5)
+        for (_, t_a), (_, t_b) in zip(params.named(), loaded.named()):
             assert np.array_equal(t_a.data, t_b.data)
 
     def test_vocabulary_mismatch_fails_loudly(self, tmp_path):

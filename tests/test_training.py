@@ -205,11 +205,6 @@ class TestTrain:
             losses = [float(cross_entropy(predict(a, params, bundle, hp), a.label).data)
                       for a in encoded]
             assert np.mean(losses) == pytest.approx(math.log(classes), abs=1e-9)
-            # with the loss-side regularizer active, the anchor shifts by l2(init)
-            l2 = sum(float((t.data ** 2).sum()) for _, t in params.named())
-            with_reg = float(cross_entropy(predict(encoded[0], params, bundle, hp),
-                                           encoded[0].label, params, 0.01).data)
-            assert with_reg == pytest.approx(math.log(classes) + 0.01 * l2, abs=1e-9)
 
     def test_val_accuracy_reported_when_val_set_given(self):
         vocab, encoded, hp = encoded_synthetic(12)
@@ -267,14 +262,6 @@ class TestCrossValidate:
         report = cross_validate(encoded, zero_bundle(len(vocab), hp.d), 3, cfg)
         assert report.mean == pytest.approx(np.mean(report.fold_accuracies))
         assert report.std == pytest.approx(np.std(report.fold_accuracies, ddof=1))
-
-    def test_fold_parallelism_matches_sequential(self):
-        vocab, encoded, hp = encoded_synthetic(9)
-        cfg = TrainConfig(epochs=2, batch_size=4, hp=hp, seed=4)
-        bundle = zero_bundle(len(vocab), hp.d)
-        seq = cross_validate(encoded, bundle, 3, cfg, jobs=1)
-        par = cross_validate(encoded, bundle, 3, cfg, jobs=3)
-        assert seq.fold_accuracies == par.fold_accuracies
 
     def test_mean_std_arithmetic(self):
         report = CvReport([1.0, 0.5, 0.0], float(np.mean([1.0, 0.5, 0.0])),
