@@ -7,16 +7,14 @@ active and some input participates in differentiation, appends a record
 walks the records in reverse and accumulates gradients into the ``grad``
 field of every leaf tensor with ``requires_grad=True``.
 
-One tape belongs to one logical thread; the active-tape stack is
-thread-local so disjoint training loops may run concurrently. Tensors
-that never require gradients are plain immutable value carriers and are
-safe to share across threads.
+Tapes nest: entering one pushes it on a module-level stack, and ops record
+on the innermost. Tensors that never require gradients are plain immutable
+value carriers.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,20 +82,11 @@ def constant(data) -> Tensor:
 # Tape
 # --------------------------------------------------------------------------
 
-_TLS = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_TAPES: list["Tape"] = []
 
 
 def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tape:
@@ -113,11 +102,11 @@ class Tape:
         self._records: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self, "tape stack corrupted"
         return False
 

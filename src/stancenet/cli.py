@@ -23,6 +23,7 @@ from . import kge as kg
 from . import model as md
 from . import textdata as td
 from . import training as tr
+from .autodiff import ShapeMismatch
 
 
 class ConfigError(ValueError):
@@ -38,8 +39,6 @@ class RunConfig:
     corpus: str = ""
     vocab: str = ""
     kg_common: str = ""
-    kg_lib: str = ""
-    kg_con: str = ""
     entity_links: str = ""
     table_com: str = ""
     table_lib: str = ""
@@ -65,7 +64,6 @@ class RunConfig:
     beta: float = 0.5
     mode: str = "All"
     injection_orientation: str = "retain"
-    positional: bool = False
     no_knowledge: bool = False
     # knowledge embedding
     kge_method: str = "RotatE"
@@ -165,7 +163,7 @@ def _hyperparams(cfg: RunConfig, classes: int) -> md.HyperParams:
     return md.HyperParams(
         d=cfg.d, heads=cfg.heads, n=cfg.n, l=cfg.l, classes=classes,
         alpha=cfg.alpha, beta=cfg.beta, mode=cfg.mode,
-        injection_orientation=cfg.injection_orientation, positional=cfg.positional,
+        injection_orientation=cfg.injection_orientation,
     )
 
 
@@ -271,18 +269,6 @@ def cmd_train_kge(args) -> int:
         table.save(table_path)
         print(f"wrote {table_path} (coverage {int(table.coverage.sum())}/{len(vocab)})")
     return 0
-
-
-def load_kge_model(path) -> kg.KgeModel:
-    with np.load(path) as data:
-        return kg.KgeModel(
-            method=bytes(data["method"]).decode(), dim=int(data["dim"]),
-            gamma=float(data["gamma"]), entity=np.array(data["entity"]),
-            relation=np.array(data["relation"]),
-            lambda_modulus=float(data["lambda_modulus"]),
-            lambda_phase=float(data["lambda_phase"]),
-            epoch_losses=list(data["epoch_losses"]),
-        )
 
 
 def cmd_train(args) -> int:
@@ -459,6 +445,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except ShapeMismatch as err:  # a ValueError, but always a bug in the program
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return 1
     except USER_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -46,7 +46,6 @@ class HyperParams:
     beta: float = 0.5
     mode: str = "All"
     injection_orientation: str = "retain"
-    positional: bool = False
 
     def __post_init__(self):
         if self.d % self.heads != 0:
@@ -280,55 +279,59 @@ def inject_knowledge(
     return ad.add(fused, base)
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask,
-                         attn: AttentionParams) -> Tensor:
-    """Scaled dot-product attention per head; masked keys get -1e9 logits."""
+def _mask(mask, what: str) -> np.ndarray:
+    """The mask as a float array; an all-zero mask raises ``DegenerateInput(what)``."""
     mask_arr = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=np.float64)
     if not mask_arr.any():
-        raise DegenerateInput("attention needs at least one unmasked key position")
-    offset = ad.constant((mask_arr - 1.0) * 1e9)
-    dk = attn.wq[0].shape[1]
-    inv_sqrt_dk = 1.0 / np.sqrt(dk)
-    outs = []
+        raise DegenerateInput(what)
+    return mask_arr
+
+
+def _heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, attn: AttentionParams
+           ) -> Iterator[tuple[Tensor, Tensor]]:
+    """Per head: softmax weights of scaled dot-product scores (masked keys get
+    -1e9 logits) and the projected value rows."""
+    offset = ad.constant((mask - 1.0) * 1e9)
+    inv_sqrt_dk = 1.0 / np.sqrt(attn.wq[0].shape[1])
     for wq, wk, wv in zip(attn.wq, attn.wk, attn.wv):
         qh = ad.matmul(q, wq)
         kh = ad.matmul(k, wk)
         vh = ad.matmul(v, wv)
         logits = ad.add(ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt_dk), offset)
-        outs.append(ad.matmul(ad.softmax_rows(logits), vh))
+        yield ad.softmax_rows(logits), vh
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask,
+                         attn: AttentionParams) -> Tensor:
+    """Scaled dot-product attention per head; masked keys get -1e9 logits."""
+    mask_arr = _mask(mask, "attention needs at least one unmasked key position")
+    outs = [ad.matmul(w, vh) for w, vh in _heads(q, k, v, mask_arr, attn)]
     return ad.matmul(ad.concat_cols(outs), attn.wo)
 
 
-def _feed_forward(x: Tensor, ff: FeedForwardParams) -> Tensor:
-    return ad.linear(ad.relu(ad.linear(x, ff.w1, ff.b1)), ff.w2, ff.b2)
+def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams,
+             what: str) -> Tensor:
+    """Self-attention, then feed-forward, each with a residual; PAD rows zeroed.
+
+    The residuals keep each row's identity through the block instead of
+    collapsing toward the attention average.
+    """
+    mask_arr = _mask(mask, what)
+    h = ad.add(x, multi_head_attention(x, x, x, mask_arr, attn))
+    h = ad.add(h, ad.linear(ad.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
+    return ad.scale_rows(h, ad.constant(mask_arr))
 
 
 def word_level(x: Tensor, word_mask, params: ModelParams) -> Tensor:
-    """Self-attention over one sentence's words, then feed-forward; PAD rows zeroed.
-
-    Both sub-layers carry residual connections, so rows keep their identity
-    through the block instead of collapsing toward the attention average.
-    """
-    mask_arr = np.asarray(word_mask.data if isinstance(word_mask, Tensor) else word_mask,
-                          dtype=np.float64)
-    if not mask_arr.any():
-        raise DegenerateInput("word_level got an empty sentence")
-    h = ad.add(x, multi_head_attention(x, x, x, mask_arr, params.word_attn))
-    h = ad.add(h, _feed_forward(h, params.word_ff))
-    return ad.scale_rows(h, ad.constant(mask_arr))
+    """Self-attention over one sentence's words, then feed-forward; PAD rows zeroed."""
+    return _encoder(x, word_mask, params.word_attn, params.word_ff,
+                    "word_level got an empty sentence")
 
 
 def sentence_level(s: Tensor, sentence_mask, params: ModelParams) -> Tensor:
     """Self-attention over the article's sentence vectors, then feed-forward."""
-    mask_arr = np.asarray(
-        sentence_mask.data if isinstance(sentence_mask, Tensor) else sentence_mask,
-        dtype=np.float64,
-    )
-    if not mask_arr.any():
-        raise DegenerateInput("sentence_level got an all-masked article")
-    h = ad.add(s, multi_head_attention(s, s, s, mask_arr, params.sent_attn))
-    h = ad.add(h, _feed_forward(h, params.sent_ff))
-    return ad.scale_rows(h, ad.constant(mask_arr))
+    return _encoder(s, sentence_mask, params.sent_attn, params.sent_ff,
+                    "sentence_level got an all-masked article")
 
 
 def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) -> Tensor:
@@ -339,34 +342,11 @@ def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) ->
     own attention weight so the output stays one row per sentence and can
     carry the residual.
     """
-    mask_arr = np.asarray(
-        sentence_mask.data if isinstance(sentence_mask, Tensor) else sentence_mask,
-        dtype=np.float64,
-    )
-    if not mask_arr.any():
-        raise DegenerateInput("title_level got an all-masked article")
-    offset = ad.constant((mask_arr - 1.0) * 1e9)
+    mask_arr = _mask(sentence_mask, "title_level got an all-masked article")
     attn = params.title_attn
-    dk = attn.wq[0].shape[1]
-    inv_sqrt_dk = 1.0 / np.sqrt(dk)
-    outs = []
-    for wq, wk, wv in zip(attn.wq, attn.wk, attn.wv):
-        qh = ad.matmul(title, wq)
-        kh = ad.matmul(s, wk)
-        vh = ad.matmul(s, wv)
-        logits = ad.add(ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt_dk), offset)
-        weights = ad.reshape(ad.softmax_rows(logits), (s.shape[0],))
-        outs.append(ad.scale_rows(vh, weights))
-    context = ad.matmul(ad.concat_cols(outs), attn.wo)
-    return ad.add(context, s)
-
-
-def _sinusoidal(length: int, d: int) -> np.ndarray:
-    pos = np.arange(length)[:, None]
-    idx = np.arange(d)[None, :]
-    angle = pos / np.power(10000.0, (2 * (idx // 2)) / d)
-    enc = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    return enc
+    outs = [ad.scale_rows(vh, ad.reshape(w, (s.shape[0],)))
+            for w, vh in _heads(title, s, s, mask_arr, attn)]
+    return ad.add(ad.matmul(ad.concat_cols(outs), attn.wo), s)
 
 
 def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundle,
@@ -377,13 +357,9 @@ def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundl
 
     def embed(ids):
         if use_knowledge:
-            out = inject_knowledge(ids, params, bundle, hp.alpha, hp.beta,
-                                   hp.injection_orientation)
-        else:
-            out = ad.gather_rows(params.word_table, ids)
-        if hp.positional:
-            out = ad.add(out, ad.constant(_sinusoidal(len(ids), hp.d)))
-        return out
+            return inject_knowledge(ids, params, bundle, hp.alpha, hp.beta,
+                                    hp.injection_orientation)
+        return ad.gather_rows(params.word_table, ids)
 
     rows = []
     for j in range(l):
@@ -430,7 +406,7 @@ def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
     manifest = {
         "d": hp.d, "heads": hp.heads, "n": hp.n, "l": hp.l, "classes": hp.classes,
         "alpha": hp.alpha, "beta": hp.beta, "mode": hp.mode,
-        "injection_orientation": hp.injection_orientation, "positional": hp.positional,
+        "injection_orientation": hp.injection_orientation,
         "seed": seed, "n_words": params.word_table.shape[0],
     }
     arrays = {f"param:{name}": t.data for name, t in params.named()}
@@ -440,14 +416,18 @@ def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
 
 def load_checkpoint(path, expected_n_words: Optional[int] = None
                     ) -> tuple[ModelParams, HyperParams, int]:
+    """Parameters, hyperparameters and seed of a checkpoint; any array that is
+    missing or shaped unlike ``init_params`` for its manifest raises ValueError."""
     with np.load(path) as data:
         manifest = json.loads(bytes(data["manifest"]).decode())
+        if manifest.get("positional", False):
+            raise ValueError(f"{path}: checkpoint was trained with sinusoidal positional "
+                             f"encodings, which this version no longer adds")
         hp = HyperParams(
             d=manifest["d"], heads=manifest["heads"], n=manifest["n"], l=manifest["l"],
             classes=manifest["classes"], alpha=manifest["alpha"], beta=manifest["beta"],
             mode=manifest["mode"],
             injection_orientation=manifest["injection_orientation"],
-            positional=manifest["positional"],
         )
         if expected_n_words is not None and manifest["n_words"] != expected_n_words:
             raise ValueError(
@@ -456,5 +436,12 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
             )
         params = init_params(manifest["n_words"], hp, seed=0)
         for name, t in params.named():
-            t.data = np.array(data[f"param:{name}"])
+            key = f"param:{name}"
+            if key not in data.files:
+                raise ValueError(f"{path}: checkpoint has no array for parameter {name!r}")
+            array = data[key]
+            if array.shape != t.shape:
+                raise ValueError(f"{path}: parameter {name!r} has shape {array.shape}, "
+                                 f"but the manifest implies {t.shape}")
+            t.data = array
     return params, hp, manifest["seed"]

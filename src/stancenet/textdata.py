@@ -238,19 +238,25 @@ def save_encoded(path, encoded: list[EncodedArticle], classes: int):
 
 
 def load_encoded(path) -> tuple[list[EncodedArticle], int]:
+    """The encoded articles and the class count; a label outside
+    ``[0, classes)`` raises CorpusFormatError naming the article.
+
+    Each array is read from the archive once and the articles are rows of
+    it: every archive lookup reads a fresh copy of the whole array, so a
+    lookup per article would hold memory growing with the square of the count.
+    """
     with np.load(path) as data:
-        encoded = [
-            EncodedArticle(
-                data["sentences"][i],
-                data["sentence_masks"][i],
-                data["word_masks"][i],
-                data["titles"][i],
-                data["title_masks"][i],
-                int(data["labels"][i]),
-            )
-            for i in range(data["labels"].shape[0])
-        ]
-        return encoded, int(data["classes"])
+        columns = [data[key] for key in
+                   ("sentences", "sentence_masks", "word_masks", "titles", "title_masks")]
+        labels, classes = data["labels"], int(data["classes"])
+    outside = np.flatnonzero((labels < 0) | (labels >= classes))
+    if outside.size:
+        i = int(outside[0])
+        raise CorpusFormatError(f"{path}: article {i} has label {int(labels[i])}, "
+                                f"outside [0, {classes})")
+    encoded = [EncodedArticle(*(column[i] for column in columns), int(labels[i]))
+               for i in range(labels.shape[0])]
+    return encoded, classes
 
 
 # --------------------------------------------------------------------------

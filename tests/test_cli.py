@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from stancenet import model as md
 from stancenet import textdata as td
+from stancenet.autodiff import ShapeMismatch
 from stancenet.cli import main
 from stancenet.kge import KnowledgeEmbeddingTable
 from stancenet.textdata import RawArticle, save_corpus
@@ -216,7 +218,7 @@ class TestTrain:
         assert rc == 2
         assert "mystery_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["jobs", "l2_coeff"])
+    @pytest.mark.parametrize("key", ["jobs", "l2_coeff", "kg_lib", "kg_con", "positional"])
     def test_retired_config_keys_exit_2(self, tmp_path, capsys, key):
         config = tmp_path / "old.cfg"
         config.write_text(f"{key} = 1\n")
@@ -278,6 +280,26 @@ class TestEval:
         assert rc == 2
         assert "vocabulary" in capsys.readouterr().err
 
+    def test_internal_shape_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
+        """A ShapeMismatch is a ValueError, but a bug in the program, not in its input."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--epochs", "1", "--output-dir", str(run)]) == 0
+
+        def broken_predict(*args, **kwargs):
+            raise ShapeMismatch("matmul: (2, 3) @ (2, 2)")
+
+        monkeypatch.setattr(md, "predict", broken_predict)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                   "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge"])
+        assert rc == 1
+        assert "internal error: ShapeMismatch" in capsys.readouterr().err
+
 
 class TestLoadBoundary:
     """Bad input files exit 2 with a message naming the file, before any training."""
@@ -329,6 +351,24 @@ class TestLoadBoundary:
         assert rc == 2
         assert str(pre / "corpus.npz") in err
         assert "4-word vocabulary" in err
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_label_outside_class_range_exits_2(self, tmp_path, capsys, command, label):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        extra = self.command_args(tmp_path, pre, command)
+        corpus = pre / "corpus.npz"
+        with np.load(corpus) as data:
+            arrays = dict(data)
+        arrays["labels"][5] = label
+        np.savez(corpus, **arrays)
+        capsys.readouterr()
+        rc = main([command, "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
+                   *self.SMALL, *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(corpus) in err
+        assert f"article 5 has label {label}" in err
 
 
 class TestSweep:

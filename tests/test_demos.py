@@ -1,0 +1,30 @@
+"""Smoke test: the short demos run to completion against the current package.
+
+Demo 02 calls ``word_level``, ``sentence_level`` and ``title_level``
+directly, so it breaks when their signatures drift. Demos 04 and 05 train
+for tens of seconds and are left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-3]_*.py"))
+
+
+def test_three_short_demos_exist():
+    assert len(DEMOS) == 3
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -539,6 +539,47 @@ class TestCheckpoint:
         for (_, t_a), (_, t_b) in zip(params.named(), loaded.named()):
             assert np.array_equal(t_a.data, t_b.data)
 
+    def rewrite(self, tmp_path, edit):
+        """A saved checkpoint whose arrays (manifest included) went through ``edit``."""
+        path = tmp_path / "model.npz"
+        md.save_checkpoint(path, init_params(9, tiny_hp(), seed=0), tiny_hp())
+        with np.load(path) as data:
+            arrays = dict(data)
+        edit(arrays)
+        np.savez(path, **arrays)
+        return path
+
+    @staticmethod
+    def set_positional(value):
+        def edit(arrays):
+            manifest = json.loads(bytes(arrays["manifest"]).decode())
+            manifest["positional"] = value
+            arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        return edit
+
+    def test_manifest_with_positional_false_loads(self, tmp_path):
+        """Checkpoints written while the (always off) positional knob existed still load."""
+        path = self.rewrite(tmp_path, self.set_positional(False))
+        _, hp, _ = md.load_checkpoint(path, expected_n_words=9)
+        assert hp == tiny_hp()
+
+    def test_manifest_with_positional_true_rejected(self, tmp_path):
+        path = self.rewrite(tmp_path, self.set_positional(True))
+        with pytest.raises(ValueError, match="positional"):
+            md.load_checkpoint(path)
+
+    def test_missing_parameter_array_rejected(self, tmp_path):
+        path = self.rewrite(tmp_path, lambda arrays: arrays.pop("param:sentence_attn.k1"))
+        with pytest.raises(ValueError, match=r"model\.npz.*'sentence_attn\.k1'"):
+            md.load_checkpoint(path)
+
+    def test_misshapen_parameter_array_rejected(self, tmp_path):
+        def edit(arrays):
+            arrays["param:fuse.w"] = arrays["param:fuse.w"][:, :-1]
+        path = self.rewrite(tmp_path, edit)
+        with pytest.raises(ValueError, match=r"model\.npz.*'fuse\.w'.*\(16, 7\).*\(16, 8\)"):
+            md.load_checkpoint(path)
+
     def test_vocabulary_mismatch_fails_loudly(self, tmp_path):
         hp = tiny_hp()
         params = init_params(9, hp, seed=0)

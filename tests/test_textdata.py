@@ -1,5 +1,6 @@
 """Tests for corpus loading, encoding, folds, and the synthetic generators."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -210,6 +211,23 @@ class TestEncodedFiles:
             assert np.array_equal(a.word_masks, b.word_masks)
             assert np.array_equal(a.title, b.title)
             assert a.label == b.label
+
+    def test_load_memory_is_linear_in_article_count(self, tmp_path):
+        """Loading holds each array once, not one decompressed copy per article."""
+        corpus = td.gen_synthetic(60, 2, 2, seed=3)
+        encoded = td.encode_corpus(corpus, td.build_vocab(corpus), n=32, l=16)
+        path = tmp_path / "encoded.npz"
+        td.save_encoded(path, encoded, classes=2)
+        with np.load(path) as data:
+            stored = sum(data[key].nbytes for key in data.files)
+        tracemalloc.start()
+        try:
+            loaded, _ = td.load_encoded(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 60
+        assert peak < 3 * stored
 
 
 class TestKnowledgeCorpus:
