@@ -7,6 +7,12 @@ active and some input participates in differentiation, appends a record
 walks the records in reverse and accumulates gradients into the ``grad``
 field of every leaf tensor with ``requires_grad=True``.
 
+Most backward closures return a dense gradient of their input's shape.
+``gather_rows`` instead returns a row gradient (ids, rows), so a gather
+from a large table costs the rows it touched, not the table. The tape
+collects the row gradients of each tensor and densifies them once, into
+that tensor's dense adjoint; ``grad`` is always a dense array.
+
 Tapes nest: entering one pushes it on a module-level stack, and ops record
 on the innermost. Tensors that never require gradients are plain immutable
 value carriers.
@@ -15,7 +21,7 @@ value carriers.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,7 +126,10 @@ class Tape:
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf on this tape.
 
         The per-call adjoints are kept in a local map, so calling backward
-        twice without zeroing grads adds the same contribution twice.
+        twice without zeroing grads adds the same contribution twice. Row
+        gradients from ``gather_rows`` are collected per tensor and
+        densified once: for a non-leaf when its own record is reached, for
+        a leaf when the leaves are written.
         """
         if loss.data.ndim != 0:
             raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -129,27 +138,49 @@ class Tape:
             raise ValueError("loss was not produced by ops recorded on this tape")
 
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+        row_grads: dict[int, list[_RowGrad]] = {}
         holders: dict[int, Tensor] = {id(loss): loss}
         for inputs, out, back in reversed(self._records):
-            out_adj = adjoint.get(id(out))
+            key = id(out)
+            if key in row_grads:
+                adjoint[key] = _densify(adjoint.get(key), row_grads.pop(key), out.data.shape)
+            out_adj = adjoint.get(key)
             if out_adj is None:
                 continue
             for t, g in zip(inputs, back(out_adj)):
                 if g is None or not t.requires_grad:
                     continue
                 key = id(t)
-                if key in adjoint:
+                holders[key] = t
+                if isinstance(g, _RowGrad):
+                    row_grads.setdefault(key, []).append(g)
+                elif key in adjoint:
                     adjoint[key] = adjoint[key] + g
                 else:
                     adjoint[key] = np.array(g, dtype=np.float64)
-                    holders[key] = t
         for key, t in holders.items():
             if key in produced:
                 continue
-            if t.grad is None:
-                t.grad = adjoint[key].reshape(t.data.shape).copy()
+            if key in row_grads:
+                g = _densify(adjoint.get(key), row_grads[key], t.data.shape)
             else:
-                t.grad = t.grad + adjoint[key].reshape(t.data.shape)
+                g = adjoint[key].reshape(t.data.shape)
+            t.grad = g if t.grad is None else t.grad + g
+
+
+class _RowGrad(NamedTuple):
+    """A table gradient, zero outside the gathered rows: ``rows[i]`` adds to row ``ids[i]``."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+
+
+def _densify(dense: Optional[np.ndarray], grads: list[_RowGrad], shape) -> np.ndarray:
+    """Scatter-add row gradients into a dense adjoint (zeros if there is none), in place."""
+    out = np.zeros(shape) if dense is None else dense.reshape(shape)
+    np.add.at(out, np.concatenate([g.ids for g in grads]),
+              np.concatenate([g.rows for g in grads]))
+    return out
 
 
 def _emit(inputs: Sequence[Tensor], value: np.ndarray, backward: Callable) -> Tensor:
@@ -309,16 +340,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Select rows of a rank-2 table by integer index; gradients scatter-add back."""
+    """Select rows of a rank-2 table by integer index; its gradient is a ``_RowGrad``."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2 or ids.ndim != 1:
         raise ShapeMismatch(f"gather_rows got table shape {table.shape}, ids shape {ids.shape}")
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        return (_RowGrad(ids, g),)
 
     return _emit((table,), table.data[ids], backward)
 

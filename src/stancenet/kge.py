@@ -362,9 +362,10 @@ class KnowledgeEmbeddingTable:
             stance = stance_line.split("=", 1)[1]
             width = int(dim_line.split("=", 1)[1])
             rows = [np.array(line.split(), dtype=np.float64) for line in fh if line.strip()]
+        for i, row in enumerate(rows):
+            if row.size != width:
+                raise ValueError(f"{path}: row {i} has {row.size} values, but dim={width}")
         vectors = np.vstack(rows) if rows else np.zeros((0, width))
-        if vectors.shape[1] != width:
-            raise ValueError(f"{path}: row width {vectors.shape[1]} does not match dim={width}")
         bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
         if bad.size:
             raise ValueError(f"{path}: row {bad[0]} has a non-finite value")

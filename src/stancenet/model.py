@@ -402,6 +402,10 @@ def cross_entropy(probs: Tensor, label: int) -> Tensor:
 # Checkpoints
 # --------------------------------------------------------------------------
 
+_MANIFEST_KEYS = ("d", "heads", "n", "l", "classes", "alpha", "beta", "mode",
+                  "injection_orientation", "seed", "n_words")
+
+
 def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
     manifest = {
         "d": hp.d, "heads": hp.heads, "n": hp.n, "l": hp.l, "classes": hp.classes,
@@ -420,6 +424,9 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
     missing or shaped unlike ``init_params`` for its manifest raises ValueError."""
     with np.load(path) as data:
         manifest = json.loads(bytes(data["manifest"]).decode())
+        for key in _MANIFEST_KEYS:
+            if key not in manifest:
+                raise ValueError(f"{path}: checkpoint manifest has no {key!r} key")
         if manifest.get("positional", False):
             raise ValueError(f"{path}: checkpoint was trained with sinusoidal positional "
                              f"encodings, which this version no longer adds")

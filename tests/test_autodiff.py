@@ -6,10 +6,13 @@ finite differences. The oracles never call the code paths they check.
 """
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stancenet import autodiff as ad
 from stancenet.autodiff import (
@@ -298,6 +301,59 @@ def test_non_row_broadcastable_shapes_rejected(op, a, b):
     for lhs, rhs in ((x, y), (y, x)):
         with pytest.raises(ShapeMismatch, match=r"\(.*\).*\(.*\)"):
             op(lhs, rhs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 4)), data=st.data(),
+       dense_too=st.booleans(), through_scale=st.booleans(), calls=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_gather_row_gradients_match_dense_scatter_oracle(shape, data, dense_too, through_scale,
+                                                         calls, seed):
+    """Row gradients of gathers, mixed or not with a dense use of the same tensor, on a leaf
+    or a non-leaf, and accumulated over repeated backward calls, equal a dense scatter-add."""
+    gathers = data.draw(st.lists(st.lists(st.integers(0, shape[0] - 1), min_size=1, max_size=8),
+                                 min_size=1, max_size=3))
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+    weights = [rng.uniform(-1, 1, (len(ids), shape[1])) for ids in gathers]
+    dense_weight = rng.uniform(-1, 1, shape)
+    with Tape() as tape:
+        source = ad.scale(x, 2.0) if through_scale else x
+        loss = ad.sum_all(ad.mul(source, Tensor(dense_weight))) if dense_too else ad.zeros(())
+        for ids, w in zip(gathers, weights):
+            loss = ad.add(loss, ad.sum_all(ad.mul(ad.gather_rows(source, ids), Tensor(w))))
+        for _ in range(calls):
+            tape.backward(loss)
+
+    expected = np.zeros(shape)
+    for ids, w in zip(gathers, weights):
+        np.add.at(expected, ids, w)
+    if dense_too:
+        expected += dense_weight
+    expected *= calls * (2.0 if through_scale else 1.0)
+    assert isinstance(x.grad, np.ndarray) and x.grad.shape == shape
+    # entries are O(1) sums summed in another order, so an absolute floor covers cancellation
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_gather_backward_memory_does_not_grow_with_gathers():
+    """50 gathers from one leaf cost one dense table in backward, not one table per gather."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((20_000, 16)), requires_grad=True)
+    gathers = [rng.integers(0, 20_000, 40) for _ in range(50)]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = ad.zeros(())
+            for ids in gathers:
+                loss = ad.add(loss, ad.sum_all(ad.gather_rows(x, ids)))
+            tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    counts = np.bincount(np.concatenate(gathers), minlength=20_000).astype(np.float64)
+    assert np.array_equal(x.grad, np.repeat(counts[:, None], 16, axis=1))
+    assert peak < 2 * x.data.nbytes
 
 
 def test_stack_rows_gradient():

@@ -280,6 +280,29 @@ class TestEval:
         assert rc == 2
         assert "vocabulary" in capsys.readouterr().err
 
+    def test_manifest_missing_a_key_exits_2(self, tmp_path, capsys):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--epochs", "1", "--output-dir", str(run)]) == 0
+        checkpoint = run / "checkpoint.npz"
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        manifest = json.loads(bytes(arrays["manifest"]).decode())
+        del manifest["injection_orientation"]
+        arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        np.savez(checkpoint, **arrays)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(checkpoint),
+                   "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(checkpoint) in err
+        assert "'injection_orientation'" in err
+
     def test_internal_shape_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
         """A ShapeMismatch is a ValueError, but a bug in the program, not in its input."""
         pre = preprocess(tmp_path, write_corpus(tmp_path))

@@ -411,6 +411,18 @@ class TestExportAlignedTable:
         assert np.array_equal(loaded.vectors, table.vectors)
         assert np.array_equal(loaded.coverage, table.coverage)
 
+    @pytest.mark.parametrize("edit,count", [(lambda row: row[:-1], 3),
+                                            (lambda row: row + ["0.5"], 5)], ids=["short", "long"])
+    def test_ragged_row_names_file_and_row(self, tmp_path, edit, count):
+        table = export_aligned_table(self.model, {"beta": "E_beta"}, self.vocab, self.store)
+        path = tmp_path / "table.txt"
+        table.save(path)
+        lines = path.read_text().splitlines()
+        lines[2 + 1] = " ".join(edit(lines[2 + 1].split()))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"table\.txt: row 1 has {count} values, but dim=4"):
+            kge.KnowledgeEmbeddingTable.load(path)
+
 
 def test_training_gradients_match_finite_differences():
     """The scorer's tape gradients agree with central differences for all methods."""

@@ -568,6 +568,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="positional"):
             md.load_checkpoint(path)
 
+    def test_manifest_missing_a_key_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        md.save_checkpoint(path, init_params(9, tiny_hp(), seed=0), tiny_hp())
+        with np.load(path) as data:
+            keys = list(json.loads(bytes(data["manifest"]).decode()))
+        for key in keys:
+            def drop(arrays):
+                manifest = json.loads(bytes(arrays["manifest"]).decode())
+                del manifest[key]
+                arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+            path = self.rewrite(tmp_path, drop)
+            with pytest.raises(ValueError, match=rf"model\.npz.*'{key}'"):
+                md.load_checkpoint(path, expected_n_words=9)
+
     def test_missing_parameter_array_rejected(self, tmp_path):
         path = self.rewrite(tmp_path, lambda arrays: arrays.pop("param:sentence_attn.k1"))
         with pytest.raises(ValueError, match=r"model\.npz.*'sentence_attn\.k1'"):
