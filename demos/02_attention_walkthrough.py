@@ -46,23 +46,26 @@ word_out = md.word_level(injected, mask, params)
 print("word level output shape:", word_out.shape, " PAD rows zero:",
       bool(np.all(word_out.data[mask == 0.0] == 0.0)))
 
+# The word level runs on all active sentences at once, [L, n, d] with an [L, n]
+# mask; each sentence vector is the mean of its real words' rows.
+active = np.flatnonzero(article.sentence_mask)
+masks = article.word_masks[active]
+x = md.inject_knowledge(article.sentences[active].reshape(-1), params, bundle,
+                        hp.alpha, hp.beta)
+batch = md.word_level(ad.reshape(x, (len(active), hp.n, hp.d)), masks, params)
+print("batched word level output shape:", batch.shape, " first sentence as above:",
+      bool(np.allclose(batch.data[0], word_out.data, rtol=1e-12, atol=1e-15)))
+vectors = (batch.data * masks[:, :, None]).sum(axis=1) / masks.sum(axis=1, keepdims=True)
+
 # Sentence level over the pooled sentence vectors.
-rows = []
-for j in range(hp.l):
-    if article.sentence_mask[j] == 1.0:
-        m = article.word_masks[j]
-        x = md.inject_knowledge(article.sentences[j], params, bundle, hp.alpha, hp.beta)
-        rows.append(ad.mean_rows(md.word_level(x, m, params), ad.constant(m)))
-    else:
-        rows.append(ad.constant(np.zeros(hp.d)))
-sent = md.sentence_level(ad.stack_rows(rows), article.sentence_mask, params)
+sent = md.sentence_level(ad.constant(vectors), np.ones(len(active)), params)
 print("sentence level output shape:", sent.shape)
 
 # Title level re-weights the sentences toward the headline.
 title_words = md.inject_knowledge(article.title, params, bundle, hp.alpha, hp.beta)
 title_vec = ad.mean_rows(title_words, ad.constant(article.title_mask))
 final = md.title_level(ad.reshape(title_vec, (1, hp.d)), sent,
-                       article.sentence_mask, params)
+                       np.ones(len(active)), params)
 print("title level output shape:", final.shape)
 
 # The whole pipeline in one call, for each ablation mode.

@@ -126,7 +126,8 @@ class Tape:
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf on this tape.
 
         The per-call adjoints are kept in a local map, so calling backward
-        twice without zeroing grads adds the same contribution twice. Row
+        twice without zeroing grads adds the same contribution twice. A
+        non-leaf's adjoint is dropped once its record has run. Row
         gradients from ``gather_rows`` are collected per tensor and
         densified once: for a non-leaf when its own record is reached, for
         a leaf when the leaves are written.
@@ -144,7 +145,7 @@ class Tape:
             key = id(out)
             if key in row_grads:
                 adjoint[key] = _densify(adjoint.get(key), row_grads.pop(key), out.data.shape)
-            out_adj = adjoint.get(key)
+            out_adj = adjoint.pop(key, None)  # every consumer of out came later on the tape
             if out_adj is None:
                 continue
             for t, g in zip(inputs, back(out_adj)):
@@ -202,14 +203,20 @@ def _as_tensor(x) -> Tensor:
 # --------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
+    """Matrix product: rank-2 x rank-2, rank-3 x rank-2 (one right operand for every
+    batch entry), or rank-3 x rank-3 (batched, equal batch sizes)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim not in (2, 3) or b.ndim not in (2, a.ndim) or a.shape[-1] != b.shape[-2]
+            or (b.ndim == 3 and a.shape[0] != b.shape[0])):
         raise ShapeMismatch(f"matmul got incompatible shapes {a.shape} x {b.shape}")
     value = a.data @ b.data
+    shared = a.ndim == 3 and b.ndim == 2
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        ga = g @ b.data.swapaxes(-1, -2)
+        if shared:
+            return ga, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return ga, a.data.swapaxes(-1, -2) @ g
 
     return _emit((a, b), value, backward)
 
@@ -271,15 +278,16 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def scale_rows(x: Tensor, w: Tensor) -> Tensor:
-    """Scale row i of a rank-2 x by w[i]; differentiable in both arguments."""
+    """Scale each row (last-axis vector) of a rank-2 or rank-3 x by its entry of w,
+    whose shape is x's without the last axis; differentiable in both arguments."""
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.ndim != 2 or w.ndim != 1 or x.shape[0] != w.shape[0]:
+    if x.ndim not in (2, 3) or w.shape != x.shape[:-1]:
         raise ShapeMismatch(f"scale_rows got shapes {x.shape} and {w.shape}")
 
     def backward(g):
-        return g * w.data[:, None], (g * x.data).sum(axis=1)
+        return g * w.data[..., None], (g * x.data).sum(axis=-1)
 
-    return _emit((x, w), x.data * w.data[:, None], backward)
+    return _emit((x, w), x.data * w.data[..., None], backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -293,17 +301,18 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a rank-2 tensor, stabilised by per-row max subtraction."""
+    """Softmax over the last axis of a rank-2 or rank-3 tensor, stabilised by
+    subtracting each row's max."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"softmax_rows needs a rank-2 tensor, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    if x.ndim not in (2, 3):
+        raise ShapeMismatch(f"softmax_rows needs a rank-2 or rank-3 tensor, got shape {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         # d x_ij = y_ij * (g_ij - sum_k g_ik y_ik)
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _emit((x,), y, backward)
@@ -367,27 +376,51 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), backward)
 
 
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length rank-1 tensors into the rows of a rank-2 tensor."""
-    parts = [_as_tensor(p) for p in parts]
-    if any(p.ndim != 1 for p in parts) or len({p.shape[0] for p in parts}) != 1:
-        raise ShapeMismatch(f"stack_rows got shapes {[p.shape for p in parts]}")
-
-    def backward(g):
-        return tuple(g[i] for i in range(len(parts)))
-
-    return _emit(tuple(parts), np.stack([p.data for p in parts]), backward)
-
-
 def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes of a rank-2 or rank-3 tensor."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"transpose needs a rank-2 tensor, got shape {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ShapeMismatch(f"transpose needs a rank-2 or rank-3 tensor, got shape {x.shape}")
 
     def backward(g):
-        return (g.T,)
+        return (g.swapaxes(-1, -2),)
 
-    return _emit((x,), x.data.T, backward)
+    return _emit((x,), x.data.swapaxes(-1, -2), backward)
+
+
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """[N, m, d] -> [N*heads, m, d/heads]: entry n*heads + h holds columns
+    [h*d/heads, (h+1)*d/heads) of x[n]. A rank-2 [m, d] is one item (N = 1)."""
+    x = _as_tensor(x)
+    if x.ndim not in (2, 3) or heads < 1 or x.shape[-1] % heads:
+        raise ShapeMismatch(f"split_heads cannot cut shape {x.shape} into {heads} heads")
+
+    def backward(g):
+        return (_merge(g, heads).reshape(x.shape),)
+
+    return _emit((x,), _split(x.data.reshape((-1,) + x.shape[-2:]), heads), backward)
+
+
+def merge_heads(x: Tensor, heads: int) -> Tensor:
+    """The inverse of ``split_heads``: [N*heads, m, k] -> [N, m, heads*k]."""
+    x = _as_tensor(x)
+    if x.ndim != 3 or heads < 1 or x.shape[0] % heads:
+        raise ShapeMismatch(f"merge_heads cannot join shape {x.shape} as {heads} heads")
+
+    def backward(g):
+        return (_split(g, heads),)
+
+    return _emit((x,), _merge(x.data, heads), backward)
+
+
+def _split(a: np.ndarray, heads: int) -> np.ndarray:
+    n, m, d = a.shape
+    return a.reshape(n, m, heads, d // heads).transpose(0, 2, 1, 3).reshape(n * heads, m, -1)
+
+
+def _merge(a: np.ndarray, heads: int) -> np.ndarray:
+    nh, m, k = a.shape
+    return a.reshape(nh // heads, heads, m, k).transpose(0, 2, 1, 3).reshape(nh // heads, m, -1)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -27,6 +27,7 @@ pool, and ties are broken by ascending entity id.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -361,7 +362,10 @@ class KnowledgeEmbeddingTable:
                 raise ValueError(f"{path}: expected 'stance=' and 'dim=' header lines")
             stance = stance_line.split("=", 1)[1]
             width = int(dim_line.split("=", 1)[1])
-            rows = [np.array(line.split(), dtype=np.float64) for line in fh if line.strip()]
+            try:
+                rows = [np.array(line.split(), dtype=np.float64) for line in fh if line.strip()]
+            except ValueError as err:
+                raise ValueError(f"{path}: {_unparsable(path)}") from err
         for i, row in enumerate(rows):
             if row.size != width:
                 raise ValueError(f"{path}: row {i} has {row.size} values, but dim={width}")
@@ -371,6 +375,22 @@ class KnowledgeEmbeddingTable:
             raise ValueError(f"{path}: row {bad[0]} has a non-finite value")
         coverage = (np.abs(vectors).sum(axis=1) > 0).astype(np.float64)
         return KnowledgeEmbeddingTable(stance, vectors, coverage)
+
+
+def _unparsable(path) -> str:
+    """Which row of a table file numpy cannot parse, and the token it stops at.
+
+    Only called after a parse has failed, so loading a valid table pays nothing for it.
+    """
+    with open(path, encoding="utf-8") as fh:
+        rows = (line for line in itertools.islice(fh, 2, None) if line.strip())
+        for i, line in enumerate(rows):
+            for token in line.split():
+                try:
+                    np.array(token, dtype=np.float64)
+                except ValueError:
+                    return f"row {i} has the non-numeric value {token!r}"
+    return "a row does not parse as numbers"
 
 
 def zero_table(stance_tag: str, n_words: int, width: int) -> KnowledgeEmbeddingTable:

@@ -19,7 +19,7 @@ level, and ``All`` is ``WST`` plus knowledge injection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
@@ -63,11 +63,13 @@ class HyperParams:
 
 @dataclass
 class AttentionParams:
-    """Per-head projections plus the shared output projection for one level."""
+    """One level's fused d x d query/key/value projections (head h owns columns
+    [h*d/heads, (h+1)*d/heads)) plus the shared output projection."""
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    heads: int
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     wo: Tensor
 
 
@@ -102,11 +104,8 @@ class ModelParams:
         yield "word_table", self.word_table
         for level, attn in (("word", self.word_attn), ("sentence", self.sent_attn),
                             ("title", self.title_attn)):
-            for h, (q, k, v) in enumerate(zip(attn.wq, attn.wk, attn.wv)):
-                yield f"{level}_attn.q{h}", q
-                yield f"{level}_attn.k{h}", k
-                yield f"{level}_attn.v{h}", v
-            yield f"{level}_attn.out", attn.wo
+            for part, w in (("q", attn.wq), ("k", attn.wk), ("v", attn.wv), ("out", attn.wo)):
+                yield f"{level}_attn.{part}", w
         for name, ff in (("word_ff", self.word_ff), ("sentence_ff", self.sent_ff)):
             yield f"{name}.w1", ff.w1
             yield f"{name}.b1", ff.b1
@@ -134,13 +133,14 @@ def init_params(n_words: int, hp: HyperParams, seed: int = 0) -> ModelParams:
     def draw(shape):
         return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
+    def fused():
+        # one d x d/heads block per head, in head order, as the columns of one matrix
+        return Tensor(np.concatenate([rng.uniform(-bound, bound, (hp.d, dk))
+                                      for _ in range(hp.heads)], axis=1), requires_grad=True)
+
     def attention():
-        return AttentionParams(
-            wq=[draw((hp.d, dk)) for _ in range(hp.heads)],
-            wk=[draw((hp.d, dk)) for _ in range(hp.heads)],
-            wv=[draw((hp.d, dk)) for _ in range(hp.heads)],
-            wo=draw((hp.d, hp.d)),
-        )
+        return AttentionParams(hp.heads, wq=fused(), wk=fused(), wv=fused(),
+                               wo=draw((hp.d, hp.d)))
 
     def feed_forward():
         inner = 4 * hp.d
@@ -177,10 +177,6 @@ class KnowledgeBundle:
     @property
     def n_words(self) -> int:
         return self.com.n_words
-
-    @property
-    def width(self) -> int:
-        return self.com.width
 
 
 def zero_bundle(n_words: int, width: int) -> KnowledgeBundle:
@@ -280,50 +276,59 @@ def inject_knowledge(
 
 
 def _mask(mask, what: str) -> np.ndarray:
-    """The mask as a float array; an all-zero mask raises ``DegenerateInput(what)``."""
+    """The mask as a float array; a row (last axis) with no 1 raises ``DegenerateInput(what)``."""
     mask_arr = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=np.float64)
-    if not mask_arr.any():
+    if not mask_arr.any(axis=-1).all():
         raise DegenerateInput(what)
     return mask_arr
 
 
 def _heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, attn: AttentionParams
-           ) -> Iterator[tuple[Tensor, Tensor]]:
-    """Per head: softmax weights of scaled dot-product scores (masked keys get
-    -1e9 logits) and the projected value rows."""
-    offset = ad.constant((mask - 1.0) * 1e9)
-    inv_sqrt_dk = 1.0 / np.sqrt(attn.wq[0].shape[1])
-    for wq, wk, wv in zip(attn.wq, attn.wk, attn.wv):
-        qh = ad.matmul(q, wq)
-        kh = ad.matmul(k, wk)
-        vh = ad.matmul(v, wv)
-        logits = ad.add(ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt_dk), offset)
-        yield ad.softmax_rows(logits), vh
+           ) -> tuple[Tensor, Tensor]:
+    """The attention of every level on [N, m, d] queries, keys and values ([m, d] is
+    N = 1): softmax weights of the scaled dot-product scores, [N*heads, mq, mk] (keys
+    masked in the [N, mk] mask get -1e9 logits, so weight exactly 0), and the projected
+    values, [N*heads, mk, d/heads]; entry n*heads + h is head h of item n."""
+    h = attn.heads
+    qh = ad.split_heads(ad.matmul(q, attn.wq), h)
+    kh = ad.split_heads(ad.matmul(k, attn.wk), h)
+    vh = ad.split_heads(ad.matmul(v, attn.wv), h)
+    offset = np.repeat((mask.reshape(-1, mask.shape[-1]) - 1.0) * 1e9, h, axis=0)[:, None, :]
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
+    logits = ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape)))
+    return ad.softmax_rows(logits), vh
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask,
                          attn: AttentionParams) -> Tensor:
-    """Scaled dot-product attention per head; masked keys get -1e9 logits."""
+    """Scaled dot-product attention with fused heads; masked keys get -1e9 logits.
+
+    q, k and v are [m, d] rows with an [mk] key mask, or batches [N, m, d] with an
+    [N, mk] mask; the output has the shape of q.
+    """
     mask_arr = _mask(mask, "attention needs at least one unmasked key position")
-    outs = [ad.matmul(w, vh) for w, vh in _heads(q, k, v, mask_arr, attn)]
-    return ad.matmul(ad.concat_cols(outs), attn.wo)
+    w, vh = _heads(q, k, v, mask_arr, attn)
+    return ad.matmul(ad.reshape(ad.merge_heads(ad.matmul(w, vh), attn.heads), q.shape), attn.wo)
 
 
 def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams,
              what: str) -> Tensor:
-    """Self-attention, then feed-forward, each with a residual; PAD rows zeroed.
+    """Self-attention, then feed-forward on the flattened rows, each with a residual;
+    PAD rows zeroed. x is [m, d] with an [m] mask or [N, m, d] with an [N, m] mask.
 
     The residuals keep each row's identity through the block instead of
     collapsing toward the attention average.
     """
     mask_arr = _mask(mask, what)
     h = ad.add(x, multi_head_attention(x, x, x, mask_arr, attn))
+    h = ad.reshape(h, (-1, x.shape[-1]))
     h = ad.add(h, ad.linear(ad.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
-    return ad.scale_rows(h, ad.constant(mask_arr))
+    return ad.reshape(ad.scale_rows(h, ad.constant(mask_arr.reshape(-1))), x.shape)
 
 
 def word_level(x: Tensor, word_mask, params: ModelParams) -> Tensor:
-    """Self-attention over one sentence's words, then feed-forward; PAD rows zeroed."""
+    """Self-attention over each sentence's words ([n, d], or [L, n, d] for L
+    sentences), then feed-forward; PAD rows zeroed."""
     return _encoder(x, word_mask, params.word_attn, params.word_ff,
                     "word_level got an empty sentence")
 
@@ -344,51 +349,47 @@ def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) ->
     """
     mask_arr = _mask(sentence_mask, "title_level got an all-masked article")
     attn = params.title_attn
-    outs = [ad.scale_rows(vh, ad.reshape(w, (s.shape[0],)))
-            for w, vh in _heads(title, s, s, mask_arr, attn)]
-    return ad.add(ad.matmul(ad.concat_cols(outs), attn.wo), s)
+    w, vh = _heads(title, s, s, mask_arr, attn)
+    out = ad.merge_heads(ad.scale_rows(vh, ad.reshape(w, vh.shape[:2])), attn.heads)
+    return ad.add(ad.matmul(ad.reshape(out, s.shape), attn.wo), s)
+
+
+def _trim(mask: np.ndarray) -> int:
+    """One past the last position any row of the mask uses (all of them if none is used)."""
+    used = mask.reshape(-1, mask.shape[-1]).any(axis=0)
+    return mask.shape[-1] - int(np.argmax(used[::-1]))
 
 
 def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundle,
             hp: HyperParams) -> Tensor:
-    """Class probability vector for one encoded article under the given mode."""
-    use_knowledge = hp.mode == "All"
-    l, n = article.sentences.shape
+    """Class probability vector for one encoded article under the given mode.
 
+    The word level runs once over the active sentences, cut after the last real
+    word: padded sentences and PAD columns would only get zero weight and zero rows.
+    """
     def embed(ids):
-        if use_knowledge:
+        if hp.mode == "All":
             return inject_knowledge(ids, params, bundle, hp.alpha, hp.beta,
                                     hp.injection_orientation)
         return ad.gather_rows(params.word_table, ids)
 
-    rows = []
-    for j in range(l):
-        if article.sentence_mask[j] == 1.0:
-            mask = article.word_masks[j]
-            pooled = ad.mean_rows(
-                word_level(embed(article.sentences[j]), mask, params), ad.constant(mask)
-            )
-            rows.append(pooled)
-        else:
-            rows.append(ad.constant(np.zeros(hp.d)))
-    sentence_vecs = ad.stack_rows(rows)
-    smask = ad.constant(article.sentence_mask)
+    active = np.flatnonzero(_mask(article.sentence_mask, "predict got an all-masked article"))
+    n = _trim(article.word_masks[active])
+    masks = article.word_masks[active, :n]
+    words = embed(article.sentences[active, :n].reshape(-1))
+    words = word_level(ad.reshape(words, (active.size, n, hp.d)), masks, params)
+    # each sentence's vector is the mean of its real words' rows
+    pool = ad.constant((masks / masks.sum(axis=1, keepdims=True))[:, None, :])
+    rows = ad.reshape(ad.matmul(pool, words), (active.size, hp.d))
+    smask = ad.constant(np.ones(active.size))
+    if hp.mode != "W":
+        rows = sentence_level(rows, smask, params)
+    if hp.mode in ("WST", "All"):
+        t = _trim(_mask(article.title_mask, "title-level modes need a non-empty title"))
+        title = ad.mean_rows(embed(article.title[:t]), ad.constant(article.title_mask[:t]))
+        rows = title_level(ad.reshape(title, (1, hp.d)), rows, smask, params)
 
-    if hp.mode == "W":
-        pooled = ad.mean_rows(sentence_vecs, smask)
-    else:
-        refined = sentence_level(sentence_vecs, article.sentence_mask, params)
-        if hp.mode == "WS":
-            pooled = ad.mean_rows(refined, smask)
-        else:  # WST or All
-            if not article.title_mask.any():
-                raise DegenerateInput("title-level modes need a non-empty title")
-            title_words = embed(article.title)
-            title_vec = ad.mean_rows(title_words, ad.constant(article.title_mask))
-            reweighted = title_level(ad.reshape(title_vec, (1, hp.d)), refined,
-                                     article.sentence_mask, params)
-            pooled = ad.mean_rows(reweighted, smask)
-
+    pooled = ad.mean_rows(rows, smask)
     logits = ad.linear(ad.reshape(pooled, (1, hp.d)), params.out_w, params.out_b)
     return ad.reshape(ad.softmax_rows(logits), (hp.classes,))
 
@@ -402,17 +403,11 @@ def cross_entropy(probs: Tensor, label: int) -> Tensor:
 # Checkpoints
 # --------------------------------------------------------------------------
 
-_MANIFEST_KEYS = ("d", "heads", "n", "l", "classes", "alpha", "beta", "mode",
-                  "injection_orientation", "seed", "n_words")
+_HP_KEYS = tuple(f.name for f in fields(HyperParams))
 
 
 def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
-    manifest = {
-        "d": hp.d, "heads": hp.heads, "n": hp.n, "l": hp.l, "classes": hp.classes,
-        "alpha": hp.alpha, "beta": hp.beta, "mode": hp.mode,
-        "injection_orientation": hp.injection_orientation,
-        "seed": seed, "n_words": params.word_table.shape[0],
-    }
+    manifest = {**asdict(hp), "seed": seed, "n_words": params.word_table.shape[0]}
     arrays = {f"param:{name}": t.data for name, t in params.named()}
     np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
              **arrays)
@@ -421,21 +416,20 @@ def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
 def load_checkpoint(path, expected_n_words: Optional[int] = None
                     ) -> tuple[ModelParams, HyperParams, int]:
     """Parameters, hyperparameters and seed of a checkpoint; any array that is
-    missing or shaped unlike ``init_params`` for its manifest raises ValueError."""
+    missing or shaped unlike ``init_params`` for its manifest raises ValueError.
+    Per-head arrays of older checkpoints (``word_attn.q0``, ...) are joined in head order.
+    """
     with np.load(path) as data:
+        if "manifest" not in data.files:
+            raise ValueError(f"{path}: not a stancenet checkpoint (no manifest array)")
         manifest = json.loads(bytes(data["manifest"]).decode())
-        for key in _MANIFEST_KEYS:
+        for key in _HP_KEYS + ("seed", "n_words"):
             if key not in manifest:
                 raise ValueError(f"{path}: checkpoint manifest has no {key!r} key")
         if manifest.get("positional", False):
             raise ValueError(f"{path}: checkpoint was trained with sinusoidal positional "
                              f"encodings, which this version no longer adds")
-        hp = HyperParams(
-            d=manifest["d"], heads=manifest["heads"], n=manifest["n"], l=manifest["l"],
-            classes=manifest["classes"], alpha=manifest["alpha"], beta=manifest["beta"],
-            mode=manifest["mode"],
-            injection_orientation=manifest["injection_orientation"],
-        )
+        hp = HyperParams(**{key: manifest[key] for key in _HP_KEYS})
         if expected_n_words is not None and manifest["n_words"] != expected_n_words:
             raise ValueError(
                 f"checkpoint was trained with vocabulary size {manifest['n_words']}, "
@@ -443,12 +437,16 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
             )
         params = init_params(manifest["n_words"], hp, seed=0)
         for name, t in params.named():
-            key = f"param:{name}"
-            if key not in data.files:
-                raise ValueError(f"{path}: checkpoint has no array for parameter {name!r}")
-            array = data[key]
-            if array.shape != t.shape:
-                raise ValueError(f"{path}: parameter {name!r} has shape {array.shape}, "
-                                 f"but the manifest implies {t.shape}")
-            t.data = array
+            parts, shape = [name], t.shape
+            if f"param:{name}" not in data.files and f"param:{name}0" in data.files:
+                parts, shape = [f"{name}{h}" for h in range(hp.heads)], (hp.d, hp.d // hp.heads)
+            arrays = []
+            for part in parts:
+                if f"param:{part}" not in data.files:
+                    raise ValueError(f"{path}: checkpoint has no array for parameter {part!r}")
+                arrays.append(data[f"param:{part}"])
+                if arrays[-1].shape != shape:
+                    raise ValueError(f"{path}: parameter {part!r} has shape "
+                                     f"{arrays[-1].shape}, but the manifest implies {shape}")
+            t.data = np.concatenate(arrays, axis=1) if len(arrays) > 1 else arrays[0]
     return params, hp, manifest["seed"]

@@ -256,6 +256,23 @@ OP_CASES = [
     ("slice_cols", lambda x, rng: ad.slice_cols(x, 1, 3), (3, 4)),
     ("sum_rows", lambda x, rng: ad.sum_rows(x), (3, 4)),
     ("clamp_min", lambda x, rng: ad.clamp_min(x, -2.0), (3, 4)),
+    ("matmul_batched_lhs", lambda x, rng: ad.matmul(x, Tensor(rng.uniform(-1, 1, (2, 4, 3)))),
+     (2, 3, 4)),
+    ("matmul_batched_rhs", lambda x, rng: ad.matmul(Tensor(rng.uniform(-1, 1, (2, 3, 4))), x),
+     (2, 4, 2)),
+    ("matmul_shared_lhs", lambda x, rng: ad.matmul(x, Tensor(rng.uniform(-1, 1, (4, 3)))),
+     (2, 3, 4)),
+    ("matmul_shared_rhs", lambda x, rng: ad.matmul(Tensor(rng.uniform(-1, 1, (2, 3, 4))), x),
+     (4, 2)),
+    ("transpose_rank3", lambda x, rng: ad.transpose(x), (2, 3, 4)),
+    ("softmax_rows_rank3", lambda x, rng: ad.softmax_rows(x), (2, 3, 4)),
+    ("scale_rows_rank3_x", lambda x, rng: ad.scale_rows(x, Tensor(rng.uniform(-1, 1, (2, 3)))),
+     (2, 3, 4)),
+    ("scale_rows_rank3_w",
+     lambda x, rng: ad.scale_rows(Tensor(rng.uniform(-1, 1, (2, 3, 4))), x), (2, 3)),
+    ("split_heads", lambda x, rng: ad.split_heads(x, 2), (2, 3, 4)),
+    ("split_heads_rank2", lambda x, rng: ad.split_heads(x, 2), (3, 4)),
+    ("merge_heads", lambda x, rng: ad.merge_heads(x, 2), (4, 3, 2)),
     ("exp", lambda x, rng: ad.exp(x), (3, 4)),
     ("sin", lambda x, rng: ad.sin(x), (3, 4)),
     ("cos", lambda x, rng: ad.cos(x), (3, 4)),
@@ -291,6 +308,23 @@ def test_positive_domain_op_gradients(name, build, shape):
         return _weighted(build(t, rng), np.random.default_rng(99))
 
     assert ad.finite_diff_check(f, x) < 1e-5
+
+
+def test_heads_are_column_blocks_and_merge_inverts_split():
+    x = np.random.default_rng(4).uniform(-1, 1, (2, 3, 6))
+    split = ad.split_heads(Tensor(x), 3).data
+    for n in range(2):
+        for h, block in enumerate(np.split(x[n], 3, axis=1)):
+            assert np.array_equal(split[n * 3 + h], block)
+    assert np.array_equal(ad.merge_heads(Tensor(split), 3).data, x)
+    assert np.array_equal(ad.split_heads(Tensor(x[1]), 3).data, split[3:])
+
+
+@pytest.mark.parametrize("a,b", [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 3, 2)),
+                                 ((3, 4), (2, 4, 2)), ((2, 3, 4), (3, 2))])
+def test_matmul_rank3_mismatch_rejected(a, b):
+    with pytest.raises(ShapeMismatch, match=r"\(.*\) x \(.*\)"):
+        ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
 
 @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
@@ -356,17 +390,6 @@ def test_gather_backward_memory_does_not_grow_with_gathers():
     assert peak < 2 * x.data.nbytes
 
 
-def test_stack_rows_gradient():
-    rng = np.random.default_rng(31)
-    x = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
-    other = Tensor(rng.uniform(-1, 1, 4))
-
-    def f(t):
-        return _weighted(ad.stack_rows([t, other, t]), np.random.default_rng(99))
-
-    assert ad.finite_diff_check(f, x) < 1e-5
-
-
 def test_pick_and_sum_gradients():
     x = Tensor([0.3, -0.4, 0.9], requires_grad=True)
 
@@ -399,3 +422,21 @@ def test_outputs_stay_finite_on_finite_inputs():
     x = Tensor(rng.uniform(-1e3, 1e3, (3, 3)))
     for out in [ad.softmax_rows(x), ad.relu(x), ad.logsigmoid(x), ad.sigmoid(x)]:
         ad.assert_finite(out)
+
+
+def test_backward_frees_intermediate_adjoints():
+    """A chain of 40 ops holds about one intermediate adjoint at a time in backward, not 40."""
+    x = Tensor(np.random.default_rng(1).standard_normal((100, 100)), requires_grad=True)
+    with Tape() as tape:
+        y = x
+        for _ in range(40):
+            y = ad.scale(y, 1.01)
+        loss = ad.sum_all(y)
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert np.allclose(x.grad, 1.01 ** 40, rtol=1e-12)
+    assert peak < 6 * x.data.nbytes

@@ -303,6 +303,17 @@ class TestEval:
         assert str(checkpoint) in err
         assert "'injection_orientation'" in err
 
+    def test_archive_without_manifest_exits_2(self, tmp_path, capsys):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        checkpoint = tmp_path / "other.npz"
+        np.savez(checkpoint, x=np.zeros(3))
+        rc = main(["eval", "--checkpoint", str(checkpoint),
+                   "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(checkpoint) in err and "manifest" in err
+
     def test_internal_shape_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
         """A ShapeMismatch is a ValueError, but a bug in the program, not in its input."""
         pre = preprocess(tmp_path, write_corpus(tmp_path))

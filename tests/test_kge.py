@@ -423,6 +423,16 @@ class TestExportAlignedTable:
         with pytest.raises(ValueError, match=rf"table\.txt: row 1 has {count} values, but dim=4"):
             kge.KnowledgeEmbeddingTable.load(path)
 
+    def test_non_numeric_token_names_file_row_and_token(self, tmp_path):
+        table = export_aligned_table(self.model, {"beta": "E_beta"}, self.vocab, self.store)
+        path = tmp_path / "table.txt"
+        table.save(path)
+        lines = path.read_text().splitlines()
+        lines[2 + 1] = " ".join(lines[2 + 1].split()[:-1] + ["abc"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"table\.txt: row 1 has the non-numeric value 'abc'"):
+            kge.KnowledgeEmbeddingTable.load(path)
+
 
 def test_training_gradients_match_finite_differences():
     """The scorer's tape gradients agree with central differences for all methods."""

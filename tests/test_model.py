@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stancenet import autodiff as ad
 from stancenet import model as md
@@ -41,10 +43,16 @@ def tiny_hp(**overrides) -> HyperParams:
 
 def make_identity_attention(params_attn, d):
     """Single-head identity projections; only valid when heads == 1."""
-    params_attn.wq = [Tensor(np.eye(d), requires_grad=True)]
-    params_attn.wk = [Tensor(np.eye(d), requires_grad=True)]
-    params_attn.wv = [Tensor(np.eye(d), requires_grad=True)]
+    assert params_attn.heads == 1
+    params_attn.wq = Tensor(np.eye(d), requires_grad=True)
+    params_attn.wk = Tensor(np.eye(d), requires_grad=True)
+    params_attn.wv = Tensor(np.eye(d), requires_grad=True)
     params_attn.wo = Tensor(np.eye(d), requires_grad=True)
+
+
+def per_head(attn):
+    """The fused query, key and value weights cut into per-head column blocks."""
+    return [np.split(w.data, attn.heads, axis=1) for w in (attn.wq, attn.wk, attn.wv)]
 
 
 def zero_ff(ff):
@@ -225,13 +233,7 @@ class TestMultiHeadAttention:
         x = rng.uniform(-1, 1, (3, d))
         mask = np.array([1.0, 1.0, 0.0])
         out = multi_head_attention(Tensor(x), Tensor(x), Tensor(x), mask, params.word_attn)
-        want = ref_attention(
-            x, x, x, mask,
-            [w.data for w in params.word_attn.wq],
-            [w.data for w in params.word_attn.wk],
-            [w.data for w in params.word_attn.wv],
-            params.word_attn.wo.data,
-        )
+        want = ref_attention(x, x, x, mask, *per_head(params.word_attn), params.word_attn.wo.data)
         assert np.max(np.abs(out.data - want)) < 1e-10
 
     def test_all_masked_rejected(self):
@@ -312,13 +314,8 @@ class TestSentenceLevel:
         s = rng.uniform(-1, 1, (3, hp.d))
         mask = np.array([1.0, 1.0, 1.0])
         out = sentence_level(Tensor(s), mask, params)
-        att = s + ref_attention(
-            s, s, s, mask,
-            [w.data for w in params.sent_attn.wq],
-            [w.data for w in params.sent_attn.wk],
-            [w.data for w in params.sent_attn.wv],
-            params.sent_attn.wo.data,
-        )
+        att = s + ref_attention(s, s, s, mask, *per_head(params.sent_attn),
+                                params.sent_attn.wo.data)
         ff = params.sent_ff
         hidden = np.maximum(att @ ff.w1.data + ff.b1.data, 0.0)
         want = att + (hidden @ ff.w2.data + ff.b2.data)
@@ -426,6 +423,16 @@ class TestPredict:
         permuted = predict(enc, params, bundle, hp).data
         assert np.max(np.abs(base - permuted)) < 1e-10
 
+    @pytest.mark.parametrize("mode,field,what", [("W", "sentence_mask", "all-masked"),
+                                                 ("WST", "title_mask", "non-empty title")])
+    def test_empty_article_parts_rejected(self, mode, field, what):
+        hp = tiny_hp(mode=mode)
+        _, vocab, encoded = encode_fixture(hp)
+        getattr(encoded[0], field)[:] = 0.0
+        params = init_params(len(vocab), hp, seed=0)
+        with pytest.raises(DegenerateInput, match=what):
+            predict(encoded[0], params, zero_bundle(len(vocab), hp.d), hp)
+
     def test_sentence_permutation_equivariance_with_zero_title(self):
         # permuting whole sentences permutes the refined rows correspondingly,
         # and with a zero title query the pooled article vector cannot move
@@ -449,6 +456,90 @@ class TestPredict:
         pooled = final.mean(axis=0)
         pooled_p = final_p.mean(axis=0)
         assert np.max(np.abs(pooled - pooled_p)) < 1e-10
+
+
+def ref_inject(ids, params, bundle, hp):
+    """Numpy knowledge injection: a covered word's row is mixed, an uncovered one kept."""
+    base = params.word_table.data[ids]
+    if hp.injection_orientation == "retain":
+        mix_a, mix_b = (hp.alpha, 1.0 - hp.alpha), (hp.beta, 1.0 - hp.beta)
+    else:
+        mix_a, mix_b = (1.0 - hp.alpha, hp.alpha), (1.0 - hp.beta, hp.beta)
+
+    def mix(rows, table, weights):
+        covered = table.coverage[ids][:, None] == 1.0
+        return np.where(covered, weights[0] * rows + weights[1] * table.vectors[ids], rows)
+
+    e_com = mix(base, bundle.com, mix_a)
+    fused = np.concatenate([mix(e_com, bundle.lib, mix_b), mix(e_com, bundle.con, mix_b)], axis=1)
+    return fused @ params.fuse_w.data + params.fuse_b.data + base
+
+
+def ref_encoder(x, mask, attn, ff):
+    att = x + ref_attention(x, x, x, mask, *per_head(attn), attn.wo.data)
+    out = att + np.maximum(att @ ff.w1.data + ff.b1.data, 0.0) @ ff.w2.data + ff.b2.data
+    return out * mask[:, None]
+
+
+def ref_title(title, s, mask, attn):
+    """Loop-everything title level: per head, each sentence row scaled by its weight."""
+    heads = []
+    for wq, wk, wv in zip(*per_head(attn)):
+        q, k, v = title @ wq, s @ wk, s @ wv
+        logits = np.array([q @ k[j] / math.sqrt(wq.shape[1]) if mask[j] else -np.inf
+                           for j in range(len(s))])
+        weights = np.exp(logits - logits.max())
+        heads.append(v * (weights / weights.sum())[:, None])
+    return np.concatenate(heads, axis=1) @ attn.wo.data + s
+
+
+def ref_predict(article, params, bundle, hp):
+    """The model sentence by sentence over the full padded [l, n] article, in numpy."""
+    def embed(ids):
+        if hp.mode == "All":
+            return ref_inject(ids, params, bundle, hp)
+        return params.word_table.data[ids]
+
+    smask = article.sentence_mask
+    rows = np.zeros((len(smask), hp.d))
+    for j in np.flatnonzero(smask):
+        m = article.word_masks[j]
+        words = ref_encoder(embed(article.sentences[j]), m, params.word_attn, params.word_ff)
+        rows[j] = words[m == 1.0].mean(axis=0)
+    if hp.mode != "W":
+        rows = ref_encoder(rows, smask, params.sent_attn, params.sent_ff)
+    if hp.mode in ("WST", "All"):
+        title = embed(article.title)[article.title_mask == 1.0].mean(axis=0)
+        rows = ref_title(title, rows, smask, params.title_attn)
+    logits = rows[smask == 1.0].mean(axis=0) @ params.out_w.data + params.out_b.data
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(md.MODES), heads=st.sampled_from([1, 2, 4]),
+       orientation=st.sampled_from(md.ORIENTATIONS), l=st.integers(1, 5), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_predict_matches_per_sentence_oracle(mode, heads, orientation, l, n, seed):
+    """Batched, trimmed prediction equals the per-sentence oracle on ragged articles:
+    holes in word masks, padded sentences in the middle and at the end, any head count."""
+    rng = np.random.default_rng(seed)
+    hp = HyperParams(d=8, heads=heads, n=n, l=l, classes=3, alpha=float(rng.uniform()),
+                     beta=float(rng.uniform()), mode=mode, injection_orientation=orientation)
+    n_words = 12
+    params = init_params(n_words, hp, seed=int(rng.integers(1000)))
+    bundle = random_bundle(n_words, hp.d, int(rng.integers(1000)))
+    sentence_mask = (rng.random(l) < 0.6).astype(float)
+    sentence_mask[rng.integers(l)] = 1.0
+    word_masks = (rng.random((l, n)) < 0.6).astype(float) * sentence_mask[:, None]
+    for j in np.flatnonzero(sentence_mask):
+        word_masks[j, rng.integers(n)] = 1.0
+    title_mask = (rng.random(n) < 0.5).astype(float)
+    title_mask[rng.integers(n)] = 1.0
+    article = td.EncodedArticle(rng.integers(0, n_words, (l, n)), sentence_mask, word_masks,
+                                rng.integers(0, n_words, n), title_mask, 0)
+    got = predict(article, params, bundle, hp).data
+    np.testing.assert_allclose(got, ref_predict(article, params, bundle, hp), rtol=1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -583,8 +674,58 @@ class TestCheckpoint:
                 md.load_checkpoint(path, expected_n_words=9)
 
     def test_missing_parameter_array_rejected(self, tmp_path):
-        path = self.rewrite(tmp_path, lambda arrays: arrays.pop("param:sentence_attn.k1"))
+        path = self.rewrite(tmp_path, lambda arrays: arrays.pop("param:sentence_attn.k"))
+        with pytest.raises(ValueError, match=r"model\.npz.*'sentence_attn\.k'"):
+            md.load_checkpoint(path)
+
+    @staticmethod
+    def to_per_head(arrays):
+        """Rewrite fused attention arrays in the per-head layout older versions saved."""
+        heads = tiny_hp().heads
+        for key in [k for k in arrays if k.endswith(("_attn.q", "_attn.k", "_attn.v"))]:
+            for h, block in enumerate(np.split(arrays.pop(key), heads, axis=1)):
+                arrays[f"{key}{h}"] = block
+
+    def test_per_head_checkpoint_loads_and_predicts_identically(self, tmp_path):
+        hp = tiny_hp()
+        _, vocab, encoded = encode_fixture(hp)
+        params = init_params(len(vocab), hp, seed=3)
+        bundle = random_bundle(len(vocab), hp.d, 4)
+        path = tmp_path / "model.npz"
+        md.save_checkpoint(path, params, hp, seed=3)
+        with np.load(path) as data:
+            arrays = dict(data)
+        self.to_per_head(arrays)
+        assert "param:word_attn.q1" in arrays and "param:word_attn.q" not in arrays
+        np.savez(path, **arrays)
+        loaded, hp2, _ = md.load_checkpoint(path, expected_n_words=len(vocab))
+        assert hp2 == hp
+        for (_, t_a), (_, t_b) in zip(params.named(), loaded.named()):
+            assert np.array_equal(t_a.data, t_b.data)
+        for article in encoded:
+            assert np.array_equal(predict(article, params, bundle, hp).data,
+                                  predict(article, loaded, bundle, hp).data)
+
+    def test_per_head_checkpoint_missing_a_head_rejected(self, tmp_path):
+        def edit(arrays):
+            self.to_per_head(arrays)
+            arrays.pop("param:sentence_attn.k1")
+        path = self.rewrite(tmp_path, edit)
         with pytest.raises(ValueError, match=r"model\.npz.*'sentence_attn\.k1'"):
+            md.load_checkpoint(path)
+
+    def test_per_head_checkpoint_misshapen_head_rejected(self, tmp_path):
+        def edit(arrays):
+            self.to_per_head(arrays)
+            arrays["param:title_attn.v0"] = arrays["param:title_attn.v0"][:, :-1]
+        path = self.rewrite(tmp_path, edit)
+        with pytest.raises(ValueError, match=r"model\.npz.*'title_attn\.v0'.*\(8, 3\).*\(8, 4\)"):
+            md.load_checkpoint(path)
+
+    def test_archive_without_manifest_rejected(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, x=np.zeros(3))
+        with pytest.raises(ValueError, match=r"other\.npz.*manifest"):
             md.load_checkpoint(path)
 
     def test_misshapen_parameter_array_rejected(self, tmp_path):

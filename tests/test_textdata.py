@@ -1,10 +1,14 @@
 """Tests for corpus loading, encoding, folds, and the synthetic generators."""
 
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stancenet import textdata as td
 from stancenet.textdata import (
@@ -211,6 +215,29 @@ class TestEncodedFiles:
             assert np.array_equal(a.word_masks, b.word_masks)
             assert np.array_equal(a.title, b.title)
             assert a.label == b.label
+
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(1, 5), l=st.integers(1, 4), n=st.integers(1, 5),
+           classes=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_property(self, count, l, n, classes, seed):
+        """Every field of every article, ragged masks and all, survives a save and a load."""
+        rng = np.random.default_rng(seed)
+        encoded = [
+            td.EncodedArticle(rng.integers(0, 50, (l, n)), rng.integers(0, 2, l).astype(float),
+                              rng.integers(0, 2, (l, n)).astype(float), rng.integers(0, 50, n),
+                              rng.integers(0, 2, n).astype(float), int(rng.integers(0, classes)))
+            for _ in range(count)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "encoded.npz"
+            td.save_encoded(path, encoded, classes)
+            loaded, loaded_classes = td.load_encoded(path)
+        assert loaded_classes == classes and len(loaded) == count
+        for a, b in zip(encoded, loaded):
+            for field in ("sentences", "sentence_mask", "word_masks", "title", "title_mask"):
+                want, got = getattr(a, field), getattr(b, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), field
+            assert b.label == a.label and isinstance(b.label, int)
 
     def test_load_memory_is_linear_in_article_count(self, tmp_path):
         """Loading holds each array once, not one decompressed copy per article."""
