@@ -54,29 +54,12 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # Small amount of operator sugar; the named functions below are the API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def constant(data) -> Tensor:
@@ -507,16 +490,6 @@ def log(x: Tensor) -> Tensor:
     return _emit((x,), np.log(x.data), backward)
 
 
-def exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    value = np.exp(x.data)
-
-    def backward(g):
-        return (g * value,)
-
-    return _emit((x,), value, backward)
-
-
 def sin(x: Tensor) -> Tensor:
     x = _as_tensor(x)
 
@@ -553,16 +526,6 @@ def absolute(x: Tensor) -> Tensor:
         return (g * np.sign(x.data),)
 
     return _emit((x,), np.abs(x.data), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    value = _sigmoid_np(x.data)
-
-    def backward(g):
-        return (g * value * (1.0 - value),)
-
-    return _emit((x,), value, backward)
 
 
 def logsigmoid(x: Tensor) -> Tensor:
@@ -619,16 +582,3 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
         numeric[i] = (up - down) / (2.0 * h)
 
     return float(np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-10)))
-
-
-def assert_finite(t: Tensor, label: str = "tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"{label} contains non-finite values")
-
-
-def identity(n: int) -> Tensor:
-    return Tensor(np.eye(n))
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))

@@ -175,9 +175,10 @@ def _train_config(cfg: RunConfig, hp: md.HyperParams) -> tr.TrainConfig:
     )
 
 
-def _load_bundle(cfg: RunConfig, n_words: int) -> md.KnowledgeBundle:
+def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
+    """The three tables, each n_words x d; d is the model's, so a checkpoint's for eval."""
     if cfg.no_knowledge:
-        return md.zero_bundle(n_words, cfg.d)
+        return md.zero_bundle(n_words, d)
     tables = []
     for key, path in (("table_com", cfg.table_com), ("table_lib", cfg.table_lib),
                       ("table_con", cfg.table_con)):
@@ -190,8 +191,8 @@ def _load_bundle(cfg: RunConfig, n_words: int) -> md.KnowledgeBundle:
             raise ConfigError(
                 f"{key} has {table.n_words} rows but the vocabulary has {n_words} words"
             )
-        if table.width != cfg.d:
-            raise ConfigError(f"{key} width {table.width} does not match d={cfg.d}")
+        if table.width != d:
+            raise ConfigError(f"{key} width {table.width} does not match d={d}")
         tables.append(table)
     return md.KnowledgeBundle(*tables)
 
@@ -274,7 +275,7 @@ def cmd_train_kge(args) -> int:
 def cmd_train(args) -> int:
     cfg = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
-    bundle = _load_bundle(cfg, len(vocab))
+    bundle = _load_bundle(cfg, len(vocab), cfg.d)
     hp = _hyperparams(cfg, classes)
     train_cfg = _train_config(cfg, hp)
     out_dir = Path(cfg.output_dir)
@@ -318,7 +319,7 @@ def cmd_eval(args) -> int:
     encoded, classes, vocab = _load_corpus(cfg)
     params, hp, _ = md.load_checkpoint(_require(cfg.checkpoint, "checkpoint"),
                                        expected_n_words=len(vocab))
-    bundle = _load_bundle(cfg, len(vocab))
+    bundle = _load_bundle(cfg, len(vocab), hp.d)
     accuracy = tr.evaluate_accuracy(params, bundle, encoded, hp)
     print(f"accuracy {accuracy:.6f} on {len(encoded)} articles")
     return 0
@@ -327,7 +328,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
-    bundle = _load_bundle(cfg, len(vocab))
+    bundle = _load_bundle(cfg, len(vocab), cfg.d)
     hp = _hyperparams(cfg, classes)
     train_cfg = _train_config(cfg, hp)
     out_dir = Path(cfg.output_dir)

@@ -27,7 +27,7 @@ pool, and ties are broken by ascending entity id.
 
 from __future__ import annotations
 
-import itertools
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -363,34 +363,39 @@ class KnowledgeEmbeddingTable:
             stance = stance_line.split("=", 1)[1]
             width = int(dim_line.split("=", 1)[1])
             try:
-                rows = [np.array(line.split(), dtype=np.float64) for line in fh if line.strip()]
+                with warnings.catch_warnings():  # a header-only table is valid
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    vectors = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
             except ValueError as err:
-                raise ValueError(f"{path}: {_unparsable(path)}") from err
-        for i, row in enumerate(rows):
-            if row.size != width:
-                raise ValueError(f"{path}: row {i} has {row.size} values, but dim={width}")
-        vectors = np.vstack(rows) if rows else np.zeros((0, width))
+                raise ValueError(_bad_row(path, width) or f"{path}: {err}") from err
+        if vectors.size == 0:
+            vectors = np.zeros((0, width))
+        elif vectors.shape[1] != width:
+            raise ValueError(_bad_row(path, width))
         bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
         if bad.size:
             raise ValueError(f"{path}: row {bad[0]} has a non-finite value")
-        coverage = (np.abs(vectors).sum(axis=1) > 0).astype(np.float64)
+        coverage = (vectors != 0).any(axis=1).astype(np.float64)
         return KnowledgeEmbeddingTable(stance, vectors, coverage)
 
 
-def _unparsable(path) -> str:
-    """Which row of a table file numpy cannot parse, and the token it stops at.
+def _bad_row(path, width: int) -> Optional[str]:
+    """The message naming the first row of a table file that is not ``width`` numbers.
 
-    Only called after a parse has failed, so loading a valid table pays nothing for it.
+    Rows count the non-blank lines after the header from 0, as word ids do.
+    Only called after a load has failed, so loading a valid table pays nothing for it.
     """
     with open(path, encoding="utf-8") as fh:
-        rows = (line for line in itertools.islice(fh, 2, None) if line.strip())
-        for i, line in enumerate(rows):
-            for token in line.split():
-                try:
-                    np.array(token, dtype=np.float64)
-                except ValueError:
-                    return f"row {i} has the non-numeric value {token!r}"
-    return "a row does not parse as numbers"
+        lines = fh.readlines()[2:]
+    for i, tokens in enumerate(line.split() for line in lines if line.strip()):
+        for token in tokens:
+            try:
+                float(token)
+            except ValueError:
+                return f"{path}: row {i} has the non-numeric value {token!r}"
+        if len(tokens) != width:
+            return f"{path}: row {i} has {len(tokens)} values, but dim={width}"
+    return None
 
 
 def zero_table(stance_tag: str, n_words: int, width: int) -> KnowledgeEmbeddingTable:

