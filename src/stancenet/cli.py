@@ -388,6 +388,8 @@ TRAIN_KEYS = ("lr", "weight_decay", "batch_size", "epochs", "patience", "lr_fact
               "seed", "folds", "val_fraction")
 PATH_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "checkpoint",
              "output_dir")
+EVAL_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "checkpoint",
+             "no_knowledge")  # the model itself comes from the checkpoint
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -414,7 +416,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on an encoded corpus")
-    _add_config_flags(p, PATH_KEYS + MODEL_KEYS + ("seed",))
+    _add_config_flags(p, EVAL_KEYS)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("sweep", help="alpha/beta grid sweep")

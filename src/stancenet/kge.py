@@ -222,11 +222,16 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     determines the final parameters. The positive and its negatives are
     scored as one batch. Per-epoch mean losses are recorded on the
     returned model.
+
+    A step reads the entity rows it scores through one small leaf, so it
+    updates, checks and wraps only those rows; every other row has a zero
+    gradient and already-wrapped phases. The relation table is updated
+    and wrapped in full, since RotatE's relation init is not wrapped.
     """
     if not store.triples:
         raise ValueError("cannot train on an empty triple store")
     model = init_kge_model(store.n_entities, store.n_relations, config)
-    ent = Tensor(model.entity, requires_grad=True)
+    ent = model.entity
     rel = Tensor(model.relation, requires_grad=True)
     rng = np.random.default_rng(config.seed + 1)
     n_ent = store.n_entities
@@ -234,13 +239,6 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     n_neg = config.negatives if n_ent >= 2 else 0
     # loss = -sum_i weight_i * logsigmoid(sign_i * score_i); row 0 is the positive
     signs = ad.constant(np.r_[1.0, -np.ones(n_neg)])
-
-    def wrap_params():
-        if config.method == "RotatE":
-            rel.data[:] = _wrap_phase(rel.data)
-        elif config.method == "HAKE":
-            ent.data[:, half:] = _wrap_phase(ent.data[:, half:])
-            rel.data[:, half:] = _wrap_phase(rel.data[:, half:])
 
     for _ in range(config.epochs):
         losses = []
@@ -253,9 +251,11 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
                     cand = (cand + 1) % n_ent
                 heads.append(cand if corrupt_head else h)
                 tails.append(t if corrupt_head else cand)
+            rows, inv = np.unique(heads + tails, return_inverse=True)
+            local = Tensor(ent[rows], requires_grad=True)
             with Tape() as tape:
-                scores = _scores(model, ad.gather_rows(ent, heads), ad.gather_rows(rel, [r]),
-                                 ad.gather_rows(ent, tails))
+                scores = _scores(model, ad.gather_rows(local, inv[: 1 + n_neg]),
+                                 ad.gather_rows(rel, [r]), ad.gather_rows(local, inv[1 + n_neg :]))
                 weights = np.ones(1 + n_neg)
                 if n_neg:
                     # adversarial weights are data, not part of the gradient
@@ -266,17 +266,17 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
                 loss = ad.scale(ad.sum_all(ad.mul(fit, ad.constant(weights))), -1.0)
                 tape.backward(loss)
             losses.append(float(loss.data))
-            for p in (ent, rel):
-                if p.grad is not None:
-                    if not np.all(np.isfinite(p.grad)):
-                        raise FloatingPointError("non-finite gradient in embedding training")
-                    p.data -= config.lr * p.grad
-                    p.zero_grad()
-            wrap_params()
+            if not (np.all(np.isfinite(local.grad)) and np.all(np.isfinite(rel.grad))):
+                raise FloatingPointError("non-finite gradient in embedding training")
+            ent[rows] -= config.lr * local.grad
+            rel.data -= config.lr * rel.grad
+            rel.zero_grad()
+            if config.method == "RotatE":
+                rel.data[:] = _wrap_phase(rel.data)
+            elif config.method == "HAKE":
+                ent[rows, half:] = _wrap_phase(ent[rows, half:])
+                rel.data[:, half:] = _wrap_phase(rel.data[:, half:])
         model.epoch_losses.append(float(np.mean(losses)))
-
-    model.entity = ent.data
-    model.relation = rel.data
     return model
 
 

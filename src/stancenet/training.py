@@ -12,6 +12,7 @@ The L2 regularizer lives only in the optimizer, as coupled weight decay
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -81,6 +82,9 @@ class AdamState:
         self.t: dict[str, int] = {}
 
 
+_ADAM_BLOCK = 32768  # elements per row block: two block-sized scratch buffers stay in cache
+
+
 def adam_step(
     params: Sequence[tuple[str, Tensor]],
     grads: Sequence[np.ndarray],
@@ -94,25 +98,49 @@ def adam_step(
 
     Weight decay enters as an additive gradient term g + wd*x (classic L2
     coupling), the same gradient as a wd/2 * ||x||^2 loss term.
+
+    The update runs over row blocks of each parameter with the float ops
+    of ``g = grad + wd*x; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+    x -= lr*m_hat/(sqrt(v_hat)+eps)`` in that order, written into two
+    scratch buffers, so no parameter-sized temporary is made. A
+    non-finite gradient raises before its parameter, m or v change.
     """
     b1, b2 = betas
     for (name, tensor), grad in zip(params, grads):
         if grad is None:
             continue
-        if not np.all(np.isfinite(grad)):
+        # a finite sum proves every entry finite; only an overflow needs the full check
+        if not np.isfinite(grad.sum()) and not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        g = grad + weight_decay * tensor.data if weight_decay != 0.0 else grad
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
             state.t[name] = 0
         state.t[name] += 1
         t = state.t[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / (1.0 - b1 ** t)
-        v_hat = state.v[name] / (1.0 - b2 ** t)
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        x, grad, m, v = (np.atleast_1d(arr) for arr in (tensor.data, grad, state.m[name],
+                                                        state.v[name]))
+        rows = max(1, _ADAM_BLOCK // max(1, math.prod(x.shape[1:])))
+        a = np.empty((min(rows, len(x)),) + x.shape[1:])
+        b = np.empty_like(a)
+        for lo in range(0, len(x), rows):
+            xs, gs, ms, vs = (arr[lo : lo + rows] for arr in (x, grad, m, v))
+            a_, b_ = a[: len(xs)], b[: len(xs)]
+            if weight_decay != 0.0:  # g = grad + wd*x
+                gs = np.add(gs, np.multiply(weight_decay, xs, out=a_), out=a_)
+            np.multiply(b1, ms, out=ms)  # m = b1*m + (1-b1)*g
+            ms += np.multiply(1.0 - b1, gs, out=b_)
+            np.multiply(gs, gs, out=b_)  # v = b2*v + (1-b2)*(g*g)
+            np.multiply(b2, vs, out=vs)
+            vs += np.multiply(1.0 - b2, b_, out=b_)
+            np.divide(vs, c2, out=a_)  # a = sqrt(v_hat) + eps
+            np.sqrt(a_, out=a_)
+            a_ += eps
+            np.divide(ms, c1, out=b_)  # x -= lr*m_hat / a
+            b_ *= lr
+            b_ /= a_
+            xs -= b_
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,78 @@
+"""Tests for tools/bench_pairs.py, which folds benchmark result pairs into a summary."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "cycle_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "train_per_s", "unit": "items/s", "better": "higher", "bound": 0.25},
+]
+
+
+def write_run(directory, workload, seed, trace=0, failed=0, **values):
+    directory.mkdir(exist_ok=True)
+    result = {"workload": workload, "seed": seed, "trace": {"spans": []} if trace else 0,
+              "attempted": 10,
+              "failed": failed, "environment": {"nproc": 2},
+              "end_to_end": values if not trace else {},
+              "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+    (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(result))
+
+
+def test_pairs_by_workload_and_seed_and_counts_wins_by_direction(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (cycle, rate) in enumerate([(1.0, 10.0), (2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]):
+        write_run(parent, "kg", seed, cycle_s=cycle, train_per_s=rate)
+    # seed 0 loses both metrics, seeds 1-2 win both, seed 3 ties; seed 9 has no parent
+    for seed, (cycle, rate) in enumerate([(1.5, 9.0), (1.0, 25.0), (2.0, 35.0), (4.0, 40.0)]):
+        write_run(change, "kg", seed, cycle_s=cycle, train_per_s=rate, failed=seed == 1)
+    write_run(change, "kg", 9, cycle_s=0.1, train_per_s=99.0)
+    workloads = bench_pairs.compare(bench_pairs.load_runs(parent),
+                                    bench_pairs.load_runs(change), END_TO_END)
+    entry = workloads["kg"]
+    assert entry["seeds"] == [0, 1, 2, 3]
+    assert (entry["parent_failed"], entry["change_failed"], entry["change_attempted"]) == (0, 1, 40)
+    cycle, rate = entry["end_to_end"]["cycle_s"], entry["end_to_end"]["train_per_s"]
+    assert cycle["change_wins"] == rate["change_wins"] == 2
+    assert cycle["pairs"] == 4
+    assert cycle["parent"]["median"] == 2.5 and cycle["change"]["median"] == 1.75
+    assert (cycle["parent"]["q1"], cycle["parent"]["q3"]) == (1.75, 3.25)
+    assert rate["change"]["values"] == [9.0, 25.0, 35.0, 40.0]
+
+
+def test_per_layer_medians_come_from_traced_seeds_on_both_sides(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, factor in ((parent, 1.0), (change, 0.5)):
+        write_run(side, "kg", 1, cycle_s=1.0, train_per_s=1.0)
+        for seed, value in ((1, 2.0), (2, 4.0), (3, 6.0)):
+            write_run(side, "kg", seed, trace=1, **{"kge.train_kge_self_s": value * factor})
+    write_run(parent, "kg", 4, trace=1, **{"kge.train_kge_self_s": 100.0})  # unpaired
+    entry = bench_pairs.compare(bench_pairs.load_runs(parent), bench_pairs.load_runs(change),
+                                END_TO_END)["kg"]
+    assert entry["traced_seeds"] == [1, 2, 3]
+    assert entry["per_layer"]["kge.train_kge_self_s"] == {"unit": "s", "parent": 4.0,
+                                                          "change": 2.0}
+
+
+def test_main_writes_json_and_fails_without_pairs(tmp_path, capsys):
+    """main reads the metric names and directions from the repository's BENCHMARK.json."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    names = [m["name"] for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]]
+    write_run(parent, "kg", 1, **dict.fromkeys(names, 1.0))
+    write_run(change, "kg", 2, **dict.fromkeys(names, 1.0))
+    assert bench_pairs.main([str(parent), str(change)]) == 1
+    write_run(change, "kg", 1, **dict.fromkeys(names, 1.0) | {"cycle_s": 0.5})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 0
+    assert "change wins 1/1" in capsys.readouterr().out
+    written = json.loads(out.read_text())
+    assert written["environment"] == {"nproc": 2}
+    assert written["workloads"]["kg"]["end_to_end"]["cycle_s"]["change_wins"] == 1

@@ -255,13 +255,29 @@ class TestEval:
         capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
                    "--corpus", str(pre / "corpus.npz"),
-                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                   "--d", "8", "--heads", "2", "--n", "8", "--l", "3"])
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge"])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("accuracy ")
         value = float(out.split()[1])
         assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("flag", [["--mode", "All"], ["--heads", "4"], ["--alpha", "0.1"],
+                                      ["--d", "8"], ["--seed", "3"], ["--output-dir", "x"]])
+    def test_model_flags_are_rejected(self, tmp_path, capsys, flag):
+        """eval takes the model from the checkpoint, so a flag it would ignore is an error."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--epochs", "1", "--output-dir", str(run)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                   "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge", *flag])
+        assert rc == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_tables_are_checked_against_the_checkpoint_d(self, tmp_path, capsys):
         """eval takes d from the checkpoint, so width-8 tables need no second --d 8."""
@@ -355,26 +371,30 @@ class TestEval:
 class TestLoadBoundary:
     """Bad input files exit 2 with a message naming the file, before any training."""
 
-    SMALL = ["--no-knowledge", "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3"]
+    MODEL = ["--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3"]
 
-    def command_args(self, tmp_path, pre, command):
-        """What each command needs besides corpus, vocabulary and model shape."""
+    def command_args(self, tmp_path, pre, command, model=MODEL):
+        """What each command needs besides corpus, vocabulary and knowledge flags.
+
+        train and sweep take the model flags; eval takes a checkpoint trained with them.
+        """
         out = ["--output-dir", str(tmp_path / "run")]
         if command == "train":
-            return ["--epochs", "1", *out]
+            return [*model, "--epochs", "1", *out]
         if command == "sweep":
-            return ["--epochs", "1", "--alphas", "0.5", "--betas", "0.5", *out]
+            return [*model, "--epochs", "1", "--alphas", "0.5", "--betas", "0.5", *out]
         run = tmp_path / "ckpt"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
-                     "--vocab", str(pre / "vocab.txt"), *self.SMALL, "--epochs", "1",
-                     "--output-dir", str(run)]) == 0
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge", *model,
+                     "--epochs", "1", "--output-dir", str(run)]) == 0
         return ["--checkpoint", str(run / "checkpoint.npz")]
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_non_finite_table_row_exits_2(self, tmp_path, capsys, command):
         pre = preprocess(tmp_path, write_corpus(tmp_path))
         tables = write_tables(tmp_path, pre, d=8)
-        extra = self.command_args(tmp_path, pre, command)
+        extra = self.command_args(tmp_path, pre, command, model=[
+            "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3"])
         lines = tables["table_lib"].read_text().splitlines()
         lines[2 + 3] = " ".join(["nan"] + lines[2 + 3].split()[1:])  # word id 3
         tables["table_lib"].write_text("\n".join(lines) + "\n")
@@ -382,7 +402,6 @@ class TestLoadBoundary:
         rc = main([command, "--corpus", str(pre / "corpus.npz"),
                    "--vocab", str(pre / "vocab.txt"),
                    *[f"--{key.replace('_', '-')}={path}" for key, path in tables.items()],
-                   "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
                    *extra])
         err = capsys.readouterr().err
         assert rc == 2
@@ -397,7 +416,7 @@ class TestLoadBoundary:
         short.write_text("\n".join((pre / "vocab.txt").read_text().splitlines()[:4]) + "\n")
         capsys.readouterr()
         rc = main([command, "--corpus", str(pre / "corpus.npz"), "--vocab", str(short),
-                   *self.SMALL, *extra])
+                   "--no-knowledge", *extra])
         err = capsys.readouterr().err
         assert rc == 2
         assert str(pre / "corpus.npz") in err
@@ -415,7 +434,7 @@ class TestLoadBoundary:
         np.savez(corpus, **arrays)
         capsys.readouterr()
         rc = main([command, "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
-                   *self.SMALL, *extra])
+                   "--no-knowledge", *extra])
         err = capsys.readouterr().err
         assert rc == 2
         assert str(corpus) in err

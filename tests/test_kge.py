@@ -91,6 +91,43 @@ class TestLoadTriples:
         assert store.entity_names == ["x", "y", "z"]
         assert store.relation_names == ["r", "s"]
 
+    names = st.text("abcxyz", min_size=1, max_size=2)
+    line = st.one_of(
+        st.tuples(names, st.sampled_from(["r", "s", "t"]), names),  # small pools: duplicates
+        st.sampled_from(["", "   ", "# a comment", "  #\tx\ty\tz"]),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(line, max_size=30),
+           bad=st.one_of(st.none(), st.tuples(st.integers(0, 30),
+                                              st.sampled_from(["a", "a\tr", "a\tr\tb\tc"]))))
+    def test_random_files_against_a_line_by_line_oracle(self, lines, bad):
+        text = ["\t".join(ln) if isinstance(ln, tuple) else ln for ln in lines]
+        if bad is not None:
+            at, malformed = min(bad[0], len(text)), bad[1]
+            text.insert(at, malformed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "kg.tsv"
+            path.write_text("".join(ln + "\n" for ln in text))
+            if bad is not None:
+                with pytest.raises(TripleFormatError, match=rf"kg\.tsv:{at + 1}: expected 3"):
+                    load_triples(path, "common")
+                return
+            store = load_triples(path, "common")
+        facts = [ln for ln in lines if isinstance(ln, tuple)]
+        entities, relations = [], []
+        for h, r, t in facts:
+            for name, seen in ((h, entities), (r, relations), (t, entities)):
+                if name not in seen:
+                    seen.append(name)
+        assert store.entity_names == entities
+        assert store.relation_names == relations
+        assert store.entities == {name: i for i, name in enumerate(entities)}
+        distinct = list(dict.fromkeys(facts))
+        assert store.triples == [(entities.index(h), relations.index(r), entities.index(t))
+                                 for h, r, t in distinct]
+        assert store.duplicates_dropped == len(facts) - len(distinct)
+
 
 # --------------------------------------------------------------------------
 # Scoring
@@ -259,10 +296,129 @@ class TestTrainKge:
         assert np.all(model.relation >= -np.pi)
         assert np.all(model.relation < np.pi)
 
+    def test_hake_phases_stay_wrapped(self, tmp_path):
+        store = write_store(tmp_path, [("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a")])
+        cfg = KgeConfig(method="HAKE", dim=8, epochs=20, lr=0.5, seed=2)
+        model = train_kge(store, cfg)
+        for phases in (model.entity[:, 4:], model.relation[:, 4:]):
+            assert np.all(phases >= -np.pi)
+            assert np.all(phases <= np.pi)
+
     def test_empty_store_rejected(self):
         store = TripleStore({}, [], {}, [], [], "common")
         with pytest.raises(ValueError):
             train_kge(store, KgeConfig())
+
+
+def reference_train_kge(store, config):
+    """The dense SGD loop train_kge replaced: every step updates, checks and wraps every row."""
+    model = kge.init_kge_model(store.n_entities, store.n_relations, config)
+    ent = ad.Tensor(model.entity, requires_grad=True)
+    rel = ad.Tensor(model.relation, requires_grad=True)
+    rng = np.random.default_rng(config.seed + 1)
+    n_ent = store.n_entities
+    half = config.dim // 2
+    n_neg = config.negatives if n_ent >= 2 else 0
+    signs = ad.constant(np.r_[1.0, -np.ones(n_neg)])
+    for _ in range(config.epochs):
+        losses = []
+        for h, r, t in store.triples:
+            heads, tails = [h], [t]
+            for _ in range(n_neg):
+                corrupt_head = bool(rng.integers(0, 2))
+                cand = int(rng.integers(0, n_ent))
+                if cand == (h if corrupt_head else t):
+                    cand = (cand + 1) % n_ent
+                heads.append(cand if corrupt_head else h)
+                tails.append(t if corrupt_head else cand)
+            with ad.Tape() as tape:
+                scores = kge._scores(model, ad.gather_rows(ent, heads),
+                                     ad.gather_rows(rel, [r]), ad.gather_rows(ent, tails))
+                weights = np.ones(1 + n_neg)
+                if n_neg:
+                    raw = scores.data[1:]
+                    w = np.exp(config.adv_temperature * (raw - raw.max()))
+                    weights[1:] = w / w.sum()
+                fit = ad.logsigmoid(ad.mul(scores, signs))
+                loss = ad.scale(ad.sum_all(ad.mul(fit, ad.constant(weights))), -1.0)
+                tape.backward(loss)
+            losses.append(float(loss.data))
+            for p in (ent, rel):
+                if p.grad is not None:
+                    assert np.all(np.isfinite(p.grad))
+                    p.data -= config.lr * p.grad
+                    p.zero_grad()
+            if config.method == "RotatE":
+                rel.data[:] = kge._wrap_phase(rel.data)
+            elif config.method == "HAKE":
+                ent.data[:, half:] = kge._wrap_phase(ent.data[:, half:])
+                rel.data[:, half:] = kge._wrap_phase(rel.data[:, half:])
+        model.epoch_losses.append(float(np.mean(losses)))
+    return model
+
+
+class TestRowLocalStep:
+    """train_kge touches only the entity rows a step scores, with the dense loop's results."""
+
+    @staticmethod
+    def skewed_store(tmp_path, n_ent=40, n_triples=90, seed=4):
+        rng = np.random.default_rng(seed)
+        heads = np.minimum(rng.zipf(1.6, n_triples) - 1, n_ent - 1)
+        tails = rng.integers(0, n_ent, n_triples)
+        rels = rng.integers(0, 3, n_triples)
+        named = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in zip(heads, rels, tails)]
+        return write_store(tmp_path, named)
+
+    @staticmethod
+    def assert_bitwise_equal(store, cfg):
+        got, want = train_kge(store, cfg), reference_train_kge(store, cfg)
+        assert got.entity.tobytes() == want.entity.tobytes()
+        assert got.relation.tobytes() == want.relation.tobytes()
+        assert got.epoch_losses == want.epoch_losses
+
+    @pytest.mark.parametrize("method", ["RotatE", "ModE", "HAKE"])
+    @pytest.mark.parametrize("lr", [0.05, 0.8])
+    def test_matches_dense_loop_bitwise(self, tmp_path, method, lr):
+        store = self.skewed_store(tmp_path)
+        assert store.n_entities > 2 + 2 * 6  # most rows are untouched by any one step
+        self.assert_bitwise_equal(store, KgeConfig(method=method, dim=8, negatives=6,
+                                                   lr=lr, epochs=3, seed=5))
+
+    @pytest.mark.parametrize("method", ["RotatE", "ModE", "HAKE"])
+    @pytest.mark.parametrize("named", [
+        [("a", "r", "a"), ("a", "s", "a")],  # one entity: no negatives
+        [("a", "r", "b"), ("b", "r", "a"), ("a", "s", "a")],  # two entities
+    ])
+    def test_tiny_stores_match_dense_loop_bitwise(self, tmp_path, method, named):
+        store = write_store(tmp_path, named)
+        self.assert_bitwise_equal(store, KgeConfig(method=method, dim=4, negatives=3,
+                                                   lr=0.5, epochs=3, seed=1))
+
+
+class TestWrapPhase:
+    # any float a phase update can produce, plus values a few ulps from each period's edge
+    floats = st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.builds(lambda k, ulps: np.pi * (2 * k + 1) * (1 + ulps * 2.0 ** -52),
+                  st.integers(-1000, 1000), st.integers(-4, 4)),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(xs=st.lists(floats, min_size=1, max_size=64))
+    def test_wrapping_twice_equals_wrapping_once_except_at_pi(self, xs):
+        once = kge._wrap_phase(np.array(xs))
+        twice = kge._wrap_phase(once)
+        assert np.all((once >= -np.pi) & (once <= np.pi))
+        keep = once != np.pi
+        assert twice[keep].tobytes() == once[keep].tobytes()
+        assert np.all(twice[~keep] == -np.pi)
+
+    def test_pi_is_the_one_output_that_rewraps(self):
+        below = np.nextafter(-np.pi, -np.inf)
+        once = kge._wrap_phase(np.array([below]))
+        assert once[0] == np.pi  # the float just below -pi rounds up to a full period
+        assert kge._wrap_phase(once)[0] == -np.pi
+        assert kge._wrap_phase(np.array([-np.pi]))[0] == -np.pi
 
 
 # --------------------------------------------------------------------------

@@ -83,6 +83,88 @@ class TestAdamStep:
             adam_step([("fuse", x)], [np.array([np.nan])], AdamState(), lr=0.1)
 
 
+def reference_adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
+                        weight_decay=0.0):
+    """The whole-array Adam formula adam_step replaced, one temporary per term."""
+    b1, b2 = betas
+    for (name, tensor), grad in zip(params, grads):
+        assert np.all(np.isfinite(grad))
+        g = grad + weight_decay * tensor.data if weight_decay != 0.0 else grad
+        if name not in state.m:
+            state.m[name] = np.zeros_like(tensor.data)
+            state.v[name] = np.zeros_like(tensor.data)
+            state.t[name] = 0
+        state.t[name] += 1
+        t = state.t[name]
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        m_hat = state.m[name] / (1.0 - b1 ** t)
+        v_hat = state.v[name] / (1.0 - b2 ** t)
+        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestBlockedAdam:
+    """adam_step works in row blocks with the reference's float ops, so results are bitwise."""
+
+    SHAPES = {
+        "rank-1": (300,),
+        "rank-2": (40, 24),
+        "word-table": (50_000, 64),
+        "ragged-blocks": (10_000, 7),  # 4,681 rows per block: two full blocks and a part
+        "transposed": (64, 1_000),     # stored as the transpose of this shape
+    }
+
+    @staticmethod
+    def params(rng, kind, shape):
+        data = rng.uniform(-1, 1, shape)
+        return Tensor(data.T if kind == "transposed" else data, requires_grad=True)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-2])
+    @pytest.mark.parametrize("kind", list(SHAPES))
+    def test_matches_whole_array_formula_bitwise(self, kind, weight_decay):
+        rng = np.random.default_rng(7)
+        x = self.params(rng, kind, self.SHAPES[kind])
+        if kind == "transposed":
+            assert not x.data.flags.c_contiguous
+        y = Tensor(x.data.copy(), requires_grad=True)
+        got_state, want_state = AdamState(), AdamState()
+        for step in range(3):
+            grad = rng.normal(0, 10.0 ** -step, x.shape)
+            if kind == "transposed":
+                grad = np.asfortranarray(grad)
+            adam_step([("p", x)], [grad], got_state, lr=1e-3, weight_decay=weight_decay)
+            reference_adam_step([("p", y)], [grad], want_state, lr=1e-3,
+                                weight_decay=weight_decay)
+            assert x.data.tobytes() == y.data.tobytes()
+            assert got_state.m["p"].tobytes() == want_state.m["p"].tobytes()
+            assert got_state.v["p"].tobytes() == want_state.v["p"].tobytes()
+        assert got_state.t == want_state.t == {"p": 3}
+
+    @pytest.mark.parametrize("kind", ["rank-1", "ragged-blocks", "transposed"])
+    def test_nan_gradient_raises_before_anything_changes(self, kind):
+        rng = np.random.default_rng(8)
+        x = self.params(rng, kind, self.SHAPES[kind])
+        state = AdamState()
+        adam_step([("p", x)], [rng.normal(size=x.shape)], state, lr=1e-3, weight_decay=5e-2)
+        before = [arr.copy() for arr in (x.data, state.m["p"], state.v["p"])]
+        grad = rng.normal(size=x.shape)
+        grad.flat[-1] = np.nan  # in the last block, after every other block is clean
+        with pytest.raises(FloatingPointError, match="'p'"):
+            adam_step([("p", x)], [grad], state, lr=1e-3, weight_decay=5e-2)
+        for arr, old in zip((x.data, state.m["p"], state.v["p"]), before):
+            assert arr.tobytes() == old.tobytes()
+        assert state.t["p"] == 1
+
+    def test_finite_gradient_whose_sum_overflows_is_accepted(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = Tensor(x.data.copy(), requires_grad=True)
+        grad = np.array([1e308, 1e308])
+        with np.errstate(over="ignore"):
+            adam_step([("p", x)], [grad], AdamState(), lr=0.1)
+            reference_adam_step([("p", y)], [grad], AdamState(), lr=0.1)
+        assert x.data.tobytes() == y.data.tobytes()
+
+
 # --------------------------------------------------------------------------
 # Plateau scheduler
 # --------------------------------------------------------------------------

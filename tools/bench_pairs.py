@@ -1,0 +1,120 @@
+"""Fold two sets of benchmark results into paired medians, quartiles and win counts.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR [--out BENCH_<n>.json]
+
+PARENT_DIR and CHANGE_DIR are the ``.bench_out/`` directories that
+``perfbench/run.py`` wrote in a checkout of the parent commit and of the
+change. Result files are paired by workload and seed. For each workload
+and each end-to-end metric of ``BENCHMARK.json`` (untraced runs) the
+script prints the median and quartiles of each side and how many pairs
+the change wins, in the metric's better direction. Traced runs, where
+both sides have one for a seed, add the medians of each per-layer metric.
+``--out`` writes the same data as JSON. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def load_runs(directory: Path) -> dict[tuple[str, int, int], dict]:
+    """Every result file in a directory, keyed by (workload, trace, seed)."""
+    runs = {}
+    for path in sorted(directory.glob("*.json")):
+        result = json.loads(path.read_text(encoding="utf-8"))
+        # a traced run keeps its trace dump, not the flag's value, under "trace"
+        trace = 1 if isinstance(result["trace"], dict) else result["trace"]
+        runs[result["workload"], trace, result["seed"]] = result
+    return runs
+
+
+def summary(values: list[float]) -> dict:
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
+    workloads = {}
+    for workload in sorted({w for w, _, _ in parent} & {w for w, _, _ in change}):
+        seeds = sorted(s for w, tr, s in parent if w == workload and tr == 0
+                       and (w, 0, s) in change)
+        if not seeds:
+            continue
+        pairs = [(parent[workload, 0, s], change[workload, 0, s]) for s in seeds]
+        entry = {"seeds": seeds, "end_to_end": {}, "per_layer": {}}
+        for side, index in (("parent", 0), ("change", 1)):
+            entry[f"{side}_failed"] = sum(p[index]["failed"] for p in pairs)
+            entry[f"{side}_attempted"] = sum(p[index]["attempted"] for p in pairs)
+        for metric in end_to_end:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            before = [p["end_to_end"][name] for p, _ in pairs]
+            after = [c["end_to_end"][name] for _, c in pairs]
+            entry["end_to_end"][name] = {
+                "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+                "parent": summary(before), "change": summary(after),
+                "change_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+                "pairs": len(pairs),
+            }
+        traced = [s for s in sorted({s for w, tr, s in parent if w == workload and tr == 1})
+                  if (workload, 1, s) in change]
+        if traced:
+            entry["traced_seeds"] = traced
+            runs = [side[workload, 1, s]["metrics"] for side in (parent, change) for s in traced]
+            for name, value in runs[0].items():
+                if all(name in run for run in runs):
+                    entry["per_layer"][name] = {"unit": value["unit"]} | {
+                        label: statistics.median(side[workload, 1, s]["metrics"][name]["value"]
+                                                 for s in traced)
+                        for label, side in (("parent", parent), ("change", change))}
+        workloads[workload] = entry
+    return workloads
+
+
+def report(workloads: dict) -> str:
+    lines = []
+    for workload, entry in workloads.items():
+        lines.append(f"{workload}: {len(entry['seeds'])} pairs, seeds {entry['seeds']}; failed "
+                     f"{entry['parent_failed']}/{entry['parent_attempted']} -> "
+                     f"{entry['change_failed']}/{entry['change_attempted']}")
+        for name, m in entry["end_to_end"].items():
+            p, c = m["parent"], m["change"]
+            lines.append(f"  {name:<17} {p['median']:.5g} [{p['q1']:.5g}, {p['q3']:.5g}] -> "
+                         f"{c['median']:.5g} [{c['q1']:.5g}, {c['q3']:.5g}] {m['unit']}, "
+                         f"{m['better']} is better; change wins {m['change_wins']}/{m['pairs']}")
+        if entry["per_layer"]:
+            lines.append(f"  per layer, medians of traced seeds {entry['traced_seeds']}:")
+            for name, m in entry["per_layer"].items():
+                lines.append(f"    {name:<40} {m['parent']:.5g} -> {m['change']:.5g} {m['unit']}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="the parent commit's .bench_out/ directory")
+    parser.add_argument("change", type=Path, help="the change's .bench_out/ directory")
+    parser.add_argument("--out", type=Path, help="write the summary here as JSON")
+    args = parser.parse_args(argv)
+    end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    parent, change = load_runs(args.parent), load_runs(args.change)
+    workloads = compare(parent, change, end_to_end)
+    if not workloads:
+        print("no workload and seed has a result on both sides", file=sys.stderr)
+        return 1
+    print(report(workloads))
+    if args.out:
+        environment = next(iter(parent.values()))["environment"]
+        args.out.write_text(json.dumps({"environment": environment, "workloads": workloads},
+                                       indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
