@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Every tunable of the pipeline plus the file paths it consumes."""
+    """The file paths and the keys only the command line reads.
+
+    Model, optimiser and KGE keys belong to ``HyperParams``, ``TrainConfig``
+    and ``KgeConfig``, which hold their types, defaults and valid ranges.
+    """
 
     # paths
     dataset: str = ""
@@ -45,39 +48,23 @@ class RunConfig:
     table_con: str = ""
     checkpoint: str = ""
     output_dir: str = "out"
-    # optimisation
-    lr: float = 1e-3
-    weight_decay: float = 5e-2
-    batch_size: int = 16
-    epochs: int = 50
-    patience: int = 5
-    lr_factor: float = 0.5
     seed: int = 0
     folds: int = 0
     val_fraction: float = 0.25
-    # model
-    d: int = 64
-    heads: int = 4
-    n: int = 64
-    l: int = 32
-    alpha: float = 0.5
-    beta: float = 0.5
-    mode: str = "All"
-    injection_orientation: str = "retain"
     no_knowledge: bool = False
-    # knowledge embedding
-    kge_method: str = "RotatE"
-    kge_dim: int = 16
-    kge_gamma: float = 6.0
-    kge_negatives: int = 8
-    kge_lr: float = 0.05
-    kge_epochs: int = 100
-    kge_adv_temperature: float = 1.0
     holdout: float = 0.1
     stance: str = "common"
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Config key -> field, per owning class. A corpus sets the model's classes,
+# and the run's seed is TrainConfig's and KgeConfig's.
+_KEYS = {
+    cls: {prefix + f.name: f for f in fields(cls) if f.name not in skip}
+    for cls, prefix, skip in ((RunConfig, "", ()), (md.HyperParams, "", ("classes",)),
+                              (tr.TrainConfig, "", ("hp", "seed")),
+                              (kg.KgeConfig, "kge_", ("seed",)))
+}
+_FIELD_TYPES = {key: f.type for keys in _KEYS.values() for key, f in keys.items()}
 
 
 def _coerce(key: str, raw: str):
@@ -115,25 +102,25 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """File values first, then flag overrides; validate ranges afterwards."""
+def build_config(args: argparse.Namespace) -> tuple[RunConfig, tr.TrainConfig, kg.KgeConfig]:
+    """File values first, then flag overrides, each range-checked by the class
+    that owns it; the model's HyperParams ride on the TrainConfig."""
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    cfg = RunConfig(**values)
-    if not (0.0 <= cfg.alpha <= 1.0):
-        raise ConfigError(f"config key 'alpha' must lie in [0, 1], got {cfg.alpha}")
-    if not (0.0 <= cfg.beta <= 1.0):
-        raise ConfigError(f"config key 'beta' must lie in [0, 1], got {cfg.beta}")
-    if cfg.mode not in md.MODES:
-        raise ConfigError(f"config key 'mode' must be one of {md.MODES}, got {cfg.mode!r}")
-    if not (0.0 < cfg.lr_factor < 1.0):
-        raise ConfigError(f"config key 'lr_factor' must lie in (0, 1), got {cfg.lr_factor}")
-    if cfg.patience < 1:
-        raise ConfigError(f"config key 'patience' must be >= 1, got {cfg.patience}")
-    return cfg
+
+    def given(cls) -> dict:
+        return {f.name: values[key] for key, f in _KEYS[cls].items() if key in values}
+
+    cfg = RunConfig(**given(RunConfig))
+    for key in ("val_fraction", "holdout"):
+        if not 0.0 <= getattr(cfg, key) < 1.0:
+            raise ConfigError(f"config key {key!r} must lie in [0, 1), got {getattr(cfg, key)}")
+    train_cfg = tr.TrainConfig(seed=cfg.seed, hp=md.HyperParams(**given(md.HyperParams)),
+                               **given(tr.TrainConfig))
+    return cfg, train_cfg, kg.KgeConfig(seed=cfg.seed, **given(kg.KgeConfig))
 
 
 def _require(path: str, what: str) -> Path:
@@ -157,22 +144,6 @@ def _load_corpus(cfg: RunConfig) -> tuple[list[td.EncodedArticle], int, td.Vocab
                 raise ConfigError(f"{corpus_path}: word id {outside[0]} is outside the "
                                   f"{len(vocab)}-word vocabulary {cfg.vocab}")
     return encoded, classes, vocab
-
-
-def _hyperparams(cfg: RunConfig, classes: int) -> md.HyperParams:
-    return md.HyperParams(
-        d=cfg.d, heads=cfg.heads, n=cfg.n, l=cfg.l, classes=classes,
-        alpha=cfg.alpha, beta=cfg.beta, mode=cfg.mode,
-        injection_orientation=cfg.injection_orientation,
-    )
-
-
-def _train_config(cfg: RunConfig, hp: md.HyperParams) -> tr.TrainConfig:
-    return tr.TrainConfig(
-        lr=cfg.lr, weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        epochs=cfg.epochs, patience=cfg.patience, lr_factor=cfg.lr_factor,
-        seed=cfg.seed, hp=hp,
-    )
 
 
 def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
@@ -202,14 +173,14 @@ def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
 # --------------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
-    cfg = build_config(args)
+    cfg, train_cfg, _ = build_config(args)
     dataset = _require(cfg.dataset or getattr(args, "dataset_path", ""), "dataset")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     articles, classes = td.load_corpus(dataset)
     vocab = td.build_vocab(articles)
-    encoded = td.encode_corpus(articles, vocab, cfg.n, cfg.l)
+    encoded = td.encode_corpus(articles, vocab, train_cfg.hp.n, train_cfg.hp.l)
     vocab.save(out_dir / "vocab.txt")
     td.save_encoded(out_dir / "corpus.npz", encoded, classes)
     histogram = td.class_histogram(articles, classes)
@@ -219,7 +190,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train_kge(args) -> int:
-    cfg = build_config(args)
+    cfg, train_cfg, kge_cfg = build_config(args)
     triples_path = _require(getattr(args, "triples", None) or cfg.kg_common, "triples")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,11 +204,6 @@ def cmd_train_kge(args) -> int:
     test = [store.triples[i] for i in order[:n_test]]
     train_triples = [store.triples[i] for i in order[n_test:]]
 
-    kge_cfg = kg.KgeConfig(
-        method=cfg.kge_method, dim=cfg.kge_dim, gamma=cfg.kge_gamma,
-        negatives=cfg.kge_negatives, lr=cfg.kge_lr, epochs=cfg.kge_epochs,
-        seed=cfg.seed, adv_temperature=cfg.kge_adv_temperature,
-    )
     train_store = kg.TripleStore(store.entities, store.entity_names, store.relations,
                                  store.relation_names, train_triples, cfg.stance)
     model = kg.train_kge(train_store, kge_cfg)
@@ -245,11 +211,10 @@ def cmd_train_kge(args) -> int:
     model_path = out_dir / f"kge_{cfg.stance}.npz"
     np.savez(model_path, method=np.frombuffer(model.method.encode(), dtype=np.uint8),
              dim=np.array(model.dim), gamma=np.array(model.gamma),
-             lambda_modulus=np.array(model.lambda_modulus),
-             lambda_phase=np.array(model.lambda_phase),
              entity=model.entity, relation=model.relation,
              epoch_losses=np.array(model.epoch_losses))
-    print(f"wrote {model_path} (final loss {model.epoch_losses[-1]:.4f})")
+    final = f"final loss {model.epoch_losses[-1]:.4f}" if model.epoch_losses else "no epoch ran"
+    print(f"wrote {model_path} ({final})")
 
     if not test:
         print("warning: holdout produced 0 test triples; skipping evaluation")
@@ -265,7 +230,7 @@ def cmd_train_kge(args) -> int:
     if cfg.entity_links and cfg.vocab:
         links = kg.load_links(_require(cfg.entity_links, "entity_links"))
         vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
-        table = kg.export_aligned_table(model, links, vocab, store, width=cfg.d)
+        table = kg.export_aligned_table(model, links, vocab, store, width=train_cfg.hp.d)
         table_path = out_dir / f"table_{cfg.stance}.txt"
         table.save(table_path)
         print(f"wrote {table_path} (coverage {int(table.coverage.sum())}/{len(vocab)})")
@@ -273,11 +238,10 @@ def cmd_train_kge(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = build_config(args)
+    cfg, train_cfg, _ = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
-    bundle = _load_bundle(cfg, len(vocab), cfg.d)
-    hp = _hyperparams(cfg, classes)
-    train_cfg = _train_config(cfg, hp)
+    train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes))
+    bundle = _load_bundle(cfg, len(vocab), train_cfg.hp.d)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -298,10 +262,12 @@ def cmd_train(args) -> int:
     order = np.random.default_rng(cfg.seed).permutation(len(encoded))
     val_set = [encoded[i] for i in order[:split]]
     train_set = [encoded[i] for i in order[split:]]
-    params, reports = tr.train(train_set or encoded, bundle, train_cfg,
-                               val_dataset=val_set or None)
+    if not train_set:
+        raise ConfigError(f"config key 'val_fraction' = {cfg.val_fraction} leaves none of "
+                          f"the {len(encoded)} articles to train on")
+    params, reports = tr.train(train_set, bundle, train_cfg, val_dataset=val_set or None)
     ckpt_path = out_dir / "checkpoint.npz"
-    md.save_checkpoint(ckpt_path, params, hp, seed=cfg.seed)
+    md.save_checkpoint(ckpt_path, params, train_cfg.hp, seed=cfg.seed)
     reports_path = out_dir / "epochs.jsonl"
     with open(reports_path, "w", encoding="utf-8") as fh:
         for r in reports:
@@ -315,7 +281,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = build_config(args)
+    cfg = build_config(args)[0]
     encoded, classes, vocab = _load_corpus(cfg)
     params, hp, _ = md.load_checkpoint(_require(cfg.checkpoint, "checkpoint"),
                                        expected_n_words=len(vocab))
@@ -326,11 +292,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = build_config(args)
+    cfg, train_cfg, _ = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
-    bundle = _load_bundle(cfg, len(vocab), cfg.d)
-    hp = _hyperparams(cfg, classes)
-    train_cfg = _train_config(cfg, hp)
+    train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes))
+    bundle = _load_bundle(cfg, len(vocab), train_cfg.hp.d)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -352,7 +317,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    cfg = build_config(args)
+    cfg = build_config(args)[0]
     articles = td.gen_synthetic(args.articles, args.classes, args.planted, seed=cfg.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -382,10 +347,8 @@ def _add_config_flags(sub, keys):
             sub.add_argument(flag, dest=key, default=None)
 
 
-MODEL_KEYS = ("d", "heads", "n", "l", "alpha", "beta", "mode", "injection_orientation",
-              "no_knowledge")
-TRAIN_KEYS = ("lr", "weight_decay", "batch_size", "epochs", "patience", "lr_factor",
-              "seed", "folds", "val_fraction")
+MODEL_KEYS = (*_KEYS[md.HyperParams], "no_knowledge")
+TRAIN_KEYS = (*_KEYS[tr.TrainConfig], "seed", "folds", "val_fraction")
 PATH_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "checkpoint",
              "output_dir")
 EVAL_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "checkpoint",
@@ -406,9 +369,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train-kge", help="train knowledge graph embeddings")
     p.add_argument("triples", nargs="?", help="TSV triple file")
-    _add_config_flags(p, ("kg_common", "stance", "kge_method", "kge_dim", "kge_gamma",
-                          "kge_negatives", "kge_lr", "kge_epochs", "kge_adv_temperature",
-                          "holdout", "seed", "entity_links", "vocab", "d", "output_dir"))
+    _add_config_flags(p, ("kg_common", "stance", *_KEYS[kg.KgeConfig], "holdout", "seed",
+                          "entity_links", "vocab", "d", "output_dir"))
     p.set_defaults(func=cmd_train_kge)
 
     p = subs.add_parser("train", help="train the stance classifier")

@@ -10,8 +10,8 @@ than corrupted ones. Three scoring functions are supported:
 * ``ModE``    - real elementwise product; score is gamma minus the L1
   distance between ``h * r`` and ``t``.
 * ``HAKE``    - entities split into a modulus half and a phase half;
-  score is gamma minus a weighted L2 modulus distance minus a weighted
-  L1 phase distance through ``|sin((h_p + r_p - t_p) / 2)|``.
+  score is gamma minus an L2 modulus distance minus an L1 phase
+  distance through ``|sin((h_p + r_p - t_p) / 2)|``.
 
 Each formula is written once, in ``_scores``, from autodiff ops over rows
 of entity embeddings: training scores a positive and its negatives as one
@@ -116,10 +116,11 @@ class KgeConfig:
     epochs: int = 100
     seed: int = 0
     adv_temperature: float = 1.0
-    lambda_modulus: float = 1.0
-    lambda_phase: float = 1.0
 
     def __post_init__(self):
+        for key, low in (("dim", 1), ("negatives", 0), ("epochs", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.method not in METHODS:
             raise ValueError(f"unknown embedding method {self.method!r}; choose from {METHODS}")
         if self.method in ("RotatE", "HAKE") and self.dim % 2 != 0:
@@ -135,8 +136,6 @@ class KgeModel:
     gamma: float
     entity: np.ndarray    # [n_entities, dim]
     relation: np.ndarray  # [n_relations, dim or dim/2]
-    lambda_modulus: float = 1.0
-    lambda_phase: float = 1.0
     epoch_losses: list[float] = field(default_factory=list)
 
     @property
@@ -161,8 +160,7 @@ def init_kge_model(n_entities: int, n_relations: int, config: KgeConfig) -> KgeM
         half = config.dim // 2
         relation[:, half:] = rng.uniform(-np.pi, np.pi, (n_relations, half))
         entity[:, half:] = _wrap_phase(entity[:, half:])
-    return KgeModel(config.method, config.dim, config.gamma, entity, relation,
-                    config.lambda_modulus, config.lambda_phase)
+    return KgeModel(config.method, config.dim, config.gamma, entity, relation)
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +196,7 @@ def _scores(m: KgeModel, h: Tensor, r: Tensor, t: Tensor) -> Tensor:
         mod_term = ad.sqrt(ad.add(sq, ad.constant(np.full(sq.shape, _GRAD_EPS))))
         d_p = ad.scale(ad.sub(ad.add(h_p, r_p), t_p), 0.5)
         phase_term = ad.sum_rows(ad.absolute(ad.sin(d_p)))
-        dist = ad.add(ad.scale(mod_term, m.lambda_modulus), ad.scale(phase_term, m.lambda_phase))
+        dist = ad.add(mod_term, phase_term)
     return ad.sub(ad.constant(np.full(dist.shape, m.gamma)), dist)
 
 

@@ -48,6 +48,9 @@ class HyperParams:
     injection_orientation: str = "retain"
 
     def __post_init__(self):
+        for key in ("d", "heads"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.d % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d ({self.d})")
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface and its file contracts."""
 
 import json
+import re
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from stancenet import model as md
 from stancenet import textdata as td
 from stancenet.autodiff import ShapeMismatch
-from stancenet.cli import main
-from stancenet.kge import KnowledgeEmbeddingTable
+from stancenet.cli import build_config, main, make_parser
+from stancenet.kge import KgeConfig, KnowledgeEmbeddingTable
 from stancenet.textdata import RawArticle, save_corpus
 
 
@@ -40,6 +42,95 @@ def write_tables(tmp_path, out_dir, d=8):
         table.save(path)
         paths[key] = path
     return paths
+
+
+class TestCommandLine:
+    """The flags and defaults come from the library dataclasses; these pins keep
+    that derivation from adding a flag or moving a default."""
+
+    OPTIONS = {
+        "preprocess": "--config --dataset --l --n --output-dir --seed",
+        "train-kge": "--config --d --entity-links --holdout --kg-common --kge-adv-temperature "
+                     "--kge-dim --kge-epochs --kge-gamma --kge-lr --kge-method --kge-negatives "
+                     "--output-dir --seed --stance --vocab",
+        "train": "--alpha --batch-size --beta --checkpoint --config --corpus --d --epochs "
+                 "--folds --heads --injection-orientation --l --lr --lr-factor --mode --n "
+                 "--no-knowledge --output-dir --patience --seed --table-com --table-con "
+                 "--table-lib --val-fraction --vocab --weight-decay",
+        "eval": "--checkpoint --config --corpus --no-knowledge --table-com --table-con "
+                "--table-lib --vocab",
+        "sweep": "--alpha --alphas --batch-size --beta --betas --checkpoint --config --corpus "
+                 "--d --epochs --folds --heads --injection-orientation --l --lr --lr-factor "
+                 "--mode --n --no-knowledge --output-dir --patience --seed --table-com "
+                 "--table-con --table-lib --val-fraction --vocab --weight-decay",
+        "gen-synthetic": "--articles --classes --config --out --planted --seed",
+    }
+    DEFAULTS = {
+        "dataset": "", "corpus": "", "vocab": "", "kg_common": "", "entity_links": "",
+        "table_com": "", "table_lib": "", "table_con": "", "checkpoint": "",
+        "output_dir": "out", "seed": 0, "folds": 0, "val_fraction": 0.25,
+        "no_knowledge": False, "holdout": 0.1, "stance": "common",
+        "d": 64, "heads": 4, "n": 64, "l": 32, "alpha": 0.5, "beta": 0.5, "mode": "All",
+        "injection_orientation": "retain",
+        "lr": 1e-3, "weight_decay": 5e-2, "batch_size": 16, "epochs": 50, "patience": 5,
+        "lr_factor": 0.5,
+        "kge_method": "RotatE", "kge_dim": 16, "kge_gamma": 6.0, "kge_negatives": 8,
+        "kge_lr": 0.05, "kge_epochs": 100, "kge_adv_temperature": 1.0,
+    }
+    REQUIRED = {"gen-synthetic": ["--out", "x.jsonl"]}
+
+    def test_option_strings_per_subcommand(self):
+        subcommands = make_parser()._subparsers._group_actions[0].choices
+        assert sorted(subcommands) == sorted(self.OPTIONS)
+        for name, sub in subcommands.items():
+            options = {o for action in sub._actions for o in action.option_strings}
+            assert options == {"-h", "--help", *self.OPTIONS[name].split()}, name
+
+    @staticmethod
+    def resolved(built) -> dict:
+        """Every key's value in what build_config returns, flattened: a KgeConfig
+        field f is key kge_f, and a nested dataclass's fields are keys of their own."""
+        flat = {}
+        for part in built if isinstance(built, tuple) else (built,):
+            prefix = "kge_" if isinstance(part, KgeConfig) else ""
+            for f in fields(part):
+                value = getattr(part, f.name)
+                nested = fields(value) if is_dataclass(value) else ()
+                flat.update({g.name: getattr(value, g.name) for g in nested})
+                if not nested:
+                    flat[prefix + f.name] = value
+        return flat
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_defaults_without_flags(self, command):
+        args = make_parser().parse_args([command, *self.REQUIRED.get(command, [])])
+        flat = self.resolved(build_config(args))
+        assert {k: (flat[k], type(flat[k])) for k in self.DEFAULTS} == {
+            k: (v, type(v)) for k, v in self.DEFAULTS.items()}
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train", "--heads", "0"], "heads"),
+        (["train", "--d", "0", "--heads", "1"], "d"),
+        (["train", "--val-fraction", "-0.25"], "val_fraction"),
+        (["train", "--val-fraction", "1.0"], "val_fraction"),
+        (["sweep", "--val-fraction", "1.5"], "val_fraction"),
+        (["train-kge", "--holdout", "-0.5"], "holdout"),
+        (["train-kge", "--holdout", "1"], "holdout"),
+        (["train-kge", "--kge-dim", "0", "--kge-method", "ModE"], "dim"),
+        (["train-kge", "--kge-negatives", "-1"], "negatives"),
+        (["train-kge", "--kge-epochs", "-1"], "epochs"),
+    ])
+    def test_out_of_range_value_exits_2_naming_key(self, capsys, argv, key):
+        """Checked before any file is read, so the command needs no input files."""
+        assert main(argv) == 2
+        assert re.search(rf"\b{key}'? must", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "eval"])
+    def test_config_file_keys_are_checked_for_every_command(self, tmp_path, capsys, command):
+        config = tmp_path / "shared.cfg"
+        config.write_text("kge_dim = 7\n")
+        assert main([command, "--config", str(config)]) == 2
+        assert "even dim" in capsys.readouterr().err
 
 
 class TestPreprocess:
@@ -119,6 +210,18 @@ class TestTrainKge:
         assert rc == 0
         assert "skipping evaluation" in capsys.readouterr().out
         assert not (out / "kge_common_metrics.csv").exists()
+
+    def test_zero_epochs_writes_the_initial_model(self, tmp_path, capsys):
+        kg_path = self.write_kg(tmp_path, [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
+        out = tmp_path / "kge"
+        rc = main(["train-kge", str(kg_path), "--kge-dim", "4", "--kge-epochs", "0",
+                   "--output-dir", str(out)])
+        assert rc == 0
+        assert "(no epoch ran)" in capsys.readouterr().out
+        with np.load(out / "kge_common.npz") as data:
+            assert sorted(data.files) == ["dim", "entity", "epoch_losses", "gamma", "method",
+                                          "relation"]
+            assert data["epoch_losses"].size == 0
 
     def test_malformed_triples_exit_2(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -201,6 +304,19 @@ class TestTrain:
         rc = main(["train", "--config", str(config)])
         assert rc == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["0.9", "0.99"])
+    def test_split_without_training_articles_exits_2(self, tmp_path, capsys, fraction):
+        """Training on every article would report val_acc on the training set."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path, num=3))
+        out = tmp_path / "run"
+        rc = main(["train", "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                   "--mode", "W", "--d", "8", "--heads", "2", "--epochs", "1",
+                   "--val-fraction", fraction, "--output-dir", str(out)])
+        assert rc == 2
+        assert "'val_fraction'" in capsys.readouterr().err
+        assert not (out / "checkpoint.npz").exists()
 
     def test_missing_table_without_flag_exits_2(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

@@ -152,7 +152,7 @@ def oracle_mode(entity, relation, gamma, h, r, t):
     return gamma - total
 
 
-def oracle_hake(entity, relation, gamma, lam_m, lam_p, h, r, t):
+def oracle_hake(entity, relation, gamma, h, r, t):
     half = entity.shape[1] // 2
     sq = 0.0
     for j in range(half):
@@ -162,7 +162,7 @@ def oracle_hake(entity, relation, gamma, lam_m, lam_p, h, r, t):
     for j in range(half):
         d = entity[h, half + j] + relation[r, half + j] - entity[t, half + j]
         phase += abs(math.sin(d / 2.0))
-    return gamma - lam_m * math.sqrt(sq) - lam_p * phase
+    return gamma - math.sqrt(sq) - phase
 
 
 class TestScoreTriple:
@@ -188,8 +188,7 @@ class TestScoreTriple:
             elif method == "ModE":
                 want = oracle_mode(m.entity, m.relation, m.gamma, h, r, t)
             else:
-                want = oracle_hake(m.entity, m.relation, m.gamma,
-                                   m.lambda_modulus, m.lambda_phase, h, r, t)
+                want = oracle_hake(m.entity, m.relation, m.gamma, h, r, t)
             assert score_triple(m, h, r, t) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("method", ["RotatE", "HAKE"])
@@ -288,6 +287,14 @@ class TestTrainKge:
             KgeConfig(method="RotatE", dim=7)
         with pytest.raises(ValueError, match="even"):
             KgeConfig(method="HAKE", dim=9)
+
+    @pytest.mark.parametrize("key, values", [("dim", dict(method="ModE", dim=0)),
+                                             ("dim", dict(method="RotatE", dim=-2)),
+                                             ("negatives", dict(negatives=-1)),
+                                             ("epochs", dict(epochs=-1))])
+    def test_sizes_range_checked(self, key, values):
+        with pytest.raises(ValueError, match=f"^{key} must be >= "):
+            KgeConfig(**values)
 
     def test_phases_stay_wrapped(self, tmp_path):
         store = write_store(tmp_path, [("a", "r", "b"), ("b", "r", "a")])

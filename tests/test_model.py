@@ -96,6 +96,14 @@ class TestHyperParams:
         with pytest.raises(ValueError, match="mode"):
             HyperParams(mode="WSTX")
 
+    @pytest.mark.parametrize("key, values", [("heads", dict(heads=0)),
+                                             ("d", dict(d=0, heads=1)),
+                                             ("d", dict(d=-4, heads=2))])
+    def test_sizes_must_be_positive(self, key, values):
+        """Checked before the divisibility test, which would divide by zero."""
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1"):
+            HyperParams(**values)
+
 
 # --------------------------------------------------------------------------
 # Knowledge injection

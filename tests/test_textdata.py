@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stancenet import textdata as td
@@ -96,6 +96,39 @@ class TestEncodeArticle:
                     assert vocab.id_to_token[idx] in source or idx == UNK_ID
 
 
+words = st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "ee"]), max_size=6)
+
+
+class TestEncodeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(articles=st.lists(st.tuples(st.lists(words, max_size=6), words), min_size=1,
+                             max_size=4),
+           known=words, n=st.integers(1, 5), l=st.integers(1, 5))
+    def test_truncation_masks_and_padding(self, articles, known, n, l):
+        """Rows and columns keep the first l sentences and n tokens; a mask is 1
+        exactly over a kept token, which holds its vocabulary id, and PAD elsewhere."""
+        assume(all(any(sentences) for sentences, _ in articles))
+        corpus = [RawArticle(" ".join(title), " <sep> ".join(" ".join(s) for s in sentences), 0)
+                  for sentences, title in articles]
+        vocab = td.build_vocab([RawArticle("", " ".join(known), 0)])
+        encoded = td.encode_corpus(corpus, vocab, n, l)
+        assert len(encoded) == len(corpus)
+        for (sentences, title), enc in zip(articles, encoded):
+            kept = [s[:n] for s in sentences if s][:l]
+            want_ids = np.full((l, n), PAD_ID)
+            want_masks = np.zeros((l, n))
+            for j, tokens in enumerate(kept):
+                want_ids[j, : len(tokens)] = [vocab.lookup(t) for t in tokens]
+                want_masks[j, : len(tokens)] = 1.0
+            assert np.array_equal(enc.sentences, want_ids)
+            assert np.array_equal(enc.word_masks, want_masks)
+            assert enc.sentence_mask.tolist() == [1.0] * len(kept) + [0.0] * (l - len(kept))
+            title = title[:n]
+            pad = n - len(title)
+            assert enc.title.tolist() == [vocab.lookup(t) for t in title] + [PAD_ID] * pad
+            assert enc.title_mask.tolist() == [1.0] * len(title) + [0.0] * pad
+
+
 class TestMakeFolds:
     def test_645_by_10_sizes(self):
         folds = td.make_folds(645, 10, seed=0)
@@ -170,6 +203,21 @@ class TestCorpusFiles:
         assert [(a.title, a.body, a.label) for a in loaded] == [
             (a.title, a.body, a.label) for a in corpus
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=st.lists(st.tuples(st.text(max_size=12), st.text(max_size=12),
+                                      st.integers(0, 3)), min_size=1, max_size=8),
+           extra=st.integers(0, 3))
+    def test_round_trip_keeps_declared_classes(self, records, extra):
+        """A classes= header above the largest label survives a save and a load."""
+        articles = [RawArticle(*record) for record in records]
+        classes = max(a.label for a in articles) + 1 + extra
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            td.save_corpus(path, articles, classes=classes)
+            loaded, loaded_classes = td.load_corpus(path)
+        assert loaded_classes == classes
+        assert loaded == articles
 
     def test_classes_inferred_without_header(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
