@@ -344,6 +344,40 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _emit((table,), table.data[ids], backward)
 
 
+def take_rows(x: Tensor, ids) -> Tensor:
+    """Rows of a rank-2 x at distinct integer ids; the adjoint of ``put_rows``.
+
+    Its gradient is dense: the output's gradient written into zeros at ``ids``.
+    """
+    x = _as_tensor(x)
+    ids = np.asarray(ids, dtype=np.int64)
+    if x.ndim != 2 or ids.ndim != 1:
+        raise ShapeMismatch(f"take_rows got shape {x.shape}, ids shape {ids.shape}")
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[ids] = g
+        return (gx,)
+
+    return _emit((x,), x.data[ids], backward)
+
+
+def put_rows(x: Tensor, ids, rows: int) -> Tensor:
+    """Zeros of shape [rows, d] with row i of the [k, d] x at distinct id ``ids[i]``;
+    the adjoint of ``take_rows``, so its gradient is the output gradient's rows at ``ids``."""
+    x = _as_tensor(x)
+    ids = np.asarray(ids, dtype=np.int64)
+    if x.ndim != 2 or ids.shape != x.shape[:1]:
+        raise ShapeMismatch(f"put_rows got shape {x.shape}, ids shape {ids.shape}")
+    value = np.zeros((rows, x.shape[1]))
+    value[ids] = x.data
+
+    def backward(g):
+        return (g[ids],)
+
+    return _emit((x,), value, backward)
+
+
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate rank-2 tensors with equal row counts along columns."""
     parts = [_as_tensor(p) for p in parts]

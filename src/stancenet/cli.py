@@ -118,6 +118,8 @@ def build_config(args: argparse.Namespace) -> tuple[RunConfig, tr.TrainConfig, k
     for key in ("val_fraction", "holdout"):
         if not 0.0 <= getattr(cfg, key) < 1.0:
             raise ConfigError(f"config key {key!r} must lie in [0, 1), got {getattr(cfg, key)}")
+    if cfg.folds < 2 and cfg.folds != 0:
+        raise ConfigError(f"config key 'folds' must be 0 (off) or at least 2, got {cfg.folds}")
     train_cfg = tr.TrainConfig(seed=cfg.seed, hp=md.HyperParams(**given(md.HyperParams)),
                                **given(tr.TrainConfig))
     return cfg, train_cfg, kg.KgeConfig(seed=cfg.seed, **given(kg.KgeConfig))
@@ -364,7 +366,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("preprocess", help="encode a JSONL article file")
     p.add_argument("dataset_path", nargs="?", help="JSONL article file")
-    _add_config_flags(p, ("dataset", "n", "l", "output_dir", "seed"))
+    _add_config_flags(p, ("dataset", "n", "l", "output_dir"))
     p.set_defaults(func=cmd_preprocess)
 
     p = subs.add_parser("train-kge", help="train knowledge graph embeddings")

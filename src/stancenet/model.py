@@ -286,16 +286,31 @@ def _mask(mask, what: str) -> np.ndarray:
     return mask_arr
 
 
-def _heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, attn: AttentionParams
-           ) -> tuple[Tensor, Tensor]:
+def _as_shape(x: Tensor, shape) -> Tensor:
+    """x reshaped to ``shape``, recording nothing when it already has that shape."""
+    return x if x.shape == tuple(shape) else ad.reshape(x, shape)
+
+
+def _heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, attn: AttentionParams,
+           real: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
     """The attention of every level on [N, m, d] queries, keys and values ([m, d] is
     N = 1): softmax weights of the scaled dot-product scores, [N*heads, mq, mk] (keys
     masked in the [N, mk] mask get -1e9 logits, so weight exactly 0), and the projected
-    values, [N*heads, mk, d/heads]; entry n*heads + h is head h of item n."""
+    values, [N*heads, mk, d/heads]; entry n*heads + h is head h of item n.
+
+    With ``real``, the flat positions of the mask's 1s, q, k and v are the packed
+    [W, d] rows of those positions: they are projected as they are and laid out in
+    the mask's [N, m] positions, with zero rows at the PAD positions.
+    """
     h = attn.heads
-    qh = ad.split_heads(ad.matmul(q, attn.wq), h)
-    kh = ad.split_heads(ad.matmul(k, attn.wk), h)
-    vh = ad.split_heads(ad.matmul(v, attn.wv), h)
+
+    def project(x, w):
+        x = ad.matmul(x, w)
+        if real is not None:
+            x = _as_shape(ad.put_rows(x, real, mask.size), mask.shape + x.shape[-1:])
+        return ad.split_heads(x, h)
+
+    qh, kh, vh = project(q, attn.wq), project(k, attn.wk), project(v, attn.wv)
     offset = np.repeat((mask.reshape(-1, mask.shape[-1]) - 1.0) * 1e9, h, axis=0)[:, None, :]
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
     logits = ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape)))
@@ -316,17 +331,32 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask,
 
 def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams,
              what: str) -> Tensor:
-    """Self-attention, then feed-forward on the flattened rows, each with a residual;
-    PAD rows zeroed. x is [m, d] with an [m] mask or [N, m, d] with an [N, m] mask.
+    """Self-attention, then feed-forward, each with a residual; PAD rows are exactly 0.
+    x is [m, d] with an [m] mask or [N, m, d] with an [N, m] mask.
 
-    The residuals keep each row's identity through the block instead of
-    collapsing toward the attention average.
+    Every row-wise step (the projections, both residuals, the feed-forward) runs on
+    the real rows only; the [N, m] layout is used only for scores, softmax and the
+    weighted sum of values. The residuals keep each row's identity through the block
+    instead of collapsing toward the attention average.
     """
     mask_arr = _mask(mask, what)
-    h = ad.add(x, multi_head_attention(x, x, x, mask_arr, attn))
-    h = ad.reshape(h, (-1, x.shape[-1]))
+    flat = mask_arr.reshape(-1)
+    size, d = flat.size, x.shape[-1]
+    real = None if flat.all() else np.flatnonzero(flat)
+    rows = _as_shape(x, (size, d))
+    if real is None:
+        w, vh = _heads(x, x, x, mask_arr, attn)
+    else:
+        rows = ad.take_rows(rows, real)
+        w, vh = _heads(rows, rows, rows, mask_arr, attn, real)
+    context = _as_shape(ad.merge_heads(ad.matmul(w, vh), attn.heads), (size, d))
+    if real is not None:
+        context = ad.take_rows(context, real)
+    h = ad.add(rows, ad.matmul(context, attn.wo))
     h = ad.add(h, ad.linear(ad.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
-    return ad.reshape(ad.scale_rows(h, ad.constant(mask_arr.reshape(-1))), x.shape)
+    if real is not None:
+        h = ad.put_rows(h, real, size)
+    return _as_shape(h, x.shape)
 
 
 def word_level(x: Tensor, word_mask, params: ModelParams) -> Tensor:
@@ -369,6 +399,8 @@ def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundl
 
     The word level runs once over the active sentences, cut after the last real
     word: padded sentences and PAD columns would only get zero weight and zero rows.
+    Only the real words are embedded; their rows are laid out in that [L, n', d]
+    grid with zero PAD rows.
     """
     def embed(ids):
         if hp.mode == "All":
@@ -379,7 +411,8 @@ def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundl
     active = np.flatnonzero(_mask(article.sentence_mask, "predict got an all-masked article"))
     n = _trim(article.word_masks[active])
     masks = article.word_masks[active, :n]
-    words = embed(article.sentences[active, :n].reshape(-1))
+    real = np.flatnonzero(masks)
+    words = ad.put_rows(embed(article.sentences[active, :n].reshape(-1)[real]), real, masks.size)
     words = word_level(ad.reshape(words, (active.size, n, hp.d)), masks, params)
     # each sentence's vector is the mean of its real words' rows
     pool = ad.constant((masks / masks.sum(axis=1, keepdims=True))[:, None, :])

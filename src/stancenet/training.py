@@ -286,7 +286,8 @@ def sweep_alpha_beta(
     """Accuracy for every (alpha, beta) cell; rows follow alphas ascending.
 
     With folds >= 2 each cell runs a cross-validation; otherwise a single
-    deterministic train/validation split (the same split for every cell).
+    deterministic train/validation split (the same split for every cell), which
+    needs 0 < val_fraction < 1 and at least one training article.
     """
     for value in list(alphas) + list(betas):
         if not 0.0 <= value <= 1.0:
@@ -294,6 +295,12 @@ def sweep_alpha_beta(
     grid = np.zeros((len(alphas), len(betas)))
     order = np.random.default_rng(cfg.seed).permutation(len(corpus))
     n_val = max(1, int(round(len(corpus) * val_fraction)))
+    if folds < 2 and not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must lie in (0, 1) for a sweep without folds, "
+                         f"got {val_fraction}")
+    if folds < 2 and n_val >= len(corpus):
+        raise ValueError(f"val_fraction = {val_fraction} leaves none of the {len(corpus)} "
+                         f"articles to train on")
     val_idx = set(order[:n_val].tolist())
     train_set = [a for i, a in enumerate(corpus) if i not in val_idx]
     val_set = [corpus[i] for i in sorted(val_idx)]

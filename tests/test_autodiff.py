@@ -440,3 +440,53 @@ def test_backward_frees_intermediate_adjoints():
             tracemalloc.stop()
     assert np.allclose(x.grad, 1.01 ** 40, rtol=1e-12)
     assert peak < 6 * x.data.nbytes
+
+
+ROW_CASES = [
+    ("take_rows", lambda x: ad.take_rows(x, [3, 0, 1]), (5, 4)),
+    ("put_rows", lambda x: ad.put_rows(x, [4, 0, 2], 6), (3, 4)),
+]
+
+
+@pytest.mark.parametrize("name,build,shape", ROW_CASES, ids=[c[0] for c in ROW_CASES])
+def test_row_layout_gradients_match_finite_differences(name, build, shape):
+    x = Tensor(np.random.default_rng(zlib.crc32(name.encode())).uniform(-1, 1, shape),
+               requires_grad=True)
+    assert ad.finite_diff_check(lambda t: _weighted(build(t), np.random.default_rng(5)), x) < 1e-6
+
+
+def test_put_rows_lays_rows_out_in_zeros_and_take_rows_reads_them_back():
+    x = np.random.default_rng(6).uniform(-1, 1, (3, 2))
+    ids = np.array([4, 0, 2])
+    put = ad.put_rows(Tensor(x), ids, 5).data
+    expected = np.zeros((5, 2))
+    for i, row in zip(ids, x):
+        expected[i] = row
+    assert np.array_equal(put, expected)
+    assert np.array_equal(ad.take_rows(Tensor(put), ids).data, x)
+
+
+def test_take_and_put_rows_are_adjoint():
+    """<put(x), y> = <x, take(y)>: each op's gradient is the other op's value."""
+    rng = np.random.default_rng(8)
+    ids = np.array([5, 1, 3])
+    x, y = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True), rng.uniform(-1, 1, (6, 4))
+    with Tape() as tape:
+        tape.backward(ad.sum_all(ad.mul(ad.put_rows(x, ids, 6), Tensor(y))))
+    assert np.array_equal(x.grad, ad.take_rows(Tensor(y), ids).data)
+    z = Tensor(y, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.sum_all(ad.mul(ad.take_rows(z, ids), Tensor(x.data))))
+    assert np.array_equal(z.grad, ad.put_rows(Tensor(x.data), ids, 6).data)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: ad.take_rows(Tensor(np.ones((2, 3, 4))), [0]),
+    lambda: ad.take_rows(Tensor(np.ones((3, 4))), [[0, 1]]),
+    lambda: ad.put_rows(Tensor(np.ones(4)), [0], 2),
+    lambda: ad.put_rows(Tensor(np.ones((3, 4))), [0, 1], 5),
+    lambda: ad.put_rows(Tensor(np.ones((2, 4))), [[0, 1]], 5),
+], ids=["take_rank3", "take_rank2_ids", "put_rank1", "put_too_few_ids", "put_rank2_ids"])
+def test_row_layout_shape_errors(op):
+    with pytest.raises(ShapeMismatch, match=r"shape \(.*\), ids shape \(.*\)"):
+        op()

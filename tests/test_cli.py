@@ -49,7 +49,7 @@ class TestCommandLine:
     that derivation from adding a flag or moving a default."""
 
     OPTIONS = {
-        "preprocess": "--config --dataset --l --n --output-dir --seed",
+        "preprocess": "--config --dataset --l --n --output-dir",
         "train-kge": "--config --d --entity-links --holdout --kg-common --kge-adv-temperature "
                      "--kge-dim --kge-epochs --kge-gamma --kge-lr --kge-method --kge-negatives "
                      "--output-dir --seed --stance --vocab",
@@ -124,6 +124,22 @@ class TestCommandLine:
         """Checked before any file is read, so the command needs no input files."""
         assert main(argv) == 2
         assert re.search(rf"\b{key}'? must", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("folds", ["1", "-3"])
+    def test_folds_must_be_off_or_at_least_two(self, capsys, command, folds):
+        assert main([command, "--folds", folds]) == 2
+        assert re.search(r"\bfolds'? must", capsys.readouterr().err)
+
+    def test_preprocess_accepts_a_shared_config_seed(self, tmp_path):
+        """preprocess has no --seed (encoding is deterministic), but a config file
+        shared with train may still set the seed."""
+        config = tmp_path / "shared.cfg"
+        config.write_text("seed = 7\n")
+        corpus = write_corpus(tmp_path, num=3)
+        assert main(["preprocess", str(corpus), "--config", str(config), "--n", "8",
+                     "--l", "3", "--output-dir", str(tmp_path / "pre")]) == 0
+        assert main(["preprocess", str(corpus), "--seed", "7"]) == 2
 
     @pytest.mark.parametrize("command", ["preprocess", "train", "eval"])
     def test_config_file_keys_are_checked_for_every_command(self, tmp_path, capsys, command):
@@ -590,6 +606,28 @@ class TestSweep:
         accs = [float(r.split(",")[2]) for r in rows]
         best_line = [ln for ln in capsys.readouterr().out.splitlines() if "best cell" in ln][0]
         assert f"{max(accs):.4f}" in best_line
+
+    def sweep_three_articles(self, tmp_path, *flags):
+        pre = preprocess(tmp_path, write_corpus(tmp_path, num=3))
+        return main(["sweep", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                     "--mode", "WS", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--epochs", "1", "--batch-size", "4", "--alphas", "0.5", "--betas", "0.5",
+                     "--output-dir", str(tmp_path / "run"), *flags])
+
+    @pytest.mark.parametrize("fraction", ["0.9", "0"])
+    def test_split_without_a_train_or_validation_article_exits_2_naming_val_fraction(
+            self, tmp_path, capsys, fraction):
+        assert self.sweep_three_articles(tmp_path, "--val-fraction", fraction) == 2
+        assert "val_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--val-fraction", "0.25"],
+                                       ["--val-fraction", "0", "--folds", "3"],
+                                       ["--val-fraction", "0.9", "--folds", "3"]])
+    def test_valid_split_or_folds_on_three_articles(self, tmp_path, flags):
+        assert self.sweep_three_articles(tmp_path, *flags) == 0
+        assert len((tmp_path / "run" / "sweep.csv").read_text().splitlines()) == 2
 
 
 class TestGenSynthetic:

@@ -466,6 +466,65 @@ class TestPredict:
         assert np.max(np.abs(pooled - pooled_p)) < 1e-10
 
 
+def padded_encoder(x, mask, attn, ff):
+    """The encoder block on every row of the padded layout, PAD rows zeroed at the end:
+    the path the packed ``_encoder`` replaces, kept here op for op as its reference."""
+    h = attn.heads
+    qh, kh, vh = (ad.split_heads(ad.matmul(x, w), h) for w in (attn.wq, attn.wk, attn.wv))
+    offset = np.repeat((mask.reshape(-1, mask.shape[-1]) - 1.0) * 1e9, h, axis=0)[:, None, :]
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
+    w = ad.softmax_rows(ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape))))
+    att = ad.matmul(ad.reshape(ad.merge_heads(ad.matmul(w, vh), h), x.shape), attn.wo)
+    out = ad.reshape(ad.add(x, att), (-1, x.shape[-1]))
+    out = ad.add(out, ad.linear(ad.relu(ad.linear(out, ff.w1, ff.b1)), ff.w2, ff.b2))
+    return ad.reshape(ad.scale_rows(out, ad.constant(mask.reshape(-1))), x.shape)
+
+
+PACKING_MASKS = {
+    # ragged rows, a hole, and a sentence with one real word
+    "rank3_ragged": [[1, 1, 1, 0, 0], [1, 0, 0, 0, 0], [1, 1, 0, 1, 1], [0, 1, 1, 1, 1]],
+    "rank3_all_real": [[1, 1, 1], [1, 1, 1]],
+    "rank2_ragged": [1, 0, 1, 1, 0, 1],
+    "rank2_single_word": [0, 0, 1, 0],
+    "rank2_all_real": [1, 1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("level", ["word", "sentence"])
+@pytest.mark.parametrize("name", sorted(PACKING_MASKS))
+def test_packed_encoder_matches_padded_reference(name, level):
+    """Values, the input's gradient and every gradient of the level's parameters
+    agree with the padded block within rtol 1e-10, and PAD rows are exactly 0."""
+    mask = np.array(PACKING_MASKS[name], dtype=np.float64)
+    hp = tiny_hp(d=8, heads=2)
+    params = init_params(6, hp, seed=11)
+    attn, ff = ((params.word_attn, params.word_ff) if level == "word"
+                else (params.sent_attn, params.sent_ff))
+    encoder = word_level if level == "word" else sentence_level
+    rng = np.random.default_rng(len(name))
+    x = Tensor(rng.uniform(-1, 1, mask.shape + (hp.d,)), requires_grad=True)  # PAD rows too
+    weights = Tensor(rng.uniform(-1, 1, x.shape))
+    leaves = [x, attn.wq, attn.wk, attn.wv, attn.wo, ff.w1, ff.b1, ff.w2, ff.b2]
+
+    def run(block):
+        for t in leaves:
+            t.zero_grad()
+        with Tape() as tape:
+            out = block()
+            tape.backward(ad.sum_all(ad.mul(ad.reshape(out, (-1, hp.d)),
+                                            ad.reshape(weights, (-1, hp.d)))))
+        return out.data, [t.grad.copy() for t in leaves]
+
+    got, got_grads = run(lambda: encoder(x, mask, params))
+    want, want_grads = run(lambda: padded_encoder(x, mask, attn, ff))
+    assert got.shape == x.shape
+    assert np.all(got[mask == 0.0] == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+    for leaf, g, w in zip(("x", "wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2"),
+                          got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=0, err_msg=leaf)
+
+
 def ref_inject(ids, params, bundle, hp):
     """Numpy knowledge injection: a covered word's row is mixed, an uncovered one kept."""
     base = params.word_table.data[ids]
