@@ -287,6 +287,9 @@ def cmd_eval(args) -> int:
     encoded, classes, vocab = _load_corpus(cfg)
     params, hp, _ = md.load_checkpoint(_require(cfg.checkpoint, "checkpoint"),
                                        expected_n_words=len(vocab))
+    if classes > hp.classes:
+        raise ConfigError(f"{cfg.corpus} has {classes} classes, but checkpoint "
+                          f"{cfg.checkpoint} predicts only {hp.classes}")
     bundle = _load_bundle(cfg, len(vocab), hp.d)
     accuracy = tr.evaluate_accuracy(params, bundle, encoded, hp)
     print(f"accuracy {accuracy:.6f} on {len(encoded)} articles")

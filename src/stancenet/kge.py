@@ -358,8 +358,10 @@ class KnowledgeEmbeddingTable:
             dim_line = fh.readline().strip()
             if not stance_line.startswith("stance=") or not dim_line.startswith("dim="):
                 raise ValueError(f"{path}: expected 'stance=' and 'dim=' header lines")
-            stance = stance_line.split("=", 1)[1]
-            width = int(dim_line.split("=", 1)[1])
+            stance, dim = stance_line.split("=", 1)[1], dim_line.split("=", 1)[1].strip()
+            if not dim.isdecimal() or int(dim) < 1:
+                raise ValueError(f"{path}: header {dim_line!r} is not dim=<integer >= 1>")
+            width = int(dim)
             try:
                 with warnings.catch_warnings():  # a header-only table is valid
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -4,12 +4,11 @@ article, the title over the sentences), then mean-pool, project, softmax.
 
 Knowledge injection mixes per-word external-knowledge vectors into the
 word embeddings. ``alpha`` controls the general-knowledge mix and
-``beta`` the stance-specific mix; with the default ``retain``
-orientation a factor of 1 keeps the original embedding untouched, so
-alpha = beta = 1 is bit-for-bit equivalent to running with no knowledge
-at all. The ``inject`` orientation flips the weighting (the factor
-becomes the knowledge share). Words with no coverage in a table bypass
-that table's mixing entirely instead of being dragged toward zero.
+``beta`` the stance-specific mix: each is the share of the embedding a
+covered word keeps, so a factor of 1 keeps the original embedding
+untouched and alpha = beta = 1 is bit-for-bit equivalent to running with
+no knowledge at all. Words with no coverage in a table bypass that
+table's mixing entirely instead of being dragged toward zero.
 
 The ``mode`` field selects the ablation: ``W`` pools straight after the
 word level, ``WS`` adds the sentence level, ``WST`` adds the title
@@ -19,7 +18,7 @@ level, and ``All`` is ``WST`` plus knowledge injection.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ from .kge import KnowledgeEmbeddingTable, zero_table
 from .textdata import EncodedArticle
 
 MODES = ("W", "WS", "WST", "All")
-ORIENTATIONS = ("retain", "inject")
 
 PROB_FLOOR = 1e-12  # cross-entropy clamp; keeps a confident miss finite
 
@@ -45,7 +43,6 @@ class HyperParams:
     alpha: float = 0.5
     beta: float = 0.5
     mode: str = "All"
-    injection_orientation: str = "retain"
 
     def __post_init__(self):
         for key in ("d", "heads"):
@@ -57,11 +54,6 @@ class HyperParams:
             raise ValueError(f"alpha/beta must lie in [0, 1], got {self.alpha}, {self.beta}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.injection_orientation not in ORIENTATIONS:
-            raise ValueError(
-                f"injection_orientation must be one of {ORIENTATIONS}, "
-                f"got {self.injection_orientation!r}"
-            )
 
 
 @dataclass
@@ -230,17 +222,15 @@ def make_planted_bundle(
 
 def _mix(base: Tensor, table: KnowledgeEmbeddingTable, ids: np.ndarray,
          w_base: float, w_know: float) -> Tensor:
-    """One knowledge-mixing step, gated per word by the table's coverage."""
+    """One knowledge-mixing step, gated per word by the table's coverage: covered rows
+    scaled by w_base plus w_know times their knowledge vectors, uncovered rows kept.
+    Coverage is 0/1, so the row factors (w_base or 1) and the constant term are exact."""
     cov = table.coverage[ids]
     if w_know == 0.0 or not cov.any():
         return base
-    mixed = ad.add(ad.scale(base, w_base), ad.scale(ad.constant(table.vectors[ids]), w_know))
-    if cov.all():
-        return mixed
-    return ad.add(
-        ad.scale_rows(mixed, ad.constant(cov)),
-        ad.scale_rows(base, ad.constant(1.0 - cov)),
-    )
+    know = (w_know * cov)[:, None] * table.vectors[ids]
+    return ad.add(ad.scale_rows(base, ad.constant(w_base * cov + (1.0 - cov))),
+                  ad.constant(know))
 
 
 def inject_knowledge(
@@ -249,7 +239,6 @@ def inject_knowledge(
     bundle: KnowledgeBundle,
     alpha: float,
     beta: float,
-    orientation: str = "retain",
 ) -> Tensor:
     """Fuse general and stance-specific knowledge into word embeddings.
 
@@ -259,21 +248,11 @@ def inject_knowledge(
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError(f"knowledge factors must lie in [0, 1], got {alpha}, {beta}")
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown injection orientation {orientation!r}")
     ids = np.asarray(word_ids, dtype=np.int64)
     base = ad.gather_rows(params.word_table, ids)
-
-    if orientation == "retain":
-        wb_a, wk_a = alpha, 1.0 - alpha
-        wb_b, wk_b = beta, 1.0 - beta
-    else:
-        wb_a, wk_a = 1.0 - alpha, alpha
-        wb_b, wk_b = 1.0 - beta, beta
-
-    e_com = _mix(base, bundle.com, ids, wb_a, wk_a)
-    e_lib = _mix(e_com, bundle.lib, ids, wb_b, wk_b)
-    e_con = _mix(e_com, bundle.con, ids, wb_b, wk_b)
+    e_com = _mix(base, bundle.com, ids, alpha, 1.0 - alpha)
+    e_lib = _mix(e_com, bundle.lib, ids, beta, 1.0 - beta)
+    e_con = _mix(e_com, bundle.con, ids, beta, 1.0 - beta)
     fused = ad.linear(ad.concat_cols([e_lib, e_con]), params.fuse_w, params.fuse_b)
     return ad.add(fused, base)
 
@@ -317,16 +296,23 @@ def _heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, attn: AttentionPar
     return ad.softmax_rows(logits), vh
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask,
-                         attn: AttentionParams) -> Tensor:
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask, attn: AttentionParams,
+                         real: Optional[np.ndarray] = None) -> Tensor:
     """Scaled dot-product attention with fused heads; masked keys get -1e9 logits.
 
     q, k and v are [m, d] rows with an [mk] key mask, or batches [N, m, d] with an
-    [N, mk] mask; the output has the shape of q.
+    [N, mk] mask; the output has the shape of q. With ``real``, the flat positions
+    of the mask's 1s, q, k and v are the packed [W, d] rows of those positions (self-
+    attention), and so are the output's rows: the output projection runs on them only.
     """
     mask_arr = _mask(mask, "attention needs at least one unmasked key position")
-    w, vh = _heads(q, k, v, mask_arr, attn)
-    return ad.matmul(ad.reshape(ad.merge_heads(ad.matmul(w, vh), attn.heads), q.shape), attn.wo)
+    w, vh = _heads(q, k, v, mask_arr, attn, real)
+    context = ad.merge_heads(ad.matmul(w, vh), attn.heads)
+    n, m, d = context.shape
+    context = _as_shape(context, (n * m, d))
+    if real is not None:
+        context = ad.take_rows(context, real)
+    return _as_shape(ad.matmul(context, attn.wo), q.shape)
 
 
 def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams,
@@ -344,15 +330,10 @@ def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams,
     size, d = flat.size, x.shape[-1]
     real = None if flat.all() else np.flatnonzero(flat)
     rows = _as_shape(x, (size, d))
-    if real is None:
-        w, vh = _heads(x, x, x, mask_arr, attn)
-    else:
-        rows = ad.take_rows(rows, real)
-        w, vh = _heads(rows, rows, rows, mask_arr, attn, real)
-    context = _as_shape(ad.merge_heads(ad.matmul(w, vh), attn.heads), (size, d))
     if real is not None:
-        context = ad.take_rows(context, real)
-    h = ad.add(rows, ad.matmul(context, attn.wo))
+        rows = ad.take_rows(rows, real)
+    q = x if real is None else rows
+    h = ad.add(rows, _as_shape(multi_head_attention(q, q, q, mask_arr, attn, real), rows.shape))
     h = ad.add(h, ad.linear(ad.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
     if real is not None:
         h = ad.put_rows(h, real, size)
@@ -404,8 +385,7 @@ def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundl
     """
     def embed(ids):
         if hp.mode == "All":
-            return inject_knowledge(ids, params, bundle, hp.alpha, hp.beta,
-                                    hp.injection_orientation)
+            return inject_knowledge(ids, params, bundle, hp.alpha, hp.beta)
         return ad.gather_rows(params.word_table, ids)
 
     active = np.flatnonzero(_mask(article.sentence_mask, "predict got an all-masked article"))
@@ -454,6 +434,8 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
     """Parameters, hyperparameters and seed of a checkpoint; any array that is
     missing or shaped unlike ``init_params`` for its manifest raises ValueError.
     Per-head arrays of older checkpoints (``word_attn.q0``, ...) are joined in head order.
+    An older manifest's ``injection_orientation`` "inject" (each factor was the
+    knowledge share) loads as factors 1 - alpha and 1 - beta; "retain" is the default.
     """
     with np.load(path) as data:
         if "manifest" not in data.files:
@@ -466,6 +448,11 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
             raise ValueError(f"{path}: checkpoint was trained with sinusoidal positional "
                              f"encodings, which this version no longer adds")
         hp = HyperParams(**{key: manifest[key] for key in _HP_KEYS})
+        orientation = manifest.get("injection_orientation", "retain")
+        if orientation == "inject":
+            hp = replace(hp, alpha=1.0 - hp.alpha, beta=1.0 - hp.beta)
+        elif orientation != "retain":
+            raise ValueError(f"{path}: unknown injection_orientation {orientation!r}")
         if expected_n_words is not None and manifest["n_words"] != expected_n_words:
             raise ValueError(
                 f"checkpoint was trained with vocabulary size {manifest['n_words']}, "

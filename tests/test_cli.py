@@ -54,15 +54,15 @@ class TestCommandLine:
                      "--kge-dim --kge-epochs --kge-gamma --kge-lr --kge-method --kge-negatives "
                      "--output-dir --seed --stance --vocab",
         "train": "--alpha --batch-size --beta --checkpoint --config --corpus --d --epochs "
-                 "--folds --heads --injection-orientation --l --lr --lr-factor --mode --n "
-                 "--no-knowledge --output-dir --patience --seed --table-com --table-con "
-                 "--table-lib --val-fraction --vocab --weight-decay",
+                 "--folds --heads --l --lr --lr-factor --mode --n --no-knowledge "
+                 "--output-dir --patience --seed --table-com --table-con --table-lib "
+                 "--val-fraction --vocab --weight-decay",
         "eval": "--checkpoint --config --corpus --no-knowledge --table-com --table-con "
                 "--table-lib --vocab",
         "sweep": "--alpha --alphas --batch-size --beta --betas --checkpoint --config --corpus "
-                 "--d --epochs --folds --heads --injection-orientation --l --lr --lr-factor "
-                 "--mode --n --no-knowledge --output-dir --patience --seed --table-com "
-                 "--table-con --table-lib --val-fraction --vocab --weight-decay",
+                 "--d --epochs --folds --heads --l --lr --lr-factor --mode --n "
+                 "--no-knowledge --output-dir --patience --seed --table-com --table-con "
+                 "--table-lib --val-fraction --vocab --weight-decay",
         "gen-synthetic": "--articles --classes --config --out --planted --seed",
     }
     DEFAULTS = {
@@ -71,7 +71,6 @@ class TestCommandLine:
         "output_dir": "out", "seed": 0, "folds": 0, "val_fraction": 0.25,
         "no_knowledge": False, "holdout": 0.1, "stance": "common",
         "d": 64, "heads": 4, "n": 64, "l": 32, "alpha": 0.5, "beta": 0.5, "mode": "All",
-        "injection_orientation": "retain",
         "lr": 1e-3, "weight_decay": 5e-2, "batch_size": 16, "epochs": 50, "patience": 5,
         "lr_factor": 0.5,
         "kge_method": "RotatE", "kge_dim": 16, "kge_gamma": 6.0, "kge_negatives": 8,
@@ -350,7 +349,8 @@ class TestTrain:
         assert rc == 2
         assert "mystery_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["jobs", "l2_coeff", "kg_lib", "kg_con", "positional"])
+    @pytest.mark.parametrize("key", ["jobs", "l2_coeff", "kg_lib", "kg_con", "positional",
+                                     "injection_orientation"])
     def test_retired_config_keys_exit_2(self, tmp_path, capsys, key):
         config = tmp_path / "old.cfg"
         config.write_text(f"{key} = 1\n")
@@ -456,7 +456,7 @@ class TestEval:
         with np.load(checkpoint) as data:
             arrays = dict(data)
         manifest = json.loads(bytes(arrays["manifest"]).decode())
-        del manifest["injection_orientation"]
+        del manifest["mode"]
         arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
         np.savez(checkpoint, **arrays)
         capsys.readouterr()
@@ -466,7 +466,38 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(checkpoint) in err
-        assert "'injection_orientation'" in err
+        assert "'mode'" in err
+
+    def test_corpus_with_more_classes_than_the_checkpoint_exits_2(self, tmp_path, capsys):
+        """A 3-class corpus cannot be scored by a 2-class checkpoint, which never predicts
+        label 2; a 2-class corpus under a 3-class checkpoint is valid."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path, classes=3))
+        two = tmp_path / "two_classes.npz"
+        with np.load(pre / "corpus.npz") as data:
+            arrays = dict(data)
+        arrays["labels"] = arrays["labels"] % 2
+        arrays["classes"] = np.array(2)
+        np.savez(two, **arrays)
+        runs = {}
+        for corpus, classes in ((pre / "corpus.npz", 3), (two, 2)):
+            runs[classes] = tmp_path / f"run{classes}"
+            assert main(["train", "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
+                         "--no-knowledge", "--mode", "W", "--d", "8", "--heads", "2",
+                         "--n", "8", "--l", "3", "--epochs", "1",
+                         "--output-dir", str(runs[classes])]) == 0
+        capsys.readouterr()
+
+        def evaluate(corpus, run):
+            return main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                         "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
+                         "--no-knowledge"])
+
+        assert evaluate(pre / "corpus.npz", runs[2]) == 2
+        err = capsys.readouterr().err
+        assert str(pre / "corpus.npz") in err and str(runs[2] / "checkpoint.npz") in err
+        assert "3 classes" in err and "only 2" in err
+        assert evaluate(two, runs[3]) == 0
+        assert capsys.readouterr().out.startswith("accuracy ")
 
     def test_archive_without_manifest_exits_2(self, tmp_path, capsys):
         pre = preprocess(tmp_path, write_corpus(tmp_path))

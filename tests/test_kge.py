@@ -616,6 +616,17 @@ class TestExportAlignedTable:
                            match=rf"table\.txt: row {rows[0]} has {count} values, but dim=4"):
             kge.KnowledgeEmbeddingTable.load(path)
 
+    @pytest.mark.parametrize("dim", ["abc", "-1", "0", "2.5", ""])
+    def test_bad_dim_header_names_file_and_header(self, tmp_path, dim):
+        table = export_aligned_table(self.model, {"beta": "E_beta"}, self.vocab, self.store)
+        path = tmp_path / "table.txt"
+        table.save(path)
+        lines = path.read_text().splitlines()
+        lines[1] = f"dim={dim}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"table\.txt: header 'dim={dim}'"):
+            kge.KnowledgeEmbeddingTable.load(path)
+
     def test_non_numeric_token_names_file_row_and_token(self, tmp_path):
         """'#' starts no comment, so a '#1' after a full row is an error, and row numbers
         count only the non-blank rows."""

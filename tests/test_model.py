@@ -8,6 +8,7 @@ by hand.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,24 +165,66 @@ class TestInjectKnowledge:
         out_b = inject_knowledge(ids, params, zero_cov, 0.2, 0.2)
         assert np.array_equal(out_a.data, out_b.data)
 
-    def test_inject_orientation_flips_weighting(self):
+    def test_partly_covered_call_records_two_steps_per_table(self):
+        """gather, one scale and one add per table, the fuse layer's concat, matmul and
+        bias, and the residual: 11 tape records, however the coverage is split."""
         hp = tiny_hp()
         params = init_params(10, hp, seed=8)
-        params.fuse_w.data[:] = 0.0
-        params.fuse_w.data[: hp.d, :] = np.eye(hp.d)
-        params.fuse_b.data[:] = 0.0
         bundle = random_bundle(10, hp.d, 9)
-        wid = int(np.flatnonzero(bundle.com.coverage)[0])
-        # under "inject", alpha=1 pulls in the full common row
-        out = inject_knowledge([wid], params, bundle, 1.0, 0.0, orientation="inject")
-        e_lib = out.data[0] - params.word_table.data[wid]
-        assert np.allclose(e_lib, bundle.com.vectors[wid], atol=1e-12)
+        ids = list(range(10))
+        for table in (bundle.com, bundle.lib, bundle.con):
+            assert 0.0 < table.coverage[ids].mean() < 1.0
+        with Tape() as tape:
+            inject_knowledge(ids, params, bundle, 0.3, 0.6)
+            assert len(tape) <= 11
 
     def test_factor_out_of_range_rejected(self):
         hp = tiny_hp()
         params = init_params(5, hp, seed=0)
         with pytest.raises(ValueError):
             inject_knowledge([0], params, zero_bundle(5, hp.d), 1.2, 0.5)
+
+
+def scaled_mix(base, table, ids, w_base, w_know):
+    """Knowledge mixing as two blends gated by coverage: the path ``md._mix`` replaces,
+    kept here op for op as its reference."""
+    cov = table.coverage[ids]
+    if w_know == 0.0 or not cov.any():
+        return base
+    mixed = ad.add(ad.scale(base, w_base), ad.scale(ad.constant(table.vectors[ids]), w_know))
+    if cov.all():
+        return mixed
+    return ad.add(
+        ad.scale_rows(mixed, ad.constant(cov)),
+        ad.scale_rows(base, ad.constant(1.0 - cov)),
+    )
+
+
+@pytest.mark.parametrize("coverage", ["all", "none", "partial"])
+@pytest.mark.parametrize("w_base, w_know", [(0.3, 0.7), (0.0, 1.0), (1.0, 0.0)])
+def test_mix_matches_blended_reference_bitwise(coverage, w_base, w_know):
+    """Values and the embedding's gradient equal the two-blend path bit for bit."""
+    rng = np.random.default_rng(21)
+    n_words, d = 9, 6
+    cov = {"all": np.ones(n_words), "none": np.zeros(n_words),
+           "partial": (np.arange(n_words) % 3 != 0).astype(np.float64)}[coverage]
+    table = KnowledgeEmbeddingTable("common", rng.uniform(-1, 1, (n_words, d)) * cov[:, None],
+                                    cov)
+    ids = np.array([4, 0, 8, 3, 3, 7, 1])
+    rows = rng.uniform(-1, 1, (len(ids), d))
+    weights = Tensor(rng.uniform(-1, 1, (len(ids), d)))
+
+    def run(mix):
+        base = Tensor(rows.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = mix(base, table, ids, w_base, w_know)
+            tape.backward(ad.sum_all(ad.mul(out, weights)))
+        return out.data, base.grad
+
+    got, got_grad = run(md._mix)
+    want, want_grad = run(scaled_mix)
+    assert got.tobytes() == want.tobytes()
+    assert got_grad.tobytes() == want_grad.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -528,10 +571,7 @@ def test_packed_encoder_matches_padded_reference(name, level):
 def ref_inject(ids, params, bundle, hp):
     """Numpy knowledge injection: a covered word's row is mixed, an uncovered one kept."""
     base = params.word_table.data[ids]
-    if hp.injection_orientation == "retain":
-        mix_a, mix_b = (hp.alpha, 1.0 - hp.alpha), (hp.beta, 1.0 - hp.beta)
-    else:
-        mix_a, mix_b = (1.0 - hp.alpha, hp.alpha), (1.0 - hp.beta, hp.beta)
+    mix_a, mix_b = (hp.alpha, 1.0 - hp.alpha), (hp.beta, 1.0 - hp.beta)
 
     def mix(rows, table, weights):
         covered = table.coverage[ids][:, None] == 1.0
@@ -585,14 +625,13 @@ def ref_predict(article, params, bundle, hp):
 
 @settings(max_examples=60, deadline=None)
 @given(mode=st.sampled_from(md.MODES), heads=st.sampled_from([1, 2, 4]),
-       orientation=st.sampled_from(md.ORIENTATIONS), l=st.integers(1, 5), n=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1))
-def test_predict_matches_per_sentence_oracle(mode, heads, orientation, l, n, seed):
+       l=st.integers(1, 5), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_predict_matches_per_sentence_oracle(mode, heads, l, n, seed):
     """Batched, trimmed prediction equals the per-sentence oracle on ragged articles:
     holes in word masks, padded sentences in the middle and at the end, any head count."""
     rng = np.random.default_rng(seed)
     hp = HyperParams(d=8, heads=heads, n=n, l=l, classes=3, alpha=float(rng.uniform()),
-                     beta=float(rng.uniform()), mode=mode, injection_orientation=orientation)
+                     beta=float(rng.uniform()), mode=mode)
     n_words = 12
     params = init_params(n_words, hp, seed=int(rng.integers(1000)))
     bundle = random_bundle(n_words, hp.d, int(rng.integers(1000)))
@@ -724,6 +763,46 @@ class TestCheckpoint:
     def test_manifest_with_positional_true_rejected(self, tmp_path):
         path = self.rewrite(tmp_path, self.set_positional(True))
         with pytest.raises(ValueError, match="positional"):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("orientation", ["retain", "inject"])
+    def test_manifest_with_retired_orientation_loads(self, tmp_path, monkeypatch, orientation):
+        """Checkpoints written while ``injection_orientation`` existed still load:
+        "retain" is the weighting kept, and "inject" (each factor the knowledge share)
+        is the model with factors 1 - alpha and 1 - beta."""
+        hp = tiny_hp(alpha=0.3, beta=0.8)
+        _, vocab, encoded = encode_fixture(hp)
+        params = init_params(len(vocab), hp, seed=6)
+        bundle = random_bundle(len(vocab), hp.d, 7)
+        path = tmp_path / "model.npz"
+        md.save_checkpoint(path, params, hp, seed=6)
+        with np.load(path) as data:
+            arrays = dict(data)
+        manifest = json.loads(bytes(arrays["manifest"]).decode())
+        manifest["injection_orientation"] = orientation
+        arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        loaded, hp2, _ = md.load_checkpoint(path, expected_n_words=len(vocab))
+        if orientation == "retain":
+            assert hp2 == hp
+        else:
+            assert hp2 == replace(hp, alpha=1.0 - 0.3, beta=1.0 - 0.8)
+            # the saved model as "inject" ran it: every mix with its two weights swapped
+            mix = md._mix
+            monkeypatch.setattr(md, "_mix", lambda base, table, ids, w_base, w_know:
+                                mix(base, table, ids, w_know, w_base))
+        want = [predict(article, params, bundle, hp).data for article in encoded]
+        monkeypatch.undo()
+        got = [predict(article, loaded, bundle, hp2).data for article in encoded]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_manifest_with_unknown_orientation_rejected(self, tmp_path):
+        def edit(arrays):
+            manifest = json.loads(bytes(arrays["manifest"]).decode())
+            manifest["injection_orientation"] = "sideways"
+            arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        path = self.rewrite(tmp_path, edit)
+        with pytest.raises(ValueError, match=r"model\.npz.*'sideways'"):
             md.load_checkpoint(path)
 
     def test_manifest_missing_a_key_rejected(self, tmp_path):
