@@ -148,6 +148,15 @@ def _load_corpus(cfg: RunConfig) -> tuple[list[td.EncodedArticle], int, td.Vocab
     return encoded, classes, vocab
 
 
+def _check_titles(cfg: RunConfig, encoded: list[td.EncodedArticle], mode: str):
+    """Before any training: the title-level modes need a title word in every article."""
+    if mode in md.TITLE_MODES:
+        for i, a in enumerate(encoded):
+            if not a.title_mask.any():
+                raise ConfigError(f"{cfg.corpus}: article {i} has no title word, "
+                                  f"which mode {mode} needs")
+
+
 def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
     """The three tables, each n_words x d; d is the model's, so a checkpoint's for eval."""
     if cfg.no_knowledge:
@@ -242,6 +251,7 @@ def cmd_train_kge(args) -> int:
 def cmd_train(args) -> int:
     cfg, train_cfg, _ = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
+    _check_titles(cfg, encoded, train_cfg.hp.mode)
     train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes))
     bundle = _load_bundle(cfg, len(vocab), train_cfg.hp.d)
     out_dir = Path(cfg.output_dir)
@@ -285,8 +295,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = build_config(args)[0]
     encoded, classes, vocab = _load_corpus(cfg)
-    params, hp, _ = md.load_checkpoint(_require(cfg.checkpoint, "checkpoint"),
-                                       expected_n_words=len(vocab))
+    params, hp, _ = md.load_checkpoint(_require(cfg.checkpoint, "checkpoint"))
+    if params.word_table.shape[0] != len(vocab):
+        raise ConfigError(f"checkpoint {cfg.checkpoint} was trained with vocabulary size "
+                          f"{params.word_table.shape[0]}, but vocabulary {cfg.vocab} has "
+                          f"{len(vocab)} words")
+    _check_titles(cfg, encoded, hp.mode)
     if classes > hp.classes:
         raise ConfigError(f"{cfg.corpus} has {classes} classes, but checkpoint "
                           f"{cfg.checkpoint} predicts only {hp.classes}")
@@ -299,6 +313,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, train_cfg, _ = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
+    _check_titles(cfg, encoded, train_cfg.hp.mode)
     train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes))
     bundle = _load_bundle(cfg, len(vocab), train_cfg.hp.d)
     out_dir = Path(cfg.output_dir)

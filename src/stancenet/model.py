@@ -18,17 +18,18 @@ level, and ``All`` is ``WST`` plus knowledge injection.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DegenerateInput, Tensor
+from .autodiff import DegenerateInput, ShapeMismatch, Tensor
 from .kge import KnowledgeEmbeddingTable, zero_table
 from .textdata import EncodedArticle
 
 MODES = ("W", "WS", "WST", "All")
+TITLE_MODES = ("WST", "All")  # the modes whose title level reads the article's title
 
 PROB_FLOOR = 1e-12  # cross-entropy clamp; keeps a confident miss finite
 
@@ -258,8 +259,8 @@ def inject_knowledge(
 
 
 def _mask(mask, what: str) -> np.ndarray:
-    """The mask as a float array; a row (last axis) with no 1 raises ``DegenerateInput(what)``."""
-    mask_arr = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=np.float64)
+    """The numpy mask as floats; a row (last axis) with no 1 raises ``DegenerateInput(what)``."""
+    mask_arr = np.asarray(mask, dtype=np.float64)
     if not mask_arr.any(axis=-1).all():
         raise DegenerateInput(what)
     return mask_arr
@@ -270,102 +271,86 @@ def _as_shape(x: Tensor, shape) -> Tensor:
     return x if x.shape == tuple(shape) else ad.reshape(x, shape)
 
 
-def _heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, attn: AttentionParams,
-           real: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
-    """The attention of every level on [N, m, d] queries, keys and values ([m, d] is
-    N = 1): softmax weights of the scaled dot-product scores, [N*heads, mq, mk] (keys
-    masked in the [N, mk] mask get -1e9 logits, so weight exactly 0), and the projected
-    values, [N*heads, mk, d/heads]; entry n*heads + h is head h of item n.
+def _grid(rows: Tensor, mask: np.ndarray) -> Tensor:
+    """Packed [W, k] rows, one per 1 of the mask in mask order, laid out in the mask's
+    [N, m, k] grid ([m, k] for an [m] mask) with zero rows at its 0s."""
+    real = np.flatnonzero(mask)
+    if rows.shape[0] != real.size:
+        raise ShapeMismatch(f"{rows.shape[0]} packed rows for a mask with {real.size} 1s")
+    if real.size < mask.size:
+        rows = ad.put_rows(rows, real, mask.size)
+    return _as_shape(rows, mask.shape + rows.shape[-1:])
 
-    With ``real``, the flat positions of the mask's 1s, q, k and v are the packed
-    [W, d] rows of those positions: they are projected as they are and laid out in
-    the mask's [N, m] positions, with zero rows at the PAD positions.
-    """
+
+def _packed(grid: Tensor, mask: np.ndarray) -> Tensor:
+    """The inverse of ``_grid``: the [W, k] rows of the grid at the mask's 1s."""
+    rows = _as_shape(grid, (mask.size, grid.shape[-1]))
+    return rows if mask.all() else ad.take_rows(rows, np.flatnonzero(mask))
+
+
+def _heads(q: Tensor, q_mask: np.ndarray, x: Tensor, mask: np.ndarray,
+           attn: AttentionParams) -> tuple[Tensor, Tensor]:
+    """The attention of every level: packed queries q, laid out by q_mask, over the
+    packed rows x of the [m] or [N, m] mask (q_mask has the same N). Returns the softmax
+    weights of the scaled dot-product scores, [N*heads, mq, m] (keys at the mask's 0s
+    get -1e9 logits, so weight exactly 0), and the projected values,
+    [N*heads, m, d/heads]; entry n*heads + h is head h of item n. Only the scores, the
+    softmax and what the caller does with the weights run on the grid."""
     h = attn.heads
-
-    def project(x, w):
-        x = ad.matmul(x, w)
-        if real is not None:
-            x = _as_shape(ad.put_rows(x, real, mask.size), mask.shape + x.shape[-1:])
-        return ad.split_heads(x, h)
-
-    qh, kh, vh = project(q, attn.wq), project(k, attn.wk), project(v, attn.wv)
+    qh, kh, vh = (ad.split_heads(_grid(ad.matmul(rows, w), m), h) for rows, m, w in
+                  ((q, q_mask, attn.wq), (x, mask, attn.wk), (x, mask, attn.wv)))
     offset = np.repeat((mask.reshape(-1, mask.shape[-1]) - 1.0) * 1e9, h, axis=0)[:, None, :]
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
     logits = ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape)))
     return ad.softmax_rows(logits), vh
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask, attn: AttentionParams,
-                         real: Optional[np.ndarray] = None) -> Tensor:
-    """Scaled dot-product attention with fused heads; masked keys get -1e9 logits.
-
-    q, k and v are [m, d] rows with an [mk] key mask, or batches [N, m, d] with an
-    [N, mk] mask; the output has the shape of q. With ``real``, the flat positions
-    of the mask's 1s, q, k and v are the packed [W, d] rows of those positions (self-
-    attention), and so are the output's rows: the output projection runs on them only.
-    """
+def multi_head_attention(x: Tensor, mask, attn: AttentionParams) -> Tensor:
+    """Scaled dot-product self-attention with fused heads over packed rows: x holds the
+    [W, d] rows of the 1s of an [m] mask, or of an [N, m] mask for N items, in mask
+    order, and so does the output. Keys at the mask's 0s get -1e9 logits."""
     mask_arr = _mask(mask, "attention needs at least one unmasked key position")
-    w, vh = _heads(q, k, v, mask_arr, attn, real)
+    w, vh = _heads(x, mask_arr, x, mask_arr, attn)
     context = ad.merge_heads(ad.matmul(w, vh), attn.heads)
-    n, m, d = context.shape
-    context = _as_shape(context, (n * m, d))
-    if real is not None:
-        context = ad.take_rows(context, real)
-    return _as_shape(ad.matmul(context, attn.wo), q.shape)
+    return ad.matmul(_packed(context, mask_arr), attn.wo)
 
 
 def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams,
              what: str) -> Tensor:
-    """Self-attention, then feed-forward, each with a residual; PAD rows are exactly 0.
-    x is [m, d] with an [m] mask or [N, m, d] with an [N, m] mask.
-
-    Every row-wise step (the projections, both residuals, the feed-forward) runs on
-    the real rows only; the [N, m] layout is used only for scores, softmax and the
-    weighted sum of values. The residuals keep each row's identity through the block
-    instead of collapsing toward the attention average.
-    """
+    """Self-attention, then feed-forward, each with a residual, on the packed rows x of
+    an [m] or [N, m] mask. The residuals keep each row's identity through the block
+    instead of collapsing toward the attention average."""
     mask_arr = _mask(mask, what)
-    flat = mask_arr.reshape(-1)
-    size, d = flat.size, x.shape[-1]
-    real = None if flat.all() else np.flatnonzero(flat)
-    rows = _as_shape(x, (size, d))
-    if real is not None:
-        rows = ad.take_rows(rows, real)
-    q = x if real is None else rows
-    h = ad.add(rows, _as_shape(multi_head_attention(q, q, q, mask_arr, attn, real), rows.shape))
-    h = ad.add(h, ad.linear(ad.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
-    if real is not None:
-        h = ad.put_rows(h, real, size)
-    return _as_shape(h, x.shape)
+    h = ad.add(x, multi_head_attention(x, mask_arr, attn))
+    return ad.add(h, ad.linear(ad.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
 
 
 def word_level(x: Tensor, word_mask, params: ModelParams) -> Tensor:
-    """Self-attention over each sentence's words ([n, d], or [L, n, d] for L
-    sentences), then feed-forward; PAD rows zeroed."""
+    """Self-attention over each sentence's words, then feed-forward: x is the packed
+    rows of a sentence's [n] word mask, or of an [L, n] mask for L sentences."""
     return _encoder(x, word_mask, params.word_attn, params.word_ff,
                     "word_level got an empty sentence")
 
 
 def sentence_level(s: Tensor, sentence_mask, params: ModelParams) -> Tensor:
-    """Self-attention over the article's sentence vectors, then feed-forward."""
+    """Self-attention over the packed sentence rows of an article, then feed-forward."""
     return _encoder(s, sentence_mask, params.sent_attn, params.sent_ff,
                     "sentence_level got an all-masked article")
 
 
 def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) -> Tensor:
-    """Re-weight sentence rows by their attention to the title, plus a residual.
+    """Re-weight packed sentence rows by their attention to the title, plus a residual.
 
-    Each head scores the sentences against the single title query; instead
-    of collapsing to one context row, every sentence row is scaled by its
-    own attention weight so the output stays one row per sentence and can
-    carry the residual.
+    title is the [1, d] query of an [m] sentence mask ([N, d], one per item, for an
+    [N, m] mask). Each head scores the sentences against the title query; instead of
+    collapsing to one context row, every sentence row is scaled by its own attention
+    weight, so the output stays one packed row per sentence and can carry the residual.
     """
     mask_arr = _mask(sentence_mask, "title_level got an all-masked article")
     attn = params.title_attn
-    w, vh = _heads(title, s, s, mask_arr, attn)
+    w, vh = _heads(title, np.ones(mask_arr.shape[:-1] + (1,)), s, mask_arr, attn)
     out = ad.merge_heads(ad.scale_rows(vh, ad.reshape(w, vh.shape[:2])), attn.heads)
-    return ad.add(ad.matmul(ad.reshape(out, s.shape), attn.wo), s)
+    return ad.add(ad.matmul(_packed(out, mask_arr), attn.wo), s)
 
 
 def _trim(mask: np.ndarray) -> int:
@@ -378,10 +363,9 @@ def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundl
             hp: HyperParams) -> Tensor:
     """Class probability vector for one encoded article under the given mode.
 
-    The word level runs once over the active sentences, cut after the last real
-    word: padded sentences and PAD columns would only get zero weight and zero rows.
-    Only the real words are embedded; their rows are laid out in that [L, n', d]
-    grid with zero PAD rows.
+    Only the real words of the active sentences are embedded, and the levels run on
+    their packed rows; the word grid is cut after the last real word, since padded
+    sentences and PAD columns would only get zero weight.
     """
     def embed(ids):
         if hp.mode == "All":
@@ -391,21 +375,20 @@ def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundl
     active = np.flatnonzero(_mask(article.sentence_mask, "predict got an all-masked article"))
     n = _trim(article.word_masks[active])
     masks = article.word_masks[active, :n]
-    real = np.flatnonzero(masks)
-    words = ad.put_rows(embed(article.sentences[active, :n].reshape(-1)[real]), real, masks.size)
-    words = word_level(ad.reshape(words, (active.size, n, hp.d)), masks, params)
+    sentence, word = np.nonzero(masks)
+    words = word_level(embed(article.sentences[active, :n][sentence, word]), masks, params)
     # each sentence's vector is the mean of its real words' rows
-    pool = ad.constant((masks / masks.sum(axis=1, keepdims=True))[:, None, :])
-    rows = ad.reshape(ad.matmul(pool, words), (active.size, hp.d))
-    smask = ad.constant(np.ones(active.size))
+    pool = (sentence == np.arange(active.size)[:, None]) / np.bincount(sentence)[:, None]
+    rows = ad.matmul(ad.constant(pool), words)
+    smask = np.ones(active.size)
     if hp.mode != "W":
         rows = sentence_level(rows, smask, params)
-    if hp.mode in ("WST", "All"):
+    if hp.mode in TITLE_MODES:
         t = _trim(_mask(article.title_mask, "title-level modes need a non-empty title"))
         title = ad.mean_rows(embed(article.title[:t]), ad.constant(article.title_mask[:t]))
         rows = title_level(ad.reshape(title, (1, hp.d)), rows, smask, params)
 
-    pooled = ad.mean_rows(rows, smask)
+    pooled = ad.mean_rows(rows, ad.constant(smask))
     logits = ad.linear(ad.reshape(pooled, (1, hp.d)), params.out_w, params.out_b)
     return ad.reshape(ad.softmax_rows(logits), (hp.classes,))
 
@@ -420,10 +403,12 @@ def cross_entropy(probs: Tensor, label: int) -> Tensor:
 # --------------------------------------------------------------------------
 
 _HP_KEYS = tuple(f.name for f in fields(HyperParams))
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
-    manifest = {**asdict(hp), "seed": seed, "n_words": params.word_table.shape[0]}
+    manifest = {"format": CHECKPOINT_FORMAT, **asdict(hp), "seed": seed,
+                "n_words": params.word_table.shape[0]}
     arrays = {f"param:{name}": t.data for name, t in params.named()}
     np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
              **arrays)
@@ -431,45 +416,35 @@ def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
 
 def load_checkpoint(path, expected_n_words: Optional[int] = None
                     ) -> tuple[ModelParams, HyperParams, int]:
-    """Parameters, hyperparameters and seed of a checkpoint; any array that is
-    missing or shaped unlike ``init_params`` for its manifest raises ValueError.
-    Per-head arrays of older checkpoints (``word_attn.q0``, ...) are joined in head order.
-    An older manifest's ``injection_orientation`` "inject" (each factor was the
-    knowledge share) loads as factors 1 - alpha and 1 - beta; "retain" is the default.
+    """Parameters, hyperparameters and seed of a checkpoint of the current format.
+
+    Another format (an older stancenet's), a missing manifest key, a vocabulary size
+    other than ``expected_n_words``, or an array missing or shaped unlike
+    ``init_params`` for the manifest raises a ValueError naming the file.
     """
     with np.load(path) as data:
         if "manifest" not in data.files:
             raise ValueError(f"{path}: not a stancenet checkpoint (no manifest array)")
         manifest = json.loads(bytes(data["manifest"]).decode())
+        if manifest.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: an older stancenet wrote this checkpoint (manifest "
+                             f"'format' {manifest.get('format')!r}, not {CHECKPOINT_FORMAT}); "
+                             f"retrain the model")
         for key in _HP_KEYS + ("seed", "n_words"):
             if key not in manifest:
                 raise ValueError(f"{path}: checkpoint manifest has no {key!r} key")
-        if manifest.get("positional", False):
-            raise ValueError(f"{path}: checkpoint was trained with sinusoidal positional "
-                             f"encodings, which this version no longer adds")
         hp = HyperParams(**{key: manifest[key] for key in _HP_KEYS})
-        orientation = manifest.get("injection_orientation", "retain")
-        if orientation == "inject":
-            hp = replace(hp, alpha=1.0 - hp.alpha, beta=1.0 - hp.beta)
-        elif orientation != "retain":
-            raise ValueError(f"{path}: unknown injection_orientation {orientation!r}")
         if expected_n_words is not None and manifest["n_words"] != expected_n_words:
-            raise ValueError(
-                f"checkpoint was trained with vocabulary size {manifest['n_words']}, "
-                f"but the current vocabulary has {expected_n_words} words"
-            )
+            raise ValueError(f"{path}: checkpoint was trained with vocabulary size "
+                             f"{manifest['n_words']}, but the current vocabulary has "
+                             f"{expected_n_words} words")
         params = init_params(manifest["n_words"], hp, seed=0)
         for name, t in params.named():
-            parts, shape = [name], t.shape
-            if f"param:{name}" not in data.files and f"param:{name}0" in data.files:
-                parts, shape = [f"{name}{h}" for h in range(hp.heads)], (hp.d, hp.d // hp.heads)
-            arrays = []
-            for part in parts:
-                if f"param:{part}" not in data.files:
-                    raise ValueError(f"{path}: checkpoint has no array for parameter {part!r}")
-                arrays.append(data[f"param:{part}"])
-                if arrays[-1].shape != shape:
-                    raise ValueError(f"{path}: parameter {part!r} has shape "
-                                     f"{arrays[-1].shape}, but the manifest implies {shape}")
-            t.data = np.concatenate(arrays, axis=1) if len(arrays) > 1 else arrays[0]
+            if f"param:{name}" not in data.files:
+                raise ValueError(f"{path}: checkpoint has no array for parameter {name!r}")
+            array = data[f"param:{name}"]
+            if array.shape != t.shape:
+                raise ValueError(f"{path}: parameter {name!r} has shape {array.shape}, "
+                                 f"but the manifest implies {t.shape}")
+            t.data = array
     return params, hp, manifest["seed"]

@@ -445,6 +445,47 @@ class TestEval:
         assert rc == 2
         assert "vocabulary" in capsys.readouterr().err
 
+    def test_vocab_mismatch_names_checkpoint_and_vocabulary(self, tmp_path, capsys):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--epochs", "1", "--output-dir", str(run)]) == 0
+        words = (pre / "vocab.txt").read_text().splitlines()
+        bigger = tmp_path / "bigger_vocab.txt"
+        bigger.write_text("\n".join(words + ["extraword"]) + "\n")
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                   "--corpus", str(pre / "corpus.npz"), "--vocab", str(bigger),
+                   "--no-knowledge"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(run / "checkpoint.npz") in err and str(bigger) in err
+        assert f"vocabulary size {len(words)}" in err and f"{len(words) + 1} words" in err
+
+    def test_older_checkpoint_format_exits_2(self, tmp_path, capsys):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--epochs", "1", "--output-dir", str(run)]) == 0
+        checkpoint = run / "checkpoint.npz"
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        manifest = json.loads(bytes(arrays["manifest"]).decode())
+        del manifest["format"]
+        arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        np.savez(checkpoint, **arrays)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(checkpoint),
+                   "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(checkpoint) in err and "retrain" in err
+
     def test_manifest_missing_a_key_exits_2(self, tmp_path, capsys):
         pre = preprocess(tmp_path, write_corpus(tmp_path))
         run = tmp_path / "run"
@@ -602,6 +643,34 @@ class TestLoadBoundary:
         assert rc == 2
         assert str(corpus) in err
         assert f"article 5 has label {label}" in err
+
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_article_without_title_exits_2_in_title_modes(self, tmp_path, capsys, command):
+        """WST and All stop before any training, naming the corpus, the article and the
+        mode; W and WS, which never read the title, accept the article."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        model = {mode: ["--mode", mode, "--d", "8", "--heads", "2", "--n", "8", "--l", "3"]
+                 for mode in ("W", "WS", "WST", "All")}
+        extra = {mode: self.command_args(tmp_path / mode, pre, command, model=model[mode])
+                 for mode in model}
+        corpus = pre / "corpus.npz"
+        with np.load(corpus) as data:
+            arrays = dict(data)
+        arrays["title_masks"][4] = 0.0
+        arrays["titles"][4] = 0
+        np.savez(corpus, **arrays)
+        for mode in model:
+            capsys.readouterr()
+            rc = main([command, "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
+                       "--no-knowledge", *extra[mode]])
+            err = capsys.readouterr().err
+            if mode in ("W", "WS"):
+                assert rc == 0, err
+                continue
+            assert rc == 2
+            assert f"{corpus}: article 4 has no title word, which mode {mode} needs" in err
+            assert not (tmp_path / mode / "run").exists()
 
 
 class TestSweep:

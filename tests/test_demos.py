@@ -1,7 +1,8 @@
 """Smoke test: the short demos run to completion against the current package.
 
 Demo 02 calls ``word_level``, ``sentence_level`` and ``title_level``
-directly, so it breaks when their signatures drift. Demos 04 and 05 train
+directly and asserts what it shows, so it breaks when their signatures or
+those properties drift. Demos 04 and 05 train
 for tens of seconds and are left out.
 """
 
