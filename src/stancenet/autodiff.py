@@ -3,9 +3,19 @@
 Everything in this package that needs a gradient runs through the ops in
 this module. An op computes its value with numpy, and, while a Tape is
 active and some input participates in differentiation, appends a record
-(inputs, output, backward closure) to that tape. ``Tape.backward`` then
-walks the records in reverse and accumulates gradients into the ``grad``
-field of every leaf tensor with ``requires_grad=True``.
+to that tape: its input keys, its output key, its output shape and a
+backward closure. ``Tape.backward`` then walks the records in reverse and
+accumulates gradients into the ``grad`` field of every leaf tensor with
+``requires_grad=True``.
+
+A record keeps only what its backward formula reads (PyTorch's
+saved-tensors rule). A closure captures the arrays its gradient formula
+reads, and only for the inputs that require a gradient; it keeps shapes as
+tuples. So ``add`` or ``reshape`` keeps no array, ``matmul`` and ``mul``
+keep the other operand, ``softmax_rows`` and ``sqrt`` their output, and
+``relu`` its mask. An intermediate that no formula reads is freed as soon
+as the forward code drops it. A key is a serial number per Tensor, which,
+unlike ``id()``, no later tensor reuses.
 
 Most backward closures return a dense gradient of their input's shape.
 ``gather_rows`` instead returns a row gradient (ids, rows), so a gather
@@ -20,6 +30,7 @@ value carriers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -34,10 +45,13 @@ class DegenerateInput(ValueError):
     """Raised for inputs an op cannot meaningfully process (e.g. an all-zero mask)."""
 
 
+_SERIAL = itertools.count()
+
+
 class Tensor:
     """A rank 0-3 array of float64 values, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -45,6 +59,7 @@ class Tensor:
             raise ShapeMismatch(f"tensors are rank <= 3, got shape {self.data.shape}")
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self._key = next(_SERIAL)  # the tensor's name on a tape
 
     @property
     def shape(self):
@@ -85,10 +100,18 @@ class Tape:
     topological order of the data-flow graph: an op can only run after
     the ops that produced its inputs. ``backward`` therefore visits each
     record exactly once, in reverse.
+
+    A record is (input keys, output key, output shape, backward closure);
+    an input that requires no gradient has key None, and the closure holds
+    only what its formula reads. The only tensors the tape references are
+    its leaves, the requires_grad inputs that no record of this tape
+    produced, since backward writes their ``grad``.
     """
 
     def __init__(self):
-        self._records: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
+        self._records: list[tuple[tuple[Optional[int], ...], int, tuple, Callable]] = []
+        self._produced: set[int] = set()
+        self._leaves: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -102,8 +125,17 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def record(self, inputs: tuple[Tensor, ...], output: Tensor, backward: Callable):
-        self._records.append((inputs, output, backward))
+    def record(self, inputs: Sequence[Tensor], output: Tensor, backward: Callable):
+        keys = []
+        for t in inputs:
+            if not t.requires_grad:
+                keys.append(None)
+                continue
+            if t._key not in self._produced:
+                self._leaves[t._key] = t
+            keys.append(t._key)
+        self._produced.add(output._key)
+        self._records.append((tuple(keys), output._key, output.data.shape, backward))
 
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf on this tape.
@@ -114,41 +146,44 @@ class Tape:
         gradients from ``gather_rows`` are collected per tensor and
         densified once: for a non-leaf when its own record is reached, for
         a leaf when the leaves are written.
+
+        An adjoint is stored as the op returned it, uncopied, so it may be
+        an array the op also handed to another input (``add`` hands the
+        same one to both). It is therefore never written in place:
+        ``_densify`` copies it, and a leaf's ``grad`` gets a copy.
         """
         if loss.data.ndim != 0:
             raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        produced = {id(out) for _, out, _ in self._records}
-        if id(loss) not in produced:
+        if loss._key not in self._produced:
             raise ValueError("loss was not produced by ops recorded on this tape")
 
-        adjoint: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+        adjoint: dict[int, np.ndarray] = {loss._key: np.ones((), dtype=np.float64)}
         row_grads: dict[int, list[_RowGrad]] = {}
-        holders: dict[int, Tensor] = {id(loss): loss}
-        for inputs, out, back in reversed(self._records):
-            key = id(out)
+        for in_keys, key, shape, back in reversed(self._records):
             if key in row_grads:
-                adjoint[key] = _densify(adjoint.get(key), row_grads.pop(key), out.data.shape)
+                adjoint[key] = _densify(adjoint.get(key), row_grads.pop(key), shape)
             out_adj = adjoint.pop(key, None)  # every consumer of out came later on the tape
             if out_adj is None:
                 continue
-            for t, g in zip(inputs, back(out_adj)):
-                if g is None or not t.requires_grad:
+            for in_key, g in zip(in_keys, back(out_adj)):
+                if in_key is None or g is None:
                     continue
-                key = id(t)
-                holders[key] = t
                 if isinstance(g, _RowGrad):
-                    row_grads.setdefault(key, []).append(g)
-                elif key in adjoint:
-                    adjoint[key] = adjoint[key] + g
+                    row_grads.setdefault(in_key, []).append(g)
+                elif in_key in adjoint:
+                    adjoint[in_key] = adjoint[in_key] + g
                 else:
-                    adjoint[key] = np.array(g, dtype=np.float64)
-        for key, t in holders.items():
-            if key in produced:
-                continue
+                    adjoint[in_key] = g
+        # every key left is a leaf's: a produced key was popped at its own record
+        for key, t in self._leaves.items():
             if key in row_grads:
                 g = _densify(adjoint.get(key), row_grads[key], t.data.shape)
-            else:
+            elif key in adjoint:
                 g = adjoint[key].reshape(t.data.shape)
+                if t.grad is None:
+                    g = g.copy()
+            else:
+                continue
             t.grad = g if t.grad is None else t.grad + g
 
 
@@ -160,8 +195,8 @@ class _RowGrad(NamedTuple):
 
 
 def _densify(dense: Optional[np.ndarray], grads: list[_RowGrad], shape) -> np.ndarray:
-    """Scatter-add row gradients into a dense adjoint (zeros if there is none), in place."""
-    out = np.zeros(shape) if dense is None else dense.reshape(shape)
+    """Scatter-add row gradients into a copy of a dense adjoint (zeros if there is none)."""
+    out = np.zeros(shape) if dense is None else np.array(dense).reshape(shape)
     np.add.at(out, np.concatenate([g.ids for g in grads]),
               np.concatenate([g.rows for g in grads]))
     return out
@@ -169,11 +204,15 @@ def _densify(dense: Optional[np.ndarray], grads: list[_RowGrad], shape) -> np.nd
 
 def _emit(inputs: Sequence[Tensor], value: np.ndarray, backward: Callable) -> Tensor:
     """Create the output tensor and record the op if a tape is listening."""
-    needs_grad = any(t.requires_grad for t in inputs)
+    needs_grad = False
+    for t in inputs:  # cheaper than any() over a generator
+        if t.requires_grad:
+            needs_grad = True
+            break
     out = Tensor(value, requires_grad=needs_grad)
     tape = active_tape()
     if tape is not None and needs_grad:
-        tape.record(tuple(inputs), out, backward)
+        tape.record(inputs, out, backward)
     return out
 
 
@@ -194,12 +233,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"matmul got incompatible shapes {a.shape} x {b.shape}")
     value = a.data @ b.data
     shared = a.ndim == 3 and b.ndim == 2
+    a_data = a.data if b.requires_grad else None  # each operand is read by the other's gradient
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        if shared:
-            return ga, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return ga, a.data.swapaxes(-1, -2) @ g
+        ga = gb = None
+        if b_data is not None:
+            ga = g @ b_data.swapaxes(-1, -2)
+        if a_data is not None:
+            gb = (a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if shared
+                  else a_data.swapaxes(-1, -2) @ g)
+        return ga, gb
 
     return _emit((a, b), value, backward)
 
@@ -227,24 +271,37 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; a rank-1 or one-row operand is repeated over the rows of the other."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_row_broadcast("add", a, b)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _emit((a, b), a.data + b.data, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
+    """Elementwise difference, with the row broadcasting of ``add``."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_row_broadcast("sub", a, b)
+    a_shape, b_shape = a.shape, b.shape
+
+    def backward(g):
+        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
+
+    return _emit((a, b), a.data - b.data, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product, with the row broadcasting of ``add``."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_row_broadcast("mul", a, b)
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None  # each operand is read by the other's gradient
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _emit((a, b), a.data * b.data, backward)
 
@@ -266,9 +323,12 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim not in (2, 3) or w.shape != x.shape[:-1]:
         raise ShapeMismatch(f"scale_rows got shapes {x.shape} and {w.shape}")
+    x_data = x.data if w.requires_grad else None  # each operand is read by the other's gradient
+    w_data = w.data if x.requires_grad else None
 
     def backward(g):
-        return g * w.data[..., None], (g * x.data).sum(axis=-1)
+        return (None if w_data is None else g * w_data[..., None],
+                None if x_data is None else (g * x_data).sum(axis=-1))
 
     return _emit((x, w), x.data * w.data[..., None], backward)
 
@@ -353,9 +413,10 @@ def take_rows(x: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if x.ndim != 2 or ids.ndim != 1:
         raise ShapeMismatch(f"take_rows got shape {x.shape}, ids shape {ids.shape}")
+    shape = x.shape
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         gx[ids] = g
         return (gx,)
 
@@ -411,9 +472,10 @@ def split_heads(x: Tensor, heads: int) -> Tensor:
     x = _as_tensor(x)
     if x.ndim not in (2, 3) or heads < 1 or x.shape[-1] % heads:
         raise ShapeMismatch(f"split_heads cannot cut shape {x.shape} into {heads} heads")
+    shape = x.shape
 
     def backward(g):
-        return (_merge(g, heads).reshape(x.shape),)
+        return (_merge(g, heads).reshape(shape),)
 
     return _emit((x,), _split(x.data.reshape((-1,) + x.shape[-2:]), heads), backward)
 
@@ -456,9 +518,10 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     x = _as_tensor(x)
     if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
         raise ShapeMismatch(f"slice_cols [{start}:{stop}] invalid for shape {x.shape}")
+    shape = x.shape
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         gx[:, start:stop] = g
         return (gx,)
 
@@ -468,9 +531,10 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     x = _as_tensor(x)
+    shape = x.shape
 
     def backward(g):
-        return (np.full_like(x.data, float(g)),)
+        return (np.full(shape, float(g)),)
 
     return _emit((x,), np.asarray(x.data.sum()), backward)
 
@@ -494,9 +558,10 @@ def pick(x: Tensor, index: int) -> Tensor:
     if x.ndim != 1:
         raise ShapeMismatch(f"pick needs a rank-1 tensor, got shape {x.shape}")
     index = int(index)
+    shape = x.shape
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         gx[index] = float(g)
         return (gx,)
 
@@ -517,27 +582,30 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 
 def log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
+    x_data = x.data
 
     def backward(g):
-        return (g / x.data,)
+        return (g / x_data,)
 
     return _emit((x,), np.log(x.data), backward)
 
 
 def sin(x: Tensor) -> Tensor:
     x = _as_tensor(x)
+    x_data = x.data
 
     def backward(g):
-        return (g * np.cos(x.data),)
+        return (g * np.cos(x_data),)
 
     return _emit((x,), np.sin(x.data), backward)
 
 
 def cos(x: Tensor) -> Tensor:
     x = _as_tensor(x)
+    x_data = x.data
 
     def backward(g):
-        return (g * -np.sin(x.data),)
+        return (g * -np.sin(x_data),)
 
     return _emit((x,), np.cos(x.data), backward)
 
@@ -555,9 +623,10 @@ def sqrt(x: Tensor) -> Tensor:
 def absolute(x: Tensor) -> Tensor:
     """|x|, with subgradient 0 at exactly 0."""
     x = _as_tensor(x)
+    x_data = x.data
 
     def backward(g):
-        return (g * np.sign(x.data),)
+        return (g * np.sign(x_data),)
 
     return _emit((x,), np.abs(x.data), backward)
 
@@ -565,10 +634,11 @@ def absolute(x: Tensor) -> Tensor:
 def logsigmoid(x: Tensor) -> Tensor:
     """log(sigmoid(x)) computed without overflow for large |x|."""
     x = _as_tensor(x)
-    value = np.where(x.data >= 0, -np.log1p(np.exp(-x.data)), x.data - np.log1p(np.exp(x.data)))
+    x_data = x.data
+    value = np.where(x_data >= 0, -np.log1p(np.exp(-x_data)), x_data - np.log1p(np.exp(x_data)))
 
     def backward(g):
-        return (g * _sigmoid_np(-x.data),)
+        return (g * _sigmoid_np(-x_data),)
 
     return _emit((x,), value, backward)
 

@@ -120,41 +120,52 @@ class ModelParams:
             t.zero_grad()
 
 
+def _build(n_words: int, hp: HyperParams, make) -> ModelParams:
+    """The one place that names and shapes the parameters.
+
+    ``make(name, shape)`` supplies each, in ``ModelParams.named`` order; a fused
+    query, key or value projection also gets ``blocks``, its number of per-head
+    column blocks.
+    """
+    d, inner = hp.d, 4 * hp.d
+
+    def attention(level):
+        return AttentionParams(hp.heads, *(make(f"{level}_attn.{part}", (d, d), blocks=hp.heads)
+                                           for part in ("q", "k", "v")),
+                               make(f"{level}_attn.out", (d, d)))
+
+    def feed_forward(name):
+        return FeedForwardParams(make(f"{name}.w1", (d, inner)), make(f"{name}.b1", (inner,)),
+                                 make(f"{name}.w2", (inner, d)), make(f"{name}.b2", (d,)))
+
+    return ModelParams(
+        word_table=make("word_table", (n_words, d)),
+        word_attn=attention("word"),
+        sent_attn=attention("sentence"),
+        title_attn=attention("title"),
+        word_ff=feed_forward("word_ff"),
+        sent_ff=feed_forward("sentence_ff"),
+        fuse_w=make("fuse.w", (2 * d, d)),
+        fuse_b=make("fuse.b", (d,)),
+        out_w=make("output.w", (d, hp.classes)),
+        out_b=make("output.b", (hp.classes,)),
+    )
+
+
 def init_params(n_words: int, hp: HyperParams, seed: int = 0) -> ModelParams:
     """Uniform(-1/sqrt(d), 1/sqrt(d)) everywhere, drawn in a fixed order."""
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(hp.d)
-    dk = hp.d // hp.heads
 
-    def draw(shape):
-        return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+    def draw(name, shape, blocks=1):
+        if blocks == 1:
+            return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+        # a fused projection draws one d x d/heads block per head, in head order
+        block = shape[:-1] + (shape[-1] // blocks,)
+        return Tensor(np.concatenate([rng.uniform(-bound, bound, block) for _ in range(blocks)],
+                                     axis=1), requires_grad=True)
 
-    def fused():
-        # one d x d/heads block per head, in head order, as the columns of one matrix
-        return Tensor(np.concatenate([rng.uniform(-bound, bound, (hp.d, dk))
-                                      for _ in range(hp.heads)], axis=1), requires_grad=True)
-
-    def attention():
-        return AttentionParams(hp.heads, wq=fused(), wk=fused(), wv=fused(),
-                               wo=draw((hp.d, hp.d)))
-
-    def feed_forward():
-        inner = 4 * hp.d
-        return FeedForwardParams(draw((hp.d, inner)), draw(inner),
-                                 draw((inner, hp.d)), draw(hp.d))
-
-    return ModelParams(
-        word_table=draw((n_words, hp.d)),
-        word_attn=attention(),
-        sent_attn=attention(),
-        title_attn=attention(),
-        word_ff=feed_forward(),
-        sent_ff=feed_forward(),
-        fuse_w=draw((2 * hp.d, hp.d)),
-        fuse_b=draw(hp.d),
-        out_w=draw((hp.d, hp.classes)),
-        out_b=draw(hp.classes),
-    )
+    return _build(n_words, hp, draw)
 
 
 @dataclass
@@ -419,8 +430,8 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
     """Parameters, hyperparameters and seed of a checkpoint of the current format.
 
     Another format (an older stancenet's), a missing manifest key, a vocabulary size
-    other than ``expected_n_words``, or an array missing or shaped unlike
-    ``init_params`` for the manifest raises a ValueError naming the file.
+    other than ``expected_n_words``, or an array missing or shaped unlike the
+    manifest's parameters raises a ValueError naming the file.
     """
     with np.load(path) as data:
         if "manifest" not in data.files:
@@ -438,13 +449,15 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
             raise ValueError(f"{path}: checkpoint was trained with vocabulary size "
                              f"{manifest['n_words']}, but the current vocabulary has "
                              f"{expected_n_words} words")
-        params = init_params(manifest["n_words"], hp, seed=0)
-        for name, t in params.named():
+
+        def saved(name, shape, blocks=1):
             if f"param:{name}" not in data.files:
                 raise ValueError(f"{path}: checkpoint has no array for parameter {name!r}")
             array = data[f"param:{name}"]
-            if array.shape != t.shape:
+            if array.shape != shape:
                 raise ValueError(f"{path}: parameter {name!r} has shape {array.shape}, "
-                                 f"but the manifest implies {t.shape}")
-            t.data = array
+                                 f"but the manifest implies {shape}")
+            return Tensor(array, requires_grad=True)
+
+        params = _build(manifest["n_words"], hp, saved)
     return params, hp, manifest["seed"]

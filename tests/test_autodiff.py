@@ -276,6 +276,10 @@ OP_CASES = [
     ("sin", lambda x, rng: ad.sin(x), (3, 4)),
     ("cos", lambda x, rng: ad.cos(x), (3, 4)),
     ("logsigmoid", lambda x, rng: ad.logsigmoid(x), (3, 4)),
+    ("sub_lhs", lambda x, rng: ad.sub(x, Tensor(rng.uniform(-1, 1, (3, 4)))), (3, 4)),
+    ("sub_rhs", lambda x, rng: ad.sub(Tensor(rng.uniform(-1, 1, (3, 4))), x), (3, 4)),
+    ("sub_bias_rhs", lambda x, rng: ad.sub(Tensor(rng.uniform(-1, 1, (3, 4))), x), (4,)),
+    ("sub_row_lhs", lambda x, rng: ad.sub(x, Tensor(rng.uniform(-1, 1, (3, 4)))), (1, 4)),
 ]
 
 
@@ -325,7 +329,7 @@ def test_matmul_rank3_mismatch_rejected(a, b):
         ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+@pytest.mark.parametrize("op", [ad.add, ad.mul, ad.sub], ids=["add", "mul", "sub"])
 @pytest.mark.parametrize("a,b", [((2, 3), (3, 2)), ((2, 3), (2,)), ((2, 3), (2, 1)),
                                  ((2, 3), (2, 2)), ((3,), (2,)), ((1, 3), (3, 1))])
 def test_non_row_broadcastable_shapes_rejected(op, a, b):
@@ -490,3 +494,79 @@ def test_take_and_put_rows_are_adjoint():
 def test_row_layout_shape_errors(op):
     with pytest.raises(ShapeMismatch, match=r"shape \(.*\), ids shape \(.*\)"):
         op()
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((3, 4), (3, 4)), ((3, 4), (4,)), ((1, 4), (3, 4))])
+def test_sub_is_one_record_bitwise_equal_to_adding_the_negation(a_shape, b_shape):
+    """a - b gives the value and both gradients of a + (-1 * b) bit for bit, in one record."""
+    rng = np.random.default_rng(12)
+    a_data, b_data = rng.uniform(-1, 1, a_shape), rng.uniform(-1, 1, b_shape)
+    weight = Tensor(rng.uniform(-1, 1, np.broadcast_shapes(a_shape, b_shape)))
+    results = []
+    for op in (ad.sub, lambda a, b: ad.add(a, ad.scale(b, -1.0))):
+        a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        with Tape() as tape:
+            out = op(a, b)
+            tape.backward(ad.sum_all(ad.mul(out, weight)))
+        results.append((len(tape), out.data, a.grad, b.grad))
+    (sub_records, *sub_arrays), (add_records, *add_arrays) = results
+    assert (sub_records, add_records) == (3, 4)
+    for got, want in zip(sub_arrays, add_arrays):
+        assert np.array_equal(got, want)
+
+
+def test_add_of_two_leaves_gives_them_unshared_gradients():
+    """add hands one adjoint to both inputs; each leaf's grad is still its own array."""
+    x, y = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.sum_all(ad.add(x, y)))
+    assert not np.shares_memory(x.grad, y.grad)
+    x.grad *= 2.0
+    assert np.array_equal(y.grad, np.ones((2, 3)))
+
+
+def test_short_lived_intermediates_keep_distinct_keys():
+    """500 rounds of freed intermediates and new leaves on one tape. A new leaf that took
+    the key of a freed intermediate would be taken for that intermediate and get no grad."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    leaves = []
+    with Tape() as tape:
+        y = Tensor(np.zeros(3))
+        for _ in range(500):
+            y = ad.add(y, ad.scale(x, 1.0))
+            leaves.append(Tensor(np.ones(3), requires_grad=True))
+            y = ad.mul(y, leaves[-1])
+        tape.backward(ad.sum_all(y))
+    assert np.array_equal(x.grad, np.full(3, 500.0))
+    assert all(np.array_equal(leaf.grad, np.full(3, float(i + 1)))
+               for i, leaf in enumerate(leaves))
+
+
+def test_densifying_a_shared_adjoint_leaves_the_other_input_alone():
+    """add hands one adjoint to both inputs; scattering row gradients into one copies it."""
+    x, z = Tensor(np.zeros((4, 2)), requires_grad=True), Tensor(np.zeros((4, 2)), requires_grad=True)
+    with Tape() as tape:
+        s = ad.scale(x, 1.0)
+        tape.backward(ad.add(ad.sum_all(ad.add(s, z)), ad.sum_all(ad.gather_rows(s, [1, 1]))))
+    assert np.array_equal(z.grad, np.ones((4, 2)))
+    assert np.array_equal(x.grad, np.ones((4, 2)) + 2.0 * (np.arange(4) == 1)[:, None])
+
+
+def test_tape_keeps_no_array_that_backward_does_not_read():
+    """A chain of adds and scales keeps no intermediate alive once the forward code drops it."""
+    x = Tensor(np.random.default_rng(3).standard_normal((100, 100)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            y = x
+            for _ in range(20):
+                y = ad.add(ad.scale(y, 0.5), x)
+            loss = ad.sum_all(y)
+            del y
+            held, _ = tracemalloc.get_traced_memory()
+            tape.backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 41
+    assert np.allclose(x.grad, 2.0 - 0.5 ** 20, rtol=1e-12)
+    assert held < x.data.nbytes
