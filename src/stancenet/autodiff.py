@@ -552,22 +552,6 @@ def sum_rows(x: Tensor) -> Tensor:
     return _emit((x,), x.data.sum(axis=1), backward)
 
 
-def pick(x: Tensor, index: int) -> Tensor:
-    """Single entry of a rank-1 tensor, as a scalar."""
-    x = _as_tensor(x)
-    if x.ndim != 1:
-        raise ShapeMismatch(f"pick needs a rank-1 tensor, got shape {x.shape}")
-    index = int(index)
-    shape = x.shape
-
-    def backward(g):
-        gx = np.zeros(shape)
-        gx[index] = float(g)
-        return (gx,)
-
-    return _emit((x,), np.asarray(x.data[index]), backward)
-
-
 def clamp_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor); gradient passes only where x is strictly above the floor."""
     x = _as_tensor(x)

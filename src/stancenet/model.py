@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -370,43 +370,67 @@ def _trim(mask: np.ndarray) -> int:
     return mask.shape[-1] - int(np.argmax(used[::-1]))
 
 
-def predict(article: EncodedArticle, params: ModelParams, bundle: KnowledgeBundle,
-            hp: HyperParams) -> Tensor:
-    """Class probability vector for one encoded article under the given mode.
+def _pool(group: np.ndarray, groups: int) -> Tensor:
+    """The constant [groups, R] matrix whose product with R rows averages the rows of
+    each group; ``group[r]`` is the group of row r, and every group has a row."""
+    return ad.constant((group == np.arange(groups)[:, None]) / np.bincount(group)[:, None])
 
-    Only the real words of the active sentences are embedded, and the levels run on
-    their packed rows; the word grid is cut after the last real word, since padded
-    sentences and PAD columns would only get zero weight.
+
+def predict(articles, params: ModelParams, bundle: KnowledgeBundle, hp: HyperParams) -> Tensor:
+    """Class probabilities of a list of B encoded articles, [B, classes]; of one
+    encoded article, [classes].
+
+    Each level runs once for all the articles: only the real words of the active
+    sentences are embedded, the word level runs on the packed rows of every active
+    sentence, and the sentence and title levels on a [B, L_max] sentence mask. The word
+    grid is cut after the last real word, since padded sentences and PAD columns would
+    only get zero weight.
     """
     def embed(ids):
         if hp.mode == "All":
             return inject_knowledge(ids, params, bundle, hp.alpha, hp.beta)
         return ad.gather_rows(params.word_table, ids)
 
-    active = np.flatnonzero(_mask(article.sentence_mask, "predict got an all-masked article"))
-    n = _trim(article.word_masks[active])
-    masks = article.word_masks[active, :n]
+    one = isinstance(articles, EncodedArticle)
+    chunk = [articles] if one else list(articles)
+    active = [np.flatnonzero(_mask(a.sentence_mask, "predict got an all-masked article"))
+              for a in chunk]
+    counts = np.array([act.size for act in active])
+    masks = np.concatenate([a.word_masks[act] for a, act in zip(chunk, active)])
+    n = _trim(masks)
+    masks = masks[:, :n]
     sentence, word = np.nonzero(masks)
-    words = word_level(embed(article.sentences[active, :n][sentence, word]), masks, params)
+    ids = np.concatenate([a.sentences[act, :n] for a, act in zip(chunk, active)])
+    words = word_level(embed(ids[sentence, word]), masks, params)
     # each sentence's vector is the mean of its real words' rows
-    pool = (sentence == np.arange(active.size)[:, None]) / np.bincount(sentence)[:, None]
-    rows = ad.matmul(ad.constant(pool), words)
-    smask = np.ones(active.size)
+    rows = ad.matmul(_pool(sentence, masks.shape[0]), words)
+    smask = (np.arange(counts.max()) < counts[:, None]).astype(np.float64)
     if hp.mode != "W":
         rows = sentence_level(rows, smask, params)
     if hp.mode in TITLE_MODES:
-        t = _trim(_mask(article.title_mask, "title-level modes need a non-empty title"))
-        title = ad.mean_rows(embed(article.title[:t]), ad.constant(article.title_mask[:t]))
-        rows = title_level(ad.reshape(title, (1, hp.d)), rows, smask, params)
+        item, pos = np.nonzero(_mask(np.stack([a.title_mask for a in chunk]),
+                                     "title-level modes need a non-empty title"))
+        titles = np.stack([a.title for a in chunk])[item, pos]
+        title = ad.matmul(_pool(item, len(chunk)), embed(titles))
+        rows = title_level(title, rows, smask, params)
 
-    pooled = ad.mean_rows(rows, ad.constant(smask))
-    logits = ad.linear(ad.reshape(pooled, (1, hp.d)), params.out_w, params.out_b)
-    return ad.reshape(ad.softmax_rows(logits), (hp.classes,))
+    pooled = ad.matmul(_pool(np.repeat(np.arange(len(chunk)), counts), len(chunk)), rows)
+    probs = ad.softmax_rows(ad.linear(pooled, params.out_w, params.out_b))
+    return ad.reshape(probs, (hp.classes,)) if one else probs
 
 
-def cross_entropy(probs: Tensor, label: int) -> Tensor:
-    """-log p[label], with the probability floored at 1e-12; batch averaging is the caller's job."""
-    return ad.scale(ad.log(ad.clamp_min(ad.pick(probs, label), PROB_FLOOR)), -1.0)
+def cross_entropy(probs: Tensor, labels) -> Tensor:
+    """The sum over the rows of [B, classes] probabilities of -log p[label], one label
+    per row; for one [classes] vector and one label, -log p[label]. Each probability is
+    floored at 1e-12. Batch averaging is the caller's job.
+
+    p[label] is read through a constant one-hot mask, so the sum adds only zeros to it.
+    """
+    onehot = np.zeros(probs.shape)
+    labels = np.atleast_1d(labels)
+    onehot.reshape(-1, probs.shape[-1])[np.arange(labels.size), labels] = 1.0
+    log_p = ad.log(ad.clamp_min(probs, PROB_FLOOR))
+    return ad.scale(ad.sum_all(ad.mul(log_p, ad.constant(onehot))), -1.0)
 
 
 # --------------------------------------------------------------------------
@@ -425,13 +449,11 @@ def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
              **arrays)
 
 
-def load_checkpoint(path, expected_n_words: Optional[int] = None
-                    ) -> tuple[ModelParams, HyperParams, int]:
+def load_checkpoint(path) -> tuple[ModelParams, HyperParams, int]:
     """Parameters, hyperparameters and seed of a checkpoint of the current format.
 
-    Another format (an older stancenet's), a missing manifest key, a vocabulary size
-    other than ``expected_n_words``, or an array missing or shaped unlike the
-    manifest's parameters raises a ValueError naming the file.
+    Another format (an older stancenet's), a missing manifest key, or an array missing
+    or shaped unlike the manifest's parameters raises a ValueError naming the file.
     """
     with np.load(path) as data:
         if "manifest" not in data.files:
@@ -445,10 +467,6 @@ def load_checkpoint(path, expected_n_words: Optional[int] = None
             if key not in manifest:
                 raise ValueError(f"{path}: checkpoint manifest has no {key!r} key")
         hp = HyperParams(**{key: manifest[key] for key in _HP_KEYS})
-        if expected_n_words is not None and manifest["n_words"] != expected_n_words:
-            raise ValueError(f"{path}: checkpoint was trained with vocabulary size "
-                             f"{manifest['n_words']}, but the current vocabulary has "
-                             f"{expected_n_words} words")
 
         def saved(name, shape, blocks=1):
             if f"param:{name}" not in data.files:

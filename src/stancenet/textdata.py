@@ -238,8 +238,9 @@ def save_encoded(path, encoded: list[EncodedArticle], classes: int):
 
 
 def load_encoded(path) -> tuple[list[EncodedArticle], int]:
-    """The encoded articles and the class count; a label outside
-    ``[0, classes)`` raises CorpusFormatError naming the article.
+    """The encoded articles and the class count. A label outside
+    ``[0, classes)``, an article with no active sentence, or an active
+    sentence with no real word raises CorpusFormatError naming the article.
 
     Each array is read from the archive once and the articles are rows of
     it: every archive lookup reads a fresh copy of the whole array, so a
@@ -254,6 +255,15 @@ def load_encoded(path) -> tuple[list[EncodedArticle], int]:
         i = int(outside[0])
         raise CorpusFormatError(f"{path}: article {i} has label {int(labels[i])}, "
                                 f"outside [0, {classes})")
+    sentence_masks, word_masks = columns[1], columns[2]
+    silent = ~sentence_masks.any(axis=1)
+    hollow = (sentence_masks == 1.0) & ~word_masks.any(axis=2)
+    bad = np.flatnonzero(silent | hollow.any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        what = ("no active sentence" if silent[i]
+                else f"no word in its active sentence {int(np.argmax(hollow[i]))}")
+        raise CorpusFormatError(f"{path}: article {i} has {what}")
     encoded = [EncodedArticle(*(column[i] for column in columns), int(labels[i]))
                for i in range(labels.shape[0])]
     return encoded, classes

@@ -645,6 +645,31 @@ class TestLoadBoundary:
         assert f"article 5 has label {label}" in err
 
 
+    @pytest.mark.parametrize("defect,message", [
+        ("no_sentence", "article 3 has no active sentence"),
+        ("empty_sentence", "article 3 has no word in its active sentence 1"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_article_without_words_exits_2_naming_file_and_article(
+            self, tmp_path, capsys, command, defect, message):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        extra = self.command_args(tmp_path, pre, command)
+        corpus = pre / "corpus.npz"
+        with np.load(corpus) as data:
+            arrays = dict(data)
+        if defect == "no_sentence":
+            arrays["sentence_masks"][3] = 0.0
+        else:
+            arrays["word_masks"][3, 1] = 0.0
+        np.savez(corpus, **arrays)
+        capsys.readouterr()
+        rc = main([command, "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
+                   "--no-knowledge", *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{corpus}: {message}" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
     def test_article_without_title_exits_2_in_title_modes(self, tmp_path, capsys, command):
         """WST and All stop before any training, naming the corpus, the article and the

@@ -266,19 +266,38 @@ class TestEncodedFiles:
 
     @settings(max_examples=40, deadline=None)
     @given(count=st.integers(1, 5), l=st.integers(1, 4), n=st.integers(1, 5),
-           classes=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
-    def test_round_trip_property(self, count, l, n, classes, seed):
-        """Every field of every article, ragged masks and all, survives a save and a load."""
+           classes=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           defect=st.sampled_from([None, "no active sentence", "no word"]))
+    def test_round_trip_property(self, count, l, n, classes, seed, defect):
+        """Every field of every article, ragged masks and all, survives a save and a load.
+        An article with no active sentence, or with an active sentence without a word,
+        is refused, naming the file, the article and the sentence."""
         rng = np.random.default_rng(seed)
-        encoded = [
-            td.EncodedArticle(rng.integers(0, 50, (l, n)), rng.integers(0, 2, l).astype(float),
-                              rng.integers(0, 2, (l, n)).astype(float), rng.integers(0, 50, n),
-                              rng.integers(0, 2, n).astype(float), int(rng.integers(0, classes)))
-            for _ in range(count)
-        ]
+        encoded = []
+        for _ in range(count):
+            sentence_mask = rng.integers(0, 2, l).astype(float)
+            sentence_mask[rng.integers(l)] = 1.0
+            word_masks = rng.integers(0, 2, (l, n)).astype(float)
+            word_masks[np.arange(l), rng.integers(0, n, l)] = 1.0
+            encoded.append(td.EncodedArticle(
+                rng.integers(0, 50, (l, n)), sentence_mask, word_masks,
+                rng.integers(0, 50, n), rng.integers(0, 2, n).astype(float),
+                int(rng.integers(0, classes))))
+        bad = int(rng.integers(count))
+        if defect == "no active sentence":
+            encoded[bad].sentence_mask[:] = 0.0
+        elif defect == "no word":
+            sentence = int(np.flatnonzero(encoded[bad].sentence_mask)[-1])
+            encoded[bad].word_masks[sentence] = 0.0
+            defect = f"no word in its active sentence {sentence}"
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "encoded.npz"
             td.save_encoded(path, encoded, classes)
+            if defect:
+                with pytest.raises(td.CorpusFormatError) as err:
+                    td.load_encoded(path)
+                assert str(err.value) == f"{path}: article {bad} has {defect}"
+                return
             loaded, loaded_classes = td.load_encoded(path)
         assert loaded_classes == classes and len(loaded) == count
         for a, b in zip(encoded, loaded):

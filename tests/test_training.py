@@ -1,15 +1,23 @@
 """Tests for the optimizer, scheduler, training loop, CV, sweep, and t-test."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stancenet import autodiff as ad
+from stancenet import model as md
 from stancenet import textdata as td
 from stancenet import training as tr
-from stancenet.autodiff import Tensor
+from stancenet.autodiff import Tape, Tensor
+from stancenet.kge import KnowledgeEmbeddingTable
 from stancenet.model import (
+    MODES,
     HyperParams,
+    KnowledgeBundle,
     cross_entropy,
     init_params,
     make_planted_bundle,
@@ -21,8 +29,11 @@ from stancenet.training import (
     AdamState,
     CvReport,
     PlateauState,
+    ROW_BUDGET,
     TrainConfig,
     adam_step,
+    batch_loss,
+    chunks,
     cross_validate,
     evaluate_accuracy,
     plateau_step,
@@ -43,6 +54,150 @@ def encoded_synthetic(num=16, classes=2, hp=None, seed=0):
     corpus = gen_synthetic(num, classes, 3, seed=seed)
     vocab = build_vocab(corpus)
     return vocab, encode_corpus(corpus, vocab, n=hp.n, l=hp.l), hp
+
+
+# --------------------------------------------------------------------------
+# Chunks and the batch loss
+# --------------------------------------------------------------------------
+
+def sized_article(words: int, width: int = 64) -> td.EncodedArticle:
+    """An article of ``words`` real body words, ``width`` to a sentence."""
+    l = max(1, -(-words // width))
+    flat = (np.arange(l * width) < words).astype(np.float64)
+    return td.EncodedArticle(np.ones((l, width), dtype=np.int64), np.ones(l),
+                             flat.reshape(l, width), np.ones(width, dtype=np.int64),
+                             np.ones(width), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 2 * ROW_BUDGET), min_size=0, max_size=40))
+def test_chunks_are_consecutive_whole_articles_within_the_budget(sizes):
+    articles = [sized_article(words) for words in sizes]
+    runs = list(chunks(articles))
+    assert [id(a) for run in runs for a in run] == [id(a) for a in articles]
+    for run in runs:
+        assert run
+        words = [int(a.word_masks.sum()) for a in run]
+        if len(run) > 1:
+            assert sum(words) <= ROW_BUDGET
+        for a in run:
+            if int(a.word_masks.sum()) > ROW_BUDGET:
+                assert run == [a]
+
+
+def test_chunks_count_only_the_words_of_active_sentences():
+    article = sized_article(ROW_BUDGET)
+    article.word_masks = np.vstack([article.word_masks, np.ones((1, 64))])
+    article.sentence_mask = np.append(article.sentence_mask, 0.0)
+    assert [len(run) for run in chunks([article, sized_article(0)])] == [2]
+
+
+def ragged_training_batch(hp, n_words, count, seed):
+    """``count`` articles with sentence holes, sentences and titles of random length, and
+    a varying number of active sentences; the first has more than ROW_BUDGET real words."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for i in range(count):
+        sentence_mask = (rng.random(hp.l) < (1.0 if i == 0 else 0.5)).astype(np.float64)
+        sentence_mask[rng.integers(hp.l)] = 1.0
+        low = hp.n if i == 0 else 1
+        lengths = rng.integers(low, hp.n + 1, hp.l)
+        word_masks = (np.arange(hp.n) < lengths[:, None]) * sentence_mask[:, None]
+        title_mask = (np.arange(hp.n) < rng.integers(1, hp.n + 1)).astype(np.float64)
+        batch.append(td.EncodedArticle(rng.integers(1, n_words, (hp.l, hp.n)), sentence_mask,
+                                       word_masks, rng.integers(1, n_words, hp.n),
+                                       title_mask, int(rng.integers(hp.classes))))
+    return batch
+
+
+def ragged_bundle(n_words, width, seed):
+    rng = np.random.default_rng(seed)
+    tables = []
+    for tag in ("common", "liberal", "conservative"):
+        coverage = (rng.random(n_words) < 0.6).astype(np.float64)
+        tables.append(KnowledgeEmbeddingTable(
+            tag, rng.uniform(-1, 1, (n_words, width)) * coverage[:, None], coverage))
+    return KnowledgeBundle(*tables)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_chunked_batch_loss_matches_the_per_article_sum(mode):
+    """The batch loss and every parameter gradient equal the mean over the articles of
+    ``cross_entropy(predict(article), label)``, the per-article path, within rtol 1e-10."""
+    hp = HyperParams(d=8, heads=2, n=36, l=32, classes=3, alpha=0.3, beta=0.6, mode=mode)
+    n_words = 40
+    params = init_params(n_words, hp, seed=2)
+    bundle = ragged_bundle(n_words, hp.d, 3)
+    batch = ragged_training_batch(hp, n_words, 9, 4)
+    sizes = [len(run) for run in chunks(batch)]
+    assert sizes[0] == 1 and int(batch[0].word_masks.sum()) > ROW_BUDGET and max(sizes) > 1
+
+    def run(loss_of):
+        params.zero_grads()
+        with Tape() as tape:
+            loss = loss_of()
+            tape.backward(loss)
+        return float(loss.data), [np.zeros(t.shape) if t.grad is None else t.grad.copy()
+                                  for t in params.tensors()]
+
+    def per_article():
+        losses = [cross_entropy(predict(a, params, bundle, hp), a.label) for a in batch]
+        return ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
+
+    got, got_grads = run(lambda: batch_loss(batch, params, bundle, hp))
+    want, want_grads = run(per_article)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
+    for (name, _), g, w in zip(params.named(), got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=0, err_msg=name)
+
+
+def spy(monkeypatch, owner, attr, note):
+    """Wrap ``owner.attr``; returns the list of ``note(first argument)`` of each call."""
+    seen = []
+    original = getattr(owner, attr)
+
+    def wrapper(first, *args, **kwargs):
+        seen.append(note(first))
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return seen
+
+
+def ids(articles):
+    return [id(a) for a in articles]
+
+
+@pytest.mark.parametrize("mode,records", [("W", 41), ("WS", 70), ("WST", 95), ("All", 115)])
+def test_a_batch_of_short_articles_is_one_forward_pass(monkeypatch, mode, records):
+    """16 short articles fit one chunk: one predict call and one backward over a tape
+    of 41/70/95/115 records (W/WS/WST/All), where one predict per article took
+    672/1,024/1,344/1,580."""
+    corpus = gen_synthetic(16, 2, 2, seed=0)
+    vocab = build_vocab(corpus)
+    hp = HyperParams(d=8, heads=2, n=8, l=4, classes=2, mode=mode)
+    encoded = encode_corpus(corpus, vocab, n=hp.n, l=hp.l)
+    bundle = make_planted_bundle(len(vocab), {2: 0, 3: 1}, hp.d)
+    predicted = spy(monkeypatch, md, "predict", len)
+    tapes = spy(monkeypatch, Tape, "backward", len)
+    train(encoded, bundle, TrainConfig(epochs=1, batch_size=16, hp=hp))
+    assert predicted == [16]
+    assert tapes == [records]
+
+
+def test_train_and_evaluate_call_predict_once_per_chunk(monkeypatch):
+    hp = HyperParams(d=8, heads=2, n=36, l=32, classes=3, mode="WS")
+    batch = ragged_training_batch(hp, 40, 9, 4)
+    bundle = zero_bundle(40, hp.d)
+    predicted = spy(monkeypatch, md, "predict", ids)
+    evaluate_accuracy(init_params(40, hp), bundle, batch, hp)
+    assert predicted == [ids(run) for run in chunks(batch)]
+    predicted.clear()
+    train(batch, bundle, TrainConfig(epochs=1, batch_size=len(batch), hp=hp))
+    shuffled = [key for run in predicted for key in run]
+    assert sorted(shuffled) == sorted(ids(batch))
+    by_id = {id(a): a for a in batch}
+    assert predicted == [ids(run) for run in chunks([by_id[key] for key in shuffled])]
 
 
 # --------------------------------------------------------------------------
