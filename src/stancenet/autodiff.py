@@ -225,27 +225,19 @@ def _as_tensor(x) -> Tensor:
 # --------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: rank-2 x rank-2, rank-3 x rank-2 (one right operand for every
-    batch entry), or rank-3 x rank-3 (batched, equal batch sizes)."""
+    """Matrix product: rank-2 x rank-2, or rank-3 x rank-3 (batched, equal batch sizes)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if (a.ndim not in (2, 3) or b.ndim not in (2, a.ndim) or a.shape[-1] != b.shape[-2]
-            or (b.ndim == 3 and a.shape[0] != b.shape[0])):
+    if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[-1] != b.shape[-2]
+            or a.shape[:-2] != b.shape[:-2]):
         raise ShapeMismatch(f"matmul got incompatible shapes {a.shape} x {b.shape}")
-    value = a.data @ b.data
-    shared = a.ndim == 3 and b.ndim == 2
     a_data = a.data if b.requires_grad else None  # each operand is read by the other's gradient
     b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        ga = gb = None
-        if b_data is not None:
-            ga = g @ b_data.swapaxes(-1, -2)
-        if a_data is not None:
-            gb = (a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if shared
-                  else a_data.swapaxes(-1, -2) @ g)
-        return ga, gb
+        return (None if b_data is None else g @ b_data.swapaxes(-1, -2),
+                None if a_data is None else a_data.swapaxes(-1, -2) @ g)
 
-    return _emit((a, b), value, backward)
+    return _emit((a, b), a.data @ b.data, backward)
 
 
 def _check_row_broadcast(op: str, a: Tensor, b: Tensor):
@@ -466,40 +458,41 @@ def transpose(x: Tensor) -> Tensor:
     return _emit((x,), x.data.swapaxes(-1, -2), backward)
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """[N, m, d] -> [N*heads, m, d/heads]: entry n*heads + h holds columns
-    [h*d/heads, (h+1)*d/heads) of x[n]. A rank-2 [m, d] is one item (N = 1)."""
+def split_heads(x: Tensor, heads: int, m: int) -> Tensor:
+    """[N*m, d] rows, m per item, -> [N*heads, m, d/heads]: entry n*heads + h holds
+    columns [h*d/heads, (h+1)*d/heads) of item n's m rows."""
     x = _as_tensor(x)
-    if x.ndim not in (2, 3) or heads < 1 or x.shape[-1] % heads:
-        raise ShapeMismatch(f"split_heads cannot cut shape {x.shape} into {heads} heads")
-    shape = x.shape
+    if x.ndim != 2 or heads < 1 or m < 1 or x.shape[0] % m or x.shape[1] % heads:
+        raise ShapeMismatch(f"split_heads cannot cut {x.shape} into {heads} heads of {m} rows")
 
     def backward(g):
-        return (_merge(g, heads).reshape(shape),)
+        return (_merge(g, heads),)
 
-    return _emit((x,), _split(x.data.reshape((-1,) + x.shape[-2:]), heads), backward)
+    return _emit((x,), _split(x.data, heads, m), backward)
 
 
 def merge_heads(x: Tensor, heads: int) -> Tensor:
-    """The inverse of ``split_heads``: [N*heads, m, k] -> [N, m, heads*k]."""
+    """The inverse of ``split_heads``: [N*heads, m, k] -> [N*m, heads*k] rows."""
     x = _as_tensor(x)
     if x.ndim != 3 or heads < 1 or x.shape[0] % heads:
         raise ShapeMismatch(f"merge_heads cannot join shape {x.shape} as {heads} heads")
+    m = x.shape[1]
 
     def backward(g):
-        return (_split(g, heads),)
+        return (_split(g, heads, m),)
 
     return _emit((x,), _merge(x.data, heads), backward)
 
 
-def _split(a: np.ndarray, heads: int) -> np.ndarray:
-    n, m, d = a.shape
-    return a.reshape(n, m, heads, d // heads).transpose(0, 2, 1, 3).reshape(n * heads, m, -1)
+def _split(a: np.ndarray, heads: int, m: int) -> np.ndarray:
+    rows, d = a.shape
+    k = d // heads
+    return a.reshape(rows // m, m, heads, k).transpose(0, 2, 1, 3).reshape(-1, m, k)
 
 
 def _merge(a: np.ndarray, heads: int) -> np.ndarray:
     nh, m, k = a.shape
-    return a.reshape(nh // heads, heads, m, k).transpose(0, 2, 1, 3).reshape(nh // heads, m, -1)
+    return a.reshape(nh // heads, heads, m, k).transpose(0, 2, 1, 3).reshape(-1, heads * k)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

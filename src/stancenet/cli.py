@@ -138,6 +138,8 @@ def _load_corpus(cfg: RunConfig) -> tuple[list[td.EncodedArticle], int, td.Vocab
     """The encoded corpus, its class count, and the vocabulary its word ids must index."""
     corpus_path = _require(cfg.corpus, "encoded corpus")
     encoded, classes = td.load_encoded(corpus_path)
+    if not encoded:
+        raise ConfigError(f"{corpus_path}: the encoded corpus has no article")
     vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
     for a in encoded:
         for ids in (a.sentences, a.title):
@@ -248,14 +250,23 @@ def cmd_train_kge(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _training_inputs(args):
+    """The start train and sweep share: the run and training configs, the encoded
+    corpus, the knowledge bundle, and the output directory, which it creates. The
+    model's classes, and its l sentences of n words, come from the corpus."""
     cfg, train_cfg, _ = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
     _check_titles(cfg, encoded, train_cfg.hp.mode)
-    train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes))
+    l, n = encoded[0].sentences.shape
+    train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes, n=n, l=l))
     bundle = _load_bundle(cfg, len(vocab), train_cfg.hp.d)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, train_cfg, encoded, bundle, out_dir
+
+
+def cmd_train(args) -> int:
+    cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
 
     if cfg.folds >= 2:
         report = tr.cross_validate(encoded, bundle, cfg.folds, train_cfg)
@@ -311,13 +322,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, train_cfg, _ = build_config(args)
-    encoded, classes, vocab = _load_corpus(cfg)
-    _check_titles(cfg, encoded, train_cfg.hp.mode)
-    train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes))
-    bundle = _load_bundle(cfg, len(vocab), train_cfg.hp.d)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
 
     alphas = [float(x) for x in args.alphas.split(",")] if args.alphas else list(tr.DEFAULT_GRID)
     betas = [float(x) for x in args.betas.split(",")] if args.betas else list(tr.DEFAULT_GRID)
@@ -367,7 +372,8 @@ def _add_config_flags(sub, keys):
             sub.add_argument(flag, dest=key, default=None)
 
 
-MODEL_KEYS = (*_KEYS[md.HyperParams], "no_knowledge")
+# the encoded corpus fixes n and l, which only preprocess sets
+MODEL_KEYS = (*(key for key in _KEYS[md.HyperParams] if key not in ("n", "l")), "no_knowledge")
 TRAIN_KEYS = (*_KEYS[tr.TrainConfig], "seed", "folds", "val_fraction")
 PATH_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "checkpoint",
              "output_dir")

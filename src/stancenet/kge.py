@@ -118,9 +118,15 @@ class KgeConfig:
     adv_temperature: float = 1.0
 
     def __post_init__(self):
-        for key, low in (("dim", 1), ("negatives", 0), ("epochs", 0)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        for key, ok, rule in (
+                ("dim", self.dim >= 1, "be >= 1"),
+                ("negatives", self.negatives >= 0, "be >= 0"),
+                ("epochs", self.epochs >= 0, "be >= 0"),
+                ("lr", 0.0 < self.lr < np.inf, "be finite and > 0"),
+                ("gamma", np.isfinite(self.gamma), "be finite"),
+                ("adv_temperature", 0.0 <= self.adv_temperature < np.inf, "be finite and >= 0")):
+            if not ok:
+                raise ValueError(f"{key} must {rule}, got {getattr(self, key)}")
         if self.method not in METHODS:
             raise ValueError(f"unknown embedding method {self.method!r}; choose from {METHODS}")
         if self.method in ("RotatE", "HAKE") and self.dim % 2 != 0:

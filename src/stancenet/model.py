@@ -46,7 +46,7 @@ class HyperParams:
     mode: str = "All"
 
     def __post_init__(self):
-        for key in ("d", "heads"):
+        for key in ("d", "heads", "n", "l"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.d % self.heads != 0:
@@ -270,47 +270,40 @@ def inject_knowledge(
 
 
 def _mask(mask, what: str) -> np.ndarray:
-    """The numpy mask as floats; a row (last axis) with no 1 raises ``DegenerateInput(what)``."""
-    mask_arr = np.asarray(mask, dtype=np.float64)
+    """The numpy mask as [N, m] floats, an [m] mask as one item; a row with no 1 raises
+    ``DegenerateInput(what)``."""
+    mask_arr = np.atleast_2d(np.asarray(mask, dtype=np.float64))
     if not mask_arr.any(axis=-1).all():
         raise DegenerateInput(what)
     return mask_arr
 
 
-def _as_shape(x: Tensor, shape) -> Tensor:
-    """x reshaped to ``shape``, recording nothing when it already has that shape."""
-    return x if x.shape == tuple(shape) else ad.reshape(x, shape)
-
-
 def _grid(rows: Tensor, mask: np.ndarray) -> Tensor:
-    """Packed [W, k] rows, one per 1 of the mask in mask order, laid out in the mask's
-    [N, m, k] grid ([m, k] for an [m] mask) with zero rows at its 0s."""
+    """Packed [W, k] rows, one per 1 of the [N, m] mask in mask order, spread over the
+    mask's N*m grid rows, with zero rows at its 0s."""
     real = np.flatnonzero(mask)
     if rows.shape[0] != real.size:
         raise ShapeMismatch(f"{rows.shape[0]} packed rows for a mask with {real.size} 1s")
-    if real.size < mask.size:
-        rows = ad.put_rows(rows, real, mask.size)
-    return _as_shape(rows, mask.shape + rows.shape[-1:])
+    return rows if real.size == mask.size else ad.put_rows(rows, real, mask.size)
 
 
 def _packed(grid: Tensor, mask: np.ndarray) -> Tensor:
-    """The inverse of ``_grid``: the [W, k] rows of the grid at the mask's 1s."""
-    rows = _as_shape(grid, (mask.size, grid.shape[-1]))
-    return rows if mask.all() else ad.take_rows(rows, np.flatnonzero(mask))
+    """The inverse of ``_grid``: the [W, k] rows of the N*m grid rows at the mask's 1s."""
+    return grid if mask.all() else ad.take_rows(grid, np.flatnonzero(mask))
 
 
 def _heads(q: Tensor, q_mask: np.ndarray, x: Tensor, mask: np.ndarray,
            attn: AttentionParams) -> tuple[Tensor, Tensor]:
-    """The attention of every level: packed queries q, laid out by q_mask, over the
-    packed rows x of the [m] or [N, m] mask (q_mask has the same N). Returns the softmax
-    weights of the scaled dot-product scores, [N*heads, mq, m] (keys at the mask's 0s
-    get -1e9 logits, so weight exactly 0), and the projected values,
-    [N*heads, m, d/heads]; entry n*heads + h is head h of item n. Only the scores, the
-    softmax and what the caller does with the weights run on the grid."""
+    """The attention of every level: packed queries q, laid out by the [N, mq] q_mask,
+    over the packed rows x of the [N, m] mask. Returns the softmax weights of the scaled
+    dot-product scores, [N*heads, mq, m] (keys at the mask's 0s get -1e9 logits, so
+    weight exactly 0), and the projected values, [N*heads, m, d/heads]; entry
+    n*heads + h is head h of item n. Only the scores, the softmax and what the caller
+    does with the weights run on this head grid; the rest runs on rows."""
     h = attn.heads
-    qh, kh, vh = (ad.split_heads(_grid(ad.matmul(rows, w), m), h) for rows, m, w in
+    qh, kh, vh = (ad.split_heads(_grid(ad.matmul(rows, w), m), h, m.shape[1]) for rows, m, w in
                   ((q, q_mask, attn.wq), (x, mask, attn.wk), (x, mask, attn.wv)))
-    offset = np.repeat((mask.reshape(-1, mask.shape[-1]) - 1.0) * 1e9, h, axis=0)[:, None, :]
+    offset = np.repeat((mask - 1.0) * 1e9, h, axis=0)[:, None, :]
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
     logits = ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape)))
     return ad.softmax_rows(logits), vh
@@ -359,15 +352,9 @@ def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) ->
     """
     mask_arr = _mask(sentence_mask, "title_level got an all-masked article")
     attn = params.title_attn
-    w, vh = _heads(title, np.ones(mask_arr.shape[:-1] + (1,)), s, mask_arr, attn)
+    w, vh = _heads(title, np.ones((len(mask_arr), 1)), s, mask_arr, attn)
     out = ad.merge_heads(ad.scale_rows(vh, ad.reshape(w, vh.shape[:2])), attn.heads)
     return ad.add(ad.matmul(_packed(out, mask_arr), attn.wo), s)
-
-
-def _trim(mask: np.ndarray) -> int:
-    """One past the last position any row of the mask uses (all of them if none is used)."""
-    used = mask.reshape(-1, mask.shape[-1]).any(axis=0)
-    return mask.shape[-1] - int(np.argmax(used[::-1]))
 
 
 def _pool(group: np.ndarray, groups: int) -> Tensor:
@@ -397,7 +384,7 @@ def predict(articles, params: ModelParams, bundle: KnowledgeBundle, hp: HyperPar
               for a in chunk]
     counts = np.array([act.size for act in active])
     masks = np.concatenate([a.word_masks[act] for a, act in zip(chunk, active)])
-    n = _trim(masks)
+    n = masks.shape[1] - int(np.argmax(masks.any(axis=0)[::-1]))  # after the last real word
     masks = masks[:, :n]
     sentence, word = np.nonzero(masks)
     ids = np.concatenate([a.sentences[act, :n] for a, act in zip(chunk, active)])

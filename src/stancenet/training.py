@@ -40,14 +40,15 @@ class TrainConfig:
     hp: HyperParams = field(default_factory=HyperParams)
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not (0.0 < self.lr_factor < 1.0):
-            raise ValueError(f"lr_factor must lie in (0, 1), got {self.lr_factor}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for key, ok, rule in (
+                ("patience", self.patience >= 1, "be >= 1"),
+                ("lr_factor", 0.0 < self.lr_factor < 1.0, "lie in (0, 1)"),
+                ("batch_size", self.batch_size >= 1, "be >= 1"),
+                ("epochs", self.epochs >= 0, "be >= 0"),
+                ("lr", 0.0 < self.lr < math.inf, "be finite and > 0"),
+                ("weight_decay", 0.0 <= self.weight_decay < math.inf, "be finite and >= 0")):
+            if not ok:
+                raise ValueError(f"{key} must {rule}, got {getattr(self, key)}")
 
 
 @dataclass

@@ -258,18 +258,13 @@ OP_CASES = [
      (2, 3, 4)),
     ("matmul_batched_rhs", lambda x, rng: ad.matmul(Tensor(rng.uniform(-1, 1, (2, 3, 4))), x),
      (2, 4, 2)),
-    ("matmul_shared_lhs", lambda x, rng: ad.matmul(x, Tensor(rng.uniform(-1, 1, (4, 3)))),
-     (2, 3, 4)),
-    ("matmul_shared_rhs", lambda x, rng: ad.matmul(Tensor(rng.uniform(-1, 1, (2, 3, 4))), x),
-     (4, 2)),
     ("transpose_rank3", lambda x, rng: ad.transpose(x), (2, 3, 4)),
     ("softmax_rows_rank3", lambda x, rng: ad.softmax_rows(x), (2, 3, 4)),
     ("scale_rows_rank3_x", lambda x, rng: ad.scale_rows(x, Tensor(rng.uniform(-1, 1, (2, 3)))),
      (2, 3, 4)),
     ("scale_rows_rank3_w",
      lambda x, rng: ad.scale_rows(Tensor(rng.uniform(-1, 1, (2, 3, 4))), x), (2, 3)),
-    ("split_heads", lambda x, rng: ad.split_heads(x, 2), (2, 3, 4)),
-    ("split_heads_rank2", lambda x, rng: ad.split_heads(x, 2), (3, 4)),
+    ("split_heads", lambda x, rng: ad.split_heads(x, 2, 3), (6, 4)),
     ("merge_heads", lambda x, rng: ad.merge_heads(x, 2), (4, 3, 2)),
     ("sin", lambda x, rng: ad.sin(x), (3, 4)),
     ("cos", lambda x, rng: ad.cos(x), (3, 4)),
@@ -311,17 +306,27 @@ def test_positive_domain_op_gradients(name, build, shape):
 
 
 def test_heads_are_column_blocks_and_merge_inverts_split():
-    x = np.random.default_rng(4).uniform(-1, 1, (2, 3, 6))
-    split = ad.split_heads(Tensor(x), 3).data
+    """Two items of 4 rows each, cut into 3 heads: entry n*3 + h is head h's columns of
+    item n's rows, merging gives the rows back, and item 1 alone splits to its entries."""
+    x = np.random.default_rng(4).uniform(-1, 1, (2 * 4, 6))
+    split = ad.split_heads(Tensor(x), 3, 4).data
+    assert split.shape == (2 * 3, 4, 2)
     for n in range(2):
-        for h, block in enumerate(np.split(x[n], 3, axis=1)):
+        for h, block in enumerate(np.split(x[n * 4:(n + 1) * 4], 3, axis=1)):
             assert np.array_equal(split[n * 3 + h], block)
     assert np.array_equal(ad.merge_heads(Tensor(split), 3).data, x)
-    assert np.array_equal(ad.split_heads(Tensor(x[1]), 3).data, split[3:])
+    assert np.array_equal(ad.split_heads(Tensor(x[4:]), 3, 4).data, split[3:])
+
+
+@pytest.mark.parametrize("shape,heads,m", [((6, 4), 3, 2), ((6, 4), 2, 4), ((2, 3, 4), 2, 3)])
+def test_split_heads_rejects_rows_it_cannot_cut(shape, heads, m):
+    with pytest.raises(ShapeMismatch, match="split_heads"):
+        ad.split_heads(Tensor(np.ones(shape)), heads, m)
 
 
 @pytest.mark.parametrize("a,b", [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 3, 2)),
-                                 ((3, 4), (2, 4, 2)), ((2, 3, 4), (3, 2))])
+                                 ((3, 4), (2, 4, 2)), ((2, 3, 4), (3, 2)),
+                                 ((2, 3, 4), (4, 2))])
 def test_matmul_rank3_mismatch_rejected(a, b):
     with pytest.raises(ShapeMismatch, match=r"\(.*\) x \(.*\)"):
         ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))

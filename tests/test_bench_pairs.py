@@ -76,3 +76,20 @@ def test_main_writes_json_and_fails_without_pairs(tmp_path, capsys):
     written = json.loads(out.read_text())
     assert written["environment"] == {"nproc": 2}
     assert written["workloads"]["kg"]["end_to_end"]["cycle_s"]["change_wins"] == 1
+
+
+def test_relative_change_is_signed_worse_and_flagged_beyond_bound(tmp_path, capsys):
+    """cycle_s rises 30% (worse, beyond its 25% bound); train_per_s rises 10% (better)."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (0, 1):
+        write_run(parent, "kg", seed, cycle_s=1.0, train_per_s=10.0)
+        write_run(change, "kg", seed, cycle_s=1.3, train_per_s=11.0)
+    workloads = bench_pairs.compare(bench_pairs.load_runs(parent),
+                                    bench_pairs.load_runs(change), END_TO_END)
+    cycle, rate = (workloads["kg"]["end_to_end"][name] for name in ("cycle_s", "train_per_s"))
+    assert cycle["relative"] == pytest.approx(0.3) and cycle["beyond_bound"] is True
+    assert rate["relative"] == pytest.approx(-0.1) and rate["beyond_bound"] is False
+    lines = bench_pairs.report(workloads).splitlines()
+    flagged = [line for line in lines if "BEYOND BOUND" in line]
+    assert len(flagged) == 1 and "cycle_s" in flagged[0] and "worse by +30.0%" in flagged[0]
+    assert any("train_per_s" in line and "worse by -10.0%" in line for line in lines)

@@ -54,13 +54,13 @@ class TestCommandLine:
                      "--kge-dim --kge-epochs --kge-gamma --kge-lr --kge-method --kge-negatives "
                      "--output-dir --seed --stance --vocab",
         "train": "--alpha --batch-size --beta --checkpoint --config --corpus --d --epochs "
-                 "--folds --heads --l --lr --lr-factor --mode --n --no-knowledge "
+                 "--folds --heads --lr --lr-factor --mode --no-knowledge "
                  "--output-dir --patience --seed --table-com --table-con --table-lib "
                  "--val-fraction --vocab --weight-decay",
         "eval": "--checkpoint --config --corpus --no-knowledge --table-com --table-con "
                 "--table-lib --vocab",
         "sweep": "--alpha --alphas --batch-size --beta --betas --checkpoint --config --corpus "
-                 "--d --epochs --folds --heads --l --lr --lr-factor --mode --n "
+                 "--d --epochs --folds --heads --lr --lr-factor --mode "
                  "--no-knowledge --output-dir --patience --seed --table-com --table-con "
                  "--table-lib --val-fraction --vocab --weight-decay",
         "gen-synthetic": "--articles --classes --config --out --planted --seed",
@@ -118,6 +118,19 @@ class TestCommandLine:
         (["train-kge", "--kge-dim", "0", "--kge-method", "ModE"], "dim"),
         (["train-kge", "--kge-negatives", "-1"], "negatives"),
         (["train-kge", "--kge-epochs", "-1"], "epochs"),
+        (["train", "--lr", "nan"], "lr"),
+        (["train", "--lr", "inf"], "lr"),
+        (["train", "--lr", "-1"], "lr"),
+        (["sweep", "--lr", "0"], "lr"),
+        (["train", "--weight-decay", "-1"], "weight_decay"),
+        (["train", "--weight-decay", "inf"], "weight_decay"),
+        (["train-kge", "--kge-lr", "nan"], "lr"),
+        (["train-kge", "--kge-lr", "-1"], "lr"),
+        (["train-kge", "--kge-gamma", "nan"], "gamma"),
+        (["train-kge", "--kge-adv-temperature", "nan"], "adv_temperature"),
+        (["train-kge", "--kge-adv-temperature", "-1"], "adv_temperature"),
+        (["preprocess", "--n", "0"], "n"),
+        (["preprocess", "--l", "0"], "l"),
     ])
     def test_out_of_range_value_exits_2_naming_key(self, capsys, argv, key):
         """Checked before any file is read, so the command needs no input files."""
@@ -269,7 +282,7 @@ class TestTrain:
         out = tmp_path / "run"
         rc = main(["train", "--corpus", str(pre / "corpus.npz"),
                    "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                   "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                   "--mode", "W", "--d", "8", "--heads", "2",
                    "--epochs", "2", "--batch-size", "4",
                    "--output-dir", str(out)])
         assert rc == 0
@@ -279,13 +292,24 @@ class TestTrain:
         record = json.loads(lines[0])
         assert set(record) == {"epoch", "loss", "val_acc", "lr", "secs"}
 
+    def test_checkpoint_records_the_corpus_shape(self, tmp_path):
+        """train takes n and l from the encoded corpus, not from the 64/32 defaults."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path), n=8, l=4)
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge", "--mode", "W",
+                     "--d", "8", "--heads", "2", "--epochs", "1",
+                     "--output-dir", str(out)]) == 0
+        hp = md.load_checkpoint(out / "checkpoint.npz")[1]
+        assert (hp.n, hp.l) == (8, 4)
+
     def test_folds_produce_cv_report(self, tmp_path):
         corpus = write_corpus(tmp_path, num=9)
         pre = preprocess(tmp_path, corpus)
         out = tmp_path / "run"
         rc = main(["train", "--corpus", str(pre / "corpus.npz"),
                    "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                   "--mode", "WS", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                   "--mode", "WS", "--d", "8", "--heads", "2",
                    "--epochs", "1", "--batch-size", "4", "--folds", "3",
                    "--output-dir", str(out)])
         assert rc == 0
@@ -301,7 +325,7 @@ class TestTrain:
         out = tmp_path / "run"
         rc = main(["train", "--corpus", str(pre / "corpus.npz"),
                    "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                   "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                   "--mode", "W", "--d", "8", "--heads", "2",
                    "--epochs", "1", "--batch-size", "8", "--folds", "10",
                    "--output-dir", str(out)])
         assert rc == 0
@@ -367,7 +391,7 @@ class TestTrain:
                    "--table-com", str(tables["table_com"]),
                    "--table-lib", str(tables["table_lib"]),
                    "--table-con", str(tables["table_con"]),
-                   "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                   "--mode", "All", "--d", "8", "--heads", "2",
                    "--epochs", "1", "--batch-size", "4",
                    "--output-dir", str(out)])
         assert rc == 0
@@ -381,7 +405,7 @@ class TestEval:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "W", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--batch-size", "4",
                      "--output-dir", str(run)]) == 0
         capsys.readouterr()
@@ -402,7 +426,7 @@ class TestEval:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "W", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--output-dir", str(run)]) == 0
         capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
@@ -419,7 +443,7 @@ class TestEval:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), *tables,
-                     "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "All", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--output-dir", str(run)]) == 0
         capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
@@ -434,7 +458,7 @@ class TestEval:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "W", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--batch-size", "4",
                      "--output-dir", str(run)]) == 0
         other = write_corpus(tmp_path, num=20, classes=4, name="other.jsonl", seed=9)
@@ -450,7 +474,7 @@ class TestEval:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "W", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--output-dir", str(run)]) == 0
         words = (pre / "vocab.txt").read_text().splitlines()
         bigger = tmp_path / "bigger_vocab.txt"
@@ -469,7 +493,7 @@ class TestEval:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "W", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--output-dir", str(run)]) == 0
         checkpoint = run / "checkpoint.npz"
         with np.load(checkpoint) as data:
@@ -491,7 +515,7 @@ class TestEval:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "W", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--output-dir", str(run)]) == 0
         checkpoint = run / "checkpoint.npz"
         with np.load(checkpoint) as data:
@@ -524,7 +548,7 @@ class TestEval:
             runs[classes] = tmp_path / f"run{classes}"
             assert main(["train", "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
                          "--no-knowledge", "--mode", "W", "--d", "8", "--heads", "2",
-                         "--n", "8", "--l", "3", "--epochs", "1",
+                         "--epochs", "1",
                          "--output-dir", str(runs[classes])]) == 0
         capsys.readouterr()
 
@@ -557,7 +581,7 @@ class TestEval:
         run = tmp_path / "run"
         assert main(["train", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                     "--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "W", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--output-dir", str(run)]) == 0
 
         def broken_predict(*args, **kwargs):
@@ -575,7 +599,7 @@ class TestEval:
 class TestLoadBoundary:
     """Bad input files exit 2 with a message naming the file, before any training."""
 
-    MODEL = ["--mode", "W", "--d", "8", "--heads", "2", "--n", "8", "--l", "3"]
+    MODEL = ["--mode", "W", "--d", "8", "--heads", "2"]
 
     def command_args(self, tmp_path, pre, command, model=MODEL):
         """What each command needs besides corpus, vocabulary and knowledge flags.
@@ -598,7 +622,7 @@ class TestLoadBoundary:
         pre = preprocess(tmp_path, write_corpus(tmp_path))
         tables = write_tables(tmp_path, pre, d=8)
         extra = self.command_args(tmp_path, pre, command, model=[
-            "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3"])
+            "--mode", "All", "--d", "8", "--heads", "2"])
         lines = tables["table_lib"].read_text().splitlines()
         lines[2 + 3] = " ".join(["nan"] + lines[2 + 3].split()[1:])  # word id 3
         tables["table_lib"].write_text("\n".join(lines) + "\n")
@@ -675,7 +699,7 @@ class TestLoadBoundary:
         """WST and All stop before any training, naming the corpus, the article and the
         mode; W and WS, which never read the title, accept the article."""
         pre = preprocess(tmp_path, write_corpus(tmp_path))
-        model = {mode: ["--mode", mode, "--d", "8", "--heads", "2", "--n", "8", "--l", "3"]
+        model = {mode: ["--mode", mode, "--d", "8", "--heads", "2"]
                  for mode in ("W", "WS", "WST", "All")}
         extra = {mode: self.command_args(tmp_path / mode, pre, command, model=model[mode])
                  for mode in model}
@@ -705,7 +729,7 @@ class TestSweep:
         out = tmp_path / "run"
         rc = main(["sweep", "--corpus", str(pre / "corpus.npz"),
                    "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                   "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                   "--mode", "All", "--d", "8", "--heads", "2",
                    "--epochs", "1", "--batch-size", "4",
                    "--alphas", "0.5", "--betas", "0.5",
                    "--output-dir", str(out)])
@@ -722,7 +746,7 @@ class TestSweep:
         out = tmp_path / "run"
         rc = main(["sweep", "--corpus", str(pre / "corpus.npz"),
                    "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                   "--mode", "All", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                   "--mode", "All", "--d", "8", "--heads", "2",
                    "--epochs", "1", "--batch-size", "4",
                    "--alphas", "0.2,1.0", "--betas", "0.5",
                    "--output-dir", str(out)])
@@ -736,7 +760,7 @@ class TestSweep:
         pre = preprocess(tmp_path, write_corpus(tmp_path, num=3))
         return main(["sweep", "--corpus", str(pre / "corpus.npz"),
                      "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
-                     "--mode", "WS", "--d", "8", "--heads", "2", "--n", "8", "--l", "3",
+                     "--mode", "WS", "--d", "8", "--heads", "2",
                      "--epochs", "1", "--batch-size", "4", "--alphas", "0.5", "--betas", "0.5",
                      "--output-dir", str(tmp_path / "run"), *flags])
 

@@ -503,14 +503,15 @@ class TestPredict:
 
     def test_tape_length_of_a_ragged_all_article(self):
         """One mode-All predict on 3 active sentences with holes, a padded sentence and
-        partly covered tables records 103 ops: knowledge injection 11 (gather, 2 per
-        table, concat, fuse matmul and bias, residual); word level 29 (3 x matmul, put,
-        reshape and head split; transpose, scores, scale, mask, softmax; weighted sum,
-        head merge, reshape, take, output matmul; the feed-forward block 7); the pool
-        matmul 1; sentence level 25 (a full [1, 3] mask, so no put or take, and 3 x
-        matmul, reshape and head split); title 11 + pool matmul, and its level 20 (3 x
-        matmul, reshape and head split); output 5 (pool matmul, linear, softmax,
-        reshape to [classes])."""
+        partly covered tables records 91 ops: knowledge injection 11 (gather, 2 per
+        table, concat, fuse matmul and bias, residual); word level 25 (3 x matmul, put
+        and head split; transpose, scores, scale, mask, softmax; weighted sum, head
+        merge, take, output matmul; the feed-forward block 7); the pool matmul 1;
+        sentence level 21 (a full [1, 3] mask, so no put or take, and 3 x matmul and
+        head split); title 11 + pool matmul, and its level 16 (3 x matmul and head
+        split; transpose, scores, scale, mask, softmax; reshape of the weights, row
+        scaling, head merge, output matmul, residual); output 5 (pool matmul, linear,
+        softmax, reshape to [classes])."""
         hp = HyperParams(d=8, heads=2, n=5, l=4, classes=2, mode="All")
         article = td.EncodedArticle(
             np.arange(20).reshape(4, 5) % 12, np.array([1.0, 0.0, 1.0, 1.0]),
@@ -519,7 +520,7 @@ class TestPredict:
             np.array([3, 4, 5, 0, 0]), np.array([1.0, 1.0, 1.0, 0.0, 0.0]), 1)
         with Tape() as tape:
             predict(article, init_params(12, hp, seed=3), random_bundle(12, hp.d, 4), hp)
-            assert len(tape) == 103
+            assert len(tape) == 91
 
     def test_sentence_permutation_equivariance_with_zero_title(self):
         # permuting whole sentences permutes the refined rows correspondingly,
@@ -549,13 +550,14 @@ class TestPredict:
 def padded_encoder(x, mask, attn, ff):
     """The encoder block on every row of the padded layout, PAD rows zeroed at the end:
     the path the packed levels replace, kept here op for op as their reference."""
-    h = attn.heads
-    qh, kh, vh = (ad.split_heads(ad.matmul(x, w), h) for w in (attn.wq, attn.wk, attn.wv))
-    offset = np.repeat((mask.reshape(-1, mask.shape[-1]) - 1.0) * 1e9, h, axis=0)[:, None, :]
+    h, mask = attn.heads, np.atleast_2d(mask)
+    rows = ad.reshape(x, (-1, x.shape[-1]))
+    qh, kh, vh = (ad.split_heads(ad.matmul(rows, w), h, mask.shape[1])
+                  for w in (attn.wq, attn.wk, attn.wv))
+    offset = np.repeat((mask - 1.0) * 1e9, h, axis=0)[:, None, :]
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
     w = ad.softmax_rows(ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape))))
-    att = ad.matmul(ad.reshape(ad.merge_heads(ad.matmul(w, vh), h), x.shape), attn.wo)
-    out = ad.reshape(ad.add(x, att), (-1, x.shape[-1]))
+    out = ad.add(rows, ad.matmul(ad.merge_heads(ad.matmul(w, vh), h), attn.wo))
     out = ad.add(out, ad.linear(ad.relu(ad.linear(out, ff.w1, ff.b1)), ff.w2, ff.b2))
     return ad.reshape(ad.scale_rows(out, ad.constant(mask.reshape(-1))), x.shape)
 
@@ -608,6 +610,29 @@ def test_packed_encoder_matches_padded_reference(name, level):
     for leaf, g, w in zip(("x", "wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2"),
                           got_grads, want_grads):
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=0, err_msg=leaf)
+
+
+@pytest.mark.parametrize("level", ["word", "sentence", "title"])
+@pytest.mark.parametrize("mask", [[1, 0, 1, 1, 0], [1, 1, 1]], ids=["holes", "all_real"])
+def test_one_item_mask_and_its_row_form_agree(level, mask):
+    """An [m] mask is one item: its [1, m] form gives bitwise-equal rows and records as
+    many ops."""
+    mask = np.array(mask, dtype=np.float64)
+    hp = tiny_hp(d=8, heads=2)
+    params = init_params(6, hp, seed=5)
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(-1, 1, (int(mask.sum()), hp.d)), requires_grad=True)
+    title = Tensor(rng.uniform(-1, 1, (1, hp.d)), requires_grad=True)
+    level_fn = {"word": lambda m: word_level(x, m, params),
+                "sentence": lambda m: sentence_level(x, m, params),
+                "title": lambda m: title_level(title, x, m, params)}[level]
+    runs = []
+    for form in (mask, mask[None, :]):
+        with Tape() as tape:
+            runs.append((level_fn(form).data, len(tape)))
+    (rows, records), (rows_2d, records_2d) = runs
+    assert np.array_equal(rows, rows_2d)
+    assert records == records_2d
 
 
 def ref_inject(ids, params, bundle, hp):

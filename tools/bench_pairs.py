@@ -7,7 +7,9 @@ PARENT_DIR and CHANGE_DIR are the ``.bench_out/`` directories that
 change. Result files are paired by workload and seed. For each workload
 and each end-to-end metric of ``BENCHMARK.json`` (untraced runs) the
 script prints the median and quartiles of each side and how many pairs
-the change wins, in the metric's better direction. Traced runs, where
+the change wins, in the metric's better direction, and the relative change
+of the medians, signed so that positive is worse; ``BEYOND BOUND`` marks
+one worse than the metric's ``bound``. Traced runs, where
 both sides have one for a seed, add the medians of each per-layer metric.
 ``--out`` writes the same data as JSON. Standard library only.
 """
@@ -56,11 +58,16 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             before = [p["end_to_end"][name] for p, _ in pairs]
             after = [c["end_to_end"][name] for _, c in pairs]
+            parent_median, change_median = statistics.median(before), statistics.median(after)
+            # positive is worse; None when the parent's median is 0
+            relative = (sign * (parent_median - change_median) / abs(parent_median)
+                        if parent_median else None)
             entry["end_to_end"][name] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                 "parent": summary(before), "change": summary(after),
                 "change_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
-                "pairs": len(pairs),
+                "pairs": len(pairs), "relative": relative,
+                "beyond_bound": relative is not None and relative > metric["bound"],
             }
         traced = [s for s in sorted({s for w, tr, s in parent if w == workload and tr == 1})
                   if (workload, 1, s) in change]
@@ -85,9 +92,12 @@ def report(workloads: dict) -> str:
                      f"{entry['change_failed']}/{entry['change_attempted']}")
         for name, m in entry["end_to_end"].items():
             p, c = m["parent"], m["change"]
+            relative = "n/a" if m["relative"] is None else f"{m['relative']:+.1%}"
             lines.append(f"  {name:<17} {p['median']:.5g} [{p['q1']:.5g}, {p['q3']:.5g}] -> "
                          f"{c['median']:.5g} [{c['q1']:.5g}, {c['q3']:.5g}] {m['unit']}, "
-                         f"{m['better']} is better; change wins {m['change_wins']}/{m['pairs']}")
+                         f"{m['better']} is better; change wins {m['change_wins']}/{m['pairs']}; "
+                         f"worse by {relative} (bound {m['bound']:.0%})"
+                         + (" BEYOND BOUND" if m["beyond_bound"] else ""))
         if entry["per_layer"]:
             lines.append(f"  per layer, medians of traced seeds {entry['traced_seeds']}:")
             for name, m in entry["per_layer"].items():
