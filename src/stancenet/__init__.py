@@ -5,8 +5,8 @@ The package splits into six layers:
 
 * ``autodiff``  - float64 tensors, a gradient tape, and the op set every
   layer is written in, plus a central finite-difference checker.
-* ``textdata``  - corpus files, vocabulary, fixed-shape encoding with
-  masks, fold construction, and synthetic corpus generators.
+* ``textdata``  - corpus files, vocabulary, fixed-shape encoding (word
+  id 0 is padding), fold construction, and synthetic corpus generators.
 * ``kge``       - knowledge graph triple stores, RotatE/ModE/HAKE
   scoring and training, filtered link-prediction metrics, and
   vocabulary-aligned table export.

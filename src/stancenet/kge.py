@@ -30,7 +30,7 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +67,22 @@ class TripleStore:
         return len(self.relation_names)
 
 
+def _tsv_rows(path, width: int, expected: str) -> Iterator[list[str]]:
+    """The tab-separated fields of each line of a text file, skipping blank and '#'
+    lines. A line without ``width`` fields raises TripleFormatError
+    ``{path}:{line}: expected {expected}``, the field count formatted into ``expected``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise TripleFormatError(
+                    f"{path}:{lineno}: expected {expected.format(len(fields))}")
+            yield fields
+
+
 def load_triples(path, stance_tag: str) -> TripleStore:
     """Parse a TSV triple file; '#' lines are comments, duplicates are dropped."""
     entities: dict[str, int] = {}
@@ -83,25 +99,15 @@ def load_triples(path, stance_tag: str) -> TripleStore:
             names.append(name)
         return table[name]
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise TripleFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            h = intern(fields[0], entities, entity_names)
-            r = intern(fields[1], relations, relation_names)
-            t = intern(fields[2], entities, entity_names)
-            triple = (h, r, t)
-            if triple in seen:
-                duplicates += 1
-                continue
-            seen.add(triple)
-            triples.append(triple)
+    for head, relation, tail in _tsv_rows(path, 3, "3 tab-separated fields, got {}"):
+        triple = (intern(head, entities, entity_names),
+                  intern(relation, relations, relation_names),
+                  intern(tail, entities, entity_names))
+        if triple in seen:
+            duplicates += 1
+            continue
+        seen.add(triple)
+        triples.append(triple)
     return TripleStore(entities, entity_names, relations, relation_names, triples,
                        stance_tag, duplicates)
 
@@ -412,19 +418,7 @@ def zero_table(stance_tag: str, n_words: int, width: int) -> KnowledgeEmbeddingT
 
 def load_links(path) -> dict[str, str]:
     """word<TAB>entity_name per line; '#' comments allowed."""
-    links: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise TripleFormatError(
-                    f"{path}:{lineno}: expected word<TAB>entity, got {len(fields)} fields"
-                )
-            links[fields[0]] = fields[1]
-    return links
+    return dict(_tsv_rows(path, 2, "word<TAB>entity, got {} fields"))
 
 
 def export_aligned_table(

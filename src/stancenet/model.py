@@ -18,8 +18,7 @@ level, and ``All`` is ``WST`` plus knowledge injection.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import Iterator
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -95,22 +94,11 @@ class ModelParams:
     fuse_b: Tensor
     out_w: Tensor
     out_b: Tensor
+    made: list[tuple[str, Tensor]] = field(default_factory=list, repr=False, compare=False)
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        yield "word_table", self.word_table
-        for level, attn in (("word", self.word_attn), ("sentence", self.sent_attn),
-                            ("title", self.title_attn)):
-            for part, w in (("q", attn.wq), ("k", attn.wk), ("v", attn.wv), ("out", attn.wo)):
-                yield f"{level}_attn.{part}", w
-        for name, ff in (("word_ff", self.word_ff), ("sentence_ff", self.sent_ff)):
-            yield f"{name}.w1", ff.w1
-            yield f"{name}.b1", ff.b1
-            yield f"{name}.w2", ff.w2
-            yield f"{name}.b2", ff.b2
-        yield "fuse.w", self.fuse_w
-        yield "fuse.b", self.fuse_b
-        yield "output.w", self.out_w
-        yield "output.b", self.out_b
+    def named(self) -> list[tuple[str, Tensor]]:
+        """The (name, tensor) pairs in the order ``_build`` made them."""
+        return self.made
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named()]
@@ -120,14 +108,19 @@ class ModelParams:
             t.zero_grad()
 
 
-def _build(n_words: int, hp: HyperParams, make) -> ModelParams:
+def _build(n_words: int, hp: HyperParams, supply) -> ModelParams:
     """The one place that names and shapes the parameters.
 
-    ``make(name, shape)`` supplies each, in ``ModelParams.named`` order; a fused
-    query, key or value projection also gets ``blocks``, its number of per-head
-    column blocks.
+    ``supply(name, shape)`` returns each, called in one fixed order, which
+    ``ModelParams.named`` keeps; a fused query, key or value projection also gets
+    ``blocks``, its number of per-head column blocks.
     """
     d, inner = hp.d, 4 * hp.d
+    made = []
+
+    def make(name, shape, blocks=1):
+        made.append((name, supply(name, shape, blocks=blocks)))
+        return made[-1][1]
 
     def attention(level):
         return AttentionParams(hp.heads, *(make(f"{level}_attn.{part}", (d, d), blocks=hp.heads)
@@ -149,6 +142,7 @@ def _build(n_words: int, hp: HyperParams, make) -> ModelParams:
         fuse_b=make("fuse.b", (d,)),
         out_w=make("output.w", (d, hp.classes)),
         out_b=make("output.b", (hp.classes,)),
+        made=made,
     )
 
 

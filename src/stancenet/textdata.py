@@ -2,8 +2,11 @@
 
 Input articles are pre-tokenised lowercase text; bodies carry sentence
 boundaries as a literal ``<sep>`` token. Encoding truncates to the first
-``l`` sentences and first ``n`` words per sentence, pads the rest, and
-keeps 0/1 masks so padding can never leak into attention or averages.
+``l`` sentences and first ``n`` words per sentence and pads the rest with
+word id 0, ``PAD_ID``. An encoded article is its word ids alone: id 0 is
+padding and nothing else (a literal ``<pad>`` token encodes as ``<unk>``),
+so its 0/1 masks are derived from the ids, and padding can never leak into
+attention or averages.
 
 Also home to the synthetic corpus generators used by the demos and the
 acceptance suite, and to fold construction for cross-validation.
@@ -50,7 +53,9 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+        """The token's id; ``<unk>``'s for a token outside the vocabulary and for
+        ``<pad>``, since id 0 marks padding only."""
+        return UNK_ID if token == PAD_TOKEN else self.token_to_id.get(token, UNK_ID)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -68,14 +73,24 @@ class Vocabulary:
 
 @dataclass
 class EncodedArticle:
-    """One article as fixed-shape index matrices plus masks."""
+    """One article as fixed-shape word id matrices, PAD_ID wherever there is no word.
+    Its float 0/1 masks are read from the ids."""
 
-    sentences: np.ndarray      # [l, n] word ids, PAD-filled
-    sentence_mask: np.ndarray  # [l] 0/1
-    word_masks: np.ndarray     # [l, n] 0/1
-    title: np.ndarray          # [n] word ids
-    title_mask: np.ndarray     # [n] 0/1
+    sentences: np.ndarray  # [l, n] word ids
+    title: np.ndarray      # [n] word ids
     label: int
+
+    @property
+    def word_masks(self) -> np.ndarray:  # [l, n]
+        return (self.sentences != PAD_ID).astype(np.float64)
+
+    @property
+    def sentence_mask(self) -> np.ndarray:  # [l], 1 for a sentence with a word
+        return (self.sentences != PAD_ID).any(axis=1).astype(np.float64)
+
+    @property
+    def title_mask(self) -> np.ndarray:  # [n]
+        return (self.title != PAD_ID).astype(np.float64)
 
 
 def split_sentences(body: str, separator: str = SEP_TOKEN) -> list[list[str]]:
@@ -123,21 +138,14 @@ def encode_article(article: RawArticle, vocab: Vocabulary, n: int, l: int) -> En
         raise EncodeError(f"article {article.title!r} has no sentences after splitting")
 
     sentences = np.full((l, n), PAD_ID, dtype=np.int64)
-    word_masks = np.zeros((l, n), dtype=np.float64)
-    sentence_mask = np.zeros(l, dtype=np.float64)
     for j, tokens in enumerate(sentence_tokens[:l]):
         kept = tokens[:n]
         sentences[j, : len(kept)] = [vocab.lookup(t) for t in kept]
-        word_masks[j, : len(kept)] = 1.0
-        sentence_mask[j] = 1.0
 
     title = np.full(n, PAD_ID, dtype=np.int64)
-    title_mask = np.zeros(n, dtype=np.float64)
     title_tokens = [t for t in article.title.split() if t != SEP_TOKEN][:n]
     title[: len(title_tokens)] = [vocab.lookup(t) for t in title_tokens]
-    title_mask[: len(title_tokens)] = 1.0
-
-    return EncodedArticle(sentences, sentence_mask, word_masks, title, title_mask, article.label)
+    return EncodedArticle(sentences, title, article.label)
 
 
 def encode_corpus(corpus: list[RawArticle], vocab: Vocabulary, n: int, l: int) -> list[EncodedArticle]:
@@ -228,43 +236,40 @@ def save_encoded(path, encoded: list[EncodedArticle], classes: int):
     np.savez(
         path,
         sentences=np.stack([e.sentences for e in encoded]),
-        sentence_masks=np.stack([e.sentence_mask for e in encoded]),
-        word_masks=np.stack([e.word_masks for e in encoded]),
         titles=np.stack([e.title for e in encoded]),
-        title_masks=np.stack([e.title_mask for e in encoded]),
         labels=np.array([e.label for e in encoded], dtype=np.int64),
         classes=np.array(classes, dtype=np.int64),
     )
 
 
 def load_encoded(path) -> tuple[list[EncodedArticle], int]:
-    """The encoded articles and the class count. A label outside
-    ``[0, classes)``, an article with no active sentence, or an active
-    sentence with no real word raises CorpusFormatError naming the article.
+    """The encoded articles and the class count, from the ``sentences``, ``titles``,
+    ``labels`` and ``classes`` arrays. Any other array is ignored, so the mask arrays
+    that older files also hold change nothing: the masks are derived from the ids.
+
+    A missing array, a label outside ``[0, classes)``, or an article with no word
+    (only PAD_ID in its sentences) raises CorpusFormatError naming the file, and the
+    array or the article.
 
     Each array is read from the archive once and the articles are rows of
     it: every archive lookup reads a fresh copy of the whole array, so a
     lookup per article would hold memory growing with the square of the count.
     """
     with np.load(path) as data:
-        columns = [data[key] for key in
-                   ("sentences", "sentence_masks", "word_masks", "titles", "title_masks")]
-        labels, classes = data["labels"], int(data["classes"])
+        for key in ("sentences", "titles", "labels", "classes"):
+            if key not in data.files:
+                raise CorpusFormatError(f"{path}: not an encoded corpus (no {key!r} array)")
+        sentences, titles, labels = data["sentences"], data["titles"], data["labels"]
+        classes = int(data["classes"])
     outside = np.flatnonzero((labels < 0) | (labels >= classes))
     if outside.size:
         i = int(outside[0])
         raise CorpusFormatError(f"{path}: article {i} has label {int(labels[i])}, "
                                 f"outside [0, {classes})")
-    sentence_masks, word_masks = columns[1], columns[2]
-    silent = ~sentence_masks.any(axis=1)
-    hollow = (sentence_masks == 1.0) & ~word_masks.any(axis=2)
-    bad = np.flatnonzero(silent | hollow.any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        what = ("no active sentence" if silent[i]
-                else f"no word in its active sentence {int(np.argmax(hollow[i]))}")
-        raise CorpusFormatError(f"{path}: article {i} has {what}")
-    encoded = [EncodedArticle(*(column[i] for column in columns), int(labels[i]))
+    wordless = np.flatnonzero((sentences == PAD_ID).all(axis=(1, 2)))
+    if wordless.size:
+        raise CorpusFormatError(f"{path}: article {int(wordless[0])} has no word")
+    encoded = [EncodedArticle(sentences[i], titles[i], int(labels[i]))
                for i in range(labels.shape[0])]
     return encoded, classes
 

@@ -199,7 +199,7 @@ def chunks(articles: Sequence[EncodedArticle]) -> Iterator[list[EncodedArticle]]
     chunk: list[EncodedArticle] = []
     rows = 0
     for article in articles:
-        words = int(article.word_masks[article.sentence_mask == 1.0].sum())
+        words = int(article.word_masks.sum())
         if chunk and rows + words > ROW_BUDGET:
             yield chunk
             chunk, rows = [], 0

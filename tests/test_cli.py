@@ -669,10 +669,7 @@ class TestLoadBoundary:
         assert f"article 5 has label {label}" in err
 
 
-    @pytest.mark.parametrize("defect,message", [
-        ("no_sentence", "article 3 has no active sentence"),
-        ("empty_sentence", "article 3 has no word in its active sentence 1"),
-    ])
+    @pytest.mark.parametrize("defect,message", [("no_sentence", "article 3 has no word")])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_article_without_words_exits_2_naming_file_and_article(
             self, tmp_path, capsys, command, defect, message):
@@ -681,10 +678,7 @@ class TestLoadBoundary:
         corpus = pre / "corpus.npz"
         with np.load(corpus) as data:
             arrays = dict(data)
-        if defect == "no_sentence":
-            arrays["sentence_masks"][3] = 0.0
-        else:
-            arrays["word_masks"][3, 1] = 0.0
+        arrays["sentences"][3] = td.PAD_ID
         np.savez(corpus, **arrays)
         capsys.readouterr()
         rc = main([command, "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
@@ -692,6 +686,21 @@ class TestLoadBoundary:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{corpus}: {message}" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_corpus_missing_an_array_exits_2_naming_file_and_array(
+            self, tmp_path, capsys, command):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        extra = self.command_args(tmp_path, pre, command)
+        corpus = pre / "corpus.npz"
+        np.savez(corpus, x=np.zeros(3))
+        capsys.readouterr()
+        rc = main([command, "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
+                   "--no-knowledge", *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{corpus}: not an encoded corpus (no 'sentences' array)" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -706,8 +715,7 @@ class TestLoadBoundary:
         corpus = pre / "corpus.npz"
         with np.load(corpus) as data:
             arrays = dict(data)
-        arrays["title_masks"][4] = 0.0
-        arrays["titles"][4] = 0
+        arrays["titles"][4] = td.PAD_ID
         np.savez(corpus, **arrays)
         for mode in model:
             capsys.readouterr()

@@ -23,6 +23,7 @@ from stancenet.kge import (
     TripleStore,
     evaluate_completion,
     export_aligned_table,
+    load_links,
     load_triples,
     score_triple,
     train_kge,
@@ -79,6 +80,24 @@ class TestLoadTriples:
         path.write_text("a\tr\tb\nonly two\tfields\n")
         with pytest.raises(TripleFormatError, match=":2:"):
             load_triples(path, "common")
+
+    @pytest.mark.parametrize("read,text,message", [
+        (lambda path: load_triples(path, "common"), "# c\n\na\tr\tb\nonly two\tfields\n",
+         "{}:4: expected 3 tab-separated fields, got 2"),
+        (load_links, "# c\n\nw\te\nw\te\tx\n", "{}:4: expected word<TAB>entity, got 3 fields"),
+    ], ids=["triples", "links"])
+    def test_malformed_line_message(self, tmp_path, read, text, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(TripleFormatError) as err:
+            read(path)
+        assert str(err.value) == message.format(path)
+
+    def test_links_skip_comments_and_blanks_and_keep_the_last_link(self, tmp_path):
+        path = tmp_path / "links.tsv"
+        path.write_text("# word\tentity\nobama\tBarack_Obama\n\n  # x\nbiden\tJoe\n"
+                        "obama\tObama\n")
+        assert load_links(path) == {"obama": "Obama", "biden": "Joe"}
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "kg.tsv"

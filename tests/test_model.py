@@ -35,6 +35,7 @@ from stancenet.model import (
     word_level,
     zero_bundle,
 )
+from stancenet.training import AdamState, adam_step
 
 
 def tiny_hp(**overrides) -> HyperParams:
@@ -496,7 +497,9 @@ class TestPredict:
     def test_empty_article_parts_rejected(self, mode, field, what):
         hp = tiny_hp(mode=mode)
         _, vocab, encoded = encode_fixture(hp)
-        getattr(encoded[0], field)[:] = 0.0
+        ids = encoded[0].sentences if field == "sentence_mask" else encoded[0].title
+        ids[:] = td.PAD_ID
+        assert not getattr(encoded[0], field).any()
         params = init_params(len(vocab), hp, seed=0)
         with pytest.raises(DegenerateInput, match=what):
             predict(encoded[0], params, zero_bundle(len(vocab), hp.d), hp)
@@ -513,11 +516,9 @@ class TestPredict:
         scaling, head merge, output matmul, residual); output 5 (pool matmul, linear,
         softmax, reshape to [classes])."""
         hp = HyperParams(d=8, heads=2, n=5, l=4, classes=2, mode="All")
-        article = td.EncodedArticle(
-            np.arange(20).reshape(4, 5) % 12, np.array([1.0, 0.0, 1.0, 1.0]),
-            np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 1, 1, 0]],
-                     dtype=np.float64),
-            np.array([3, 4, 5, 0, 0]), np.array([1.0, 1.0, 1.0, 0.0, 0.0]), 1)
+        real = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 1, 1, 0]])
+        article = td.EncodedArticle((np.arange(20).reshape(4, 5) % 11 + 1) * real,
+                                    np.array([3, 4, 5, 0, 0]), 1)
         with Tape() as tape:
             predict(article, init_params(12, hp, seed=3), random_bundle(12, hp.d, 4), hp)
             assert len(tape) == 91
@@ -707,16 +708,15 @@ def test_predict_matches_per_sentence_oracle(mode, heads, l, n, count, seed):
     bundle = random_bundle(n_words, hp.d, int(rng.integers(1000)))
     articles = []
     for _ in range(count):
-        sentence_mask = (rng.random(l) < 0.6).astype(float)
-        sentence_mask[rng.integers(l)] = 1.0
-        word_masks = (rng.random((l, n)) < 0.6).astype(float) * sentence_mask[:, None]
-        for j in np.flatnonzero(sentence_mask):
-            word_masks[j, rng.integers(n)] = 1.0
-        title_mask = (rng.random(n) < 0.5).astype(float)
-        title_mask[rng.integers(n)] = 1.0
-        articles.append(td.EncodedArticle(rng.integers(0, n_words, (l, n)), sentence_mask,
-                                          word_masks, rng.integers(0, n_words, n),
-                                          title_mask, 0))
+        active = rng.random(l) < 0.6
+        active[rng.integers(l)] = True
+        real = (rng.random((l, n)) < 0.6) & active[:, None]
+        for j in np.flatnonzero(active):
+            real[j, rng.integers(n)] = True
+        title = rng.random(n) < 0.5
+        title[rng.integers(n)] = True
+        articles.append(td.EncodedArticle(rng.integers(1, n_words, (l, n)) * real,
+                                          rng.integers(1, n_words, n) * title, 0))
     want = np.array([ref_predict(a, params, bundle, hp) for a in articles])
     got = predict(articles, params, bundle, hp).data
     assert got.shape == (count, hp.classes)
@@ -803,14 +803,13 @@ def ragged_batch(hp, n_words, count, seed):
     rng = np.random.default_rng(seed)
     batch = []
     for i in range(count):
-        sentence_mask = (rng.random(hp.l) < 0.8).astype(np.float64)
-        sentence_mask[0] = 1.0
+        active = rng.random(hp.l) < 0.8
+        active[0] = True
         lengths = rng.integers(1, hp.n + 1, hp.l)
-        word_masks = (np.arange(hp.n) < lengths[:, None]) * sentence_mask[:, None]
-        title_mask = (np.arange(hp.n) < rng.integers(1, hp.n + 1)).astype(np.float64)
-        batch.append(td.EncodedArticle(rng.integers(1, n_words, (hp.l, hp.n)), sentence_mask,
-                                       word_masks, rng.integers(1, n_words, hp.n), title_mask,
-                                       i % hp.classes))
+        real = (np.arange(hp.n) < lengths[:, None]) & active[:, None]
+        title = np.arange(hp.n) < rng.integers(1, hp.n + 1)
+        batch.append(td.EncodedArticle(rng.integers(1, n_words, (hp.l, hp.n)) * real,
+                                       rng.integers(1, n_words, hp.n) * title, i % hp.classes))
     return batch
 
 
@@ -854,6 +853,40 @@ class TestCheckpoint:
         for (name_a, t_a), (name_b, t_b) in zip(params.named(), loaded.named()):
             assert name_a == name_b
             assert np.array_equal(t_a.data, t_b.data)
+
+    NAMES = ["word_table",
+             "word_attn.q", "word_attn.k", "word_attn.v", "word_attn.out",
+             "sentence_attn.q", "sentence_attn.k", "sentence_attn.v", "sentence_attn.out",
+             "title_attn.q", "title_attn.k", "title_attn.v", "title_attn.out",
+             "word_ff.w1", "word_ff.b1", "word_ff.w2", "word_ff.b2",
+             "sentence_ff.w1", "sentence_ff.b1", "sentence_ff.w2", "sentence_ff.b2",
+             "fuse.w", "fuse.b", "output.w", "output.b"]
+
+    def test_parameter_names_keys_and_draw_order_are_pinned(self, tmp_path):
+        """The 25 names, in one order: ``named``, the checkpoint's arrays, the Adam state
+        and ``init_params``' draws (q, k and v one block per head) all follow it."""
+        hp = tiny_hp()
+        p = init_params(9, hp, seed=5)
+        assert [name for name, _ in p.named()] == self.NAMES
+        assert [t for _, t in p.named()] == [
+            p.word_table, *(t for a in (p.word_attn, p.sent_attn, p.title_attn)
+                            for t in (a.wq, a.wk, a.wv, a.wo)),
+            *(t for f in (p.word_ff, p.sent_ff) for t in (f.w1, f.b1, f.w2, f.b2)),
+            p.fuse_w, p.fuse_b, p.out_w, p.out_b]
+        rng, bound = np.random.default_rng(5), 1.0 / np.sqrt(hp.d)
+        for name, t in p.named():
+            blocks = hp.heads if name.endswith((".q", ".k", ".v")) else 1
+            block = t.shape[:-1] + (t.shape[-1] // blocks,)
+            want = np.concatenate([rng.uniform(-bound, bound, block) for _ in range(blocks)],
+                                  axis=-1)
+            assert np.array_equal(t.data, want), name
+        path = tmp_path / "model.npz"
+        md.save_checkpoint(path, p, hp)
+        with np.load(path) as data:
+            assert data.files == ["manifest"] + [f"param:{name}" for name in self.NAMES]
+        state = AdamState()
+        adam_step(p.named(), [np.ones(t.shape) for t in p.tensors()], state, 0.1)
+        assert list(state.m) == list(state.v) == self.NAMES
 
     def test_load_draws_no_parameters(self, tmp_path, monkeypatch):
         """Loading builds each parameter from its saved array; nothing is drawn and dropped."""

@@ -63,10 +63,8 @@ def encoded_synthetic(num=16, classes=2, hp=None, seed=0):
 def sized_article(words: int, width: int = 64) -> td.EncodedArticle:
     """An article of ``words`` real body words, ``width`` to a sentence."""
     l = max(1, -(-words // width))
-    flat = (np.arange(l * width) < words).astype(np.float64)
-    return td.EncodedArticle(np.ones((l, width), dtype=np.int64), np.ones(l),
-                             flat.reshape(l, width), np.ones(width, dtype=np.int64),
-                             np.ones(width), 0)
+    flat = (np.arange(l * width) < words).astype(np.int64)
+    return td.EncodedArticle(flat.reshape(l, width), np.ones(width, dtype=np.int64), 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -86,9 +84,9 @@ def test_chunks_are_consecutive_whole_articles_within_the_budget(sizes):
 
 
 def test_chunks_count_only_the_words_of_active_sentences():
-    article = sized_article(ROW_BUDGET)
-    article.word_masks = np.vstack([article.word_masks, np.ones((1, 64))])
-    article.sentence_mask = np.append(article.sentence_mask, 0.0)
+    """A PAD sentence between real ones adds no word to an article's count."""
+    article = sized_article(ROW_BUDGET + 64)
+    article.sentences[3] = td.PAD_ID
     assert [len(run) for run in chunks([article, sized_article(0)])] == [2]
 
 
@@ -98,15 +96,15 @@ def ragged_training_batch(hp, n_words, count, seed):
     rng = np.random.default_rng(seed)
     batch = []
     for i in range(count):
-        sentence_mask = (rng.random(hp.l) < (1.0 if i == 0 else 0.5)).astype(np.float64)
-        sentence_mask[rng.integers(hp.l)] = 1.0
+        active = rng.random(hp.l) < (1.0 if i == 0 else 0.5)
+        active[rng.integers(hp.l)] = True
         low = hp.n if i == 0 else 1
         lengths = rng.integers(low, hp.n + 1, hp.l)
-        word_masks = (np.arange(hp.n) < lengths[:, None]) * sentence_mask[:, None]
-        title_mask = (np.arange(hp.n) < rng.integers(1, hp.n + 1)).astype(np.float64)
-        batch.append(td.EncodedArticle(rng.integers(1, n_words, (hp.l, hp.n)), sentence_mask,
-                                       word_masks, rng.integers(1, n_words, hp.n),
-                                       title_mask, int(rng.integers(hp.classes))))
+        real = (np.arange(hp.n) < lengths[:, None]) & active[:, None]
+        title = np.arange(hp.n) < rng.integers(1, hp.n + 1)
+        batch.append(td.EncodedArticle(rng.integers(1, n_words, (hp.l, hp.n)) * real,
+                                       rng.integers(1, n_words, hp.n) * title,
+                                       int(rng.integers(hp.classes))))
     return batch
 
 
