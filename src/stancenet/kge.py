@@ -348,6 +348,25 @@ class KnowledgeEmbeddingTable:
     vectors: np.ndarray   # [n_words, width]
     coverage: np.ndarray  # [n_words] 0/1, zero rows exactly where coverage is 0
 
+    def __post_init__(self):
+        """The table's invariant, checked once for every way a table is made: finite
+        [n_words, width] vectors and an [n_words] coverage that is 1 exactly at the
+        non-zero rows. A NaN row would otherwise reach ``predict`` even uncovered,
+        since 0 * NaN is NaN. Raises ValueError naming the stance and the first bad row."""
+        where = f"knowledge table {self.stance_tag!r}"
+        if self.vectors.ndim != 2 or self.coverage.shape != self.vectors.shape[:1]:
+            raise ValueError(f"{where}: vectors {self.vectors.shape} and coverage "
+                             f"{self.coverage.shape} are not [n_words, width] and [n_words]")
+        bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{where}: row {bad[0]} has a non-finite value")
+        nonzero = (self.vectors != 0).any(axis=1)
+        bad = np.flatnonzero(self.coverage != nonzero)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"{where}: row {i} has coverage {self.coverage[i]}, but its "
+                             f"vector is {'non-zero' if nonzero[i] else 'all zero'}")
+
     @property
     def width(self) -> int:
         return self.vectors.shape[1]
@@ -384,11 +403,11 @@ class KnowledgeEmbeddingTable:
             vectors = np.zeros((0, width))
         elif vectors.shape[1] != width:
             raise ValueError(_bad_row(path, width))
-        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-        if bad.size:
-            raise ValueError(f"{path}: row {bad[0]} has a non-finite value")
         coverage = (vectors != 0).any(axis=1).astype(np.float64)
-        return KnowledgeEmbeddingTable(stance, vectors, coverage)
+        try:
+            return KnowledgeEmbeddingTable(stance, vectors, coverage)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
 
 
 def _bad_row(path, width: int) -> Optional[str]:

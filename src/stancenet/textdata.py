@@ -30,7 +30,8 @@ _RESERVED = {PAD_TOKEN, UNK_TOKEN, SEP_TOKEN}
 
 
 class CorpusFormatError(ValueError):
-    """A corpus file line that cannot be parsed; message carries the line number."""
+    """A corpus file that cannot be read; the message names the file, and the line,
+    array or article at fault."""
 
 
 class EncodeError(ValueError):
@@ -242,25 +243,46 @@ def save_encoded(path, encoded: list[EncodedArticle], classes: int):
     )
 
 
+# the rank of each array of an encoded corpus: [N, l, n], [N, n], [N], and a scalar
+_ENCODED_RANKS = {"sentences": 3, "titles": 2, "labels": 1, "classes": 0}
+
+
 def load_encoded(path) -> tuple[list[EncodedArticle], int]:
     """The encoded articles and the class count, from the ``sentences``, ``titles``,
     ``labels`` and ``classes`` arrays. Any other array is ignored, so the mask arrays
     that older files also hold change nothing: the masks are derived from the ids.
 
-    A missing array, a label outside ``[0, classes)``, or an article with no word
-    (only PAD_ID in its sentences) raises CorpusFormatError naming the file, and the
-    array or the article.
+    A missing or unreadable array, an array of the wrong rank or of a non-integer
+    dtype, arrays that disagree on the article count or on the sentence width ``n``,
+    a label outside ``[0, classes)``, or an article with no word (only PAD_ID in its
+    sentences) raises CorpusFormatError naming the file, and the array or the article.
 
     Each array is read from the archive once and the articles are rows of
     it: every archive lookup reads a fresh copy of the whole array, so a
     lookup per article would hold memory growing with the square of the count.
     """
+    arrays = {}
     with np.load(path) as data:
-        for key in ("sentences", "titles", "labels", "classes"):
+        for key, rank in _ENCODED_RANKS.items():
             if key not in data.files:
                 raise CorpusFormatError(f"{path}: not an encoded corpus (no {key!r} array)")
-        sentences, titles, labels = data["sentences"], data["titles"], data["labels"]
-        classes = int(data["classes"])
+            try:
+                arr = data[key]
+            except ValueError as err:  # e.g. an object array, which needs pickle to load
+                raise CorpusFormatError(f"{path}: array {key!r} cannot be read: {err}") from err
+            if arr.ndim != rank or not np.issubdtype(arr.dtype, np.integer):
+                raise CorpusFormatError(f"{path}: array {key!r} must be a rank-{rank} integer "
+                                        f"array, not a rank-{arr.ndim} {arr.dtype} one")
+            arrays[key] = arr
+    sentences, titles, labels = arrays["sentences"], arrays["titles"], arrays["labels"]
+    classes = int(arrays["classes"])
+    counts = {key: len(arrays[key]) for key in ("sentences", "titles", "labels")}
+    if len(set(counts.values())) != 1:
+        raise CorpusFormatError(f"{path}: arrays disagree on the article count: " +
+                                ", ".join(f"{key!r} has {count}" for key, count in counts.items()))
+    if titles.shape[1] != sentences.shape[2]:
+        raise CorpusFormatError(f"{path}: array 'titles' holds {titles.shape[1]} words per "
+                                f"title, but 'sentences' {sentences.shape[2]} per sentence")
     outside = np.flatnonzero((labels < 0) | (labels >= classes))
     if outside.size:
         i = int(outside[0])

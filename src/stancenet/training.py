@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import model as md
 from .autodiff import Tape, Tensor
@@ -308,6 +307,37 @@ def cross_validate(
 DEFAULT_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
+def unread_factors(bundle: KnowledgeBundle, hp: HyperParams) -> dict[str, str]:
+    """The knowledge factors that cannot change a trained model, each with the reason.
+
+    ``predict`` reads alpha and beta only in mode All, and a table that covers no word
+    leaves its mixing step a no-op (``model._mix``), so the factor of that step is idle.
+    """
+    if hp.mode != "All":
+        why = f"mode {hp.mode} injects no knowledge"
+        return {"alpha": why, "beta": why}
+    unread = {}
+    if not bundle.com.coverage.any():
+        unread["alpha"] = "the common table covers no word"
+    if not (bundle.lib.coverage.any() or bundle.con.coverage.any()):
+        unread["beta"] = "the liberal and conservative tables cover no word"
+    return unread
+
+
+def sweep_cells(bundle: KnowledgeBundle, hp: HyperParams, alphas: Sequence[float],
+                betas: Sequence[float]) -> dict[tuple, list[tuple[int, int]]]:
+    """The (row, column) cells of the alpha/beta grid grouped by the model they train:
+    cells that differ only in an unread factor (``unread_factors``) train bit-identical
+    models, so one training serves the group. Groups follow the grid's row-major order."""
+    unread = unread_factors(bundle, hp)
+    cells: dict[tuple, list[tuple[int, int]]] = {}
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            key = (None if "alpha" in unread else alpha, None if "beta" in unread else beta)
+            cells.setdefault(key, []).append((i, j))
+    return cells
+
+
 def sweep_alpha_beta(
     corpus: list[EncodedArticle],
     bundle: KnowledgeBundle,
@@ -321,7 +351,8 @@ def sweep_alpha_beta(
 
     With folds >= 2 each cell runs a cross-validation; otherwise a single
     deterministic train/validation split (the same split for every cell), which
-    needs 0 < val_fraction < 1 and at least one training article.
+    needs 0 < val_fraction < 1 and at least one training article. Each group of
+    ``sweep_cells`` trains once, at its first cell, and fills all its cells.
     """
     for value in list(alphas) + list(betas):
         if not 0.0 <= value <= 1.0:
@@ -339,14 +370,16 @@ def sweep_alpha_beta(
     train_set = [a for i, a in enumerate(corpus) if i not in val_idx]
     val_set = [corpus[i] for i in sorted(val_idx)]
 
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate(betas):
-            cell_cfg = replace(cfg, hp=replace(cfg.hp, alpha=alpha, beta=beta))
-            if folds >= 2:
-                grid[i, j] = cross_validate(corpus, bundle, folds, cell_cfg).mean
-            else:
-                params, _ = train(train_set, bundle, cell_cfg)
-                grid[i, j] = evaluate_accuracy(params, bundle, val_set, cell_cfg.hp)
+    for cells in sweep_cells(bundle, cfg.hp, alphas, betas).values():
+        i, j = cells[0]
+        cell_cfg = replace(cfg, hp=replace(cfg.hp, alpha=alphas[i], beta=betas[j]))
+        if folds >= 2:
+            accuracy = cross_validate(corpus, bundle, folds, cell_cfg).mean
+        else:
+            params, _ = train(train_set, bundle, cell_cfg)
+            accuracy = evaluate_accuracy(params, bundle, val_set, cell_cfg.hp)
+        for cell in cells:
+            grid[cell] = accuracy
     return grid
 
 
@@ -369,6 +402,10 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> tuple[
         if a.mean() == b.mean():
             return 0.0, 1.0
         return float("inf") if a.mean() > b.mean() else float("-inf"), 0.0
+    # Loaded here, not at the top: no pipeline step needs scipy.stats, and importing it
+    # takes most of the package's import time and memory.
+    from scipy import stats
+
     # From the variances already taken: ttest_ind warns of precision loss for a constant sample.
     result = stats.ttest_ind_from_stats(a.mean(), np.sqrt(va), a.size, b.mean(), np.sqrt(vb),
                                         b.size, equal_var=False)

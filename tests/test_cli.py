@@ -1,11 +1,18 @@
 """End-to-end tests for the command-line interface and its file contracts."""
 
+import contextlib
+import functools
+import io
 import json
 import re
+import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stancenet import model as md
 from stancenet import textdata as td
@@ -729,6 +736,86 @@ class TestLoadBoundary:
             assert f"{corpus}: article 4 has no title word, which mode {mode} needs" in err
             assert not (tmp_path / mode / "run").exists()
 
+    @pytest.mark.parametrize("array,edit,message", [
+        ("sentences", lambda a: a[:, :, 0],
+         "array 'sentences' must be a rank-3 integer array, not a rank-2 int64 one"),
+        ("titles", lambda a: a[:5],
+         "arrays disagree on the article count: 'sentences' has 24, 'titles' has 5, "
+         "'labels' has 24"),
+    ], ids=["rank-2-sentences", "five-titles-for-24-labels"])
+    def test_arrays_that_do_not_fit_together_exit_2_naming_file_and_array(
+            self, tmp_path, capsys, array, edit, message):
+        """Unchecked, the first stops in numpy with an axis error that names neither the
+        file nor the array, and the second as an internal IndexError (exit 1)."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path, num=24))
+        corpus = pre / "corpus.npz"
+        with np.load(corpus) as data:
+            arrays = dict(data)
+        arrays[array] = edit(arrays[array])
+        np.savez(corpus, **arrays)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"),
+                   "--no-knowledge", "--mode", "WST", "--d", "8", "--heads", "2",
+                   "--epochs", "1", "--output-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"error: {corpus}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @staticmethod
+    @functools.cache
+    def encoded_arrays():
+        corpus = td.gen_synthetic(6, 2, 2, seed=0)
+        vocab = td.build_vocab(corpus)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.npz"
+            td.save_encoded(path, td.encode_corpus(corpus, vocab, n=5, l=3), classes=2)
+            with np.load(path) as data:
+                return dict(data), vocab
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(["sentences", "titles", "labels", "classes"]), data=st.data())
+    def test_any_one_array_reshaped_or_retyped_exits_2_naming_file_and_array(self, key, data):
+        """A rank, an article count, a sentence width or a non-integer dtype that does not
+        fit the other arrays is a user error (exit 2) naming the file and the array; it
+        never reaches the model as an internal error (exit 1)."""
+        arrays, vocab = self.encoded_arrays()
+        arrays = dict(arrays)
+        arr = arrays[key]
+        changes = ["rank up", "dtype"]
+        if arr.ndim:
+            changes += ["rank down", "count"]
+        if key in ("sentences", "titles"):
+            changes.append("width")
+        change = data.draw(st.sampled_from(changes), label="change")
+        if change == "rank up":
+            arr = arr[..., None]
+        elif change == "rank down":
+            arr = arr[..., 0]
+        elif change == "dtype":
+            arr = arr.astype(data.draw(st.sampled_from(
+                [np.float64, np.bool_, np.complex128, str, object]), label="dtype"))
+        elif change == "count":
+            count = data.draw(st.integers(0, 2 * len(arr)).filter(lambda c: c != len(arr)),
+                              label="count")
+            arr = np.resize(arr, (count,) + arr.shape[1:])
+        else:
+            width = data.draw(st.integers(0, 8).filter(lambda w: w != arr.shape[-1]),
+                              label="width")
+            arr = np.resize(arr, arr.shape[:-1] + (width,))
+        arrays[key] = arr
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, vocab_path = Path(tmp) / "corpus.npz", Path(tmp) / "vocab.txt"
+            np.savez(corpus, **arrays)
+            vocab.save(vocab_path)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["train", "--corpus", str(corpus), "--vocab", str(vocab_path),
+                           "--no-knowledge", "--mode", "WST", "--d", "8", "--heads", "2",
+                           "--epochs", "1", "--output-dir", str(Path(tmp) / "run")])
+            assert rc == 2, err.getvalue()
+            assert f"error: {corpus}: " in err.getvalue()
+            assert repr(key) in err.getvalue()
+
 
 class TestSweep:
     def test_single_cell_sweep(self, tmp_path, capsys):
@@ -785,6 +872,33 @@ class TestSweep:
     def test_valid_split_or_folds_on_three_articles(self, tmp_path, flags):
         assert self.sweep_three_articles(tmp_path, *flags) == 0
         assert len((tmp_path / "run" / "sweep.csv").read_text().splitlines()) == 2
+
+
+class TestSweepReport:
+    """A sweep trains one model per distinct (alpha, beta) effect and says so."""
+
+    @pytest.mark.parametrize("mode,knowledge,line", [
+        ("WS", ["--no-knowledge"], "trained 1 of 4 cells: mode WS injects no knowledge, "
+                                   "so alpha and beta change no model"),
+        ("All", ["--no-knowledge"],
+         "trained 1 of 4 cells: the common table covers no word, so alpha changes no "
+         "model; the liberal and conservative tables cover no word, so beta changes no "
+         "model"),
+        ("All", None, "trained 4 of 4 cells: every cell is a distinct model"),
+    ])
+    def test_trained_cells_line(self, tmp_path, capsys, mode, knowledge, line):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        if knowledge is None:
+            knowledge = [f"--{key.replace('_', '-')}={path}"
+                         for key, path in write_tables(tmp_path, pre).items()]
+        capsys.readouterr()
+        rc = main(["sweep", "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), *knowledge,
+                   "--mode", mode, "--d", "8", "--heads", "2", "--epochs", "1",
+                   "--batch-size", "4", "--alphas", "0.2,1.0", "--betas", "0.4,0.6",
+                   "--output-dir", str(tmp_path / "run")])
+        assert rc == 0
+        assert line in capsys.readouterr().out.splitlines()
 
 
 class TestGenSynthetic:

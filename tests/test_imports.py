@@ -1,0 +1,44 @@
+"""Import cost: the package and its command-line pipeline load numpy and the standard
+library only. ``scipy.stats`` is loaded by ``welch_t_test`` alone, when it is called,
+since importing it takes most of the import time and memory of the package."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = textwrap.dedent("""
+    import math, sys
+    from pathlib import Path
+
+    import stancenet
+    from stancenet import textdata as td
+    from stancenet.cli import main
+
+    try:
+        main(["--help"])
+    except SystemExit:
+        pass
+    corpus = Path(sys.argv[1]) / "corpus.jsonl"
+    td.save_corpus(corpus, td.gen_synthetic(4, 2, 2, seed=0), classes=2)
+    assert main(["preprocess", str(corpus), "--n", "4", "--l", "2",
+                 "--output-dir", str(Path(sys.argv[1]) / "pre")]) == 0
+    assert "scipy.stats" not in sys.modules, "scipy.stats loaded before welch_t_test"
+
+    t, p = stancenet.welch_t_test([0.1, 0.2, 0.3], [0.4, 0.5, 0.7])
+    assert "scipy.stats" in sys.modules
+    assert math.isfinite(t) and math.isfinite(p) and 0.0 < p < 1.0, (t, p)
+    print("ok")
+""")
+
+
+def test_scipy_stats_is_loaded_only_by_welch_t_test(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"

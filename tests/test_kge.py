@@ -610,7 +610,8 @@ class TestExportAlignedTable:
         vectors = np.array(rows, dtype=np.float64).reshape(len(rows), width)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.txt"
-            kge.KnowledgeEmbeddingTable("liberal", vectors, np.zeros(len(rows))).save(path)
+            coverage = (vectors != 0).any(axis=1).astype(np.float64)
+            kge.KnowledgeEmbeddingTable("liberal", vectors, coverage).save(path)
             loaded = kge.KnowledgeEmbeddingTable.load(path)
         assert loaded.stance_tag == "liberal"
         assert loaded.vectors.shape == vectors.shape
@@ -678,3 +679,57 @@ def test_training_gradients_match_finite_differences():
             return ad.sum_all(scores)
 
         assert ad.finite_diff_check(f, ent) < 1e-5
+
+
+class TestTableInvariant:
+    """Every table, however it is made, holds finite [n_words, width] vectors and an
+    [n_words] coverage that is 1 exactly at its non-zero rows."""
+
+    VECTORS = np.array([[0.0, 0.0], [0.5, -1.0], [0.0, 2.0]])
+    COVERAGE = np.array([0.0, 1.0, 1.0])
+
+    def test_a_consistent_table_is_accepted(self):
+        table = kge.KnowledgeEmbeddingTable("liberal", self.VECTORS, self.COVERAGE)
+        assert table.n_words == 3 and table.width == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("covered", [True, False])
+    def test_a_non_finite_row_names_the_stance_and_the_row(self, value, covered):
+        """A NaN row would reach predict even uncovered, since 0 * NaN is NaN."""
+        vectors = self.VECTORS.copy()
+        vectors[2, 1] = value
+        coverage = self.COVERAGE.copy()
+        coverage[2] = float(covered)
+        with pytest.raises(ValueError, match=r"^knowledge table 'liberal': row 2 has a "
+                                             r"non-finite value$"):
+            kge.KnowledgeEmbeddingTable("liberal", vectors, coverage)
+
+    @pytest.mark.parametrize("row,coverage,vector", [
+        (0, 1.0, "all zero"), (1, 0.0, "non-zero"), (2, 0.5, "non-zero")])
+    def test_coverage_that_disagrees_with_the_rows_names_the_row(self, row, coverage, vector):
+        cov = self.COVERAGE.copy()
+        cov[row] = coverage
+        with pytest.raises(ValueError) as err:
+            kge.KnowledgeEmbeddingTable("common", self.VECTORS, cov)
+        assert str(err.value) == (f"knowledge table 'common': row {row} has coverage "
+                                  f"{coverage}, but its vector is {vector}")
+
+    @pytest.mark.parametrize("vectors,coverage", [
+        (np.zeros(3), np.zeros(3)),
+        (np.zeros((3, 2, 1)), np.zeros(3)),
+        (np.zeros((3, 2)), np.zeros(2)),
+        (np.zeros((3, 2)), np.zeros((3, 1))),
+    ])
+    def test_shapes_that_do_not_fit_are_refused(self, vectors, coverage):
+        with pytest.raises(ValueError, match="^knowledge table 'conservative': vectors"):
+            kge.KnowledgeEmbeddingTable("conservative", vectors, coverage)
+
+    def test_load_prefixes_the_path(self, tmp_path):
+        path = tmp_path / "table.txt"
+        kge.KnowledgeEmbeddingTable("liberal", self.VECTORS, self.COVERAGE).save(path)
+        lines = path.read_text().splitlines()
+        lines[2 + 1] = "0.5 nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            kge.KnowledgeEmbeddingTable.load(path)
+        assert str(err.value) == f"{path}: knowledge table 'liberal': row 1 has a non-finite value"

@@ -342,6 +342,28 @@ class TestEncodedFiles:
             td.load_encoded(path)
         assert str(err.value) == f"{path}: not an encoded corpus (no {missing!r} array)"
 
+    @pytest.mark.parametrize("key,edit,message", [
+        ("titles", lambda a: a[:, :3],
+         "array 'titles' holds 3 words per title, but 'sentences' 4 per sentence"),
+        ("labels", lambda a: a[:, None],
+         "array 'labels' must be a rank-1 integer array, not a rank-2 int64 one"),
+        ("classes", lambda a: a.astype(np.float64),
+         "array 'classes' must be a rank-0 integer array, not a rank-0 float64 one"),
+        ("sentences", lambda a: a.astype(object), "array 'sentences' cannot be read: "),
+    ], ids=["title-width", "labels-rank", "classes-dtype", "object-array"])
+    def test_an_array_that_does_not_fit_names_the_file_and_the_array(
+            self, tmp_path, key, edit, message):
+        corpus = td.gen_synthetic(3, 2, 2, seed=1)
+        path = tmp_path / "encoded.npz"
+        td.save_encoded(path, td.encode_corpus(corpus, td.build_vocab(corpus), n=4, l=2), 2)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[key] = edit(arrays[key])
+        np.savez(path, **arrays)
+        with pytest.raises(td.CorpusFormatError) as err:
+            td.load_encoded(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+
     def test_load_memory_is_linear_in_article_count(self, tmp_path):
         """Loading holds each array once, not one decompressed copy per article."""
         corpus = td.gen_synthetic(60, 2, 2, seed=3)

@@ -551,6 +551,86 @@ class TestSweep:
         assert tr.DEFAULT_GRID == (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
+def knowledge_bundles():
+    """Bundles over the knowledge corpus's vocabulary whose tables cover words or not."""
+    corpus, entity_labels = gen_knowledge_corpus(12)
+    vocab = build_vocab(corpus)
+    planted = make_planted_bundle(len(vocab), {vocab.token_to_id[w]: c
+                                               for w, c in entity_labels.items()}, 8, seed=1)
+    empty = zero_bundle(len(vocab), 8)
+    return corpus, vocab, {
+        "none": empty,
+        "all": planted,
+        "common only": KnowledgeBundle(planted.com, empty.lib, empty.con),
+        "liberal only": KnowledgeBundle(empty.com, planted.lib, empty.con),
+    }
+
+
+class TestSweepCells:
+    """``sweep_alpha_beta`` trains once per group of ``sweep_cells``, against the loop that
+    trains every cell."""
+
+    ALPHAS, BETAS = [0.2, 1.0], [0.4, 0.6, 0.4]
+
+    @pytest.mark.parametrize("mode,tables,groups", [
+        ("WS", "all", 1),
+        ("All", "none", 1),
+        ("All", "all", 4),  # the repeated beta 0.4 trains once
+        ("All", "common only", 2),
+        ("All", "liberal only", 2),
+    ])
+    @pytest.mark.parametrize("folds", [0, 2])
+    def test_one_training_per_distinct_model(self, monkeypatch, mode, tables, groups, folds):
+        corpus, vocab, bundles = knowledge_bundles()
+        bundle = bundles[tables]
+        hp = small_hp(d=8, n=8, l=3, mode=mode)
+        encoded = encode_corpus(corpus, vocab, hp.n, hp.l)
+        cfg = TrainConfig(epochs=2, batch_size=4, hp=hp, seed=1)
+        cells = tr.sweep_cells(bundle, hp, self.ALPHAS, self.BETAS)
+        assert len(cells) == groups
+        assert sorted(c for group in cells.values() for c in group) == [
+            (i, j) for i in range(len(self.ALPHAS)) for j in range(len(self.BETAS))]
+
+        # every cell on its own, on the sweep's split: round(12 * 0.25) articles held out
+        order = np.random.default_rng(cfg.seed).permutation(len(encoded))
+        val_idx = set(order[:3].tolist())
+        train_set = [a for i, a in enumerate(encoded) if i not in val_idx]
+        val_set = [encoded[i] for i in sorted(val_idx)]
+        want = np.zeros((len(self.ALPHAS), len(self.BETAS)))
+        models = {}
+        for i, alpha in enumerate(self.ALPHAS):
+            for j, beta in enumerate(self.BETAS):
+                cell_cfg = TrainConfig(epochs=2, batch_size=4, seed=1,
+                                       hp=small_hp(d=8, n=8, l=3, mode=mode, alpha=alpha,
+                                                   beta=beta))
+                if folds:
+                    want[i, j] = cross_validate(encoded, bundle, folds, cell_cfg).mean
+                    continue
+                params, _ = train(train_set, bundle, cell_cfg)
+                want[i, j] = evaluate_accuracy(params, bundle, val_set, cell_cfg.hp)
+                models[i, j] = b"".join(t.data.tobytes() for _, t in params.named())
+        if not folds:  # the cells of a group train one model, and the groups distinct ones
+            assert all(len({models[cell] for cell in group}) == 1 for group in cells.values())
+            assert len(set(models.values())) == groups
+
+        calls = spy(monkeypatch, tr, "train", len)
+        grid = sweep_alpha_beta(encoded, bundle, cfg, self.ALPHAS, self.BETAS, folds=folds)
+        assert len(calls) == groups * max(folds, 1)
+        assert grid.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode,tables,unread", [
+        ("W", "all", {"alpha", "beta"}),
+        ("WST", "none", {"alpha", "beta"}),
+        ("All", "none", {"alpha", "beta"}),
+        ("All", "all", set()),
+        ("All", "common only", {"beta"}),
+        ("All", "liberal only", {"alpha"}),
+    ])
+    def test_unread_factors(self, mode, tables, unread):
+        bundle = knowledge_bundles()[2][tables]
+        assert set(tr.unread_factors(bundle, small_hp(mode=mode))) == unread
+
+
 # --------------------------------------------------------------------------
 # Welch's t-test
 # --------------------------------------------------------------------------
