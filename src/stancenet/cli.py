@@ -321,23 +321,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _trained_cells(bundle: md.KnowledgeBundle, hp: md.HyperParams, alphas, betas) -> str:
-    """The line saying how many sweep cells trained a model of their own, and why."""
-    trained = len(tr.sweep_cells(bundle, hp, alphas, betas))
-    reasons: dict[str, list[str]] = {}
-    for factor, why in tr.unread_factors(bundle, hp).items():
-        reasons.setdefault(why, []).append(factor)
-    if reasons:
-        why = "; ".join(f"{why}, so {' and '.join(factors)} "
-                        f"{'changes' if len(factors) == 1 else 'change'} no model"
-                        for why, factors in reasons.items())
-    elif trained < len(alphas) * len(betas):
-        why = "a repeated grid value trains once"
-    else:
-        why = "every cell is a distinct model"
-    return f"trained {trained} of {len(alphas) * len(betas)} cells: {why}"
-
-
 def cmd_sweep(args) -> int:
     cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
 
@@ -345,7 +328,6 @@ def cmd_sweep(args) -> int:
     betas = [float(x) for x in args.betas.split(",")] if args.betas else list(tr.DEFAULT_GRID)
     grid = tr.sweep_alpha_beta(encoded, bundle, train_cfg, alphas=alphas, betas=betas,
                                folds=cfg.folds, val_fraction=cfg.val_fraction)
-    print(_trained_cells(bundle, train_cfg.hp, alphas, betas))
     sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as fh:
         fh.write("alpha,beta,accuracy\n")

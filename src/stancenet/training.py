@@ -307,37 +307,6 @@ def cross_validate(
 DEFAULT_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def unread_factors(bundle: KnowledgeBundle, hp: HyperParams) -> dict[str, str]:
-    """The knowledge factors that cannot change a trained model, each with the reason.
-
-    ``predict`` reads alpha and beta only in mode All, and a table that covers no word
-    leaves its mixing step a no-op (``model._mix``), so the factor of that step is idle.
-    """
-    if hp.mode != "All":
-        why = f"mode {hp.mode} injects no knowledge"
-        return {"alpha": why, "beta": why}
-    unread = {}
-    if not bundle.com.coverage.any():
-        unread["alpha"] = "the common table covers no word"
-    if not (bundle.lib.coverage.any() or bundle.con.coverage.any()):
-        unread["beta"] = "the liberal and conservative tables cover no word"
-    return unread
-
-
-def sweep_cells(bundle: KnowledgeBundle, hp: HyperParams, alphas: Sequence[float],
-                betas: Sequence[float]) -> dict[tuple, list[tuple[int, int]]]:
-    """The (row, column) cells of the alpha/beta grid grouped by the model they train:
-    cells that differ only in an unread factor (``unread_factors``) train bit-identical
-    models, so one training serves the group. Groups follow the grid's row-major order."""
-    unread = unread_factors(bundle, hp)
-    cells: dict[tuple, list[tuple[int, int]]] = {}
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate(betas):
-            key = (None if "alpha" in unread else alpha, None if "beta" in unread else beta)
-            cells.setdefault(key, []).append((i, j))
-    return cells
-
-
 def sweep_alpha_beta(
     corpus: list[EncodedArticle],
     bundle: KnowledgeBundle,
@@ -351,8 +320,11 @@ def sweep_alpha_beta(
 
     With folds >= 2 each cell runs a cross-validation; otherwise a single
     deterministic train/validation split (the same split for every cell), which
-    needs 0 < val_fraction < 1 and at least one training article. Each group of
-    ``sweep_cells`` trains once, at its first cell, and fills all its cells.
+    needs 0 < val_fraction < 1 and at least one training article. Cells that
+    differ only in a factor the model does not read share one training, and a
+    line says how many cells were trained: ``predict`` reads alpha and beta only
+    in mode All, and a table that covers no word makes its mixing step a no-op
+    (``model._mix``).
     """
     for value in list(alphas) + list(betas):
         if not 0.0 <= value <= 1.0:
@@ -370,16 +342,24 @@ def sweep_alpha_beta(
     train_set = [a for i, a in enumerate(corpus) if i not in val_idx]
     val_set = [corpus[i] for i in sorted(val_idx)]
 
-    for cells in sweep_cells(bundle, cfg.hp, alphas, betas).values():
-        i, j = cells[0]
-        cell_cfg = replace(cfg, hp=replace(cfg.hp, alpha=alphas[i], beta=betas[j]))
-        if folds >= 2:
-            accuracy = cross_validate(corpus, bundle, folds, cell_cfg).mean
-        else:
-            params, _ = train(train_set, bundle, cell_cfg)
-            accuracy = evaluate_accuracy(params, bundle, val_set, cell_cfg.hp)
-        for cell in cells:
-            grid[cell] = accuracy
+    knowledge = cfg.hp.mode == "All"
+    read = {"alpha": knowledge and bool(bundle.com.coverage.any()),
+            "beta": knowledge and bool(bundle.lib.coverage.any() or bundle.con.coverage.any())}
+    accuracies: dict[tuple, float] = {}  # keyed by the factors the model reads
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            key = (alpha if read["alpha"] else None, beta if read["beta"] else None)
+            if key not in accuracies:
+                cell_cfg = replace(cfg, hp=replace(cfg.hp, alpha=alpha, beta=beta))
+                if folds >= 2:
+                    accuracies[key] = cross_validate(corpus, bundle, folds, cell_cfg).mean
+                else:
+                    params, _ = train(train_set, bundle, cell_cfg)
+                    accuracies[key] = evaluate_accuracy(params, bundle, val_set, cell_cfg.hp)
+            grid[i, j] = accuracies[key]
+    unread = [factor for factor, is_read in read.items() if not is_read]
+    print(f"trained {len(accuracies)} of {grid.size} cells"
+          + (f" ({', '.join(unread)} not read)" if unread else ""))
     return grid
 
 

@@ -567,29 +567,26 @@ def knowledge_bundles():
 
 
 class TestSweepCells:
-    """``sweep_alpha_beta`` trains once per group of ``sweep_cells``, against the loop that
-    trains every cell."""
+    """``sweep_alpha_beta`` trains once per distinct model, against the loop that trains
+    every cell."""
 
     ALPHAS, BETAS = [0.2, 1.0], [0.4, 0.6, 0.4]
 
-    @pytest.mark.parametrize("mode,tables,groups", [
-        ("WS", "all", 1),
-        ("All", "none", 1),
-        ("All", "all", 4),  # the repeated beta 0.4 trains once
-        ("All", "common only", 2),
-        ("All", "liberal only", 2),
+    @pytest.mark.parametrize("mode,tables,groups,line", [
+        ("WS", "all", 1, "trained 1 of 6 cells (alpha, beta not read)"),
+        ("All", "none", 1, "trained 1 of 6 cells (alpha, beta not read)"),
+        ("All", "all", 4, "trained 4 of 6 cells"),  # the repeated beta 0.4 trains once
+        ("All", "common only", 2, "trained 2 of 6 cells (beta not read)"),
+        ("All", "liberal only", 2, "trained 2 of 6 cells (alpha not read)"),
     ])
     @pytest.mark.parametrize("folds", [0, 2])
-    def test_one_training_per_distinct_model(self, monkeypatch, mode, tables, groups, folds):
+    def test_one_training_per_distinct_model(self, monkeypatch, capsys, mode, tables, groups,
+                                             line, folds):
         corpus, vocab, bundles = knowledge_bundles()
         bundle = bundles[tables]
         hp = small_hp(d=8, n=8, l=3, mode=mode)
         encoded = encode_corpus(corpus, vocab, hp.n, hp.l)
         cfg = TrainConfig(epochs=2, batch_size=4, hp=hp, seed=1)
-        cells = tr.sweep_cells(bundle, hp, self.ALPHAS, self.BETAS)
-        assert len(cells) == groups
-        assert sorted(c for group in cells.values() for c in group) == [
-            (i, j) for i in range(len(self.ALPHAS)) for j in range(len(self.BETAS))]
 
         # every cell on its own, on the sweep's split: round(12 * 0.25) articles held out
         order = np.random.default_rng(cfg.seed).permutation(len(encoded))
@@ -597,7 +594,7 @@ class TestSweepCells:
         train_set = [a for i, a in enumerate(encoded) if i not in val_idx]
         val_set = [encoded[i] for i in sorted(val_idx)]
         want = np.zeros((len(self.ALPHAS), len(self.BETAS)))
-        models = {}
+        models = set()
         for i, alpha in enumerate(self.ALPHAS):
             for j, beta in enumerate(self.BETAS):
                 cell_cfg = TrainConfig(epochs=2, batch_size=4, seed=1,
@@ -608,27 +605,16 @@ class TestSweepCells:
                     continue
                 params, _ = train(train_set, bundle, cell_cfg)
                 want[i, j] = evaluate_accuracy(params, bundle, val_set, cell_cfg.hp)
-                models[i, j] = b"".join(t.data.tobytes() for _, t in params.named())
-        if not folds:  # the cells of a group train one model, and the groups distinct ones
-            assert all(len({models[cell] for cell in group}) == 1 for group in cells.values())
-            assert len(set(models.values())) == groups
+                models.add(b"".join(t.data.tobytes() for _, t in params.named()))
+        if not folds:  # the cells train exactly as many distinct models as the sweep trains
+            assert len(models) == groups
 
+        capsys.readouterr()
         calls = spy(monkeypatch, tr, "train", len)
         grid = sweep_alpha_beta(encoded, bundle, cfg, self.ALPHAS, self.BETAS, folds=folds)
         assert len(calls) == groups * max(folds, 1)
         assert grid.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("mode,tables,unread", [
-        ("W", "all", {"alpha", "beta"}),
-        ("WST", "none", {"alpha", "beta"}),
-        ("All", "none", {"alpha", "beta"}),
-        ("All", "all", set()),
-        ("All", "common only", {"beta"}),
-        ("All", "liberal only", {"alpha"}),
-    ])
-    def test_unread_factors(self, mode, tables, unread):
-        bundle = knowledge_bundles()[2][tables]
-        assert set(tr.unread_factors(bundle, small_hp(mode=mode))) == unread
+        assert capsys.readouterr().out.splitlines() == [line]
 
 
 # --------------------------------------------------------------------------
