@@ -28,17 +28,14 @@ print("sentence mask:", article.sentence_mask.tolist())
 params = md.init_params(len(vocab), hp, seed=0)
 
 # A bundle covering two words; the rest pass through untouched.
-coverage = np.zeros(len(vocab))
 vectors = np.zeros((len(vocab), hp.d))
 rng = np.random.default_rng(1)
 for word in ("senate", "budget"):
-    wid = vocab.token_to_id[word]
-    coverage[wid] = 1.0
-    vectors[wid] = rng.uniform(-1, 1, hp.d)
+    vectors[vocab.token_to_id[word]] = rng.uniform(-1, 1, hp.d)
 bundle = md.KnowledgeBundle(
-    KnowledgeEmbeddingTable("common", vectors, coverage.copy()),
-    KnowledgeEmbeddingTable("liberal", vectors * 0.5, coverage.copy()),
-    KnowledgeEmbeddingTable("conservative", -vectors * 0.5, coverage.copy()),
+    KnowledgeEmbeddingTable("common", vectors),
+    KnowledgeEmbeddingTable("liberal", vectors * 0.5),
+    KnowledgeEmbeddingTable("conservative", -vectors * 0.5),
 )
 
 # Word level on one sentence: its real words' injected embeddings, [W, d].

@@ -13,10 +13,15 @@ than corrupted ones. Three scoring functions are supported:
   score is gamma minus an L2 modulus distance minus an L1 phase
   distance through ``|sin((h_p + r_p - t_p) / 2)|``.
 
-Each formula is written once, in ``_scores``, from autodiff ops over rows
-of entity embeddings: training scores a positive and its negatives as one
-batch on the tape, while ranking and ``score_triple`` run the same ops
-with no tape active.
+Each formula is written in ``_scores``, from autodiff ops over rows of
+entity embeddings: training scores a positive and its negatives as one
+batch on the tape, and ``score_triple`` runs the same ops with no tape
+active. Ranking scores every entity twice per test triple, so it runs a
+second, NumPy-only copy of the formulas, ``_side_scorer``, which writes
+each step into work buffers allocated once per ranking instead of fresh
+``[n_entities, dim/2]`` temporaries per side. It follows ``_scores``' op
+order step by step, and a test asserts that its scores are bitwise equal
+to ``_scores``' for every method, both sides and several widths.
 
 Training minimises a self-adversarial negative-sampling loss with SGD.
 Evaluation scores every entity as a replacement for the head and for the
@@ -30,7 +35,7 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -216,6 +221,74 @@ def _row(table: np.ndarray, i: int) -> Tensor:
     return ad.constant(table[i : i + 1])
 
 
+def _side_scorer(m: KgeModel) -> Callable[[int, int, bool], np.ndarray]:
+    """A tape-free scorer of every entity on one side of a (relation, entity) pair.
+
+    ``score(r, e, head)`` returns the [n_entities] scores of (every, r, e) when
+    ``head`` is true, else of (e, r, every), bitwise equal to ``_scores``: it
+    runs ``_scores``' ops in the same order on the same C-contiguous halves,
+    but writes each [n_entities, w] step into work buffers allocated once
+    here. The returned array is one of those buffers, so read it before the
+    next call.
+    """
+    n, half, gamma = m.n_entities, m.dim // 2, m.gamma
+    out = np.empty(n)
+
+    if m.method == "ModE":
+        every, d = m.entity, np.empty((n, m.dim))
+
+        def score(r, e, head):
+            rel, row = m.relation[r], m.entity[e]
+            if head:
+                np.subtract(np.multiply(every, rel, out=d), row, out=d)
+            else:
+                np.subtract(row * rel, every, out=d)
+            return np.subtract(gamma, np.abs(d, out=d).sum(axis=1, out=out), out=out)
+        return score
+
+    first, second = (np.ascontiguousarray(m.entity[:, :half]),
+                     np.ascontiguousarray(m.entity[:, half:]))
+    a, b = np.empty((n, half)), np.empty((n, half))
+
+    if m.method == "RotatE":
+        c = np.empty((n, half))
+
+        def score(r, e, head):
+            cos_r, sin_r = np.cos(m.relation[r]), np.sin(m.relation[r])
+            e_re, e_im = m.entity[e, :half], m.entity[e, half:]
+            if head:  # d = (every * rot) - e, real and imaginary parts
+                np.multiply(first, cos_r, out=a)
+                np.subtract(a, np.multiply(second, sin_r, out=b), out=a)
+                np.subtract(a, e_re, out=a)
+                np.multiply(first, sin_r, out=b)
+                np.add(b, np.multiply(second, cos_r, out=c), out=b)
+                np.subtract(b, e_im, out=b)
+            else:  # d = (e * rot) - every
+                np.subtract(e_re * cos_r - e_im * sin_r, first, out=a)
+                np.subtract(e_re * sin_r + e_im * cos_r, second, out=b)
+            np.add(np.multiply(a, a, out=a), np.multiply(b, b, out=b), out=a)
+            np.sqrt(np.add(a, _GRAD_EPS, out=a), out=a)
+            return np.subtract(gamma, a.sum(axis=1, out=out), out=out)
+        return score
+
+    phase = np.empty(n)
+
+    def score(r, e, head):  # HAKE
+        r_m, r_p = m.relation[r, :half], m.relation[r, half:]
+        e_m, e_p = m.entity[e, :half], m.entity[e, half:]
+        if head:
+            np.subtract(np.multiply(first, r_m, out=a), e_m, out=a)
+            np.subtract(np.add(second, r_p, out=b), e_p, out=b)
+        else:
+            np.subtract(e_m * r_m, first, out=a)
+            np.subtract(e_p + r_p, second, out=b)
+        mod = np.multiply(a, a, out=a).sum(axis=1, out=out)
+        np.sqrt(np.add(mod, _GRAD_EPS, out=mod), out=mod)
+        np.abs(np.sin(np.multiply(b, 0.5, out=b), out=b), out=b).sum(axis=1, out=phase)
+        return np.subtract(gamma, np.add(mod, phase, out=out), out=out)
+    return score
+
+
 def score_triple(m: KgeModel, h: int, r: int, t: int) -> float:
     """Plausibility score of one triple; higher means more plausible."""
     return float(_scores(m, _row(m.entity, h), _row(m.relation, r), _row(m.entity, t)).data[0])
@@ -316,15 +389,12 @@ def evaluate_completion(
         known_tails[h, r].append(t)
 
     ids = np.arange(m.n_entities)
-    every = ad.constant(m.entity)
+    score = _side_scorer(m)
     ranks: list[int] = []
     for h, r, t in test:
-        rel = _row(m.relation, r)
-        for true_id, scores, known in (
-            (h, _scores(m, every, rel, _row(m.entity, t)), known_heads[r, t]),
-            (t, _scores(m, _row(m.entity, h), rel, every), known_tails[h, r]),
-        ):
-            s = scores.data
+        for true_id, head, other, known in ((h, True, t, known_heads[r, t]),
+                                            (t, False, h, known_tails[h, r])):
+            s = score(r, other, head)
             better = (s > s[true_id]) | ((s == s[true_id]) & (ids < true_id))
             better[known] = False  # includes the true entity itself
             ranks.append(1 + int(better.sum()))
@@ -346,26 +416,20 @@ class KnowledgeEmbeddingTable:
 
     stance_tag: str
     vectors: np.ndarray   # [n_words, width]
-    coverage: np.ndarray  # [n_words] 0/1, zero rows exactly where coverage is 0
+    coverage: np.ndarray = field(init=False)  # [n_words] 1.0 at the non-zero rows, else 0.0
 
     def __post_init__(self):
-        """The table's invariant, checked once for every way a table is made: finite
-        [n_words, width] vectors and an [n_words] coverage that is 1 exactly at the
-        non-zero rows. A NaN row would otherwise reach ``predict`` even uncovered,
-        since 0 * NaN is NaN. Raises ValueError naming the stance and the first bad row."""
+        """Check finite [n_words, width] vectors and derive the coverage from them: an
+        all-zero row is an uncovered word. A NaN row would otherwise reach ``predict``
+        even uncovered, since 0 * NaN is NaN. Raises ValueError naming the stance and
+        the first bad row."""
         where = f"knowledge table {self.stance_tag!r}"
-        if self.vectors.ndim != 2 or self.coverage.shape != self.vectors.shape[:1]:
-            raise ValueError(f"{where}: vectors {self.vectors.shape} and coverage "
-                             f"{self.coverage.shape} are not [n_words, width] and [n_words]")
+        if self.vectors.ndim != 2:
+            raise ValueError(f"{where}: vectors {self.vectors.shape} are not [n_words, width]")
         bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
         if bad.size:
             raise ValueError(f"{where}: row {bad[0]} has a non-finite value")
-        nonzero = (self.vectors != 0).any(axis=1)
-        bad = np.flatnonzero(self.coverage != nonzero)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"{where}: row {i} has coverage {self.coverage[i]}, but its "
-                             f"vector is {'non-zero' if nonzero[i] else 'all zero'}")
+        self.coverage = (self.vectors != 0).any(axis=1).astype(np.float64)
 
     @property
     def width(self) -> int:
@@ -403,9 +467,8 @@ class KnowledgeEmbeddingTable:
             vectors = np.zeros((0, width))
         elif vectors.shape[1] != width:
             raise ValueError(_bad_row(path, width))
-        coverage = (vectors != 0).any(axis=1).astype(np.float64)
         try:
-            return KnowledgeEmbeddingTable(stance, vectors, coverage)
+            return KnowledgeEmbeddingTable(stance, vectors)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
 
@@ -430,9 +493,7 @@ def _bad_row(path, width: int) -> Optional[str]:
 
 
 def zero_table(stance_tag: str, n_words: int, width: int) -> KnowledgeEmbeddingTable:
-    return KnowledgeEmbeddingTable(
-        stance_tag, np.zeros((n_words, width)), np.zeros(n_words)
-    )
+    return KnowledgeEmbeddingTable(stance_tag, np.zeros((n_words, width)))
 
 
 def load_links(path) -> dict[str, str]:
@@ -451,12 +512,11 @@ def export_aligned_table(
 
     Linked words get their entity's raw parameter row (for RotatE that is
     the real-then-imaginary concatenation, for HAKE modulus-then-phase),
-    truncated or zero-padded to ``width``. Unlinked words stay all-zero
-    with coverage 0.
+    truncated or zero-padded to ``width``. Unlinked words stay all-zero,
+    so the table marks them uncovered.
     """
     width = m.dim if width is None else int(width)
     vectors = np.zeros((len(vocab), width))
-    coverage = np.zeros(len(vocab))
     for word, entity_name in links.items():
         if entity_name not in store.entities:
             raise ValueError(f"word {word!r} links to unknown entity {entity_name!r}")
@@ -466,5 +526,4 @@ def export_aligned_table(
         row = m.entity[store.entities[entity_name]]
         take = min(width, row.shape[0])
         vectors[wid, :take] = row[:take]
-        coverage[wid] = 1.0
-    return KnowledgeEmbeddingTable(store.stance_tag, vectors, coverage)
+    return KnowledgeEmbeddingTable(store.stance_tag, vectors)

@@ -208,17 +208,15 @@ def make_planted_bundle(
     com = np.zeros((n_words, width))
     lib = np.zeros((n_words, width))
     con = np.zeros((n_words, width))
-    coverage = np.zeros(n_words)
     for wid, cls in word_classes.items():
         sign = 1.0 if cls == 0 else -1.0
         com[wid] = sign * direction
         lib[wid] = sign * direction
         con[wid] = -sign * direction
-        coverage[wid] = 1.0
     return KnowledgeBundle(
-        KnowledgeEmbeddingTable("common", com, coverage.copy()),
-        KnowledgeEmbeddingTable("liberal", lib, coverage.copy()),
-        KnowledgeEmbeddingTable("conservative", con, coverage.copy()),
+        KnowledgeEmbeddingTable("common", com),
+        KnowledgeEmbeddingTable("liberal", lib),
+        KnowledgeEmbeddingTable("conservative", con),
     )
 
 

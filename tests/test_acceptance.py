@@ -50,8 +50,7 @@ def gradcheck_fixture(seed: int = 0):
         coverage[vocab.token_to_id[word]] = 1.0
     tables = [
         KnowledgeEmbeddingTable(
-            tag, rng.uniform(-1.2, 1.2, (len(vocab), hp.d)) * coverage[:, None],
-            coverage.copy())
+            tag, rng.uniform(-1.2, 1.2, (len(vocab), hp.d)) * coverage[:, None])
         for tag in ("common", "liberal", "conservative")
     ]
     return hp, article, params, KnowledgeBundle(*tables)
@@ -101,7 +100,7 @@ def random_bundle(n_words, width, seed):
     for tag in ("common", "liberal", "conservative"):
         coverage = (rng.random(n_words) < 0.8).astype(np.float64)
         vectors = rng.uniform(-2, 2, (n_words, width)) * coverage[:, None]
-        tables.append(KnowledgeEmbeddingTable(tag, vectors, coverage))
+        tables.append(KnowledgeEmbeddingTable(tag, vectors))
     return KnowledgeBundle(*tables)
 
 

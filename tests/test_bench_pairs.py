@@ -89,7 +89,65 @@ def test_relative_change_is_signed_worse_and_flagged_beyond_bound(tmp_path, caps
     cycle, rate = (workloads["kg"]["end_to_end"][name] for name in ("cycle_s", "train_per_s"))
     assert cycle["relative"] == pytest.approx(0.3) and cycle["beyond_bound"] is True
     assert rate["relative"] == pytest.approx(-0.1) and rate["beyond_bound"] is False
+    assert (cycle["verdict"], rate["verdict"]) == ("BEYOND BOUND", "CLAIM MET")
     lines = bench_pairs.report(workloads).splitlines()
     flagged = [line for line in lines if "BEYOND BOUND" in line]
     assert len(flagged) == 1 and "cycle_s" in flagged[0] and "worse by +30.0%" in flagged[0]
     assert any("train_per_s" in line and "worse by -10.0%" in line for line in lines)
+
+
+def verdicts(tmp_path, before, after):
+    """The verdict of cycle_s (lower is better, bound 25%) over pairs of runs."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (b, a) in enumerate(zip(before, after)):
+        write_run(parent, "kg", seed, cycle_s=b, train_per_s=1.0)
+        write_run(change, "kg", seed, cycle_s=a, train_per_s=1.0)
+    entry = bench_pairs.compare(bench_pairs.load_runs(parent), bench_pairs.load_runs(change),
+                                END_TO_END)["kg"]
+    return entry["end_to_end"]["cycle_s"]["verdict"]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+SPREAD = [1.0] * 6 + [1.9] * 4
+
+
+@pytest.mark.parametrize("after,expected", [
+    ([v * 0.6 for v in PARENT], "CLAIM MET"),
+    # nine of ten pairs won by far; the tenth, a tie, counts for neither side
+    ([v * 0.6 for v in PARENT[:9]] + [PARENT[9]], "CLAIM MET"),
+    # eight of ten pairs won: not enough, though the median moved far
+    ([v * 0.6 for v in PARENT[:8]] + [v * 1.01 for v in PARENT[8:]], "WITHIN BOUND"),
+    # every pair won, but by less than the parent's interquartile distance
+    ([v - 0.005 for v in PARENT], "WITHIN BOUND"),
+    ([v * 1.3 for v in PARENT], "BEYOND BOUND"),
+], ids=["all-won", "nine-and-a-tie", "eight-won", "inside-the-spread", "worse"])
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_spread(
+        tmp_path, after, expected):
+    assert verdicts(tmp_path, PARENT, after) == expected
+
+
+@pytest.mark.parametrize("after,expected", [
+    ([v * 0.97 for v in SPREAD], "UNRESOLVED"),
+    ([0.99] * 10, "WITHIN BOUND"),  # every change run beats every parent run
+    ([0.99] * 9 + [1.0], "UNRESOLVED"),  # one ties the parent's best run
+], ids=["shifted", "every-run-better", "one-tie"])
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path, after, expected):
+    """The parent's quartiles 1.0 and 1.9 lie 90% of its median 1.0 apart (bound 25%),
+    and no change median here is better by that much."""
+    assert verdicts(tmp_path, SPREAD, after) == expected
+
+
+def test_verdict_is_printed_and_written(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    names = [m["name"] for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]]
+    for seed in range(10):
+        write_run(parent, "kg", seed, **dict.fromkeys(names, 1.0))
+        write_run(change, "kg", seed, **dict.fromkeys(names, 1.0) | {"cycle_s": 0.5})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any("cycle_s" in line and line.endswith("CLAIM MET") for line in lines)
+    assert any("setup_s" in line and line.endswith("WITHIN BOUND") for line in lines)
+    written = json.loads(out.read_text())["workloads"]["kg"]["end_to_end"]
+    assert written["cycle_s"]["verdict"] == "CLAIM MET"
+    assert written["peak_rss_mb"]["verdict"] == "WITHIN BOUND"

@@ -44,7 +44,7 @@ def write_tables(tmp_path, out_dir, d=8):
                      ("table_con", "conservative")):
         coverage = (rng.random(len(vocab)) < 0.5).astype(float)
         vectors = rng.uniform(-1, 1, (len(vocab), d)) * coverage[:, None]
-        table = KnowledgeEmbeddingTable(tag, vectors, coverage)
+        table = KnowledgeEmbeddingTable(tag, vectors)
         path = tmp_path / f"{tag}.txt"
         table.save(path)
         paths[key] = path

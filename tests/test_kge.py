@@ -473,6 +473,29 @@ def brute_force_metrics(m, store, test, k_list=(1, 3, 10)):
     return out
 
 
+SIDE_SCORER_CASES = [(method, dim) for method in kge.METHODS for dim in (2, 3, 4, 32)
+                     if dim % 2 == 0 or method == "ModE"]
+
+
+@pytest.mark.parametrize("method,dim", SIDE_SCORER_CASES)
+@pytest.mark.parametrize("n_ent", [1, 3, 257])
+def test_side_scorer_is_bitwise_scores(method, dim, n_ent):
+    """Ranking's buffered scorer returns exactly ``_scores``' values on both sides,
+    call after call, including RotatE relation phases outside [-pi, pi]."""
+    rng = np.random.default_rng(17)
+    m = random_model(rng, method, n_ent, 3, dim)
+    if method == "RotatE":
+        m.relation *= 3.0
+    score = kge._side_scorer(m)
+    every = ad.constant(m.entity)
+    for r in range(3):
+        for e in rng.integers(0, n_ent, 3):
+            rel, row = kge._row(m.relation, r), kge._row(m.entity, int(e))
+            for head, want in ((True, kge._scores(m, every, rel, row)),
+                               (False, kge._scores(m, row, rel, every))):
+                assert np.array_equal(score(r, int(e), head), want.data), (r, int(e), head)
+
+
 class TestEvaluateCompletion:
     def test_perfect_ranking(self):
         # ModE with identity relation: self-loop triples score highest at the true entity
@@ -509,12 +532,14 @@ class TestEvaluateCompletion:
         assert metrics["HITS@10"] == 1.0
 
     def test_matches_brute_force_on_random_instances(self):
+        """Twenty small dim-4 instances, then one dim-32 model of 100 entities per
+        method, whose 16- or 32-term row sums take NumPy's unrolled summation."""
         rng = np.random.default_rng(99)
-        for trial in range(20):
+        for trial in range(23):
             method = ["RotatE", "ModE", "HAKE"][trial % 3]
-            n_ent = int(rng.integers(3, 13))
+            n_ent, dim = (int(rng.integers(3, 13)), 4) if trial < 20 else (100, 32)
             n_rel = int(rng.integers(1, 4))
-            m = random_model(rng, method, n_ent, n_rel, dim=4)
+            m = random_model(rng, method, n_ent, n_rel, dim=dim)
             all_triples = [
                 (int(rng.integers(n_ent)), int(rng.integers(n_rel)), int(rng.integers(n_ent)))
                 for _ in range(int(rng.integers(3, 10)))
@@ -610,8 +635,7 @@ class TestExportAlignedTable:
         vectors = np.array(rows, dtype=np.float64).reshape(len(rows), width)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.txt"
-            coverage = (vectors != 0).any(axis=1).astype(np.float64)
-            kge.KnowledgeEmbeddingTable("liberal", vectors, coverage).save(path)
+            kge.KnowledgeEmbeddingTable("liberal", vectors).save(path)
             loaded = kge.KnowledgeEmbeddingTable.load(path)
         assert loaded.stance_tag == "liberal"
         assert loaded.vectors.shape == vectors.shape
@@ -682,51 +706,36 @@ def test_training_gradients_match_finite_differences():
 
 
 class TestTableInvariant:
-    """Every table, however it is made, holds finite [n_words, width] vectors and an
-    [n_words] coverage that is 1 exactly at its non-zero rows."""
+    """Every table, however it is made, holds finite [n_words, width] vectors, and its
+    coverage is derived from them: 1 exactly at the non-zero rows."""
 
     VECTORS = np.array([[0.0, 0.0], [0.5, -1.0], [0.0, 2.0]])
-    COVERAGE = np.array([0.0, 1.0, 1.0])
 
     def test_a_consistent_table_is_accepted(self):
-        table = kge.KnowledgeEmbeddingTable("liberal", self.VECTORS, self.COVERAGE)
+        table = kge.KnowledgeEmbeddingTable("liberal", self.VECTORS)
         assert table.n_words == 3 and table.width == 2
+        assert table.coverage.dtype == np.float64
+        assert table.coverage.tolist() == [0.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("covered", [True, False])
     def test_a_non_finite_row_names_the_stance_and_the_row(self, value, covered):
-        """A NaN row would reach predict even uncovered, since 0 * NaN is NaN."""
+        """A NaN row would reach predict even uncovered, since 0 * NaN is NaN; the
+        row's other entry is non-zero (covered) or zero."""
         vectors = self.VECTORS.copy()
-        vectors[2, 1] = value
-        coverage = self.COVERAGE.copy()
-        coverage[2] = float(covered)
+        vectors[2] = [float(covered), value]
         with pytest.raises(ValueError, match=r"^knowledge table 'liberal': row 2 has a "
                                              r"non-finite value$"):
-            kge.KnowledgeEmbeddingTable("liberal", vectors, coverage)
+            kge.KnowledgeEmbeddingTable("liberal", vectors)
 
-    @pytest.mark.parametrize("row,coverage,vector", [
-        (0, 1.0, "all zero"), (1, 0.0, "non-zero"), (2, 0.5, "non-zero")])
-    def test_coverage_that_disagrees_with_the_rows_names_the_row(self, row, coverage, vector):
-        cov = self.COVERAGE.copy()
-        cov[row] = coverage
-        with pytest.raises(ValueError) as err:
-            kge.KnowledgeEmbeddingTable("common", self.VECTORS, cov)
-        assert str(err.value) == (f"knowledge table 'common': row {row} has coverage "
-                                  f"{coverage}, but its vector is {vector}")
-
-    @pytest.mark.parametrize("vectors,coverage", [
-        (np.zeros(3), np.zeros(3)),
-        (np.zeros((3, 2, 1)), np.zeros(3)),
-        (np.zeros((3, 2)), np.zeros(2)),
-        (np.zeros((3, 2)), np.zeros((3, 1))),
-    ])
-    def test_shapes_that_do_not_fit_are_refused(self, vectors, coverage):
+    @pytest.mark.parametrize("vectors", [np.zeros(3), np.zeros((3, 2, 1))])
+    def test_shapes_that_do_not_fit_are_refused(self, vectors):
         with pytest.raises(ValueError, match="^knowledge table 'conservative': vectors"):
-            kge.KnowledgeEmbeddingTable("conservative", vectors, coverage)
+            kge.KnowledgeEmbeddingTable("conservative", vectors)
 
     def test_load_prefixes_the_path(self, tmp_path):
         path = tmp_path / "table.txt"
-        kge.KnowledgeEmbeddingTable("liberal", self.VECTORS, self.COVERAGE).save(path)
+        kge.KnowledgeEmbeddingTable("liberal", self.VECTORS).save(path)
         lines = path.read_text().splitlines()
         lines[2 + 1] = "0.5 nan"
         path.write_text("\n".join(lines) + "\n")

@@ -69,7 +69,7 @@ def random_bundle(n_words, width, seed):
     for tag in ("common", "liberal", "conservative"):
         coverage = (rng.random(n_words) < 0.7).astype(np.float64)
         vectors = rng.uniform(-1, 1, (n_words, width)) * coverage[:, None]
-        tables.append(KnowledgeEmbeddingTable(tag, vectors, coverage))
+        tables.append(KnowledgeEmbeddingTable(tag, vectors))
     return KnowledgeBundle(*tables)
 
 
@@ -210,8 +210,7 @@ def test_mix_matches_blended_reference_bitwise(coverage, w_base, w_know):
     n_words, d = 9, 6
     cov = {"all": np.ones(n_words), "none": np.zeros(n_words),
            "partial": (np.arange(n_words) % 3 != 0).astype(np.float64)}[coverage]
-    table = KnowledgeEmbeddingTable("common", rng.uniform(-1, 1, (n_words, d)) * cov[:, None],
-                                    cov)
+    table = KnowledgeEmbeddingTable("common", rng.uniform(-1, 1, (n_words, d)) * cov[:, None])
     ids = np.array([4, 0, 8, 3, 3, 7, 1])
     rows = rng.uniform(-1, 1, (len(ids), d))
     weights = Tensor(rng.uniform(-1, 1, (len(ids), d)))

@@ -114,7 +114,7 @@ def ragged_bundle(n_words, width, seed):
     for tag in ("common", "liberal", "conservative"):
         coverage = (rng.random(n_words) < 0.6).astype(np.float64)
         tables.append(KnowledgeEmbeddingTable(
-            tag, rng.uniform(-1, 1, (n_words, width)) * coverage[:, None], coverage))
+            tag, rng.uniform(-1, 1, (n_words, width)) * coverage[:, None]))
     return KnowledgeBundle(*tables)
 
 

@@ -8,9 +8,9 @@ change. Result files are paired by workload and seed. For each workload
 and each end-to-end metric of ``BENCHMARK.json`` (untraced runs) the
 script prints the median and quartiles of each side and how many pairs
 the change wins, in the metric's better direction, and the relative change
-of the medians, signed so that positive is worse; ``BEYOND BOUND`` marks
-one worse than the metric's ``bound``. Traced runs, where
-both sides have one for a seed, add the medians of each per-layer metric.
+of the medians, signed so that positive is worse, and a verdict (see
+``verdict``). Traced runs, where both sides have one for a seed, add the
+medians of each per-layer metric.
 ``--out`` writes the same data as JSON. Standard library only.
 """
 
@@ -42,6 +42,31 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(before: list[float], after: list[float], sign: int, bound: float,
+            wins: int, beyond_bound: bool) -> str:
+    """One metric's verdict over paired runs; ``sign`` is 1 when higher is better.
+
+    ``CLAIM MET``: the change wins at least nine tenths of the pairs (ties count for
+    neither side) and its median is better by more than the parent's interquartile
+    distance. ``BEYOND BOUND``: the change's median is worse than the parent's by
+    more than the metric's bound. ``UNRESOLVED``: the parent's interquartile distance
+    over its median exceeds the bound, so its runs spread too widely to call the
+    metric unchanged, unless every change run beats every parent run.
+    ``WITHIN BOUND`` otherwise.
+    """
+    parent = summary(before)
+    spread = parent["q3"] - parent["q1"]
+    gain = sign * (statistics.median(after) - parent["median"])
+    if 10 * wins >= 9 * len(before) and gain > spread:
+        return "CLAIM MET"
+    if beyond_bound:
+        return "BEYOND BOUND"
+    every_run_better = min(sign * a for a in after) > max(sign * b for b in before)
+    if spread > bound * abs(parent["median"]) and not every_run_better:
+        return "UNRESOLVED"
+    return "WITHIN BOUND"
+
+
 def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
     workloads = {}
     for workload in sorted({w for w, _, _ in parent} & {w for w, _, _ in change}):
@@ -62,12 +87,14 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             # positive is worse; None when the parent's median is 0
             relative = (sign * (parent_median - change_median) / abs(parent_median)
                         if parent_median else None)
+            wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
+            beyond_bound = relative is not None and relative > metric["bound"]
             entry["end_to_end"][name] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                 "parent": summary(before), "change": summary(after),
-                "change_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
-                "pairs": len(pairs), "relative": relative,
-                "beyond_bound": relative is not None and relative > metric["bound"],
+                "change_wins": wins, "pairs": len(pairs), "relative": relative,
+                "beyond_bound": beyond_bound,
+                "verdict": verdict(before, after, sign, metric["bound"], wins, beyond_bound),
             }
         traced = [s for s in sorted({s for w, tr, s in parent if w == workload and tr == 1})
                   if (workload, 1, s) in change]
@@ -96,8 +123,7 @@ def report(workloads: dict) -> str:
             lines.append(f"  {name:<17} {p['median']:.5g} [{p['q1']:.5g}, {p['q3']:.5g}] -> "
                          f"{c['median']:.5g} [{c['q1']:.5g}, {c['q3']:.5g}] {m['unit']}, "
                          f"{m['better']} is better; change wins {m['change_wins']}/{m['pairs']}; "
-                         f"worse by {relative} (bound {m['bound']:.0%})"
-                         + (" BEYOND BOUND" if m["beyond_bound"] else ""))
+                         f"worse by {relative} (bound {m['bound']:.0%}) {m['verdict']}")
         if entry["per_layer"]:
             lines.append(f"  per layer, medians of traced seeds {entry['traced_seeds']}:")
             for name, m in entry["per_layer"].items():
