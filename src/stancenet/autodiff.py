@@ -45,6 +45,10 @@ class DegenerateInput(ValueError):
     """Raised for inputs an op cannot meaningfully process (e.g. an all-zero mask)."""
 
 
+class Diverged(FloatingPointError):
+    """Training met a non-finite gradient: its learning rate is too large for the data."""
+
+
 _SERIAL = itertools.count()
 
 

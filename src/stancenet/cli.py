@@ -22,7 +22,7 @@ from . import kge as kg
 from . import model as md
 from . import textdata as td
 from . import training as tr
-from .autodiff import ShapeMismatch
+from .autodiff import Diverged, ShapeMismatch
 
 
 class ConfigError(ValueError):
@@ -425,7 +425,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 USER_ERRORS = (ConfigError, td.CorpusFormatError, td.EncodeError, kg.TripleFormatError,
-               FileNotFoundError, ValueError)
+               FileNotFoundError, ValueError, Diverged)
 
 
 def main(argv=None) -> int:

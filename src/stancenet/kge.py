@@ -13,15 +13,20 @@ than corrupted ones. Three scoring functions are supported:
   score is gamma minus an L2 modulus distance minus an L1 phase
   distance through ``|sin((h_p + r_p - t_p) / 2)|``.
 
-Each formula is written in ``_scores``, from autodiff ops over rows of
-entity embeddings: training scores a positive and its negatives as one
-batch on the tape, and ``score_triple`` runs the same ops with no tape
-active. Ranking scores every entity twice per test triple, so it runs a
-second, NumPy-only copy of the formulas, ``_side_scorer``, which writes
-each step into work buffers allocated once per ranking instead of fresh
-``[n_entities, dim/2]`` temporaries per side. It follows ``_scores``' op
-order step by step, and a test asserts that its scores are bitwise equal
-to ``_scores``' for every method, both sides and several widths.
+Each formula is written once for training, in ``_rotate``, ``_mode`` and
+``_hake``: plain NumPy over [B, dim] entity rows and one relation row,
+returning the scores and a backward function with the hand-derived
+gradients. ``score_triple`` runs the same forward. The SGD step
+(``_sgd_step``) follows the op and accumulation order of the same loss
+recorded on the autodiff tape, so its parameters and losses are bitwise
+the tape's; the tests keep that tape scorer as their oracle and check the
+hand-written gradients against central differences. Ranking scores every entity twice
+per test triple, so it runs a second copy of the formulas,
+``_side_scorer``, which writes each step into work buffers allocated once
+per ranking instead of fresh ``[n_entities, dim/2]`` temporaries per side.
+It follows the same op order step by step, and a test asserts that its
+scores are bitwise equal to the oracle's for every method, both sides and
+several widths.
 
 Training minimises a self-adversarial negative-sampling loss with SGD.
 Evaluation scores every entity as a replacement for the head and for the
@@ -39,8 +44,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Diverged
 
 METHODS = ("RotatE", "ModE", "HAKE")
 
@@ -184,49 +188,87 @@ def init_kge_model(n_entities: int, n_relations: int, config: KgeConfig) -> KgeM
 # Scoring
 # --------------------------------------------------------------------------
 
-def _scores(m: KgeModel, h: Tensor, r: Tensor, t: Tensor) -> Tensor:
-    """Scores of the rows of (h, r, t) under m's method, as a [B] tensor.
+def _rotate(h: np.ndarray, r: np.ndarray, t: np.ndarray,
+            gamma: float) -> tuple[np.ndarray, Callable]:
+    """RotatE scores of the rows of (h, r, t) and their backward function.
 
-    h and t are [B, dim] entity rows, or one [1, dim] row shared by every
-    row of the other; r is one [1, w] relation row. Only m's method and
-    constants are read, so the same formulas serve tape-recorded training
-    and tape-free ranking.
+    h and t are [B, dim] entity rows, r one [dim/2] relation row. ``backward(g,
+    grads)`` takes the [B] score gradients, writes the gradients of t's rows and
+    then of h's into the [2B, dim] ``grads`` and returns the relation row's.
     """
-    dim, half = m.dim, m.dim // 2
+    half = r.shape[0]
+    h_re, h_im, t_re, t_im = h[:, :half], h[:, half:], t[:, :half], t[:, half:]
+    cos_r, sin_r = np.cos(r), np.sin(r)
+    d_re = h_re * cos_r - h_im * sin_r - t_re
+    d_im = h_re * sin_r + h_im * cos_r - t_im
+    root = np.sqrt(d_re * d_re + d_im * d_im + _GRAD_EPS)
 
-    def halves(x):
-        return ad.slice_cols(x, 0, half), ad.slice_cols(x, half, dim)
+    def backward(g, grads):
+        b = len(g)
+        g_sq = (-g)[:, None] * 0.5 / root
+        g_re, g_im = g_sq * d_re, g_sq * d_im
+        g_re += g_re  # d_re * d_re: one term per operand
+        g_im += g_im
+        np.negative(g_re, out=grads[:b, :half])
+        np.negative(g_im, out=grads[:b, half:])
+        grads[b:, :half] = g_im * sin_r + g_re * cos_r
+        grads[b:, half:] = g_im * cos_r - g_re * sin_r
+        g_cos = (g_im * h_im).sum(axis=0) + (g_re * h_re).sum(axis=0)
+        g_sin = (g_im * h_re).sum(axis=0) - (g_re * h_im).sum(axis=0)
+        return g_sin * cos_r - g_cos * sin_r
 
-    if m.method == "RotatE":
-        (h_re, h_im), (t_re, t_im) = halves(h), halves(t)
-        cos_r, sin_r = ad.cos(r), ad.sin(r)
-        d_re = ad.sub(ad.sub(ad.mul(h_re, cos_r), ad.mul(h_im, sin_r)), t_re)
-        d_im = ad.sub(ad.add(ad.mul(h_re, sin_r), ad.mul(h_im, cos_r)), t_im)
-        sq = ad.add(ad.mul(d_re, d_re), ad.mul(d_im, d_im))
-        dist = ad.sum_rows(ad.sqrt(ad.add(sq, ad.constant(np.full(half, _GRAD_EPS)))))
-    elif m.method == "ModE":
-        dist = ad.sum_rows(ad.absolute(ad.sub(ad.mul(h, r), t)))
-    else:  # HAKE
-        (h_m, h_p), (t_m, t_p), (r_m, r_p) = halves(h), halves(t), halves(r)
-        d_m = ad.sub(ad.mul(h_m, r_m), t_m)
-        sq = ad.sum_rows(ad.mul(d_m, d_m))
-        mod_term = ad.sqrt(ad.add(sq, ad.constant(np.full(sq.shape, _GRAD_EPS))))
-        d_p = ad.scale(ad.sub(ad.add(h_p, r_p), t_p), 0.5)
-        phase_term = ad.sum_rows(ad.absolute(ad.sin(d_p)))
-        dist = ad.add(mod_term, phase_term)
-    return ad.sub(ad.constant(np.full(dist.shape, m.gamma)), dist)
+    return gamma - root.sum(axis=1), backward
 
 
-def _row(table: np.ndarray, i: int) -> Tensor:
-    return ad.constant(table[i : i + 1])
+def _mode(h: np.ndarray, r: np.ndarray, t: np.ndarray,
+          gamma: float) -> tuple[np.ndarray, Callable]:
+    """ModE scores and backward function, as ``_rotate``'s; r is one [dim] row."""
+    d = h * r - t
+
+    def backward(g, grads):
+        b = len(g)
+        g_d = (-g)[:, None] * np.sign(d)
+        np.negative(g_d, out=grads[:b])
+        np.multiply(g_d, r, out=grads[b:])
+        return (g_d * h).sum(axis=0)
+
+    return gamma - np.abs(d).sum(axis=1), backward
+
+
+def _hake(h: np.ndarray, r: np.ndarray, t: np.ndarray,
+          gamma: float) -> tuple[np.ndarray, Callable]:
+    """HAKE scores and backward function, as ``_rotate``'s; r is one [dim] row."""
+    half = h.shape[1] // 2
+    h_m, r_m = h[:, :half], r[:half]
+    d_m = h_m * r_m - t[:, :half]
+    mod = np.sqrt((d_m * d_m).sum(axis=1) + _GRAD_EPS)
+    d_p = (h[:, half:] + r[half:] - t[:, half:]) * 0.5
+    sin_p = np.sin(d_p)
+
+    def backward(g, grads):
+        b = len(g)
+        g_dist = -g
+        g_p = g_dist[:, None] * np.sign(sin_p) * np.cos(d_p) * 0.5
+        g_m = (g_dist * 0.5 / mod)[:, None] * d_m
+        g_m += g_m  # d_m * d_m: one term per operand
+        np.negative(g_m, out=grads[:b, :half])
+        np.negative(g_p, out=grads[:b, half:])
+        np.multiply(g_m, r_m, out=grads[b:, :half])
+        grads[b:, half:] = g_p
+        return np.concatenate(((g_m * h_m).sum(axis=0), g_p.sum(axis=0)))
+
+    return gamma - (mod + np.abs(sin_p).sum(axis=1)), backward
+
+
+_FORWARD = {"RotatE": _rotate, "ModE": _mode, "HAKE": _hake}
 
 
 def _side_scorer(m: KgeModel) -> Callable[[int, int, bool], np.ndarray]:
     """A tape-free scorer of every entity on one side of a (relation, entity) pair.
 
     ``score(r, e, head)`` returns the [n_entities] scores of (every, r, e) when
-    ``head`` is true, else of (e, r, every), bitwise equal to ``_scores``: it
-    runs ``_scores``' ops in the same order on the same C-contiguous halves,
+    ``head`` is true, else of (e, r, every), bitwise equal to ``score_triple``: it
+    runs the training forward's ops in the same order on C-contiguous halves,
     but writes each [n_entities, w] step into work buffers allocated once
     here. The returned array is one of those buffers, so read it before the
     next call.
@@ -291,7 +333,9 @@ def _side_scorer(m: KgeModel) -> Callable[[int, int, bool], np.ndarray]:
 
 def score_triple(m: KgeModel, h: int, r: int, t: int) -> float:
     """Plausibility score of one triple; higher means more plausible."""
-    return float(_scores(m, _row(m.entity, h), _row(m.relation, r), _row(m.entity, t)).data[0])
+    scores, _ = _FORWARD[m.method](m.entity[h : h + 1], m.relation[r], m.entity[t : t + 1],
+                                   m.gamma)
+    return float(scores[0])
 
 
 # --------------------------------------------------------------------------
@@ -303,64 +347,96 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
 
     One SGD step per positive triple, in a fixed order, so a seed fully
     determines the final parameters. The positive and its negatives are
-    scored as one batch. Per-epoch mean losses are recorded on the
-    returned model.
+    scored as one batch by ``_sgd_step``, in plain NumPy with hand-derived
+    gradients. Per-epoch mean losses are recorded on the returned model.
 
-    A step reads the entity rows it scores through one small leaf, so it
-    updates, checks and wraps only those rows; every other row has a zero
-    gradient and already-wrapped phases. The relation table is updated
-    and wrapped in full, since RotatE's relation init is not wrapped.
+    A step updates, checks and wraps only the entity rows it scores; every
+    other row has a zero gradient and already-wrapped phases. The relation
+    table is wrapped in full, since RotatE's relation init is not wrapped.
+    A non-finite gradient raises ``Diverged`` before its step changes anything.
     """
     if not store.triples:
         raise ValueError("cannot train on an empty triple store")
     model = init_kge_model(store.n_entities, store.n_relations, config)
-    ent = model.entity
-    rel = Tensor(model.relation, requires_grad=True)
+    ent, rel = model.entity, model.relation
+    forward = _FORWARD[config.method]
     rng = np.random.default_rng(config.seed + 1)
     n_ent = store.n_entities
     half = config.dim // 2
     n_neg = config.negatives if n_ent >= 2 else 0
-    # loss = -sum_i weight_i * logsigmoid(sign_i * score_i); row 0 is the positive
-    signs = ad.constant(np.r_[1.0, -np.ones(n_neg)])
+    signs = np.r_[1.0, -np.ones(n_neg)]  # row 0 is the positive
+    grads = np.empty((2 * (1 + n_neg), config.dim))  # the scored tail rows', then head rows'
 
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         losses = []
-        for h, r, t in store.triples:
-            heads, tails = [h], [t]
-            for _ in range(n_neg):
-                corrupt_head = bool(rng.integers(0, 2))
-                cand = int(rng.integers(0, n_ent))
-                if cand == (h if corrupt_head else t):
-                    cand = (cand + 1) % n_ent
-                heads.append(cand if corrupt_head else h)
-                tails.append(t if corrupt_head else cand)
-            rows, inv = np.unique(heads + tails, return_inverse=True)
-            local = Tensor(ent[rows], requires_grad=True)
-            with Tape() as tape:
-                scores = _scores(model, ad.gather_rows(local, inv[: 1 + n_neg]),
-                                 ad.gather_rows(rel, [r]), ad.gather_rows(local, inv[1 + n_neg :]))
-                weights = np.ones(1 + n_neg)
-                if n_neg:
-                    # adversarial weights are data, not part of the gradient
-                    raw = scores.data[1:]
-                    w = np.exp(config.adv_temperature * (raw - raw.max()))
-                    weights[1:] = w / w.sum()
-                fit = ad.logsigmoid(ad.mul(scores, signs))
-                loss = ad.scale(ad.sum_all(ad.mul(fit, ad.constant(weights))), -1.0)
-                tape.backward(loss)
-            losses.append(float(loss.data))
-            if not (np.all(np.isfinite(local.grad)) and np.all(np.isfinite(rel.grad))):
-                raise FloatingPointError("non-finite gradient in embedding training")
-            ent[rows] -= config.lr * local.grad
-            rel.data -= config.lr * rel.grad
-            rel.zero_grad()
+        for i, (h, r, t) in enumerate(store.triples):
+            heads, tails = _corrupt(rng, h, t, n_ent, n_neg)
+            loss, g_rel = _sgd_step(forward, ent[heads], rel[r], ent[tails], signs, config,
+                                    grads)
+            losses.append(loss)
+            rows = sorted(set(heads + tails))
+            at = {e: k for k, e in enumerate(rows)}
+            g_ent = np.zeros((len(rows), config.dim))
+            np.add.at(g_ent, [at[e] for e in tails + heads], grads)
+            if not (np.isfinite(g_ent).all() and np.isfinite(g_rel).all()):
+                raise Diverged(f"{config.method} embedding training diverged at epoch "
+                               f"{epoch + 1}, triple {i + 1} of {len(store.triples)}: a "
+                               f"non-finite gradient; lower kge_lr (now {config.lr!r})")
+            ent[rows] -= config.lr * g_ent
+            rel[r] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
             if config.method == "RotatE":
-                rel.data[:] = _wrap_phase(rel.data)
+                rel[:] = _wrap_phase(rel)
             elif config.method == "HAKE":
                 ent[rows, half:] = _wrap_phase(ent[rows, half:])
-                rel.data[:, half:] = _wrap_phase(rel.data[:, half:])
+                rel[:, half:] = _wrap_phase(rel[:, half:])
         model.epoch_losses.append(float(np.mean(losses)))
     return model
+
+
+def _corrupt(rng: np.random.Generator, h: int, t: int, n_ent: int,
+             n_neg: int) -> tuple[list[int], list[int]]:
+    """The heads and tails of the positive (h, t) followed by its n_neg negatives.
+
+    A negative replaces the head or the tail, by a fair coin, with a uniform
+    entity, or with the next entity if it drew the replaced one. The coins and
+    entities come from one draw against the bounds [2, n_ent, 2, n_ent, ...],
+    which yields the values, and leaves the generator in the state, of the
+    2 * n_neg interleaved scalar draws; n_neg = 0 draws nothing.
+    """
+    heads, tails = [h], [t]
+    if n_neg:
+        draw = rng.integers(0, [2, n_ent] * n_neg).tolist()
+        for corrupt_head, cand in zip(draw[0::2], draw[1::2]):
+            if cand == (h if corrupt_head else t):
+                cand = (cand + 1) % n_ent
+            heads.append(cand if corrupt_head else h)
+            tails.append(t if corrupt_head else cand)
+    return heads, tails
+
+
+def _sgd_step(forward: Callable, h: np.ndarray, r: np.ndarray, t: np.ndarray, signs: np.ndarray,
+              config: KgeConfig, grads: np.ndarray) -> tuple[float, np.ndarray]:
+    """The self-adversarial loss of one positive (row 0 of h and t) and its negatives,
+    and its gradients.
+
+    loss = -sum_i weight_i * logsigmoid(sign_i * score_i), where the negatives'
+    weights are a softmax of their scores at ``adv_temperature``, held constant.
+    Writes the gradients of t's rows, then of h's, into the [2B, dim] ``grads`` and
+    returns (loss, relation-row gradient). Every value follows the op and
+    accumulation order of the same loss recorded on an autodiff tape, so both give
+    bitwise equal results.
+    """
+    scores, backward = forward(h, r, t, config.gamma)
+    weights = np.ones(len(scores))
+    if len(scores) > 1:
+        raw = scores[1:]
+        w = np.exp(config.adv_temperature * (raw - raw.max()))
+        weights[1:] = w / w.sum()
+    x = scores * signs
+    e_pos, e_neg = np.exp(x), np.exp(-x)
+    fit = np.where(x >= 0, -np.log1p(e_neg), x - np.log1p(e_pos))  # logsigmoid(x)
+    sigmoid_neg = np.where(x <= 0, 1.0 / (1.0 + e_pos), e_neg / (1.0 + e_neg))
+    return float((fit * weights).sum() * -1.0), backward(-weights * sigmoid_neg * signs, grads)
 
 
 # --------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def adam_step(
     of ``g = grad + wd*x; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
     x -= lr*m_hat/(sqrt(v_hat)+eps)`` in that order, written into two
     scratch buffers, so no parameter-sized temporary is made. A
-    non-finite gradient raises before its parameter, m or v change.
+    non-finite gradient raises ``Diverged`` before its parameter, m or v
+    change.
     """
     b1, b2 = betas
     for (name, tensor), grad in zip(params, grads):
@@ -112,7 +113,8 @@ def adam_step(
             continue
         # a finite sum proves every entry finite; only an overflow needs the full check
         if not np.isfinite(grad.sum()) and not np.isfinite(grad).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+            raise ad.Diverged(f"training diverged: non-finite gradient for parameter "
+                              f"{name!r}; lower lr (now {lr!r})")
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)

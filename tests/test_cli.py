@@ -263,6 +263,22 @@ class TestTrainKge:
         path.write_text("a\tr\tb\nbad line without tabs\n")
         assert main(["train-kge", str(path), "--output-dir", str(tmp_path / "o")]) == 2
 
+    def test_divergence_exits_2_naming_method_epoch_triple_and_kge_lr(self, tmp_path, capsys):
+        """A learning rate that passes validation but drives the embeddings to a
+        non-finite gradient is the user's to lower, not an internal error."""
+        kg_path = self.write_kg(tmp_path, [
+            ("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"),
+            ("d", "s", "e"), ("e", "s", "a"), ("a", "s", "c"),
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train-kge", str(kg_path), "--kge-method", "ModE", "--kge-lr", "1e5",
+                       "--kge-dim", "4", "--kge-epochs", "20",
+                       "--output-dir", str(tmp_path / "kge")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"^error: ModE embedding training diverged at epoch \d+, triple \d+ "
+                         r"of 6: .*lower kge_lr \(now 100000\.0\)$", err, re.M), err
+
     def test_exports_aligned_table_with_links(self, tmp_path):
         corpus = write_corpus(tmp_path)
         pre = preprocess(tmp_path, corpus)
@@ -338,6 +354,18 @@ class TestTrain:
         assert rc == 0
         lines = (out / "cv_report.csv").read_text().splitlines()
         assert len([ln for ln in lines[1:] if ln[0].isdigit()]) == 10
+
+    def test_divergence_exits_2_naming_parameter_and_lr(self, tmp_path, capsys):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--corpus", str(pre / "corpus.npz"),
+                       "--vocab", str(pre / "vocab.txt"), "--no-knowledge", "--mode", "WST",
+                       "--d", "8", "--heads", "2", "--epochs", "3", "--lr", "1e300",
+                       "--output-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"^error: training diverged: non-finite gradient for parameter "
+                         r"'\w+'; lower lr \(now 1e\+300\)$", err, re.M), err
 
     def test_invalid_alpha_exits_2_naming_key(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

@@ -184,6 +184,44 @@ def oracle_hake(entity, relation, gamma, h, r, t):
     return gamma - math.sqrt(sq) - phase
 
 
+def _scores(m, h, r, t):
+    """The scores of the rows of (h, r, t) under m's method as a [B] tensor, from
+    autodiff ops: the tape oracle of the library's NumPy forwards and hand-written
+    backward functions.
+
+    h and t are [B, dim] entity rows, or one [1, dim] row shared by every row of
+    the other; r is one [1, w] relation row. ``reference_train_kge`` trains through
+    it on the tape, and the side-scorer test compares ranking's scores with it.
+    """
+    dim, half = m.dim, m.dim // 2
+
+    def halves(x):
+        return ad.slice_cols(x, 0, half), ad.slice_cols(x, half, dim)
+
+    if m.method == "RotatE":
+        (h_re, h_im), (t_re, t_im) = halves(h), halves(t)
+        cos_r, sin_r = ad.cos(r), ad.sin(r)
+        d_re = ad.sub(ad.sub(ad.mul(h_re, cos_r), ad.mul(h_im, sin_r)), t_re)
+        d_im = ad.sub(ad.add(ad.mul(h_re, sin_r), ad.mul(h_im, cos_r)), t_im)
+        sq = ad.add(ad.mul(d_re, d_re), ad.mul(d_im, d_im))
+        dist = ad.sum_rows(ad.sqrt(ad.add(sq, ad.constant(np.full(half, kge._GRAD_EPS)))))
+    elif m.method == "ModE":
+        dist = ad.sum_rows(ad.absolute(ad.sub(ad.mul(h, r), t)))
+    else:  # HAKE
+        (h_m, h_p), (t_m, t_p), (r_m, r_p) = halves(h), halves(t), halves(r)
+        d_m = ad.sub(ad.mul(h_m, r_m), t_m)
+        sq = ad.sum_rows(ad.mul(d_m, d_m))
+        mod_term = ad.sqrt(ad.add(sq, ad.constant(np.full(sq.shape, kge._GRAD_EPS))))
+        d_p = ad.scale(ad.sub(ad.add(h_p, r_p), t_p), 0.5)
+        phase_term = ad.sum_rows(ad.absolute(ad.sin(d_p)))
+        dist = ad.add(mod_term, phase_term)
+    return ad.sub(ad.constant(np.full(dist.shape, m.gamma)), dist)
+
+
+def _row(table, i):
+    return ad.constant(table[i : i + 1])
+
+
 class TestScoreTriple:
     def test_rotate_identity_rotation(self):
         entity = np.array([[0.3, -0.2, 0.1, 0.5]] * 2)
@@ -229,10 +267,10 @@ class TestScoreTriple:
         for method in ["RotatE", "ModE", "HAKE"]:
             m = random_model(rng, method, n_ent=6, n_rel=2, dim=4)
             every = ad.constant(m.entity)
-            rel, fixed = kge._row(m.relation, 1), kge._row(m.entity, 3)
+            rel, fixed = _row(m.relation, 1), _row(m.entity, 3)
             for side in ("head", "tail"):
                 h, t = (every, fixed) if side == "head" else (fixed, every)
-                scores = kge._scores(m, h, rel, t).data
+                scores = _scores(m, h, rel, t).data
                 for c in range(6):
                     direct = score_triple(m, c, 1, 3) if side == "head" else score_triple(m, 3, 1, c)
                     assert scores[c] == direct
@@ -243,16 +281,16 @@ class TestScoreTriple:
         rng = np.random.default_rng(13)
         m = random_model(rng, method, n_ent=7, n_rel=2, dim=20)
         heads, tails = [0, 3, 6, 2, 5], [1, 1, 4, 6, 0]
-        rel = kge._row(m.relation, 1)
-        batch = kge._scores(m, ad.constant(m.entity[heads]), rel,
-                            ad.constant(m.entity[tails])).data
-        single = [kge._scores(m, kge._row(m.entity, h), rel, kge._row(m.entity, t)).data[0]
+        rel = _row(m.relation, 1)
+        batch = _scores(m, ad.constant(m.entity[heads]), rel,
+                        ad.constant(m.entity[tails])).data
+        single = [_scores(m, _row(m.entity, h), rel, _row(m.entity, t)).data[0]
                   for h, t in zip(heads, tails)]
         assert np.array_equal(batch, single)
         for shared in range(m.n_entities):
-            row = kge._row(m.entity, shared)
-            as_head = kge._scores(m, row, rel, ad.constant(m.entity)).data
-            as_tail = kge._scores(m, ad.constant(m.entity), rel, row).data
+            row = _row(m.entity, shared)
+            as_head = _scores(m, row, rel, ad.constant(m.entity)).data
+            as_tail = _scores(m, ad.constant(m.entity), rel, row).data
             for c in range(m.n_entities):
                 assert as_head[c] == score_triple(m, shared, 1, c)
                 assert as_tail[c] == score_triple(m, c, 1, shared)
@@ -336,6 +374,20 @@ class TestTrainKge:
             train_kge(store, KgeConfig())
 
 
+def scalar_negatives(rng, h, t, n_ent, k):
+    """The heads and tails of a positive and its k negatives, from 2 * k interleaved
+    scalar draws: whether to corrupt the head, then the candidate entity."""
+    heads, tails = [h], [t]
+    for _ in range(k):
+        corrupt_head = bool(rng.integers(0, 2))
+        cand = int(rng.integers(0, n_ent))
+        if cand == (h if corrupt_head else t):
+            cand = (cand + 1) % n_ent
+        heads.append(cand if corrupt_head else h)
+        tails.append(t if corrupt_head else cand)
+    return heads, tails
+
+
 def reference_train_kge(store, config):
     """The dense SGD loop train_kge replaced: every step updates, checks and wraps every row."""
     model = kge.init_kge_model(store.n_entities, store.n_relations, config)
@@ -349,17 +401,10 @@ def reference_train_kge(store, config):
     for _ in range(config.epochs):
         losses = []
         for h, r, t in store.triples:
-            heads, tails = [h], [t]
-            for _ in range(n_neg):
-                corrupt_head = bool(rng.integers(0, 2))
-                cand = int(rng.integers(0, n_ent))
-                if cand == (h if corrupt_head else t):
-                    cand = (cand + 1) % n_ent
-                heads.append(cand if corrupt_head else h)
-                tails.append(t if corrupt_head else cand)
+            heads, tails = scalar_negatives(rng, h, t, n_ent, n_neg)
             with ad.Tape() as tape:
-                scores = kge._scores(model, ad.gather_rows(ent, heads),
-                                     ad.gather_rows(rel, [r]), ad.gather_rows(ent, tails))
+                scores = _scores(model, ad.gather_rows(ent, heads),
+                                 ad.gather_rows(rel, [r]), ad.gather_rows(ent, tails))
                 weights = np.ones(1 + n_neg)
                 if n_neg:
                     raw = scores.data[1:]
@@ -419,6 +464,28 @@ class TestRowLocalStep:
         store = write_store(tmp_path, named)
         self.assert_bitwise_equal(store, KgeConfig(method=method, dim=4, negatives=3,
                                                    lr=0.5, epochs=3, seed=1))
+
+
+class TestNegativeDraws:
+    """One array draw per step stands for the 2 * k interleaved scalar draws of
+    ``scalar_negatives``, whose stream the kg-2k reference losses depend on."""
+
+    @pytest.mark.parametrize("n_ent", [2, 3, 2000, 2**32 + 5])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_array_draw_matches_scalar_pairs_and_generator_state(self, n_ent, k):
+        got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for step in range(50):
+            h, t = step % n_ent, (7 * step + 1) % n_ent
+            got = kge._corrupt(got_rng, h, t, n_ent, k)
+            assert got == scalar_negatives(want_rng, h, t, n_ent, k), step
+            assert all(type(e) is int for e in got[0] + got[1])
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, step
+
+    def test_no_negatives_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert kge._corrupt(rng, 0, 0, 1, 0) == ([0], [0])
+        assert rng.bit_generator.state == before
 
 
 class TestWrapPhase:
@@ -490,9 +557,9 @@ def test_side_scorer_is_bitwise_scores(method, dim, n_ent):
     every = ad.constant(m.entity)
     for r in range(3):
         for e in rng.integers(0, n_ent, 3):
-            rel, row = kge._row(m.relation, r), kge._row(m.entity, int(e))
-            for head, want in ((True, kge._scores(m, every, rel, row)),
-                               (False, kge._scores(m, row, rel, every))):
+            rel, row = _row(m.relation, r), _row(m.entity, int(e))
+            for head, want in ((True, _scores(m, every, rel, row)),
+                               (False, _scores(m, row, rel, every))):
                 assert np.array_equal(score(r, int(e), head), want.data), (r, int(e), head)
 
 
@@ -698,11 +765,73 @@ def test_training_gradients_match_finite_differences():
         m = KgeModel(method, dim, 4.0, ent.data, rel.data)
 
         def f(t):
-            scores = kge._scores(m, ad.gather_rows(t, [0, 1, 2, 0]), ad.gather_rows(rel, [1]),
+            scores = _scores(m, ad.gather_rows(t, [0, 1, 2, 0]), ad.gather_rows(rel, [1]),
                                  ad.gather_rows(t, [2, 0, 1, 1]))
             return ad.sum_all(scores)
 
         assert ad.finite_diff_check(f, ent) < 1e-5
+
+
+def kink_margin(method, h, r, t):
+    """How far the point is from the kinks of a method's distance: ModE's |x| at
+    h*r - t = 0, HAKE's |sin| at a zero of the sine, RotatE's modulus at 0."""
+    half = h.shape[1] // 2
+    if method == "ModE":
+        return np.abs(h * r - t).min()
+    if method == "HAKE":
+        return np.abs(np.sin((h[:, half:] + r[half:] - t[:, half:]) * 0.5)).min()
+    d_re = h[:, :half] * np.cos(r) - h[:, half:] * np.sin(r) - t[:, :half]
+    d_im = h[:, :half] * np.sin(r) + h[:, half:] * np.cos(r) - t[:, half:]
+    return np.sqrt(d_re**2 + d_im**2).min()
+
+
+@pytest.mark.parametrize("method", kge.METHODS)
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_step_gradients_match_finite_differences(method, temperature):
+    """The hand-written gradient of one SGD step, for every scored head and tail row
+    and the relation row, agrees with central differences of the step's loss to a
+    relative error below 1e-5. The adversarial weights are constants of the gradient,
+    so the differenced loss holds them at their value at the point: at temperature 0
+    that is the step's own loss, and otherwise the same loss from NumPy's logaddexp."""
+    rng = np.random.default_rng(31)
+    dim, k = 6, 3
+    config = KgeConfig(method=method, dim=dim, gamma=2.0, adv_temperature=temperature)
+    forward = kge._FORWARD[method]
+    signs = np.r_[1.0, -np.ones(k)]
+    width = dim // 2 if method == "RotatE" else dim
+    while True:  # a point well away from every kink
+        h, t = rng.uniform(-1, 1, (1 + k, dim)), rng.uniform(-1, 1, (1 + k, dim))
+        r = rng.uniform(-2, 2, width)
+        if kink_margin(method, h, r, t) > 1e-2:
+            break
+    grads = np.empty((2 * (1 + k), dim))
+    loss, g_rel = kge._sgd_step(forward, h, r, t, signs, config, grads)
+    scores, _ = forward(h, r, t, config.gamma)
+    weights = np.ones(1 + k)
+    w = np.exp(temperature * (scores[1:] - scores[1:].max()))
+    weights[1:] = w / w.sum()
+
+    def frozen_loss():
+        if temperature == 0.0:
+            return kge._sgd_step(forward, h, r, t, signs, config, np.empty_like(grads))[0]
+        s, _ = forward(h, r, t, config.gamma)
+        return float((weights * np.logaddexp(0.0, -signs * s)).sum())
+
+    assert frozen_loss() == pytest.approx(loss, rel=1e-12)
+    step = 1e-5
+    for name, x, analytic in (("tail", t, grads[: 1 + k]), ("head", h, grads[1 + k :]),
+                              ("relation", r, g_rel)):
+        numeric = np.zeros_like(x)
+        for i in np.ndindex(x.shape):
+            keep = x[i]
+            x[i] = keep + step
+            up = frozen_loss()
+            x[i] = keep - step
+            down = frozen_loss()
+            x[i] = keep
+            numeric[i] = (up - down) / (2 * step)
+        error = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-10)
+        assert error.max() < 1e-5, (name, error.max())
 
 
 class TestTableInvariant:

@@ -64,3 +64,32 @@ def test_traced_preprocess_and_cross_validation(tmp_path):
         now = vars(owner)
         assert now.keys() == saved.keys(), owner
         assert all(now[key] is saved[key] for key in saved), owner
+
+
+def test_traced_train_kge(tmp_path):
+    """The traced counts of ``train-kge`` on the command line: one positive per train
+    triple and epoch, two ranked sides per test triple, no tape and no failed command;
+    ``uninstall`` puts back every patched attribute."""
+    path = tmp_path / "kg.tsv"
+    path.write_text("".join(f"e{i}\tr{i % 3}\te{(3 * i + 1) % 11}\n" for i in range(20)))
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        assert kg.train_kge is not before[OWNERS.index(kg)]["train_kge"]
+        tracer.begin_unit("cycle")
+        assert cli.main(["train-kge", str(path), "--kge-method", "HAKE", "--kge-dim", "4",
+                         "--kge-epochs", "3", "--holdout", "0.25",
+                         "--output-dir", str(tmp_path / "kge")]) == 0
+    finally:
+        tracer.uninstall()
+    counts = sum(tracer.counts.values(), Counter())
+    n_test = int(20 * 0.25)
+    assert counts["kge.positives"] == (20 - n_test) * 3
+    assert counts["kge.ranked_sides"] == 2 * n_test
+    assert counts["cli.exit_nonzero"] == 0
+    assert counts["autodiff.backward_calls"] == 0
+    for owner, saved in zip(OWNERS, before):
+        now = vars(owner)
+        assert now.keys() == saved.keys(), owner
+        assert all(now[key] is saved[key] for key in saved), owner
