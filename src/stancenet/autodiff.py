@@ -13,15 +13,20 @@ saved-tensors rule). A closure captures the arrays its gradient formula
 reads, and only for the inputs that require a gradient; it keeps shapes as
 tuples. So ``add`` or ``reshape`` keeps no array, ``matmul`` and ``mul``
 keep the other operand, ``softmax_rows`` and ``sqrt`` their output, and
-``relu`` its mask. An intermediate that no formula reads is freed as soon
-as the forward code drops it. A key is a serial number per Tensor, which,
-unlike ``id()``, no later tensor reuses.
+``relu`` its mask, and ``split_heads`` and ``merge_heads`` the (item,
+position) indices of their mask's 1s. An intermediate that no formula
+reads is freed as soon as the forward code drops it. A key is a serial
+number per Tensor, which, unlike ``id()``, no later tensor reuses.
 
 Most backward closures return a dense gradient of their input's shape.
 ``gather_rows`` instead returns a row gradient (ids, rows), so a gather
 from a large table costs the rows it touched, not the table. The tape
 collects the row gradients of each tensor and densifies them once, into
 that tensor's dense adjoint; ``grad`` is always a dense array.
+
+Attention rows are packed, one per 1 of an [N, m] 0/1 mask: ``split_heads``
+scatters them straight into the zero [N*heads, m, d/heads] head grid and
+``merge_heads`` gathers them straight back, each the other's gradient.
 
 Tapes nest: entering one pushes it on a module-level stack, and ops record
 on the innermost. Tensors that never require gradients are plain immutable
@@ -400,41 +405,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _emit((table,), table.data[ids], backward)
 
 
-def take_rows(x: Tensor, ids) -> Tensor:
-    """Rows of a rank-2 x at distinct integer ids; the adjoint of ``put_rows``.
-
-    Its gradient is dense: the output's gradient written into zeros at ``ids``.
-    """
-    x = _as_tensor(x)
-    ids = np.asarray(ids, dtype=np.int64)
-    if x.ndim != 2 or ids.ndim != 1:
-        raise ShapeMismatch(f"take_rows got shape {x.shape}, ids shape {ids.shape}")
-    shape = x.shape
-
-    def backward(g):
-        gx = np.zeros(shape)
-        gx[ids] = g
-        return (gx,)
-
-    return _emit((x,), x.data[ids], backward)
-
-
-def put_rows(x: Tensor, ids, rows: int) -> Tensor:
-    """Zeros of shape [rows, d] with row i of the [k, d] x at distinct id ``ids[i]``;
-    the adjoint of ``take_rows``, so its gradient is the output gradient's rows at ``ids``."""
-    x = _as_tensor(x)
-    ids = np.asarray(ids, dtype=np.int64)
-    if x.ndim != 2 or ids.shape != x.shape[:1]:
-        raise ShapeMismatch(f"put_rows got shape {x.shape}, ids shape {ids.shape}")
-    value = np.zeros((rows, x.shape[1]))
-    value[ids] = x.data
-
-    def backward(g):
-        return (g[ids],)
-
-    return _emit((x,), value, backward)
-
-
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate rank-2 tensors with equal row counts along columns."""
     parts = [_as_tensor(p) for p in parts]
@@ -462,41 +432,55 @@ def transpose(x: Tensor) -> Tensor:
     return _emit((x,), x.data.swapaxes(-1, -2), backward)
 
 
-def split_heads(x: Tensor, heads: int, m: int) -> Tensor:
-    """[N*m, d] rows, m per item, -> [N*heads, m, d/heads]: entry n*heads + h holds
-    columns [h*d/heads, (h+1)*d/heads) of item n's m rows."""
-    x = _as_tensor(x)
-    if x.ndim != 2 or heads < 1 or m < 1 or x.shape[0] % m or x.shape[1] % heads:
-        raise ShapeMismatch(f"split_heads cannot cut {x.shape} into {heads} heads of {m} rows")
+def split_heads(x: Tensor, heads: int, mask) -> Tensor:
+    """The [W, d] packed rows of an [N, m] 0/1 mask, one per 1 in mask order, -> the
+    [N*heads, m, d/heads] head grid, zero at the mask's 0s: entry n*heads + h holds
+    columns [h*d/heads, (h+1)*d/heads) of item n's rows. The adjoint of ``merge_heads``."""
+    x, mask = _as_tensor(x), np.asarray(mask)
+    if x.ndim != 2 or mask.ndim != 2 or heads < 1 or x.shape[1] % heads:
+        raise ShapeMismatch(f"split_heads cannot cut {x.shape} into {heads} heads "
+                            f"for a mask of shape {mask.shape}")
+    item, pos = np.nonzero(mask)
+    if x.shape[0] != item.size:
+        raise ShapeMismatch(f"split_heads got {x.shape[0]} packed rows for a mask with "
+                            f"{item.size} 1s")
+    grid = (mask.shape[0], heads, mask.shape[1], x.shape[1] // heads)
 
     def backward(g):
-        return (_merge(g, heads),)
+        return (_rows_of_heads(g, item, pos, grid),)
 
-    return _emit((x,), _split(x.data, heads, m), backward)
+    return _emit((x,), _heads_of_rows(x.data, item, pos, grid), backward)
 
 
-def merge_heads(x: Tensor, heads: int) -> Tensor:
-    """The inverse of ``split_heads``: [N*heads, m, k] -> [N*m, heads*k] rows."""
-    x = _as_tensor(x)
-    if x.ndim != 3 or heads < 1 or x.shape[0] % heads:
-        raise ShapeMismatch(f"merge_heads cannot join shape {x.shape} as {heads} heads")
-    m = x.shape[1]
+def merge_heads(x: Tensor, heads: int, mask) -> Tensor:
+    """The [N*heads, m, k] head grid -> its [W, heads*k] packed rows at the 1s of the
+    [N, m] 0/1 mask, in mask order; entries at the 0s are dropped. The adjoint of
+    ``split_heads``."""
+    x, mask = _as_tensor(x), np.asarray(mask)
+    if (x.ndim != 3 or heads < 1 or x.shape[0] % heads
+            or mask.shape != (x.shape[0] // heads, x.shape[1])):
+        raise ShapeMismatch(f"merge_heads cannot join shape {x.shape} as {heads} heads "
+                            f"for a mask of shape {mask.shape}")
+    item, pos = np.nonzero(mask)
+    grid = (mask.shape[0], heads) + x.shape[1:]
 
     def backward(g):
-        return (_split(g, heads, m),)
+        return (_heads_of_rows(g, item, pos, grid),)
 
-    return _emit((x,), _merge(x.data, heads), backward)
-
-
-def _split(a: np.ndarray, heads: int, m: int) -> np.ndarray:
-    rows, d = a.shape
-    k = d // heads
-    return a.reshape(rows // m, m, heads, k).transpose(0, 2, 1, 3).reshape(-1, m, k)
+    return _emit((x,), _rows_of_heads(x.data, item, pos, grid), backward)
 
 
-def _merge(a: np.ndarray, heads: int) -> np.ndarray:
-    nh, m, k = a.shape
-    return a.reshape(nh // heads, heads, m, k).transpose(0, 2, 1, 3).reshape(-1, heads * k)
+def _heads_of_rows(rows: np.ndarray, item, pos, grid) -> np.ndarray:
+    """Zeros of the [N, heads, m, k] shape ``grid`` with packed row i cut into heads at
+    (item[i], :, pos[i]), as [N*heads, m, k]."""
+    out = np.zeros(grid)
+    out[item, :, pos] = rows.reshape(item.size, grid[1], grid[3])
+    return out.reshape(-1, grid[2], grid[3])
+
+
+def _rows_of_heads(a: np.ndarray, item, pos, grid) -> np.ndarray:
+    """The inverse of ``_heads_of_rows`` on the mask's 1s: [N*heads, m, k] -> [W, heads*k]."""
+    return a.reshape(grid)[item, :, pos].reshape(item.size, -1)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

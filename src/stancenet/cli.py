@@ -321,11 +321,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
+def _grid_values(flag: str, raw) -> list[float]:
+    """The comma-separated values of a sweep grid flag, each in [0, 1], or the default
+    grid if unset."""
+    if not raw:
+        return list(tr.DEFAULT_GRID)
+    values = []
+    for token in raw.split(","):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ConfigError(f"{flag}: cannot parse {token!r} as a float") from None
+        if not 0.0 <= values[-1] <= 1.0:
+            raise ConfigError(f"{flag}: {token!r} does not lie in [0, 1]")
+    return values
 
-    alphas = [float(x) for x in args.alphas.split(",")] if args.alphas else list(tr.DEFAULT_GRID)
-    betas = [float(x) for x in args.betas.split(",")] if args.betas else list(tr.DEFAULT_GRID)
+
+def cmd_sweep(args) -> int:
+    alphas = _grid_values("--alphas", args.alphas)  # before any input is loaded
+    betas = _grid_values("--betas", args.betas)
+    cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
     grid = tr.sweep_alpha_beta(encoded, bundle, train_cfg, alphas=alphas, betas=betas,
                                folds=cfg.folds, val_fraction=cfg.val_fraction)
     sweep_path = out_dir / "sweep.csv"

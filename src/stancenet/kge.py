@@ -367,29 +367,32 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     signs = np.r_[1.0, -np.ones(n_neg)]  # row 0 is the positive
     grads = np.empty((2 * (1 + n_neg), config.dim))  # the scored tail rows', then head rows'
 
-    for epoch in range(config.epochs):
-        losses = []
-        for i, (h, r, t) in enumerate(store.triples):
-            heads, tails = _corrupt(rng, h, t, n_ent, n_neg)
-            loss, g_rel = _sgd_step(forward, ent[heads], rel[r], ent[tails], signs, config,
-                                    grads)
-            losses.append(loss)
-            rows = sorted(set(heads + tails))
-            at = {e: k for k, e in enumerate(rows)}
-            g_ent = np.zeros((len(rows), config.dim))
-            np.add.at(g_ent, [at[e] for e in tails + heads], grads)
-            if not (np.isfinite(g_ent).all() and np.isfinite(g_rel).all()):
-                raise Diverged(f"{config.method} embedding training diverged at epoch "
-                               f"{epoch + 1}, triple {i + 1} of {len(store.triples)}: a "
-                               f"non-finite gradient; lower kge_lr (now {config.lr!r})")
-            ent[rows] -= config.lr * g_ent
-            rel[r] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
-            if config.method == "RotatE":
-                rel[:] = _wrap_phase(rel)
-            elif config.method == "HAKE":
-                ent[rows, half:] = _wrap_phase(ent[rows, half:])
-                rel[:, half:] = _wrap_phase(rel[:, half:])
-        model.epoch_losses.append(float(np.mean(losses)))
+    # a diverging step overflows before its gradient check names the cause; the check
+    # is the one report
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            losses = []
+            for i, (h, r, t) in enumerate(store.triples):
+                heads, tails = _corrupt(rng, h, t, n_ent, n_neg)
+                loss, g_rel = _sgd_step(forward, ent[heads], rel[r], ent[tails], signs, config,
+                                        grads)
+                losses.append(loss)
+                rows = sorted(set(heads + tails))
+                at = {e: k for k, e in enumerate(rows)}
+                g_ent = np.zeros((len(rows), config.dim))
+                np.add.at(g_ent, [at[e] for e in tails + heads], grads)
+                if not (np.isfinite(g_ent).all() and np.isfinite(g_rel).all()):
+                    raise Diverged(f"{config.method} embedding training diverged at epoch "
+                                   f"{epoch + 1}, triple {i + 1} of {len(store.triples)}: a "
+                                   f"non-finite gradient; lower kge_lr (now {config.lr!r})")
+                ent[rows] -= config.lr * g_ent
+                rel[r] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
+                if config.method == "RotatE":
+                    rel[:] = _wrap_phase(rel)
+                elif config.method == "HAKE":
+                    ent[rows, half:] = _wrap_phase(ent[rows, half:])
+                    rel[:, half:] = _wrap_phase(rel[:, half:])
+            model.epoch_losses.append(float(np.mean(losses)))
     return model
 
 

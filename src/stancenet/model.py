@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DegenerateInput, ShapeMismatch, Tensor
+from .autodiff import DegenerateInput, Tensor
 from .kge import KnowledgeEmbeddingTable, zero_table
 from .textdata import EncodedArticle
 
@@ -270,30 +270,17 @@ def _mask(mask, what: str) -> np.ndarray:
     return mask_arr
 
 
-def _grid(rows: Tensor, mask: np.ndarray) -> Tensor:
-    """Packed [W, k] rows, one per 1 of the [N, m] mask in mask order, spread over the
-    mask's N*m grid rows, with zero rows at its 0s."""
-    real = np.flatnonzero(mask)
-    if rows.shape[0] != real.size:
-        raise ShapeMismatch(f"{rows.shape[0]} packed rows for a mask with {real.size} 1s")
-    return rows if real.size == mask.size else ad.put_rows(rows, real, mask.size)
-
-
-def _packed(grid: Tensor, mask: np.ndarray) -> Tensor:
-    """The inverse of ``_grid``: the [W, k] rows of the N*m grid rows at the mask's 1s."""
-    return grid if mask.all() else ad.take_rows(grid, np.flatnonzero(mask))
-
-
 def _heads(q: Tensor, q_mask: np.ndarray, x: Tensor, mask: np.ndarray,
            attn: AttentionParams) -> tuple[Tensor, Tensor]:
     """The attention of every level: packed queries q, laid out by the [N, mq] q_mask,
     over the packed rows x of the [N, m] mask. Returns the softmax weights of the scaled
     dot-product scores, [N*heads, mq, m] (keys at the mask's 0s get -1e9 logits, so
     weight exactly 0), and the projected values, [N*heads, m, d/heads]; entry
-    n*heads + h is head h of item n. Only the scores, the softmax and what the caller
-    does with the weights run on this head grid; the rest runs on rows."""
+    n*heads + h is head h of item n. The projections run on packed rows, which
+    ``split_heads`` scatters into the head grid by their mask; only the scores, the
+    softmax and what the caller does with the weights run on that grid."""
     h = attn.heads
-    qh, kh, vh = (ad.split_heads(_grid(ad.matmul(rows, w), m), h, m.shape[1]) for rows, m, w in
+    qh, kh, vh = (ad.split_heads(ad.matmul(rows, w), h, m) for rows, m, w in
                   ((q, q_mask, attn.wq), (x, mask, attn.wk), (x, mask, attn.wv)))
     offset = np.repeat((mask - 1.0) * 1e9, h, axis=0)[:, None, :]
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
@@ -304,11 +291,11 @@ def _heads(q: Tensor, q_mask: np.ndarray, x: Tensor, mask: np.ndarray,
 def multi_head_attention(x: Tensor, mask, attn: AttentionParams) -> Tensor:
     """Scaled dot-product self-attention with fused heads over packed rows: x holds the
     [W, d] rows of the 1s of an [m] mask, or of an [N, m] mask for N items, in mask
-    order, and so does the output. Keys at the mask's 0s get -1e9 logits."""
+    order, and so does the output. Keys at the mask's 0s get -1e9 logits, and
+    ``merge_heads`` gathers the head grid's context back to the mask's packed rows."""
     mask_arr = _mask(mask, "attention needs at least one unmasked key position")
     w, vh = _heads(x, mask_arr, x, mask_arr, attn)
-    context = ad.merge_heads(ad.matmul(w, vh), attn.heads)
-    return ad.matmul(_packed(context, mask_arr), attn.wo)
+    return ad.matmul(ad.merge_heads(ad.matmul(w, vh), attn.heads, mask_arr), attn.wo)
 
 
 def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams,
@@ -345,8 +332,8 @@ def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) ->
     mask_arr = _mask(sentence_mask, "title_level got an all-masked article")
     attn = params.title_attn
     w, vh = _heads(title, np.ones((len(mask_arr), 1)), s, mask_arr, attn)
-    out = ad.merge_heads(ad.scale_rows(vh, ad.reshape(w, vh.shape[:2])), attn.heads)
-    return ad.add(ad.matmul(_packed(out, mask_arr), attn.wo), s)
+    out = ad.merge_heads(ad.scale_rows(vh, ad.reshape(w, vh.shape[:2])), attn.heads, mask_arr)
+    return ad.add(ad.matmul(out, attn.wo), s)
 
 
 def _pool(group: np.ndarray, groups: int) -> Tensor:
@@ -431,8 +418,9 @@ def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams, int]:
     """Parameters, hyperparameters and seed of a checkpoint of the current format.
 
-    Another format (an older stancenet's), a missing manifest key, or an array missing
-    or shaped unlike the manifest's parameters raises a ValueError naming the file.
+    Another format (an older stancenet's), a missing manifest key, or an array missing,
+    shaped unlike the manifest's parameters or holding a non-finite value raises a
+    ValueError naming the file.
     """
     with np.load(path) as data:
         if "manifest" not in data.files:
@@ -454,6 +442,10 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams, int]:
             if array.shape != shape:
                 raise ValueError(f"{path}: parameter {name!r} has shape {array.shape}, "
                                  f"but the manifest implies {shape}")
+            bad = np.argwhere(~np.isfinite(array))
+            if bad.size:
+                raise ValueError(f"{path}: parameter {name!r} has a non-finite value at "
+                                 f"{bad[0].tolist()}")
             return Tensor(array, requires_grad=True)
 
         params = _build(manifest["n_words"], hp, saved)

@@ -226,6 +226,14 @@ def _weighted(out, rng):
     return ad.sum_all(ad.mul(out, w))
 
 
+HEAD_MASKS = {
+    # [N, m] 0/1 masks: ragged items, an item with a hole, and an item with a single 1
+    "ragged": np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]),
+    "hole": np.array([[1.0, 0.0, 1.0, 1.0]]),
+    "single": np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
+}
+
+
 OP_CASES = [
     ("matmul_lhs", lambda x, rng: ad.matmul(x, Tensor(rng.uniform(-1, 1, (4, 3)))), (3, 4)),
     ("matmul_rhs", lambda x, rng: ad.matmul(Tensor(rng.uniform(-1, 1, (3, 4))), x), (4, 2)),
@@ -264,8 +272,13 @@ OP_CASES = [
      (2, 3, 4)),
     ("scale_rows_rank3_w",
      lambda x, rng: ad.scale_rows(Tensor(rng.uniform(-1, 1, (2, 3, 4))), x), (2, 3)),
-    ("split_heads", lambda x, rng: ad.split_heads(x, 2, 3), (6, 4)),
-    ("merge_heads", lambda x, rng: ad.merge_heads(x, 2), (4, 3, 2)),
+    ("split_heads", lambda x, rng: ad.split_heads(x, 2, HEAD_MASKS["ragged"]), (5, 4)),
+    ("split_heads_hole", lambda x, rng: ad.split_heads(x, 2, HEAD_MASKS["hole"]), (3, 4)),
+    ("split_heads_single", lambda x, rng: ad.split_heads(x, 2, HEAD_MASKS["single"]), (4, 4)),
+    ("merge_heads", lambda x, rng: ad.merge_heads(x, 2, HEAD_MASKS["ragged"]), (4, 4, 2)),
+    ("merge_heads_hole", lambda x, rng: ad.merge_heads(x, 2, HEAD_MASKS["hole"]), (2, 4, 2)),
+    ("merge_heads_single", lambda x, rng: ad.merge_heads(x, 2, HEAD_MASKS["single"]),
+     (4, 3, 2)),
     ("sin", lambda x, rng: ad.sin(x), (3, 4)),
     ("cos", lambda x, rng: ad.cos(x), (3, 4)),
     ("logsigmoid", lambda x, rng: ad.logsigmoid(x), (3, 4)),
@@ -306,22 +319,116 @@ def test_positive_domain_op_gradients(name, build, shape):
 
 
 def test_heads_are_column_blocks_and_merge_inverts_split():
-    """Two items of 4 rows each, cut into 3 heads: entry n*3 + h is head h's columns of
+    """Two full items of 4 rows each, cut into 3 heads: entry n*3 + h is head h's columns of
     item n's rows, merging gives the rows back, and item 1 alone splits to its entries."""
     x = np.random.default_rng(4).uniform(-1, 1, (2 * 4, 6))
-    split = ad.split_heads(Tensor(x), 3, 4).data
+    mask = np.ones((2, 4))
+    split = ad.split_heads(Tensor(x), 3, mask).data
     assert split.shape == (2 * 3, 4, 2)
     for n in range(2):
         for h, block in enumerate(np.split(x[n * 4:(n + 1) * 4], 3, axis=1)):
             assert np.array_equal(split[n * 3 + h], block)
-    assert np.array_equal(ad.merge_heads(Tensor(split), 3).data, x)
-    assert np.array_equal(ad.split_heads(Tensor(x[4:]), 3, 4).data, split[3:])
+    assert np.array_equal(ad.merge_heads(Tensor(split), 3, mask).data, x)
+    assert np.array_equal(ad.split_heads(Tensor(x[4:]), 3, mask[1:]).data, split[3:])
+
+
+def loop_split_heads(x: np.ndarray, heads: int, mask: np.ndarray) -> np.ndarray:
+    """The head grid by scalar loops: the i-th 1 of the mask, at item n and position p
+    in mask order, puts its row's head-h columns at entry n*heads + h, position p."""
+    k = x.shape[1] // heads
+    out = np.zeros((mask.shape[0] * heads, mask.shape[1], k))
+    i = 0
+    for n in range(mask.shape[0]):
+        for p in range(mask.shape[1]):
+            if mask[n, p]:
+                for h in range(heads):
+                    for j in range(k):
+                        out[n * heads + h, p, j] = x[i, h * k + j]
+                i += 1
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_MASKS))
+def test_split_heads_lays_rows_out_at_the_ones_and_merge_reads_them_back(name):
+    """The packed rows land at the mask's 1s and every other entry stays zero; merging
+    gives the rows back bitwise."""
+    mask = HEAD_MASKS[name]
+    x = np.random.default_rng(6).uniform(-1, 1, (int(mask.sum()), 6))
+    split = ad.split_heads(Tensor(x), 2, mask).data
+    assert np.array_equal(split, loop_split_heads(x, 2, mask))
+    assert np.count_nonzero(split) == x.size  # no entry of x is 0, nor one outside it
+    assert np.array_equal(ad.merge_heads(Tensor(split), 2, mask).data, x)
+
+
+def _split_and_merge_gradients(x: np.ndarray, y: np.ndarray, heads: int, mask: np.ndarray):
+    """The gradients of <split_heads(x), y> in x and of <x, merge_heads(y)> in y."""
+    a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.sum_all(ad.mul(ad.split_heads(a, heads, mask), Tensor(y))))
+    with Tape() as tape:
+        tape.backward(ad.sum_all(ad.mul(ad.merge_heads(b, heads, mask), Tensor(x))))
+    return a.grad, b.grad
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_MASKS))
+def test_split_and_merge_heads_are_adjoint(name):
+    """<split(x), y> = <merge(y), x>: each op's gradient is the other op's value, bitwise."""
+    mask = HEAD_MASKS[name]
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, (int(mask.sum()), 4))
+    y = rng.uniform(-1, 1, (mask.shape[0] * 2, mask.shape[1], 2))
+    gx, gy = _split_and_merge_gradients(x, y, 2, mask)
+    assert np.array_equal(gx, ad.merge_heads(Tensor(y), 2, mask).data)
+    assert np.array_equal(gy, ad.split_heads(Tensor(x), 2, mask).data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), heads=st.integers(1, 3), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_merge_heads_property(data, heads, k, seed):
+    """On any mask with a 1 in every row: split matches the loop oracle, merge inverts
+    it, and the two ops are each other's gradient, all bitwise."""
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m)
+                              .filter(any), min_size=n, max_size=n))
+    mask = np.array(rows, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (int(mask.sum()), heads * k))
+    y = rng.uniform(-1, 1, (n * heads, m, k))
+    split = ad.split_heads(Tensor(x), heads, mask).data
+    assert np.array_equal(split, loop_split_heads(x, heads, mask))
+    assert np.array_equal(ad.merge_heads(Tensor(split), heads, mask).data, x)
+    gx, gy = _split_and_merge_gradients(x, y, heads, mask)
+    assert np.array_equal(gx, ad.merge_heads(Tensor(y), heads, mask).data)
+    assert np.array_equal(gy, split)
 
 
 @pytest.mark.parametrize("shape,heads,m", [((6, 4), 3, 2), ((6, 4), 2, 4), ((2, 3, 4), 2, 3)])
 def test_split_heads_rejects_rows_it_cannot_cut(shape, heads, m):
+    """Rows of a width heads does not divide, more or fewer rows than the 1s of a full
+    [2, m] mask, and rank-3 rows are rejected."""
     with pytest.raises(ShapeMismatch, match="split_heads"):
-        ad.split_heads(Tensor(np.ones(shape)), heads, m)
+        ad.split_heads(Tensor(np.ones(shape)), heads, np.ones((2, m)))
+
+
+@pytest.mark.parametrize("op,message", [
+    (lambda: ad.split_heads(Tensor(np.ones((3, 4))), 2, HEAD_MASKS["ragged"]),
+     r"split_heads got 3 packed rows for a mask with 5 1s"),
+    (lambda: ad.split_heads(Tensor(np.ones((3, 5))), 2, HEAD_MASKS["hole"]),
+     r"split_heads cannot cut \(3, 5\) into 2 heads"),
+    (lambda: ad.split_heads(Tensor(np.ones((3, 4))), 2, HEAD_MASKS["hole"][0]),
+     r"split_heads .* mask of shape \(4,\)"),
+    (lambda: ad.merge_heads(Tensor(np.ones((4, 4, 2))), 2, HEAD_MASKS["hole"]),
+     r"merge_heads cannot join shape \(4, 4, 2\) as 2 heads for a mask of shape \(1, 4\)"),
+    (lambda: ad.merge_heads(Tensor(np.ones((3, 4, 2))), 2, HEAD_MASKS["hole"]),
+     r"merge_heads cannot join shape \(3, 4, 2\)"),
+    (lambda: ad.merge_heads(Tensor(np.ones((4, 8))), 2, HEAD_MASKS["hole"]),
+     r"merge_heads cannot join shape \(4, 8\)"),
+], ids=["split_row_count", "split_width", "split_rank1_mask", "merge_mask_shape",
+        "merge_heads_do_not_divide", "merge_rank2"])
+def test_head_layout_shape_errors(op, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        op()
 
 
 @pytest.mark.parametrize("a,b", [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 3, 2)),
@@ -448,56 +555,6 @@ def test_backward_frees_intermediate_adjoints():
             tracemalloc.stop()
     assert np.allclose(x.grad, 1.01 ** 40, rtol=1e-12)
     assert peak < 6 * x.data.nbytes
-
-
-ROW_CASES = [
-    ("take_rows", lambda x: ad.take_rows(x, [3, 0, 1]), (5, 4)),
-    ("put_rows", lambda x: ad.put_rows(x, [4, 0, 2], 6), (3, 4)),
-]
-
-
-@pytest.mark.parametrize("name,build,shape", ROW_CASES, ids=[c[0] for c in ROW_CASES])
-def test_row_layout_gradients_match_finite_differences(name, build, shape):
-    x = Tensor(np.random.default_rng(zlib.crc32(name.encode())).uniform(-1, 1, shape),
-               requires_grad=True)
-    assert ad.finite_diff_check(lambda t: _weighted(build(t), np.random.default_rng(5)), x) < 1e-6
-
-
-def test_put_rows_lays_rows_out_in_zeros_and_take_rows_reads_them_back():
-    x = np.random.default_rng(6).uniform(-1, 1, (3, 2))
-    ids = np.array([4, 0, 2])
-    put = ad.put_rows(Tensor(x), ids, 5).data
-    expected = np.zeros((5, 2))
-    for i, row in zip(ids, x):
-        expected[i] = row
-    assert np.array_equal(put, expected)
-    assert np.array_equal(ad.take_rows(Tensor(put), ids).data, x)
-
-
-def test_take_and_put_rows_are_adjoint():
-    """<put(x), y> = <x, take(y)>: each op's gradient is the other op's value."""
-    rng = np.random.default_rng(8)
-    ids = np.array([5, 1, 3])
-    x, y = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True), rng.uniform(-1, 1, (6, 4))
-    with Tape() as tape:
-        tape.backward(ad.sum_all(ad.mul(ad.put_rows(x, ids, 6), Tensor(y))))
-    assert np.array_equal(x.grad, ad.take_rows(Tensor(y), ids).data)
-    z = Tensor(y, requires_grad=True)
-    with Tape() as tape:
-        tape.backward(ad.sum_all(ad.mul(ad.take_rows(z, ids), Tensor(x.data))))
-    assert np.array_equal(z.grad, ad.put_rows(Tensor(x.data), ids, 6).data)
-
-
-@pytest.mark.parametrize("op", [
-    lambda: ad.take_rows(Tensor(np.ones((2, 3, 4))), [0]),
-    lambda: ad.take_rows(Tensor(np.ones((3, 4))), [[0, 1]]),
-    lambda: ad.put_rows(Tensor(np.ones(4)), [0], 2),
-    lambda: ad.put_rows(Tensor(np.ones((3, 4))), [0, 1], 5),
-    lambda: ad.put_rows(Tensor(np.ones((2, 4))), [[0, 1]], 5),
-], ids=["take_rank3", "take_rank2_ids", "put_rank1", "put_too_few_ids", "put_rank2_ids"])
-def test_row_layout_shape_errors(op):
-    with pytest.raises(ShapeMismatch, match=r"shape \(.*\), ids shape \(.*\)"):
-        op()
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [((3, 4), (3, 4)), ((3, 4), (4,)), ((1, 4), (3, 4))])

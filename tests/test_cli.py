@@ -6,6 +6,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -270,14 +271,16 @@ class TestTrainKge:
             ("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"),
             ("d", "s", "e"), ("e", "s", "a"), ("a", "s", "c"),
         ])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["train-kge", str(kg_path), "--kge-method", "ModE", "--kge-lr", "1e5",
                        "--kge-dim", "4", "--kge-epochs", "20",
                        "--output-dir", str(tmp_path / "kge")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert re.search(r"^error: ModE embedding training diverged at epoch \d+, triple \d+ "
-                         r"of 6: .*lower kge_lr \(now 100000\.0\)$", err, re.M), err
+        assert [str(w.message) for w in caught] == []  # the error line is the one report
+        assert re.fullmatch(r"error: ModE embedding training diverged at epoch \d+, triple \d+ "
+                            r"of 6: .*lower kge_lr \(now 100000\.0\)\n", err), err
 
     def test_exports_aligned_table_with_links(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -357,15 +360,17 @@ class TestTrain:
 
     def test_divergence_exits_2_naming_parameter_and_lr(self, tmp_path, capsys):
         pre = preprocess(tmp_path, write_corpus(tmp_path))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["train", "--corpus", str(pre / "corpus.npz"),
                        "--vocab", str(pre / "vocab.txt"), "--no-knowledge", "--mode", "WST",
                        "--d", "8", "--heads", "2", "--epochs", "3", "--lr", "1e300",
                        "--output-dir", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert re.search(r"^error: training diverged: non-finite gradient for parameter "
-                         r"'\w+'; lower lr \(now 1e\+300\)$", err, re.M), err
+        assert [str(w.message) for w in caught] == []  # the error line is the one report
+        assert re.fullmatch(r"error: training diverged: non-finite gradient for parameter "
+                            r"'\w+'; lower lr \(now 1e\+300\)\n", err), err
 
     def test_invalid_alpha_exits_2_naming_key(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
@@ -544,6 +549,30 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(checkpoint) in err and "retrain" in err
+
+    def test_non_finite_parameter_exits_2_naming_file_and_parameter(self, tmp_path, capsys):
+        """A NaN in a saved parameter is refused at load, not evaluated to a silent
+        accuracy."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                     "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                     "--mode", "W", "--d", "8", "--heads", "2",
+                     "--epochs", "1", "--output-dir", str(run)]) == 0
+        checkpoint = run / "checkpoint.npz"
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        arrays["param:output.w"][1, 0] = np.nan
+        np.savez(checkpoint, **arrays)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(checkpoint),
+                   "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: {checkpoint}: parameter 'output.w' has a non-finite "
+                                f"value at [1, 0]\n")
 
     def test_manifest_missing_a_key_exits_2(self, tmp_path, capsys):
         pre = preprocess(tmp_path, write_corpus(tmp_path))
@@ -893,6 +922,25 @@ class TestSweep:
         assert self.sweep_three_articles(tmp_path, "--val-fraction", fraction) == 2
         assert "val_fraction" in capsys.readouterr().err
         assert not (tmp_path / "run" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag,values,message", [
+        ("--alphas", "0.2,abc", "cannot parse 'abc' as a float"),
+        ("--betas", "0.5,,1", "cannot parse '' as a float"),
+        ("--betas", "x", "cannot parse 'x' as a float"),
+        ("--alphas", "0.2,1.5", "'1.5' does not lie in [0, 1]"),
+        ("--betas", "nan", "'nan' does not lie in [0, 1]"),
+    ])
+    def test_bad_grid_value_exits_2_naming_flag_before_loading_inputs(
+            self, tmp_path, capsys, flag, values, message):
+        """The grid flags are checked first: a missing table would fail any later check."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path, num=3))
+        rc = main(["sweep", "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--table-com", str(tmp_path / "none.txt"),
+                   "--d", "8", "--heads", "2", flag, values,
+                   "--output-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flags", [["--val-fraction", "0.25"],
                                        ["--val-fraction", "0", "--folds", "3"],

@@ -505,22 +505,22 @@ class TestPredict:
 
     def test_tape_length_of_a_ragged_all_article(self):
         """One mode-All predict on 3 active sentences with holes, a padded sentence and
-        partly covered tables records 91 ops: knowledge injection 11 (gather, 2 per
-        table, concat, fuse matmul and bias, residual); word level 25 (3 x matmul, put
-        and head split; transpose, scores, scale, mask, softmax; weighted sum, head
-        merge, take, output matmul; the feed-forward block 7); the pool matmul 1;
-        sentence level 21 (a full [1, 3] mask, so no put or take, and 3 x matmul and
-        head split); title 11 + pool matmul, and its level 16 (3 x matmul and head
-        split; transpose, scores, scale, mask, softmax; reshape of the weights, row
-        scaling, head merge, output matmul, residual); output 5 (pool matmul, linear,
-        softmax, reshape to [classes])."""
+        partly covered tables records 87 ops: knowledge injection 11 (gather, 2 per
+        table, concat, fuse matmul and bias, residual); word level 21 (3 x matmul and
+        head split from the packed rows; transpose, scores, scale, mask, softmax;
+        weighted sum, head merge to the packed rows, output matmul; the feed-forward
+        block 7); the pool matmul 1; sentence level 21 (the same ops on a full [1, 3]
+        mask); title 11 + pool matmul, and its level 16 (3 x matmul and head split;
+        transpose, scores, scale, mask, softmax; reshape of the weights, row scaling,
+        head merge, output matmul, residual); output 5 (pool matmul, linear, softmax,
+        reshape to [classes])."""
         hp = HyperParams(d=8, heads=2, n=5, l=4, classes=2, mode="All")
         real = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 1, 1, 0]])
         article = td.EncodedArticle((np.arange(20).reshape(4, 5) % 11 + 1) * real,
                                     np.array([3, 4, 5, 0, 0]), 1)
         with Tape() as tape:
             predict(article, init_params(12, hp, seed=3), random_bundle(12, hp.d, 4), hp)
-            assert len(tape) == 91
+            assert len(tape) == 87
 
     def test_sentence_permutation_equivariance_with_zero_title(self):
         # permuting whole sentences permutes the refined rows correspondingly,
@@ -551,13 +551,14 @@ def padded_encoder(x, mask, attn, ff):
     """The encoder block on every row of the padded layout, PAD rows zeroed at the end:
     the path the packed levels replace, kept here op for op as their reference."""
     h, mask = attn.heads, np.atleast_2d(mask)
+    every = np.ones_like(mask)  # the padded layout has a row at every position
     rows = ad.reshape(x, (-1, x.shape[-1]))
-    qh, kh, vh = (ad.split_heads(ad.matmul(rows, w), h, mask.shape[1])
+    qh, kh, vh = (ad.split_heads(ad.matmul(rows, w), h, every)
                   for w in (attn.wq, attn.wk, attn.wv))
     offset = np.repeat((mask - 1.0) * 1e9, h, axis=0)[:, None, :]
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
     w = ad.softmax_rows(ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape))))
-    out = ad.add(rows, ad.matmul(ad.merge_heads(ad.matmul(w, vh), h), attn.wo))
+    out = ad.add(rows, ad.matmul(ad.merge_heads(ad.matmul(w, vh), h, every), attn.wo))
     out = ad.add(out, ad.linear(ad.relu(ad.linear(out, ff.w1, ff.b1)), ff.w2, ff.b2))
     return ad.reshape(ad.scale_rows(out, ad.constant(mask.reshape(-1))), x.shape)
 
