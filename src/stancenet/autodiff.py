@@ -344,15 +344,20 @@ def relu(x: Tensor) -> Tensor:
     return _emit((x,), np.where(mask, x.data, 0.0), backward)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis of a rank-2 or rank-3 tensor, stabilised by
-    subtracting each row's max."""
+def softmax_rows(x: Tensor, keys=None) -> Tensor:
+    """Softmax over the last axis of a rank-2 or rank-3 tensor, stabilised by subtracting
+    each row's max; a [B, m] 0/1 key mask of a rank-3 [B, mq, m] x gives its 0s weight 0."""
     x = _as_tensor(x)
     if x.ndim not in (2, 3):
         raise ShapeMismatch(f"softmax_rows needs a rank-2 or rank-3 tensor, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    if keys is not None and (x.ndim != 3 or np.shape(keys) != (x.shape[0], x.shape[-1])):
+        raise ShapeMismatch(f"softmax_rows got keys of shape {np.shape(keys)} for shape {x.shape}")
+    if keys is not None and not np.all(np.any(keys, axis=-1)):
+        raise DegenerateInput("softmax_rows needs a 1 in every row of its key mask")
+    y = x.data.copy() if keys is None else np.where(np.asarray(keys)[:, None] != 0, x.data, -np.inf)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
         # d x_ij = y_ij * (g_ij - sum_k g_ik y_ik)

@@ -22,7 +22,7 @@ from . import kge as kg
 from . import model as md
 from . import textdata as td
 from . import training as tr
-from .autodiff import Diverged, ShapeMismatch
+from .autodiff import DegenerateInput, Diverged, ShapeMismatch
 
 
 class ConfigError(ValueError):
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ShapeMismatch as err:  # a ValueError, but always a bug in the program
+    except (ShapeMismatch, DegenerateInput) as err:  # ValueErrors, but bugs in the program
         print(f"internal error: {err!r}", file=sys.stderr)
         return 1
     except USER_ERRORS as err:

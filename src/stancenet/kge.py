@@ -137,6 +137,7 @@ class KgeConfig:
                 ("dim", self.dim >= 1, "be >= 1"),
                 ("negatives", self.negatives >= 0, "be >= 0"),
                 ("epochs", self.epochs >= 0, "be >= 0"),
+                ("seed", self.seed >= 0, "be >= 0"),
                 ("lr", 0.0 < self.lr < np.inf, "be finite and > 0"),
                 ("gamma", np.isfinite(self.gamma), "be finite"),
                 ("adv_temperature", 0.0 <= self.adv_temperature < np.inf, "be finite and >= 0")):

@@ -274,24 +274,21 @@ def _heads(q: Tensor, q_mask: np.ndarray, x: Tensor, mask: np.ndarray,
            attn: AttentionParams) -> tuple[Tensor, Tensor]:
     """The attention of every level: packed queries q, laid out by the [N, mq] q_mask,
     over the packed rows x of the [N, m] mask. Returns the softmax weights of the scaled
-    dot-product scores, [N*heads, mq, m] (keys at the mask's 0s get -1e9 logits, so
-    weight exactly 0), and the projected values, [N*heads, m, d/heads]; entry
-    n*heads + h is head h of item n. The projections run on packed rows, which
-    ``split_heads`` scatters into the head grid by their mask; only the scores, the
-    softmax and what the caller does with the weights run on that grid."""
+    dot-product scores, [N*heads, mq, m], exactly 0 at the mask's 0s, and the projected
+    values, [N*heads, m, d/heads]; entry n*heads + h is head h of item n. The packed rows
+    are projected (wq scaled by 1/sqrt(d/heads)) and ``split_heads`` scatters them into
+    the head grid; only the scores, the softmax and the caller's use of the weights run there."""
     h = attn.heads
+    wq = ad.scale(attn.wq, 1.0 / np.sqrt(attn.wq.shape[1] // h))
     qh, kh, vh = (ad.split_heads(ad.matmul(rows, w), h, m) for rows, m, w in
-                  ((q, q_mask, attn.wq), (x, mask, attn.wk), (x, mask, attn.wv)))
-    offset = np.repeat((mask - 1.0) * 1e9, h, axis=0)[:, None, :]
-    scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
-    logits = ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape)))
-    return ad.softmax_rows(logits), vh
+                  ((q, q_mask, wq), (x, mask, attn.wk), (x, mask, attn.wv)))
+    return ad.softmax_rows(ad.matmul(qh, ad.transpose(kh)), np.repeat(mask, h, axis=0)), vh
 
 
 def multi_head_attention(x: Tensor, mask, attn: AttentionParams) -> Tensor:
     """Scaled dot-product self-attention with fused heads over packed rows: x holds the
     [W, d] rows of the 1s of an [m] mask, or of an [N, m] mask for N items, in mask
-    order, and so does the output. Keys at the mask's 0s get -1e9 logits, and
+    order, and so does the output. Keys at the mask's 0s get weight exactly 0, and
     ``merge_heads`` gathers the head grid's context back to the mask's packed rows."""
     mask_arr = _mask(mask, "attention needs at least one unmasked key position")
     w, vh = _heads(x, mask_arr, x, mask_arr, attn)

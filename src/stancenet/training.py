@@ -44,6 +44,7 @@ class TrainConfig:
                 ("lr_factor", 0.0 < self.lr_factor < 1.0, "lie in (0, 1)"),
                 ("batch_size", self.batch_size >= 1, "be >= 1"),
                 ("epochs", self.epochs >= 0, "be >= 0"),
+                ("seed", self.seed >= 0, "be >= 0"),
                 ("lr", 0.0 < self.lr < math.inf, "be finite and > 0"),
                 ("weight_decay", 0.0 <= self.weight_decay < math.inf, "be finite and >= 0")):
             if not ok:

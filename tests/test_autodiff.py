@@ -86,6 +86,27 @@ class TestSoftmaxRows:
             assert np.max(np.abs(out.data.sum(axis=1) - 1.0)) < 1e-12
 
 
+    def test_key_mask_zeroes_its_keys_and_renormalises_the_rest(self):
+        x = np.array([[[1.0, 5.0, 2.0, 3.0], [0.0, -7.0, 0.0, 0.0]]])
+        out = ad.softmax_rows(Tensor(x), [[1.0, 0.0, 1.0, 1.0]]).data
+        assert np.all(out[:, :, 1] == 0.0)
+        for row, values in zip(out[0], x[0]):
+            expected = np.array([math.exp(v) for v in values[[0, 2, 3]]])
+            assert np.max(np.abs(row[[0, 2, 3]] - expected / expected.sum())) < 1e-12
+
+    def test_key_row_without_a_1_rejected(self):
+        with pytest.raises(DegenerateInput, match="softmax_rows"):
+            ad.softmax_rows(Tensor(np.zeros((2, 1, 3))), np.array([[1.0, 0.0, 0.0], [0.0] * 3]))
+
+    @pytest.mark.parametrize("x_shape,keys_shape", [((2, 3), (2, 3)), ((2, 1, 3), (2, 1)),
+                                                    ((2, 1, 3), (1, 3)), ((2, 1, 3), (2, 1, 3)),
+                                                    ((2, 1, 3), (2, 4))])
+    def test_key_mask_shape_rejected(self, x_shape, keys_shape):
+        """Keys need a rank-3 x and exactly the shape (x.shape[0], x.shape[2])."""
+        with pytest.raises(ShapeMismatch, match=r"softmax_rows got keys of shape"):
+            ad.softmax_rows(Tensor(np.zeros(x_shape)), np.ones(keys_shape))
+
+
 class TestMeanRows:
     def test_all_active(self):
         out = ad.mean_rows(Tensor([[2.0, 4.0], [6.0, 8.0]]), Tensor([1.0, 1.0]))
@@ -268,6 +289,11 @@ OP_CASES = [
      (2, 4, 2)),
     ("transpose_rank3", lambda x, rng: ad.transpose(x), (2, 3, 4)),
     ("softmax_rows_rank3", lambda x, rng: ad.softmax_rows(x), (2, 3, 4)),
+    ("softmax_rows_keys", lambda x, rng: ad.softmax_rows(x, HEAD_MASKS["ragged"]), (2, 3, 4)),
+    ("softmax_rows_keys_hole", lambda x, rng: ad.softmax_rows(x, HEAD_MASKS["hole"]),
+     (1, 2, 4)),
+    ("softmax_rows_keys_single", lambda x, rng: ad.softmax_rows(x, HEAD_MASKS["single"]),
+     (2, 2, 3)),
     ("scale_rows_rank3_x", lambda x, rng: ad.scale_rows(x, Tensor(rng.uniform(-1, 1, (2, 3)))),
      (2, 3, 4)),
     ("scale_rows_rank3_w",
@@ -401,6 +427,35 @@ def test_split_merge_heads_property(data, heads, k, seed):
     gx, gy = _split_and_merge_gradients(x, y, heads, mask)
     assert np.array_equal(gx, ad.merge_heads(Tensor(y), heads, mask).data)
     assert np.array_equal(gy, split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_masked_softmax_is_the_offset_softmax_bitwise(data, seed):
+    """For |x| <= 1e3 on any key mask with a 1 in every row, the weights and the input
+    gradient of softmax_rows(x, keys) equal, bitwise, those of the path it replaced: a
+    -1e9 offset at the mask's 0s added to x, then the softmax without keys."""
+    n, mq, m = (data.draw(st.integers(1, top)) for top in (4, 3, 5))
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m)
+                              .filter(any), min_size=n, max_size=n))
+    keys = np.array(rows, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1e3, 1e3, (n, mq, m))
+    g = Tensor(rng.uniform(-1, 1, (n, mq, m)))
+    offset = Tensor(np.broadcast_to(((keys - 1.0) * 1e9)[:, None, :], x.shape))
+
+    def weights_and_gradient(softmax):
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = softmax(t)
+            tape.backward(ad.sum_all(ad.mul(y, g)))
+        return y.data, t.grad
+
+    got = weights_and_gradient(lambda t: ad.softmax_rows(t, keys))
+    want = weights_and_gradient(lambda t: ad.softmax_rows(ad.add(t, offset)))
+    assert np.all(got[0][np.broadcast_to(keys[:, None, :] == 0, x.shape)] == 0.0)
+    for value, reference in zip(got, want):
+        assert np.array_equal(value, reference)
 
 
 @pytest.mark.parametrize("shape,heads,m", [((6, 4), 3, 2), ((6, 4), 2, 4), ((2, 3, 4), 2, 3)])

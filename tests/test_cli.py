@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from stancenet import model as md
 from stancenet import textdata as td
-from stancenet.autodiff import ShapeMismatch
+from stancenet.autodiff import DegenerateInput, ShapeMismatch
 from stancenet.cli import build_config, main, make_parser
 from stancenet.kge import KgeConfig, KnowledgeEmbeddingTable
 from stancenet.textdata import RawArticle, save_corpus
@@ -144,6 +144,24 @@ class TestCommandLine:
         """Checked before any file is read, so the command needs no input files."""
         assert main(argv) == 2
         assert re.search(rf"\b{key}'? must", capsys.readouterr().err)
+
+    MISSING_CORPUS = ["--corpus", "{tmp}/none.npz", "--vocab", "{tmp}/none.txt",
+                      "--output-dir", "{tmp}/out"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1", *MISSING_CORPUS],
+        ["train", "--folds", "2", "--seed", "-2", *MISSING_CORPUS],
+        ["sweep", "--seed", "-1", *MISSING_CORPUS],
+        ["train-kge", "{tmp}/none.tsv", "--seed", "-1", "--output-dir", "{tmp}/out"],
+        ["gen-synthetic", "--seed", "-3", "--out", "{tmp}/out/corpus.jsonl"],
+    ], ids=["train", "train_folds", "sweep", "train_kge", "gen_synthetic"])
+    def test_negative_seed_exits_2_naming_it_before_reading_or_writing(
+            self, tmp_path, capsys, argv):
+        """The inputs named do not exist, so naming the seed proves it is checked first;
+        no output directory or file is created."""
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        assert re.search(r"\bseed'? must", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("folds", ["1", "-3"])
@@ -658,6 +676,22 @@ class TestEval:
                    "--vocab", str(pre / "vocab.txt"), "--no-knowledge"])
         assert rc == 1
         assert "internal error: ShapeMismatch" in capsys.readouterr().err
+
+    def test_internal_degenerate_input_exits_1(self, tmp_path, capsys, monkeypatch):
+        """No user input reaches a DegenerateInput: the load boundary refuses an article
+        without words, or without a title in a title mode, so one raised inside is a bug."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+
+        def broken_predict(*args, **kwargs):
+            raise DegenerateInput("attention needs at least one unmasked key position")
+
+        monkeypatch.setattr(md, "predict", broken_predict)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(pre / "corpus.npz"), "--vocab", str(pre / "vocab.txt"),
+                   "--no-knowledge", "--mode", "W", "--d", "8", "--heads", "2",
+                   "--epochs", "1", "--output-dir", str(tmp_path / "run")])
+        assert rc == 1
+        assert "internal error: DegenerateInput" in capsys.readouterr().err
 
 
 class TestLoadBoundary:

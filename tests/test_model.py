@@ -505,22 +505,23 @@ class TestPredict:
 
     def test_tape_length_of_a_ragged_all_article(self):
         """One mode-All predict on 3 active sentences with holes, a padded sentence and
-        partly covered tables records 87 ops: knowledge injection 11 (gather, 2 per
-        table, concat, fuse matmul and bias, residual); word level 21 (3 x matmul and
-        head split from the packed rows; transpose, scores, scale, mask, softmax;
-        weighted sum, head merge to the packed rows, output matmul; the feed-forward
-        block 7); the pool matmul 1; sentence level 21 (the same ops on a full [1, 3]
-        mask); title 11 + pool matmul, and its level 16 (3 x matmul and head split;
-        transpose, scores, scale, mask, softmax; reshape of the weights, row scaling,
-        head merge, output matmul, residual); output 5 (pool matmul, linear, softmax,
-        reshape to [classes])."""
+        partly covered tables records 84 ops: knowledge injection 11 (gather, 2 per
+        table, concat, fuse matmul and bias, residual); word level 20 (the 1/sqrt(k)
+        scale of the query weights; 3 x matmul and head split from the packed rows;
+        transpose, scores, softmax over the key mask; weighted sum, head merge to the
+        packed rows, output matmul; the feed-forward block 7); the pool matmul 1;
+        sentence level 20 (the same ops on a full [1, 3] mask); title 11 + pool matmul,
+        and its level 15 (query weight scale; 3 x matmul and head split; transpose,
+        scores, masked softmax; reshape of the weights, row scaling, head merge, output
+        matmul, residual); output 5 (pool matmul, linear, softmax, reshape to
+        [classes])."""
         hp = HyperParams(d=8, heads=2, n=5, l=4, classes=2, mode="All")
         real = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 1, 1, 0]])
         article = td.EncodedArticle((np.arange(20).reshape(4, 5) % 11 + 1) * real,
                                     np.array([3, 4, 5, 0, 0]), 1)
         with Tape() as tape:
             predict(article, init_params(12, hp, seed=3), random_bundle(12, hp.d, 4), hp)
-            assert len(tape) == 87
+            assert len(tape) == 84
 
     def test_sentence_permutation_equivariance_with_zero_title(self):
         # permuting whole sentences permutes the refined rows correspondingly,
@@ -573,15 +574,23 @@ PACKING_MASKS = {
 }
 
 
-@pytest.mark.parametrize("level", ["word", "sentence"])
-@pytest.mark.parametrize("name", sorted(PACKING_MASKS))
-def test_packed_encoder_matches_padded_reference(name, level):
+# (mask, level, d, heads); k = d/heads = 8 and 12 have an inexact 1/sqrt(k)
+PACKING_CASES = [(name, level, d, heads) for d, heads in ((8, 2), (16, 2), (24, 2))
+                 for name in sorted(PACKING_MASKS) for level in ("word", "sentence")]
+
+
+@pytest.mark.parametrize("name,level,d,heads", PACKING_CASES,
+                         ids=[f"{name}-{level}" + ("" if d == 8 else f"-k{d // heads}")
+                              for name, level, d, heads in PACKING_CASES])
+def test_packed_encoder_matches_padded_reference(name, level, d, heads):
     """On the packed rows of the mask's real positions, values, the input's gradient
     and every gradient of the level's parameters agree with the real rows of the padded
-    block (whose PAD rows hold random values) within rtol 1e-10."""
+    block (whose PAD rows hold random values) within rtol 1e-10, also at head widths
+    k = 8 and 12, where the 1/sqrt(k) scale is inexact and the packed levels apply it
+    to the query weights, the padded block to the scores."""
     mask = np.array(PACKING_MASKS[name], dtype=np.float64)
     real = mask == 1.0
-    hp = tiny_hp(d=8, heads=2)
+    hp = tiny_hp(d=d, heads=heads)
     params = init_params(6, hp, seed=11)
     attn, ff = ((params.word_attn, params.word_ff) if level == "word"
                 else (params.sent_attn, params.sent_ff))

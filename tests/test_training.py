@@ -166,14 +166,16 @@ def ids(articles):
     return [id(a) for a in articles]
 
 
-@pytest.mark.parametrize("mode,records", [("W", 33), ("WS", 54), ("WST", 72), ("All", 92)],
+@pytest.mark.parametrize("mode,records", [("W", 32), ("WS", 52), ("WST", 69), ("All", 89)],
                          ids=["W", "WS", "WST", "All"])
 def test_a_batch_of_short_articles_is_one_forward_pass(monkeypatch, mode, records):
     """16 short articles fit one chunk: one predict call and one backward over a tape
-    of 33/54/72/92 records (W/WS/WST/All), where one predict per article took
+    of 32/52/69/89 records (W/WS/WST/All), where one predict per article took
     672/1,024/1,344/1,580. Each attention level records no reshape and no padded-row
     layout: its packed rows are split straight into heads by their mask and merged
-    straight back (the title level reshapes only its weights)."""
+    straight back (the title level reshapes only its weights). Its scores get no
+    offset or scale record: the softmax masks the keys, and the 1/sqrt(k) scale is one
+    record on the [d, d] query weights."""
     corpus = gen_synthetic(16, 2, 2, seed=0)
     vocab = build_vocab(corpus)
     hp = HyperParams(d=8, heads=2, n=8, l=4, classes=2, mode=mode)
