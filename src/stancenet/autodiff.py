@@ -12,11 +12,11 @@ A record keeps only what its backward formula reads (PyTorch's
 saved-tensors rule). A closure captures the arrays its gradient formula
 reads, and only for the inputs that require a gradient; it keeps shapes as
 tuples. So ``add`` or ``reshape`` keeps no array, ``matmul`` and ``mul``
-keep the other operand, ``softmax_rows`` and ``sqrt`` their output, and
-``relu`` its mask, and ``split_heads`` and ``merge_heads`` the (item,
-position) indices of their mask's 1s. An intermediate that no formula
-reads is freed as soon as the forward code drops it. A key is a serial
-number per Tensor, which, unlike ``id()``, no later tensor reuses.
+keep the other operand, ``softmax_rows`` its output, ``relu`` its mask,
+and ``split_heads`` and ``merge_heads`` the (item, position) indices of
+their mask's 1s. An intermediate that no formula reads is freed as soon
+as the forward code drops it. A key is a serial number per Tensor, which,
+unlike ``id()``, no later tensor reuses.
 
 Most backward closures return a dense gradient of their input's shape.
 ``gather_rows`` instead returns a row gradient (ids, rows), so a gather
@@ -280,18 +280,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit((a, b), a.data + b.data, backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference, with the row broadcasting of ``add``."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_row_broadcast("sub", a, b)
-    a_shape, b_shape = a.shape, b.shape
-
-    def backward(g):
-        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
-
-    return _emit((a, b), a.data - b.data, backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product, with the row broadcasting of ``add``."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -499,21 +487,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _emit((x,), x.data.reshape(shape), backward)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns [start, stop) of a rank-2 tensor."""
-    x = _as_tensor(x)
-    if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeMismatch(f"slice_cols [{start}:{stop}] invalid for shape {x.shape}")
-    shape = x.shape
-
-    def backward(g):
-        gx = np.zeros(shape)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _emit((x,), x.data[:, start:stop].copy(), backward)
-
-
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     x = _as_tensor(x)
@@ -523,19 +496,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full(shape, float(g)),)
 
     return _emit((x,), np.asarray(x.data.sum()), backward)
-
-
-def sum_rows(x: Tensor) -> Tensor:
-    """Row sums of a rank-2 tensor, as a rank-1 tensor."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"sum_rows needs a rank-2 tensor, got shape {x.shape}")
-    cols = x.shape[1]
-
-    def backward(g):
-        return (np.repeat(g[:, None], cols, axis=1),)
-
-    return _emit((x,), x.data.sum(axis=1), backward)
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
@@ -558,68 +518,6 @@ def log(x: Tensor) -> Tensor:
         return (g / x_data,)
 
     return _emit((x,), np.log(x.data), backward)
-
-
-def sin(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    x_data = x.data
-
-    def backward(g):
-        return (g * np.cos(x_data),)
-
-    return _emit((x,), np.sin(x.data), backward)
-
-
-def cos(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    x_data = x.data
-
-    def backward(g):
-        return (g * -np.sin(x_data),)
-
-    return _emit((x,), np.cos(x.data), backward)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    value = np.sqrt(x.data)
-
-    def backward(g):
-        return (g * 0.5 / value,)
-
-    return _emit((x,), value, backward)
-
-
-def absolute(x: Tensor) -> Tensor:
-    """|x|, with subgradient 0 at exactly 0."""
-    x = _as_tensor(x)
-    x_data = x.data
-
-    def backward(g):
-        return (g * np.sign(x_data),)
-
-    return _emit((x,), np.abs(x.data), backward)
-
-
-def logsigmoid(x: Tensor) -> Tensor:
-    """log(sigmoid(x)) computed without overflow for large |x|."""
-    x = _as_tensor(x)
-    x_data = x.data
-    value = np.where(x_data >= 0, -np.log1p(np.exp(-x_data)), x_data - np.log1p(np.exp(x_data)))
-
-    def backward(g):
-        return (g * _sigmoid_np(-x_data),)
-
-    return _emit((x,), value, backward)
-
-
-def _sigmoid_np(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -19,14 +19,15 @@ returning the scores and a backward function with the hand-derived
 gradients. ``score_triple`` runs the same forward. The SGD step
 (``_sgd_step``) follows the op and accumulation order of the same loss
 recorded on the autodiff tape, so its parameters and losses are bitwise
-the tape's; the tests keep that tape scorer as their oracle and check the
-hand-written gradients against central differences. Ranking scores every entity twice
-per test triple, so it runs a second copy of the formulas,
-``_side_scorer``, which writes each step into work buffers allocated once
-per ranking instead of fresh ``[n_entities, dim/2]`` temporaries per side.
-It follows the same op order step by step, and a test asserts that its
-scores are bitwise equal to the oracle's for every method, both sides and
-several widths.
+the tape's; the tests keep that tape scorer as their oracle
+(``tests/test_kge.py``, on the test-only tape ops of ``tests/tape_ops.py``)
+and check the hand-written gradients against central differences.
+Ranking scores every entity twice per test triple, so it runs a second
+copy of the formulas, ``_side_scorer``, which writes each step into work
+buffers allocated once per ranking instead of fresh ``[n_entities, dim/2]``
+temporaries per side. It follows the same op order step by step, and a
+test asserts that its scores are bitwise equal to the oracle's for every
+method, both sides and several widths.
 
 Training minimises a self-adversarial negative-sampling loss with SGD.
 Evaluation scores every entity as a replacement for the head and for the

@@ -261,13 +261,9 @@ def inject_knowledge(
     return ad.add(fused, base)
 
 
-def _mask(mask, what: str) -> np.ndarray:
-    """The numpy mask as [N, m] floats, an [m] mask as one item; a row with no 1 raises
-    ``DegenerateInput(what)``."""
-    mask_arr = np.atleast_2d(np.asarray(mask, dtype=np.float64))
-    if not mask_arr.any(axis=-1).all():
-        raise DegenerateInput(what)
-    return mask_arr
+def _mask(mask) -> np.ndarray:
+    """The mask as [N, m] floats, an [m] mask as one item; the softmax rejects an all-0 row."""
+    return np.atleast_2d(np.asarray(mask, dtype=np.float64))
 
 
 def _heads(q: Tensor, q_mask: np.ndarray, x: Tensor, mask: np.ndarray,
@@ -290,32 +286,28 @@ def multi_head_attention(x: Tensor, mask, attn: AttentionParams) -> Tensor:
     [W, d] rows of the 1s of an [m] mask, or of an [N, m] mask for N items, in mask
     order, and so does the output. Keys at the mask's 0s get weight exactly 0, and
     ``merge_heads`` gathers the head grid's context back to the mask's packed rows."""
-    mask_arr = _mask(mask, "attention needs at least one unmasked key position")
+    mask_arr = _mask(mask)
     w, vh = _heads(x, mask_arr, x, mask_arr, attn)
     return ad.matmul(ad.merge_heads(ad.matmul(w, vh), attn.heads, mask_arr), attn.wo)
 
 
-def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams,
-             what: str) -> Tensor:
+def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams) -> Tensor:
     """Self-attention, then feed-forward, each with a residual, on the packed rows x of
     an [m] or [N, m] mask. The residuals keep each row's identity through the block
     instead of collapsing toward the attention average."""
-    mask_arr = _mask(mask, what)
-    h = ad.add(x, multi_head_attention(x, mask_arr, attn))
+    h = ad.add(x, multi_head_attention(x, mask, attn))
     return ad.add(h, ad.linear(ad.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
 
 
 def word_level(x: Tensor, word_mask, params: ModelParams) -> Tensor:
     """Self-attention over each sentence's words, then feed-forward: x is the packed
     rows of a sentence's [n] word mask, or of an [L, n] mask for L sentences."""
-    return _encoder(x, word_mask, params.word_attn, params.word_ff,
-                    "word_level got an empty sentence")
+    return _encoder(x, word_mask, params.word_attn, params.word_ff)
 
 
 def sentence_level(s: Tensor, sentence_mask, params: ModelParams) -> Tensor:
     """Self-attention over the packed sentence rows of an article, then feed-forward."""
-    return _encoder(s, sentence_mask, params.sent_attn, params.sent_ff,
-                    "sentence_level got an all-masked article")
+    return _encoder(s, sentence_mask, params.sent_attn, params.sent_ff)
 
 
 def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) -> Tensor:
@@ -326,7 +318,7 @@ def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) ->
     collapsing to one context row, every sentence row is scaled by its own attention
     weight, so the output stays one packed row per sentence and can carry the residual.
     """
-    mask_arr = _mask(sentence_mask, "title_level got an all-masked article")
+    mask_arr = _mask(sentence_mask)
     attn = params.title_attn
     w, vh = _heads(title, np.ones((len(mask_arr), 1)), s, mask_arr, attn)
     out = ad.merge_heads(ad.scale_rows(vh, ad.reshape(w, vh.shape[:2])), attn.heads, mask_arr)
@@ -356,9 +348,10 @@ def predict(articles, params: ModelParams, bundle: KnowledgeBundle, hp: HyperPar
 
     one = isinstance(articles, EncodedArticle)
     chunk = [articles] if one else list(articles)
-    active = [np.flatnonzero(_mask(a.sentence_mask, "predict got an all-masked article"))
-              for a in chunk]
+    active = [np.flatnonzero(a.sentence_mask) for a in chunk]
     counts = np.array([act.size for act in active])
+    if not counts.all():
+        raise DegenerateInput("predict got an all-masked article")
     masks = np.concatenate([a.word_masks[act] for a, act in zip(chunk, active)])
     n = masks.shape[1] - int(np.argmax(masks.any(axis=0)[::-1]))  # after the last real word
     masks = masks[:, :n]
@@ -371,8 +364,10 @@ def predict(articles, params: ModelParams, bundle: KnowledgeBundle, hp: HyperPar
     if hp.mode != "W":
         rows = sentence_level(rows, smask, params)
     if hp.mode in TITLE_MODES:
-        item, pos = np.nonzero(_mask(np.stack([a.title_mask for a in chunk]),
-                                     "title-level modes need a non-empty title"))
+        title_masks = np.stack([a.title_mask for a in chunk])
+        if not title_masks.any(axis=1).all():
+            raise DegenerateInput("title-level modes need a non-empty title")
+        item, pos = np.nonzero(title_masks)
         titles = np.stack([a.title for a in chunk])[item, pos]
         title = ad.matmul(_pool(item, len(chunk)), embed(titles))
         rows = title_level(title, rows, smask, params)

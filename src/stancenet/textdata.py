@@ -69,7 +69,12 @@ class Vocabulary:
             tokens = [line.rstrip("\n") for line in fh if line.strip()]
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise CorpusFormatError(f"{path}: vocabulary must start with {PAD_TOKEN}, {UNK_TOKEN}")
-        return Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
+        token_to_id = {t: i for i, t in enumerate(tokens)}
+        if len(token_to_id) != len(tokens):  # a repeated token leaves its first id dead
+            i = next(i for i, t in enumerate(tokens) if token_to_id[t] != i)
+            raise CorpusFormatError(f"{path}: token {tokens[i]!r} is repeated, at ids {i} "
+                                    f"and {token_to_id[tokens[i]]}")
+        return Vocabulary(token_to_id, tokens)
 
 
 @dataclass
@@ -202,7 +207,7 @@ def load_corpus(path) -> tuple[list[RawArticle], int]:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected exactly the keys title/body/label"
                 )
-            if not isinstance(record["label"], int) or record["label"] < 0:
+            if type(record["label"]) is not int or record["label"] < 0:  # bool is an int
                 raise CorpusFormatError(f"{path}:{lineno}: label must be a non-negative integer")
             articles.append(RawArticle(str(record["title"]), str(record["body"]), record["label"]))
     if not articles:

@@ -211,6 +211,16 @@ class TestPreprocess:
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_boolean_label_exits_2(self, tmp_path, capsys):
+        """JSON true is a python bool, an int subclass, but not a class label."""
+        path = tmp_path / "bool.jsonl"
+        path.write_text('{"title": "a", "body": "b c", "label": 0}\n'
+                        '{"title": "a", "body": "b c", "label": true}\n')
+        rc = main(["preprocess", str(path), "--output-dir", str(tmp_path / "pre")])
+        assert rc == 2
+        assert f"{path}:2: label must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "pre" / "corpus.npz").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = write_corpus(tmp_path)
         out1 = preprocess(tmp_path, corpus, out="pre1")

@@ -1,7 +1,10 @@
 """Import cost: the package and its command-line pipeline load numpy and the standard
 library only. ``scipy.stats`` is loaded by ``welch_t_test`` alone, when it is called,
-since importing it takes most of the import time and memory of the package."""
+since importing it takes most of the import time and memory of the package. And the
+autodiff library exports no function that only the tests call."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -42,3 +45,35 @@ def test_scipy_stats_is_loaded_only_by_welch_t_test(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
+
+
+def _autodiff_references(path: Path) -> set[str]:
+    """The names a file reads from ``stancenet.autodiff``: ``from …autodiff import <name>``,
+    and ``<alias>.<name>`` for each alias the file imports the module as."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, names = {"autodiff"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases.update(a.asname or a.name for a in node.names
+                           if a.name.endswith("autodiff"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_autodiff_function_runs_outside_the_tests():
+    """The library holds no test-only op: every public function of ``stancenet.autodiff``
+    is read by the package (not counting ``__init__.py``'s re-exports), the demos, the
+    benchmark or the tools."""
+    from stancenet import autodiff
+
+    public = {name for name, f in inspect.getmembers(autodiff, inspect.isfunction)
+              if f.__module__ == autodiff.__name__ and not name.startswith("_")}
+    files = [p for d in ("src", "demos", "perfbench", "tools") for p in (ROOT / d).rglob("*.py")
+             if p.name != "__init__.py"]
+    used = set().union(*(_autodiff_references(p) for p in files))
+    assert not public - used, f"no caller outside the tests: {sorted(public - used)}"

@@ -30,6 +30,8 @@ from stancenet.kge import (
 )
 from stancenet.textdata import RawArticle, build_vocab
 
+import tape_ops as tops
+
 
 def write_store(tmp_path, named, stance="liberal", name="kg.tsv"):
     path = tmp_path / name
@@ -184,10 +186,15 @@ def oracle_hake(entity, relation, gamma, h, r, t):
     return gamma - math.sqrt(sq) - phase
 
 
+def _minus(a, b):
+    """a - b on the tape, as a + (-1 * b): the same value and gradients, bit for bit."""
+    return ad.add(a, ad.scale(b, -1.0))
+
+
 def _scores(m, h, r, t):
     """The scores of the rows of (h, r, t) under m's method as a [B] tensor, from
-    autodiff ops: the tape oracle of the library's NumPy forwards and hand-written
-    backward functions.
+    autodiff ops and the test-only ops of ``tape_ops``: the tape oracle of the
+    library's NumPy forwards and hand-written backward functions.
 
     h and t are [B, dim] entity rows, or one [1, dim] row shared by every row of
     the other; r is one [1, w] relation row. ``reference_train_kge`` trains through
@@ -196,26 +203,26 @@ def _scores(m, h, r, t):
     dim, half = m.dim, m.dim // 2
 
     def halves(x):
-        return ad.slice_cols(x, 0, half), ad.slice_cols(x, half, dim)
+        return tops.slice_cols(x, 0, half), tops.slice_cols(x, half, dim)
 
     if m.method == "RotatE":
         (h_re, h_im), (t_re, t_im) = halves(h), halves(t)
-        cos_r, sin_r = ad.cos(r), ad.sin(r)
-        d_re = ad.sub(ad.sub(ad.mul(h_re, cos_r), ad.mul(h_im, sin_r)), t_re)
-        d_im = ad.sub(ad.add(ad.mul(h_re, sin_r), ad.mul(h_im, cos_r)), t_im)
+        cos_r, sin_r = tops.cos(r), tops.sin(r)
+        d_re = _minus(_minus(ad.mul(h_re, cos_r), ad.mul(h_im, sin_r)), t_re)
+        d_im = _minus(ad.add(ad.mul(h_re, sin_r), ad.mul(h_im, cos_r)), t_im)
         sq = ad.add(ad.mul(d_re, d_re), ad.mul(d_im, d_im))
-        dist = ad.sum_rows(ad.sqrt(ad.add(sq, ad.constant(np.full(half, kge._GRAD_EPS)))))
+        dist = tops.sum_rows(tops.sqrt(ad.add(sq, ad.constant(np.full(half, kge._GRAD_EPS)))))
     elif m.method == "ModE":
-        dist = ad.sum_rows(ad.absolute(ad.sub(ad.mul(h, r), t)))
+        dist = tops.sum_rows(tops.absolute(_minus(ad.mul(h, r), t)))
     else:  # HAKE
         (h_m, h_p), (t_m, t_p), (r_m, r_p) = halves(h), halves(t), halves(r)
-        d_m = ad.sub(ad.mul(h_m, r_m), t_m)
-        sq = ad.sum_rows(ad.mul(d_m, d_m))
-        mod_term = ad.sqrt(ad.add(sq, ad.constant(np.full(sq.shape, kge._GRAD_EPS))))
-        d_p = ad.scale(ad.sub(ad.add(h_p, r_p), t_p), 0.5)
-        phase_term = ad.sum_rows(ad.absolute(ad.sin(d_p)))
+        d_m = _minus(ad.mul(h_m, r_m), t_m)
+        sq = tops.sum_rows(ad.mul(d_m, d_m))
+        mod_term = tops.sqrt(ad.add(sq, ad.constant(np.full(sq.shape, kge._GRAD_EPS))))
+        d_p = ad.scale(_minus(ad.add(h_p, r_p), t_p), 0.5)
+        phase_term = tops.sum_rows(tops.absolute(tops.sin(d_p)))
         dist = ad.add(mod_term, phase_term)
-    return ad.sub(ad.constant(np.full(dist.shape, m.gamma)), dist)
+    return _minus(ad.constant(np.full(dist.shape, m.gamma)), dist)
 
 
 def _row(table, i):
@@ -410,7 +417,7 @@ def reference_train_kge(store, config):
                     raw = scores.data[1:]
                     w = np.exp(config.adv_temperature * (raw - raw.max()))
                     weights[1:] = w / w.sum()
-                fit = ad.logsigmoid(ad.mul(scores, signs))
+                fit = tops.logsigmoid(ad.mul(scores, signs))
                 loss = ad.scale(ad.sum_all(ad.mul(fit, ad.constant(weights))), -1.0)
                 tape.backward(loss)
             losses.append(float(loss.data))

@@ -287,11 +287,15 @@ class TestMultiHeadAttention:
         assert np.max(np.abs(out.data - want[mask == 1.0])) < 1e-10
 
     def test_all_masked_rejected(self):
+        """Self-attention and the title level leave a mask with no 1 to the softmax."""
         hp = HyperParams(d=4, heads=1, n=2, l=2, classes=2)
         params = init_params(5, hp, seed=0)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match="softmax_rows"):
             multi_head_attention(Tensor(np.ones((0, 4))), np.array([0.0, 0.0]),
                                  params.word_attn)
+        with pytest.raises(DegenerateInput, match="softmax_rows"):
+            title_level(Tensor(np.ones((1, 4))), Tensor(np.ones((0, 4))), np.array([0.0, 0.0]),
+                        params)
 
     def test_row_count_must_match_the_mask(self):
         hp = HyperParams(d=4, heads=1, n=2, l=2, classes=2)

@@ -53,6 +53,14 @@ class TestBuildVocab:
         distinct = {"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
         assert len(td.build_vocab(corpus)) == len(distinct) + 2
 
+    def test_repeated_token_in_a_vocabulary_file_rejected(self, tmp_path):
+        """A repeated token would leave its first id dead; the error names both ids."""
+        path = tmp_path / "vocab.txt"
+        path.write_text("<pad>\n<unk>\nfoo\nbar\nfoo\n")
+        with pytest.raises(CorpusFormatError, match=r"vocab.txt: token 'foo' is repeated, "
+                                                    r"at ids 2 and 4"):
+            td.Vocabulary.load(path)
+
     def test_separator_never_enters_vocab(self):
         vocab = td.build_vocab([RawArticle("a", "b <sep> c", 0)])
         assert "<sep>" not in vocab.token_to_id
