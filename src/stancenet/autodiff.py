@@ -12,11 +12,12 @@ A record keeps only what its backward formula reads (PyTorch's
 saved-tensors rule). A closure captures the arrays its gradient formula
 reads, and only for the inputs that require a gradient; it keeps shapes as
 tuples. So ``add`` or ``reshape`` keeps no array, ``matmul`` and ``mul``
-keep the other operand, ``softmax_rows`` its output, ``relu`` its mask,
-and ``split_heads`` and ``merge_heads`` the (item, position) indices of
-their mask's 1s. An intermediate that no formula reads is freed as soon
-as the forward code drops it. A key is a serial number per Tensor, which,
-unlike ``id()``, no later tensor reuses.
+keep the other operand, ``linear`` its input and weight and, with ``relu``,
+its output for the mask, ``softmax_rows`` its output, and ``split_heads``
+and ``merge_heads`` the (item, position) indices of their mask's 1s. An
+intermediate that no formula reads is freed as soon as the forward code
+drops it. A key is a serial number per Tensor, which, unlike ``id()``, no
+later tensor reuses.
 
 Most backward closures return a dense gradient of their input's shape.
 ``gather_rows`` instead returns a row gradient (ids, rows), so a gather
@@ -322,16 +323,6 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     return _emit((x, w), x.data * w.data[..., None], backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    mask = x.data > 0.0
-
-    def backward(g):
-        return (g * mask,)
-
-    return _emit((x,), np.where(mask, x.data, 0.0), backward)
-
-
 def softmax_rows(x: Tensor, keys=None) -> Tensor:
     """Softmax over the last axis of a rank-2 or rank-3 tensor, stabilised by subtracting
     each row's max; a [B, m] 0/1 key mask of a rank-3 [B, mq, m] x gives its 0s weight 0."""
@@ -375,14 +366,31 @@ def mean_rows(x: Tensor, mask: Tensor) -> Tensor:
     return _emit((x, mask), value, backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map x @ weight + bias for rank-2 x."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
+    """Affine map x @ weight + bias for rank-2 x, with ``relu`` then max(., 0), as one
+    record. The ReLU's gradient mask is read from the output (out > 0 there exactly where
+    the pre-activation is), and a NaN pre-activation stays NaN with gradient 0."""
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ShapeMismatch(f"linear got incompatible shapes {x.shape} x {weight.shape}")
     if bias.ndim != 1 or bias.shape[0] != weight.shape[1]:
         raise ShapeMismatch(f"linear bias shape {bias.shape} does not match weight {weight.shape}")
-    return add(matmul(x, weight), bias)
+    out = x.data @ weight.data
+    out += bias.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    x_data = x.data if weight.requires_grad else None  # read by the other's gradient
+    w_data = weight.data if x.requires_grad else None
+    kept = out if relu else None
+
+    def backward(g):
+        if kept is not None:
+            g = g * (kept > 0.0)
+        return (None if w_data is None else g @ w_data.T,
+                None if x_data is None else x_data.T @ g,
+                g.sum(axis=0))
+
+    return _emit((x, weight, bias), out, backward)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:

@@ -188,10 +188,9 @@ def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
 def cmd_preprocess(args) -> int:
     cfg, train_cfg, _ = build_config(args)
     dataset = _require(cfg.dataset or getattr(args, "dataset_path", ""), "dataset")
+    articles, classes = td.load_corpus(dataset)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    articles, classes = td.load_corpus(dataset)
     vocab = td.build_vocab(articles)
     encoded = td.encode_corpus(articles, vocab, train_cfg.hp.n, train_cfg.hp.l)
     vocab.save(out_dir / "vocab.txt")
@@ -205,10 +204,9 @@ def cmd_preprocess(args) -> int:
 def cmd_train_kge(args) -> int:
     cfg, train_cfg, kge_cfg = build_config(args)
     triples_path = _require(getattr(args, "triples", None) or cfg.kg_common, "triples")
+    store = kg.load_triples(triples_path, cfg.stance)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    store = kg.load_triples(triples_path, cfg.stance)
     if store.duplicates_dropped:
         print(f"dropped {store.duplicates_dropped} duplicate triples")
     rng = np.random.default_rng(cfg.seed)

@@ -296,7 +296,7 @@ def _encoder(x: Tensor, mask, attn: AttentionParams, ff: FeedForwardParams) -> T
     an [m] or [N, m] mask. The residuals keep each row's identity through the block
     instead of collapsing toward the attention average."""
     h = ad.add(x, multi_head_attention(x, mask, attn))
-    return ad.add(h, ad.linear(ad.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
+    return ad.add(h, ad.linear(ad.linear(h, ff.w1, ff.b1, relu=True), ff.w2, ff.b2))
 
 
 def word_level(x: Tensor, word_mask, params: ModelParams) -> Tensor:

@@ -209,7 +209,10 @@ def load_corpus(path) -> tuple[list[RawArticle], int]:
                 )
             if type(record["label"]) is not int or record["label"] < 0:  # bool is an int
                 raise CorpusFormatError(f"{path}:{lineno}: label must be a non-negative integer")
-            articles.append(RawArticle(str(record["title"]), str(record["body"]), record["label"]))
+            for key in ("title", "body"):
+                if not isinstance(record[key], str):
+                    raise CorpusFormatError(f"{path}:{lineno}: {key} must be a string")
+            articles.append(RawArticle(record["title"], record["body"], record["label"]))
     if not articles:
         raise CorpusFormatError(f"{path}: no articles found")
     classes = declared if declared is not None else max(a.label for a in articles) + 1

@@ -1,12 +1,13 @@
 """Tape ops that only the tests run: the KGE tape oracle in ``test_kge.py`` scores
-through them, and ``test_autodiff.py`` checks their gradients against central
+through them, ``relu`` and ``linear_records`` are the separate-record reference for
+``autodiff.linear``, and ``test_autodiff.py`` checks their gradients against central
 differences. Each follows the op contract of ``stancenet.autodiff``: a numpy value,
 and a backward closure recorded through ``_emit`` that keeps only what it reads.
 """
 
 import numpy as np
 
-from stancenet.autodiff import ShapeMismatch, Tensor, _emit
+from stancenet.autodiff import ShapeMismatch, Tensor, _emit, add, matmul
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -33,6 +34,25 @@ def sum_rows(x: Tensor) -> Tensor:
         return (np.repeat(g[:, None], cols, axis=1),)
 
     return _emit((x,), x.data.sum(axis=1), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    mask = x.data > 0.0
+
+    def backward(g):
+        return (g * mask,)
+
+    return _emit((x,), np.where(mask, x.data, 0.0), backward)
+
+
+_relu = relu  # the flag of linear_records shadows the name
+
+
+def linear_records(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
+    """``autodiff.linear`` as the records it replaced: matmul, bias add and, with relu,
+    ``relu``."""
+    out = add(matmul(x, weight), bias)
+    return _relu(out) if relu else out
 
 
 def sin(x: Tensor) -> Tensor:

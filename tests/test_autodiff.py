@@ -275,7 +275,21 @@ OP_CASES = [
     ("scale", lambda x, rng: ad.scale(x, -1.7), (3, 4)),
     ("scale_rows_x", lambda x, rng: ad.scale_rows(x, Tensor(rng.uniform(-1, 1, 3))), (3, 4)),
     ("scale_rows_w", lambda x, rng: ad.scale_rows(Tensor(rng.uniform(-1, 1, (3, 4))), x), (3,)),
-    ("relu", lambda x, rng: ad.relu(x), (3, 4)),
+    ("relu", lambda x, rng: tops.relu(x), (3, 4)),
+    ("linear_x", lambda x, rng: ad.linear(x, Tensor(rng.uniform(-1, 1, (4, 2))),
+                                          Tensor(rng.uniform(-1, 1, 2))), (3, 4)),
+    ("linear_w", lambda x, rng: ad.linear(Tensor(rng.uniform(-1, 1, (3, 4))), x,
+                                          Tensor(rng.uniform(-1, 1, 2))), (4, 2)),
+    ("linear_b", lambda x, rng: ad.linear(Tensor(rng.uniform(-1, 1, (3, 4))),
+                                          Tensor(rng.uniform(-1, 1, (4, 2))), x), (2,)),
+    # x @ w adds under 0.4 to a bias of +-0.5: pre-activations stay 0.1 from the kink
+    ("linear_relu_x", lambda x, rng: ad.linear(x, Tensor(rng.uniform(-0.1, 0.1, (4, 2))),
+                                               Tensor([0.5, -0.5]), relu=True), (3, 4)),
+    ("linear_relu_w", lambda x, rng: ad.linear(Tensor(rng.uniform(-0.1, 0.1, (3, 4))), x,
+                                               Tensor([0.5, -0.5]), relu=True), (4, 2)),
+    ("linear_relu_b", lambda x, rng: ad.linear(Tensor(rng.uniform(-0.01, 0.01, (3, 4))),
+                                               Tensor(rng.uniform(-1, 1, (4, 3))), x,
+                                               relu=True), (3,)),
     ("softmax_rows", lambda x, rng: ad.softmax_rows(x), (3, 4)),
     ("mean_rows", lambda x, rng: ad.mean_rows(x, Tensor([1.0, 0.0, 1.0])), (3, 4)),
     ("gather_rows", lambda x, rng: ad.gather_rows(x, [0, 2, 2, 1]), (3, 4)),
@@ -320,6 +334,9 @@ def test_op_gradients_match_finite_differences(name, build, shape):
     if name == "relu":
         # keep entries away from the kink so central differences are valid
         x.data += np.sign(x.data) * 0.05
+    elif name == "linear_relu_b":
+        # the same for the pre-activations: x @ w adds under 0.04 to this bias
+        x.data += np.sign(x.data) * 0.09
 
     def f(t):
         # fresh same-seed generators per call keep f a fixed function of t
@@ -456,6 +473,59 @@ def test_masked_softmax_is_the_offset_softmax_bitwise(data, seed):
         assert np.array_equal(value, reference)
 
 
+def _bits(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+def _value_and_gradients(op, x, w, b, g, grads=(True, True, True)):
+    """The output of op(x, w, b) and the gradients of x, w and b (None where not
+    required) of the sum of the output weighted by g."""
+    ts = [Tensor(a, requires_grad=r) for a, r in zip((x, w, b), grads)]
+    with Tape() as tape:
+        out = op(*ts)
+        if out.requires_grad:
+            tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    return [out.data] + [t.grad for t in ts]
+
+
+# multiples of 0.5 with both zeros, so products and sums are exact and often 0
+LINEAR_ENTRIES = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), relu=st.booleans(), grads=st.tuples(*[st.booleans()] * 3))
+def test_linear_is_the_separate_records_bitwise(data, relu, grads):
+    """linear(x, w, b) is add(matmul(x, w), b), and with relu it is
+    relu(add(matmul(x, w), b)), bit for bit in the output and in the gradient of every
+    input, for any subset of the three inputs requiring one. Pre-activations hit exact
+    0.0 and negatives; -0.0 entries of x, w and b give none of -0.0, since a BLAS sum
+    starts at +0.0, and both forms map 0.0 to 0.0 with gradient 0."""
+    r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+    x, w, b, g = (np.array(data.draw(st.lists(LINEAR_ENTRIES, min_size=math.prod(shape),
+                                              max_size=math.prod(shape)))).reshape(shape)
+                  for shape in ((r, k), (k, c), (c,), (r, c)))
+    got, want = (_value_and_gradients(lambda *t: op(*t, relu=relu), x, w, b, g, grads)
+                 for op in (ad.linear, tops.linear_records))
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+def test_linear_relu_keeps_a_nan_pre_activation_with_zero_gradient():
+    """The one value where linear(..., relu=True) and the separate records differ: a NaN
+    pre-activation stays NaN (np.maximum passes it on, where the np.where ReLU gave 0),
+    and in both its gradient is 0. No command reaches it: checkpoints and knowledge
+    tables refuse non-finite values, and adam_step raises Diverged on a NaN gradient."""
+    x = np.array([[1.0, -2.0], [0.5, 1.5]])
+    w = np.array([[0.5, -1.0, 2.0], [1.0, 0.25, -0.5]])
+    b = np.array([np.nan, 0.25, 3.0])
+    g = np.array([[1.0, -2.0, 0.5], [3.0, 1.0, -1.0]])
+    got = _value_and_gradients(lambda *t: ad.linear(*t, relu=True), x, w, b, g)
+    want = _value_and_gradients(lambda *t: tops.linear_records(*t, relu=True), x, w, b, g)
+    assert np.isnan(got[0][:, 0]).all() and np.array_equal(want[0][:, 0], [0.0, 0.0])
+    assert np.array_equal(got[0][:, 1:], want[0][:, 1:])
+    assert [_bits(a) for a in got[1:]] == [_bits(a) for a in want[1:]]
+    assert got[2][:, 0].tolist() == [0.0, 0.0] and got[3][0] == 0.0
+
+
 @pytest.mark.parametrize("shape,heads,m", [((6, 4), 3, 2), ((6, 4), 2, 4), ((2, 3, 4), 2, 3)])
 def test_split_heads_rejects_rows_it_cannot_cut(shape, heads, m):
     """Rows of a width heads does not divide, more or fewer rows than the 1s of a full
@@ -588,7 +658,7 @@ def test_ops_without_tape_do_not_record():
 def test_outputs_stay_finite_on_finite_inputs():
     rng = np.random.default_rng(17)
     x = Tensor(rng.uniform(-1e3, 1e3, (3, 3)))
-    for out in [ad.softmax_rows(x), ad.relu(x), tops.logsigmoid(x)]:
+    for out in [ad.softmax_rows(x), tops.relu(x), tops.logsigmoid(x)]:
         assert np.isfinite(out.data).all()
 
 

@@ -219,7 +219,15 @@ class TestPreprocess:
         rc = main(["preprocess", str(path), "--output-dir", str(tmp_path / "pre")])
         assert rc == 2
         assert f"{path}:2: label must be a non-negative integer" in capsys.readouterr().err
-        assert not (tmp_path / "pre" / "corpus.npz").exists()
+        assert not (tmp_path / "pre").exists()
+
+    def test_null_title_exits_2_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "null.jsonl"
+        path.write_text('{"title": null, "body": "b c", "label": 0}\n')
+        rc = main(["preprocess", str(path), "--output-dir", str(tmp_path / "pre")])
+        assert rc == 2
+        assert f"{path}:1: title must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "pre").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -291,6 +299,7 @@ class TestTrainKge:
         path = tmp_path / "bad.tsv"
         path.write_text("a\tr\tb\nbad line without tabs\n")
         assert main(["train-kge", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exits_2_naming_method_epoch_triple_and_kge_lr(self, tmp_path, capsys):
         """A learning rate that passes validation but drives the embeddings to a

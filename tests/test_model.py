@@ -37,6 +37,8 @@ from stancenet.model import (
 )
 from stancenet.training import AdamState, adam_step
 
+import tape_ops as tops
+
 
 def tiny_hp(**overrides) -> HyperParams:
     base = dict(d=8, heads=2, n=3, l=2, classes=2, alpha=0.5, beta=0.5, mode="All")
@@ -509,23 +511,23 @@ class TestPredict:
 
     def test_tape_length_of_a_ragged_all_article(self):
         """One mode-All predict on 3 active sentences with holes, a padded sentence and
-        partly covered tables records 84 ops: knowledge injection 11 (gather, 2 per
-        table, concat, fuse matmul and bias, residual); word level 20 (the 1/sqrt(k)
-        scale of the query weights; 3 x matmul and head split from the packed rows;
-        transpose, scores, softmax over the key mask; weighted sum, head merge to the
-        packed rows, output matmul; the feed-forward block 7); the pool matmul 1;
-        sentence level 20 (the same ops on a full [1, 3] mask); title 11 + pool matmul,
-        and its level 15 (query weight scale; 3 x matmul and head split; transpose,
-        scores, masked softmax; reshape of the weights, row scaling, head merge, output
-        matmul, residual); output 5 (pool matmul, linear, softmax, reshape to
-        [classes])."""
+        partly covered tables records 75 ops: knowledge injection 10 (gather, 2 per
+        table, concat, fuse linear, residual); word level 17 (the 1/sqrt(k) scale of
+        the query weights; 3 x matmul and head split from the packed rows; transpose,
+        scores, softmax over the key mask; weighted sum, head merge to the packed rows,
+        output matmul; the attention residual, linear with ReLU, linear, residual);
+        the pool matmul 1; sentence level 17 (the same ops on a full [1, 3] mask);
+        title 10 + pool matmul, and its level 15 (query weight scale; 3 x matmul and
+        head split; transpose, scores, masked softmax; reshape of the weights, row
+        scaling, head merge, output matmul, residual); output 4 (pool matmul, linear,
+        softmax, reshape to [classes])."""
         hp = HyperParams(d=8, heads=2, n=5, l=4, classes=2, mode="All")
         real = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 1, 1, 0]])
         article = td.EncodedArticle((np.arange(20).reshape(4, 5) % 11 + 1) * real,
                                     np.array([3, 4, 5, 0, 0]), 1)
         with Tape() as tape:
             predict(article, init_params(12, hp, seed=3), random_bundle(12, hp.d, 4), hp)
-            assert len(tape) == 84
+            assert len(tape) == 75
 
     def test_sentence_permutation_equivariance_with_zero_title(self):
         # permuting whole sentences permutes the refined rows correspondingly,
@@ -564,7 +566,8 @@ def padded_encoder(x, mask, attn, ff):
     scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(vh.shape[2]))
     w = ad.softmax_rows(ad.add(scores, ad.constant(np.broadcast_to(offset, scores.shape))))
     out = ad.add(rows, ad.matmul(ad.merge_heads(ad.matmul(w, vh), h, every), attn.wo))
-    out = ad.add(out, ad.linear(ad.relu(ad.linear(out, ff.w1, ff.b1)), ff.w2, ff.b2))
+    hidden = tops.relu(ad.add(ad.matmul(out, ff.w1), ff.b1))
+    out = ad.add(out, ad.add(ad.matmul(hidden, ff.w2), ff.b2))
     return ad.reshape(ad.scale_rows(out, ad.constant(mask.reshape(-1))), x.shape)
 
 

@@ -1,5 +1,6 @@
 """Tests for corpus loading, encoding, folds, and the synthetic generators."""
 
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -254,6 +255,19 @@ class TestCorpusFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"title": "t", "body": "b", "label": 0, "extra": 1}\n')
         with pytest.raises(CorpusFormatError, match="exactly the keys"):
+            td.load_corpus(path)
+
+    @pytest.mark.parametrize("key,value", [("title", "null"), ("body", '["a", "b"]'),
+                                           ("title", "7"), ("body", "{}")],
+                             ids=["title_null", "body_list", "title_number", "body_object"])
+    def test_non_string_title_or_body_rejected(self, tmp_path, key, value):
+        """A title or body that is not a JSON string is refused, not read through str()."""
+        fields = {"title": '"t"', "body": '"a b"', key: value}
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"title": "t", "body": "b", "label": 0}\n'
+                        f'{{"title": {fields["title"]}, "body": {fields["body"]}, "label": 0}}\n')
+        message = f"^{re.escape(str(path))}:2: {key} must be a string$"
+        with pytest.raises(CorpusFormatError, match=message):
             td.load_corpus(path)
 
     def test_benchmark_shaped_class_distribution(self, tmp_path):
