@@ -34,7 +34,8 @@ print(f"max relative error vs central differences: {err:.2e}")
 wild = ad.softmax_rows(Tensor([[1000.0, 0.0, -1000.0]]))
 print("softmax([1000, 0, -1000]) =", wild.data.round(12).tolist())
 
-# Masked averaging ignores padding rows entirely.
-rows = Tensor(np.array([[2.0, 4.0], [6.0, 8.0], [99.0, 99.0]]))
-mask = Tensor([1.0, 1.0, 0.0])
-print("masked mean of first two rows:", ad.mean_rows(rows, mask).data.tolist())
+# Masked averaging reads packed rows, one per 1 of an [items, positions] mask in mask
+# order, and averages each item's rows; padding positions have no row at all.
+rows = Tensor(np.array([[2.0, 4.0], [6.0, 8.0], [1.0, 3.0]]))
+mask = Tensor([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+print("mean of each item's rows:", ad.mean_rows(rows, mask).data.tolist())

@@ -57,17 +57,21 @@ batch = md.word_level(x, masks, params)
 print("batched word level output shape:", batch.shape)
 assert np.allclose(batch.data[sentence == 0], word_out.data, rtol=1e-12, atol=1e-15), \
     "the first sentence's rows differ from the one-sentence call"
-sentence_vectors = np.stack([batch.data[sentence == j].mean(axis=0)
-                             for j in range(len(active))])
+sentence_vectors = ad.mean_rows(batch, ad.constant(masks))
+print("sentence vectors shape:", sentence_vectors.shape)
+assert np.allclose(sentence_vectors.data[0], word_out.data.mean(axis=0), rtol=1e-12,
+                   atol=1e-15), "the first sentence vector is not its words' mean"
 
 # Sentence level over the pooled sentence vectors.
-sent = md.sentence_level(ad.constant(sentence_vectors), np.ones(len(active)), params)
+sent = md.sentence_level(sentence_vectors, np.ones(len(active)), params)
 print("sentence level output shape:", sent.shape)
 
-# Title level re-weights the sentences toward the headline.
-title_words = md.inject_knowledge(article.title, params, bundle, hp.alpha, hp.beta)
-title_vec = ad.mean_rows(title_words, ad.constant(article.title_mask))
-final = md.title_level(ad.reshape(title_vec, (1, hp.d)), sent, np.ones(len(active)), params)
+# Title level re-weights the sentences toward the headline, the mean of the title's
+# real words; a [1, n] mask pools them into the [1, d] query of one article.
+title_words = md.inject_knowledge(article.title[article.title_mask == 1.0], params, bundle,
+                                  hp.alpha, hp.beta)
+title_vec = ad.mean_rows(title_words, ad.constant(article.title_mask[None]))
+final = md.title_level(title_vec, sent, np.ones(len(active)), params)
 print("title level output shape:", final.shape)
 
 # The whole pipeline in one call, for each ablation mode.

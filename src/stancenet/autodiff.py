@@ -13,11 +13,11 @@ saved-tensors rule). A closure captures the arrays its gradient formula
 reads, and only for the inputs that require a gradient; it keeps shapes as
 tuples. So ``add`` or ``reshape`` keeps no array, ``matmul`` and ``mul``
 keep the other operand, ``linear`` its input and weight and, with ``relu``,
-its output for the mask, ``softmax_rows`` its output, and ``split_heads``
-and ``merge_heads`` the (item, position) indices of their mask's 1s. An
-intermediate that no formula reads is freed as soon as the forward code
-drops it. A key is a serial number per Tensor, which, unlike ``id()``, no
-later tensor reuses.
+its output for the mask, ``softmax_rows`` its output, ``mean_rows`` its
+share matrix, and ``split_heads`` and ``merge_heads`` the (item, position)
+indices of their mask's 1s. An intermediate that no formula reads is freed
+as soon as the forward code drops it. A key is a serial number per Tensor,
+which, unlike ``id()``, no later tensor reuses.
 
 Most backward closures return a dense gradient of their input's shape.
 ``gather_rows`` instead returns a row gradient (ids, rows), so a gather
@@ -25,9 +25,10 @@ from a large table costs the rows it touched, not the table. The tape
 collects the row gradients of each tensor and densifies them once, into
 that tensor's dense adjoint; ``grad`` is always a dense array.
 
-Attention rows are packed, one per 1 of an [N, m] 0/1 mask: ``split_heads``
-scatters them straight into the zero [N*heads, m, d/heads] head grid and
-``merge_heads`` gathers them straight back, each the other's gradient.
+Ops take Tensors, never converting an array. Every masked op reads packed rows,
+one per 1 of an [N, m] 0/1 mask, in mask order: ``split_heads`` and ``merge_heads``
+move them into and out of the zero [N*heads, m, d/heads] head grid, each the
+other's gradient, and ``mean_rows`` averages each item's rows.
 
 Tapes nest: entering one pushes it on a module-level stack, and ops record
 on the innermost. Tensors that never require gradients are plain immutable
@@ -37,7 +38,6 @@ value carriers.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -226,17 +226,12 @@ def _emit(inputs: Sequence[Tensor], value: np.ndarray, backward: Callable) -> Te
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # --------------------------------------------------------------------------
 # Ops
 # --------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product: rank-2 x rank-2, or rank-3 x rank-3 (batched, equal batch sizes)."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[-1] != b.shape[-2]
             or a.shape[:-2] != b.shape[:-2]):
         raise ShapeMismatch(f"matmul got incompatible shapes {a.shape} x {b.shape}")
@@ -271,7 +266,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; a rank-1 or one-row operand is repeated over the rows of the other."""
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_row_broadcast("add", a, b)
     a_shape, b_shape = a.shape, b.shape
 
@@ -283,7 +277,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product, with the row broadcasting of ``add``."""
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_row_broadcast("mul", a, b)
     a_shape, b_shape = a.shape, b.shape
     a_data = a.data if b.requires_grad else None  # each operand is read by the other's gradient
@@ -298,7 +291,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar."""
-    x = _as_tensor(x)
     c = float(c)
 
     def backward(g):
@@ -310,7 +302,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     """Scale each row (last-axis vector) of a rank-2 or rank-3 x by its entry of w,
     whose shape is x's without the last axis; differentiable in both arguments."""
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim not in (2, 3) or w.shape != x.shape[:-1]:
         raise ShapeMismatch(f"scale_rows got shapes {x.shape} and {w.shape}")
     x_data = x.data if w.requires_grad else None  # each operand is read by the other's gradient
@@ -326,7 +317,6 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
 def softmax_rows(x: Tensor, keys=None) -> Tensor:
     """Softmax over the last axis of a rank-2 or rank-3 tensor, stabilised by subtracting
     each row's max; a [B, m] 0/1 key mask of a rank-3 [B, mq, m] x gives its 0s weight 0."""
-    x = _as_tensor(x)
     if x.ndim not in (2, 3):
         raise ShapeMismatch(f"softmax_rows needs a rank-2 or rank-3 tensor, got shape {x.shape}")
     if keys is not None and (x.ndim != 3 or np.shape(keys) != (x.shape[0], x.shape[-1])):
@@ -347,30 +337,29 @@ def softmax_rows(x: Tensor, keys=None) -> Tensor:
 
 
 def mean_rows(x: Tensor, mask: Tensor) -> Tensor:
-    """Average the rows of x selected by a 0/1 mask; masked-out rows contribute nothing.
-
-    The mask is treated as data, never differentiated.
-    """
-    x, mask = _as_tensor(x), _as_tensor(mask)
-    if x.ndim != 2 or mask.ndim != 1 or x.shape[0] != mask.shape[0]:
-        raise ShapeMismatch(f"mean_rows got shapes {x.shape} and {mask.shape}")
-    m = mask.data
-    active = m.sum()
-    if active == 0:
-        raise DegenerateInput("mean_rows needs at least one active row in the mask")
-    value = (x.data * m[:, None]).sum(axis=0) / active
+    """The [W, d] packed rows of an [N, m] 0/1 mask, one per 1 in mask order -> each
+    item's mean row, [N, d]; an [m] mask is one item and gives [d]. The value is share @ x
+    for the constant [N, W] share, 1/count at an item's own rows; the mask is data."""
+    grid = np.atleast_2d(mask.data)
+    item = np.nonzero(grid)[0]
+    if x.ndim != 2 or mask.ndim not in (1, 2) or x.shape[0] != item.size:
+        raise ShapeMismatch(f"mean_rows got packed rows of shape {x.shape} for a mask of "
+                            f"shape {mask.shape} with {item.size} 1s")
+    count = np.bincount(item, minlength=len(grid))[:, None]
+    if not count.all():
+        raise DegenerateInput("mean_rows needs a 1 in every item of its mask")
+    share = (item == np.arange(len(grid))[:, None]) / count
 
     def backward(g):
-        return np.outer(m / active, g), None
+        return share.T @ g.reshape(len(share), -1), None
 
-    return _emit((x, mask), value, backward)
+    return _emit((x, mask), (share @ x.data).reshape(mask.shape[:-1] + x.shape[1:]), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """Affine map x @ weight + bias for rank-2 x, with ``relu`` then max(., 0), as one
     record. The ReLU's gradient mask is read from the output (out > 0 there exactly where
     the pre-activation is), and a NaN pre-activation stays NaN with gradient 0."""
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ShapeMismatch(f"linear got incompatible shapes {x.shape} x {weight.shape}")
     if bias.ndim != 1 or bias.shape[0] != weight.shape[1]:
@@ -395,7 +384,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
 
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Select rows of a rank-2 table by integer index; its gradient is a ``_RowGrad``."""
-    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2 or ids.ndim != 1:
         raise ShapeMismatch(f"gather_rows got table shape {table.shape}, ids shape {ids.shape}")
@@ -408,7 +396,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate rank-2 tensors with equal row counts along columns."""
-    parts = [_as_tensor(p) for p in parts]
     rows = {p.shape[0] for p in parts}
     if len(rows) != 1 or any(p.ndim != 2 for p in parts):
         raise ShapeMismatch(f"concat_cols got shapes {[p.shape for p in parts]}")
@@ -423,7 +410,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes of a rank-2 or rank-3 tensor."""
-    x = _as_tensor(x)
     if x.ndim not in (2, 3):
         raise ShapeMismatch(f"transpose needs a rank-2 or rank-3 tensor, got shape {x.shape}")
 
@@ -437,7 +423,7 @@ def split_heads(x: Tensor, heads: int, mask) -> Tensor:
     """The [W, d] packed rows of an [N, m] 0/1 mask, one per 1 in mask order, -> the
     [N*heads, m, d/heads] head grid, zero at the mask's 0s: entry n*heads + h holds
     columns [h*d/heads, (h+1)*d/heads) of item n's rows. The adjoint of ``merge_heads``."""
-    x, mask = _as_tensor(x), np.asarray(mask)
+    mask = np.asarray(mask)
     if x.ndim != 2 or mask.ndim != 2 or heads < 1 or x.shape[1] % heads:
         raise ShapeMismatch(f"split_heads cannot cut {x.shape} into {heads} heads "
                             f"for a mask of shape {mask.shape}")
@@ -457,7 +443,7 @@ def merge_heads(x: Tensor, heads: int, mask) -> Tensor:
     """The [N*heads, m, k] head grid -> its [W, heads*k] packed rows at the 1s of the
     [N, m] 0/1 mask, in mask order; entries at the 0s are dropped. The adjoint of
     ``split_heads``."""
-    x, mask = _as_tensor(x), np.asarray(mask)
+    mask = np.asarray(mask)
     if (x.ndim != 3 or heads < 1 or x.shape[0] % heads
             or mask.shape != (x.shape[0] // heads, x.shape[1])):
         raise ShapeMismatch(f"merge_heads cannot join shape {x.shape} as {heads} heads "
@@ -485,7 +471,6 @@ def _rows_of_heads(a: np.ndarray, item, pos, grid) -> np.ndarray:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
     shape = tuple(shape)
     orig = x.data.shape
 
@@ -497,7 +482,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
-    x = _as_tensor(x)
     shape = x.shape
 
     def backward(g):
@@ -508,7 +492,6 @@ def sum_all(x: Tensor) -> Tensor:
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor); gradient passes only where x is strictly above the floor."""
-    x = _as_tensor(x)
     floor = float(floor)
     keep = x.data > floor
 
@@ -519,7 +502,6 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     x_data = x.data
 
     def backward(g):

@@ -205,6 +205,12 @@ def cmd_train_kge(args) -> int:
     cfg, train_cfg, kge_cfg = build_config(args)
     triples_path = _require(getattr(args, "triples", None) or cfg.kg_common, "triples")
     store = kg.load_triples(triples_path, cfg.stance)
+    links = vocab = None
+    if cfg.entity_links:  # read before training, so a bad file fails first
+        if not cfg.vocab:
+            raise ConfigError("config key 'entity_links' needs 'vocab' to align its table")
+        links = kg.load_links(_require(cfg.entity_links, "entity_links"))
+        vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if store.duplicates_dropped:
@@ -238,9 +244,7 @@ def cmd_train_kge(args) -> int:
             fh.write(",".join(repr(metrics[c]) for c in columns) + "\n")
         print(f"wrote {metrics_path}: " + " ".join(f"{c}={metrics[c]:.4f}" for c in columns))
 
-    if cfg.entity_links and cfg.vocab:
-        links = kg.load_links(_require(cfg.entity_links, "entity_links"))
-        vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
+    if links is not None:
         table = kg.export_aligned_table(model, links, vocab, store, width=train_cfg.hp.d)
         table_path = out_dir / f"table_{cfg.stance}.txt"
         table.save(table_path)
@@ -250,7 +254,7 @@ def cmd_train_kge(args) -> int:
 
 def _training_inputs(args):
     """The start train and sweep share: the run and training configs, the encoded
-    corpus, the knowledge bundle, and the output directory, which it creates. The
+    corpus, the knowledge bundle, and the output directory, not yet created. The
     model's classes, and its l sentences of n words, come from the corpus."""
     cfg, train_cfg, _ = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
@@ -258,9 +262,7 @@ def _training_inputs(args):
     l, n = encoded[0].sentences.shape
     train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes, n=n, l=l))
     bundle = _load_bundle(cfg, len(vocab), train_cfg.hp.d)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, train_cfg, encoded, bundle, out_dir
+    return cfg, train_cfg, encoded, bundle, Path(cfg.output_dir)
 
 
 def cmd_train(args) -> int:
@@ -268,6 +270,7 @@ def cmd_train(args) -> int:
 
     if cfg.folds >= 2:
         report = tr.cross_validate(encoded, bundle, cfg.folds, train_cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)
         cv_path = out_dir / "cv_report.csv"
         with open(cv_path, "w", encoding="utf-8") as fh:
             fh.write("fold,accuracy\n")
@@ -286,6 +289,7 @@ def cmd_train(args) -> int:
     if not train_set:
         raise ConfigError(f"config key 'val_fraction' = {cfg.val_fraction} leaves none of "
                           f"the {len(encoded)} articles to train on")
+    out_dir.mkdir(parents=True, exist_ok=True)
     params, reports = tr.train(train_set, bundle, train_cfg, val_dataset=val_set or None)
     ckpt_path = out_dir / "checkpoint.npz"
     md.save_checkpoint(ckpt_path, params, train_cfg.hp, seed=cfg.seed)
@@ -341,6 +345,7 @@ def cmd_sweep(args) -> int:
     cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
     grid = tr.sweep_alpha_beta(encoded, bundle, train_cfg, alphas=alphas, betas=betas,
                                folds=cfg.folds, val_fraction=cfg.val_fraction)
+    out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as fh:
         fh.write("alpha,beta,accuracy\n")

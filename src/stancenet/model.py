@@ -12,7 +12,8 @@ table's mixing entirely instead of being dragged toward zero.
 
 The ``mode`` field selects the ablation: ``W`` pools straight after the
 word level, ``WS`` adds the sentence level, ``WST`` adds the title
-level, and ``All`` is ``WST`` plus knowledge injection.
+level, and ``All`` is ``WST`` plus knowledge injection. Every level reads
+packed rows, one per 1 of its mask, and ``predict`` pools them with ``mean_rows``.
 """
 
 from __future__ import annotations
@@ -325,21 +326,15 @@ def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) ->
     return ad.add(ad.matmul(out, attn.wo), s)
 
 
-def _pool(group: np.ndarray, groups: int) -> Tensor:
-    """The constant [groups, R] matrix whose product with R rows averages the rows of
-    each group; ``group[r]`` is the group of row r, and every group has a row."""
-    return ad.constant((group == np.arange(groups)[:, None]) / np.bincount(group)[:, None])
-
-
 def predict(articles, params: ModelParams, bundle: KnowledgeBundle, hp: HyperParams) -> Tensor:
     """Class probabilities of a list of B encoded articles, [B, classes]; of one
     encoded article, [classes].
 
     Each level runs once for all the articles: only the real words of the active
     sentences are embedded, the word level runs on the packed rows of every active
-    sentence, and the sentence and title levels on a [B, L_max] sentence mask. The word
-    grid is cut after the last real word, since padded sentences and PAD columns would
-    only get zero weight.
+    sentence, and the sentence and title levels on a [B, L_max] sentence mask; each
+    pooling is a ``mean_rows`` over its mask. The word grid is cut after the last real
+    word, since padded sentences and PAD columns would only get zero weight.
     """
     def embed(ids):
         if hp.mode == "All":
@@ -355,11 +350,9 @@ def predict(articles, params: ModelParams, bundle: KnowledgeBundle, hp: HyperPar
     masks = np.concatenate([a.word_masks[act] for a, act in zip(chunk, active)])
     n = masks.shape[1] - int(np.argmax(masks.any(axis=0)[::-1]))  # after the last real word
     masks = masks[:, :n]
-    sentence, word = np.nonzero(masks)
     ids = np.concatenate([a.sentences[act, :n] for a, act in zip(chunk, active)])
-    words = word_level(embed(ids[sentence, word]), masks, params)
-    # each sentence's vector is the mean of its real words' rows
-    rows = ad.matmul(_pool(sentence, masks.shape[0]), words)
+    words = word_level(embed(ids[masks != 0]), masks, params)
+    rows = ad.mean_rows(words, ad.constant(masks))  # each sentence's mean word row
     smask = (np.arange(counts.max()) < counts[:, None]).astype(np.float64)
     if hp.mode != "W":
         rows = sentence_level(rows, smask, params)
@@ -367,12 +360,10 @@ def predict(articles, params: ModelParams, bundle: KnowledgeBundle, hp: HyperPar
         title_masks = np.stack([a.title_mask for a in chunk])
         if not title_masks.any(axis=1).all():
             raise DegenerateInput("title-level modes need a non-empty title")
-        item, pos = np.nonzero(title_masks)
-        titles = np.stack([a.title for a in chunk])[item, pos]
-        title = ad.matmul(_pool(item, len(chunk)), embed(titles))
-        rows = title_level(title, rows, smask, params)
+        titles = embed(np.stack([a.title for a in chunk])[title_masks != 0])
+        rows = title_level(ad.mean_rows(titles, ad.constant(title_masks)), rows, smask, params)
 
-    pooled = ad.matmul(_pool(np.repeat(np.arange(len(chunk)), counts), len(chunk)), rows)
+    pooled = ad.mean_rows(rows, ad.constant(smask))
     probs = ad.softmax_rows(ad.linear(pooled, params.out_w, params.out_b))
     return ad.reshape(probs, (hp.classes,)) if one else probs
 

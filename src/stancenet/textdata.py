@@ -321,8 +321,10 @@ def gen_synthetic(
     different label, so a bag-of-words majority vote over markers recovers
     every label; titles always carry at least one marker.
     """
-    if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
+    for name, value, least in (("classes", classes, 2), ("num_articles", num_articles, 1),
+                               ("planted_tokens_per_class", planted_tokens_per_class, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     markers = [
         [f"marker{c}w{i}" for i in range(planted_tokens_per_class)] for c in range(classes)

@@ -1,13 +1,14 @@
 """Tape ops that only the tests run: the KGE tape oracle in ``test_kge.py`` scores
 through them, ``relu`` and ``linear_records`` are the separate-record reference for
-``autodiff.linear``, and ``test_autodiff.py`` checks their gradients against central
+``autodiff.linear``, ``pool_records`` the share-matrix reference for
+``autodiff.mean_rows``, and ``test_autodiff.py`` checks their gradients against central
 differences. Each follows the op contract of ``stancenet.autodiff``: a numpy value,
 and a backward closure recorded through ``_emit`` that keeps only what it reads.
 """
 
 import numpy as np
 
-from stancenet.autodiff import ShapeMismatch, Tensor, _emit, add, matmul
+from stancenet.autodiff import ShapeMismatch, Tensor, _emit, add, constant, matmul
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -53,6 +54,14 @@ def linear_records(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) 
     ``relu``."""
     out = add(matmul(x, weight), bias)
     return _relu(out) if relu else out
+
+
+def pool_records(x: Tensor, mask: Tensor) -> Tensor:
+    """``autodiff.mean_rows`` on an [N, m] mask as ``model.predict`` pooled before it:
+    ``model._pool``'s constant [N, W] share matrix, then a ``matmul`` record."""
+    group = np.nonzero(mask.data)[0]
+    share = (group == np.arange(mask.shape[0])[:, None]) / np.bincount(group)[:, None]
+    return matmul(constant(share), x)
 
 
 def sin(x: Tensor) -> Tensor:

@@ -5,6 +5,7 @@ triple-loop matrix products, big-step formula evaluations, and central
 finite differences. The oracles never call the code paths they check.
 """
 
+import inspect
 import math
 import tracemalloc
 import zlib
@@ -110,32 +111,49 @@ class TestSoftmaxRows:
 
 
 class TestMeanRows:
+    """``mean_rows`` reads the packed rows of a mask: one row per 1, in mask order."""
+
     def test_all_active(self):
         out = ad.mean_rows(Tensor([[2.0, 4.0], [6.0, 8.0]]), Tensor([1.0, 1.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
 
     def test_single_active_row(self):
-        out = ad.mean_rows(Tensor([[2.0, 4.0], [9.0, 9.0]]), Tensor([1.0, 0.0]))
+        out = ad.mean_rows(Tensor([[2.0, 4.0]]), Tensor([0.0, 1.0, 0.0]))
+        assert out.shape == (2,)
         assert np.array_equal(out.data, [2.0, 4.0])
 
     def test_random_against_loop_oracle(self):
         rng = np.random.default_rng(3)
-        x = rng.uniform(-1, 1, (5, 3))
-        mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        expected = np.zeros(3)
-        count = 0
-        for i in range(5):
-            if mask[i] == 1.0:
-                count += 1
-                for j in range(3):
-                    expected[j] += x[i, j]
-        expected /= count
+        mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0, 0.0, 1.0],
+                         [1.0, 1.0, 1.0, 1.0, 1.0]])
+        x = rng.uniform(-1, 1, (int(mask.sum()), 3))
+        expected = np.zeros((3, 3))
+        r = 0
+        for n in range(3):
+            count = 0
+            for j in range(5):
+                if mask[n, j] == 1.0:
+                    count += 1
+                    for c in range(3):
+                        expected[n, c] += x[r, c]
+                    r += 1
+            expected[n] /= count
         out = ad.mean_rows(Tensor(x), Tensor(mask))
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
+    @pytest.mark.parametrize("rows,mask", [(3, [1.0, 0.0, 1.0]), (2, [[1.0, 1.0], [0.0, 1.0]]),
+                                           (4, [[1.0, 1.0], [0.0, 1.0]])],
+                             ids=["rank1", "too_few", "too_many"])
+    def test_row_count_must_match_the_masks_ones(self, rows, mask):
+        with pytest.raises(ShapeMismatch, match=r"mean_rows got packed rows of shape"):
+            ad.mean_rows(Tensor(np.ones((rows, 2))), Tensor(mask))
+
     def test_all_zero_mask_rejected(self):
-        with pytest.raises(DegenerateInput):
-            ad.mean_rows(Tensor(np.ones((2, 2))), Tensor([0.0, 0.0]))
+        with pytest.raises(DegenerateInput, match="mean_rows"):
+            ad.mean_rows(Tensor(np.ones((0, 2))), Tensor([0.0, 0.0]))
+        with pytest.raises(DegenerateInput, match="mean_rows"):  # an item with no 1
+            ad.mean_rows(Tensor(np.ones((2, 2))), Tensor([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestLinear:
@@ -257,6 +275,10 @@ HEAD_MASKS = {
 }
 
 
+# an item with a hole between its 1s, and a ragged one that starts with a 0
+MEAN_ROWS_HOLE = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
+
+
 OP_CASES = [
     ("matmul_lhs", lambda x, rng: ad.matmul(x, Tensor(rng.uniform(-1, 1, (4, 3)))), (3, 4)),
     ("matmul_rhs", lambda x, rng: ad.matmul(Tensor(rng.uniform(-1, 1, (3, 4))), x), (4, 2)),
@@ -291,11 +313,13 @@ OP_CASES = [
                                                Tensor(rng.uniform(-1, 1, (4, 3))), x,
                                                relu=True), (3,)),
     ("softmax_rows", lambda x, rng: ad.softmax_rows(x), (3, 4)),
-    ("mean_rows", lambda x, rng: ad.mean_rows(x, Tensor([1.0, 0.0, 1.0])), (3, 4)),
+    ("mean_rows", lambda x, rng: ad.mean_rows(x, Tensor([1.0, 0.0, 1.0])), (2, 4)),
+    ("mean_rows_hole", lambda x, rng: ad.mean_rows(x, Tensor(MEAN_ROWS_HOLE)), (5, 3)),
     ("gather_rows", lambda x, rng: ad.gather_rows(x, [0, 2, 2, 1]), (3, 4)),
     ("concat_cols", lambda x, rng: ad.concat_cols([x, Tensor(rng.uniform(-1, 1, (3, 2)))]), (3, 4)),
     ("transpose", lambda x, rng: ad.transpose(x), (3, 4)),
     ("reshape", lambda x, rng: ad.reshape(x, (4, 3)), (3, 4)),
+    ("sum_all", lambda x, rng: ad.sum_all(x), (3, 4)),
     ("slice_cols", lambda x, rng: tops.slice_cols(x, 1, 3), (3, 4)),
     ("sum_rows", lambda x, rng: tops.sum_rows(x), (3, 4)),
     ("clamp_min", lambda x, rng: ad.clamp_min(x, -2.0), (3, 4)),
@@ -345,10 +369,13 @@ def test_op_gradients_match_finite_differences(name, build, shape):
     assert ad.finite_diff_check(f, x) < 1e-5
 
 
-@pytest.mark.parametrize("name,build,shape", [
+POSITIVE_DOMAIN_CASES = [
     ("log", lambda x, rng: ad.log(x), (3, 4)),
     ("sqrt", lambda x, rng: tops.sqrt(x), (3, 4)),
-], ids=["log", "sqrt"])
+]
+
+
+@pytest.mark.parametrize("name,build,shape", POSITIVE_DOMAIN_CASES, ids=["log", "sqrt"])
 def test_positive_domain_op_gradients(name, build, shape):
     rng = np.random.default_rng(21)
     x = Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True)
@@ -357,6 +384,18 @@ def test_positive_domain_op_gradients(name, build, shape):
         return _weighted(build(t, rng), np.random.default_rng(99))
 
     assert ad.finite_diff_check(f, x) < 1e-5
+
+
+def test_every_public_op_has_a_finite_difference_case():
+    """Each public function of ``stancenet.autodiff`` but the three that are no op has a
+    gradient case above, named after it: the op's name, or that name, '_' and a variant
+    (a case counts for the longest op name it starts with, so scale_rows_x is not scale's)."""
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and name[0] != "_"}
+    ops -= {"constant", "active_tape", "finite_diff_check"}
+    covered = {max((op for op in ops if case == op or case.startswith(op + "_")),
+                   key=len, default=None) for case, _, _ in OP_CASES + POSITIVE_DOMAIN_CASES}
+    assert not ops - covered, f"ops without a finite-difference case: {sorted(ops - covered)}"
 
 
 def test_heads_are_column_blocks_and_merge_inverts_split():

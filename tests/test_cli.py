@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stancenet import kge as kg
 from stancenet import model as md
 from stancenet import textdata as td
 from stancenet.autodiff import DegenerateInput, ShapeMismatch
@@ -337,6 +338,29 @@ class TestTrainKge:
         assert table.coverage.sum() == 1
         assert table.width == 4
 
+    def test_missing_links_file_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        kg_path = self.write_kg(tmp_path, [("E1", "r", "E2"), ("E2", "r", "E3")])
+        trained = []
+        monkeypatch.setattr(kg, "train_kge", lambda *args: trained.append(args))
+        rc = main(["train-kge", str(kg_path), "--kge-dim", "4", "--kge-epochs", "2",
+                   "--entity-links", str(tmp_path / "missing.tsv"),
+                   "--vocab", str(pre / "vocab.txt"), "--output-dir", str(tmp_path / "kge")])
+        assert rc == 2
+        assert "entity_links file not found" in capsys.readouterr().err
+        assert trained == []
+        assert not list(tmp_path.glob("kge/kge_*.npz"))
+
+    def test_links_without_vocab_exit_2_naming_vocab(self, tmp_path, capsys):
+        kg_path = self.write_kg(tmp_path, [("E1", "r", "E2"), ("E2", "r", "E3")])
+        links = tmp_path / "links.tsv"
+        links.write_text("word\tE1\n")
+        rc = main(["train-kge", str(kg_path), "--kge-dim", "4", "--kge-epochs", "2",
+                   "--entity-links", str(links), "--output-dir", str(tmp_path / "kge")])
+        assert rc == 2
+        assert "'vocab'" in capsys.readouterr().err
+        assert not (tmp_path / "kge").exists()
+
 
 class TestTrain:
     def test_word_mode_without_knowledge(self, tmp_path, capsys):
@@ -432,7 +456,7 @@ class TestTrain:
                    "--val-fraction", fraction, "--output-dir", str(out)])
         assert rc == 2
         assert "'val_fraction'" in capsys.readouterr().err
-        assert not (out / "checkpoint.npz").exists()
+        assert not out.exists()
 
     def test_missing_table_without_flag_exits_2(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
@@ -974,7 +998,7 @@ class TestSweep:
             self, tmp_path, capsys, fraction):
         assert self.sweep_three_articles(tmp_path, "--val-fraction", fraction) == 2
         assert "val_fraction" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "sweep.csv").exists()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag,values,message", [
         ("--alphas", "0.2,abc", "cannot parse 'abc' as a float"),
@@ -1051,3 +1075,12 @@ class TestGenSynthetic:
         articles, classes = td.load_corpus(out)
         hist = td.class_histogram(articles, classes)
         assert max(hist) - min(hist) <= 1
+
+    @pytest.mark.parametrize("flag,value,name", [("--articles", "-3", "num_articles"),
+                                                 ("--articles", "0", "num_articles"),
+                                                 ("--planted", "0", "planted_tokens_per_class")])
+    def test_count_below_one_exits_2_naming_it(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "synth.jsonl"
+        assert main(["gen-synthetic", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be at least 1, got {value}\n"
+        assert not out.exists()

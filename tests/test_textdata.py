@@ -212,6 +212,14 @@ class TestGenSynthetic:
         for a in td.gen_synthetic(15, 2, 2, seed=9):
             assert any(t.startswith(f"marker{a.label}w") for t in a.title.split())
 
+    @pytest.mark.parametrize("args,name", [((0, 2, 3), "num_articles"),
+                                           ((-3, 2, 3), "num_articles"),
+                                           ((4, 2, 0), "planted_tokens_per_class"),
+                                           ((4, 1, 3), "classes")])
+    def test_unusable_count_rejected_naming_it(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            td.gen_synthetic(*args)
+
 
 class TestCorpusFiles:
     def test_round_trip(self, tmp_path):

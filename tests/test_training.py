@@ -158,32 +158,58 @@ def separate_records_encoder(x, mask, attn, ff):
     return ad.add(h, ad.linear(tops.relu(ad.linear(h, ff.w1, ff.b1)), ff.w2, ff.b2))
 
 
+def paper_width_case(mode):
+    """d=64 and 4 heads on a ragged 6-article batch: hyperparameters, parameters, bundle
+    and batch."""
+    hp = HyperParams(d=64, heads=4, n=12, l=4, classes=3, alpha=0.3, beta=0.6, mode=mode)
+    n_words = 40
+    return (hp, init_params(n_words, hp, seed=5), ragged_bundle(n_words, hp.d, 6),
+            ragged_training_batch(hp, n_words, 6, 7))
+
+
+def taped_loss_bytes(batch, params, bundle, hp):
+    """The tape length of one batch loss and backward, and the bytes of the loss and of
+    every parameter gradient."""
+    params.zero_grads()
+    with Tape() as tape:
+        loss = batch_loss(batch, params, bundle, hp)
+        tape.backward(loss)
+    return len(tape), [loss.data.tobytes()] + [
+        None if t.grad is None else t.grad.tobytes() for t in params.tensors()]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_fused_dense_layers_are_bitwise_the_separate_records(monkeypatch, mode):
     """At d=64 and 4 heads, on a ragged batch, the batch loss and every parameter
     gradient are bit for bit those of the model whose dense layers run as separate
     matmul, bias add and ReLU records: the feed-forward blocks, the output layer and,
     in All, the knowledge fuse layer."""
-    hp = HyperParams(d=64, heads=4, n=12, l=4, classes=3, alpha=0.3, beta=0.6, mode=mode)
-    n_words = 40
-    params = init_params(n_words, hp, seed=5)
-    bundle = ragged_bundle(n_words, hp.d, 6)
-    batch = ragged_training_batch(hp, n_words, 6, 7)
-
-    def run():
-        params.zero_grads()
-        with Tape() as tape:
-            loss = batch_loss(batch, params, bundle, hp)
-            tape.backward(loss)
-        return len(tape), [loss.data.tobytes()] + [
-            None if t.grad is None else t.grad.tobytes() for t in params.tensors()]
-
-    fused_records, fused = run()
+    hp, params, bundle, batch = paper_width_case(mode)
+    fused_records, fused = taped_loss_bytes(batch, params, bundle, hp)
     monkeypatch.setattr(md, "_encoder", separate_records_encoder)
     monkeypatch.setattr(ad, "linear", tops.linear_records)
-    separate_records, separate = run()
+    separate_records, separate = taped_loss_bytes(batch, params, bundle, hp)
     assert fused == separate
     assert separate_records > fused_records
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mean_rows_pooling_is_bitwise_the_share_matrix_records(monkeypatch, mode):
+    """At d=64 and 4 heads, on a ragged batch, the tape length, the batch loss, every
+    parameter gradient and the evaluated probabilities are bit for bit those of the
+    model that pools by a matmul with a constant share matrix, ``tests.tape_ops.pool_records``."""
+    hp, params, bundle, batch = paper_width_case(mode)
+
+    def run():
+        return (taped_loss_bytes(batch, params, bundle, hp),
+                predict(batch, params, bundle, hp).data.tobytes())
+
+    pooled = run()
+    monkeypatch.setattr(ad, "mean_rows", tops.pool_records)
+    calls = spy(monkeypatch, ad, "mean_rows", lambda x: x.shape)
+    assert run() == pooled
+    # words, title (in the title modes) and sentences, per chunk and in the eval call
+    assert len(calls) == (len(list(chunks(batch))) + 1) * (3 if mode in md.TITLE_MODES else 2)
 
 
 def spy(monkeypatch, owner, attr, note):
