@@ -394,18 +394,18 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _emit((table,), table.data[ids], backward)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-2 tensors with equal row counts along columns."""
-    rows = {p.shape[0] for p in parts}
-    if len(rows) != 1 or any(p.ndim != 2 for p in parts):
-        raise ShapeMismatch(f"concat_cols got shapes {[p.shape for p in parts]}")
-    widths = [p.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Concatenate rank-2 tensors along rows (axis 0) or columns (axis 1); their sizes
+    along the other axis must agree."""
+    if (axis not in (0, 1) or any(p.ndim != 2 for p in parts)
+            or len({p.shape[1 - axis] for p in parts}) != 1):
+        raise ShapeMismatch(f"concat on axis {axis} got shapes {[p.shape for p in parts]}")
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=1))
+        return tuple(np.split(g, splits, axis=axis))
 
-    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), backward)
+    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=axis), backward)
 
 
 def transpose(x: Tensor) -> Tensor:

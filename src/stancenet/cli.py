@@ -206,10 +206,11 @@ def cmd_train_kge(args) -> int:
     triples_path = _require(getattr(args, "triples", None) or cfg.kg_common, "triples")
     store = kg.load_triples(triples_path, cfg.stance)
     links = vocab = None
-    if cfg.entity_links:  # read before training, so a bad file fails first
+    if cfg.entity_links:  # read and checked before training, so a bad file fails first
         if not cfg.vocab:
             raise ConfigError("config key 'entity_links' needs 'vocab' to align its table")
         links = kg.load_links(_require(cfg.entity_links, "entity_links"))
+        kg.check_links(links, store)
         vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

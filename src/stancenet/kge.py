@@ -170,6 +170,16 @@ def _wrap_phase(x: np.ndarray) -> np.ndarray:
     return np.mod(x + np.pi, 2.0 * np.pi) - np.pi
 
 
+def _wrap_rows(table: np.ndarray, cols: slice, rows, last) -> None:
+    """Wrap the phase columns ``cols`` of ``table[rows]``, the rows a step changed, in
+    place, to the bits a ``_wrap_phase`` of the whole table would give. A wrapped phase
+    rewraps to itself except an exact pi, which becomes -pi; only ``last``, the rows the
+    step before wrapped, can hold one."""
+    before = table[last, cols]
+    before[before == np.pi] = -np.pi
+    table[rows, cols] = _wrap_phase(table[rows, cols])
+
+
 def init_kge_model(n_entities: int, n_relations: int, config: KgeConfig) -> KgeModel:
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.dim)
@@ -353,8 +363,9 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     gradients. Per-epoch mean losses are recorded on the returned model.
 
     A step updates, checks and wraps only the entity rows it scores; every
-    other row has a zero gradient and already-wrapped phases. The relation
-    table is wrapped in full, since RotatE's relation init is not wrapped.
+    other row has a zero gradient and already-wrapped phases. The first step
+    wraps the whole relation table's phases, since RotatE's relation init is
+    not wrapped, and each later step only row r (``_wrap_rows``).
     A non-finite gradient raises ``Diverged`` before its step changes anything.
     """
     if not store.triples:
@@ -368,6 +379,8 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     n_neg = config.negatives if n_ent >= 2 else 0
     signs = np.r_[1.0, -np.ones(n_neg)]  # row 0 is the positive
     grads = np.empty((2 * (1 + n_neg), config.dim))  # the scored tail rows', then head rows'
+    phase = {"RotatE": slice(None), "HAKE": slice(half, None)}.get(config.method)
+    last = slice(0)  # the relation rows the last step wrapped: none before the first step
 
     # a diverging step overflows before its gradient check names the cause; the check
     # is the one report
@@ -389,11 +402,12 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
                                    f"non-finite gradient; lower kge_lr (now {config.lr!r})")
                 ent[rows] -= config.lr * g_ent
                 rel[r] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
-                if config.method == "RotatE":
-                    rel[:] = _wrap_phase(rel)
-                elif config.method == "HAKE":
+                if config.method == "HAKE":
                     ent[rows, half:] = _wrap_phase(ent[rows, half:])
-                    rel[:, half:] = _wrap_phase(rel[:, half:])
+                if phase is not None:
+                    now = r if epoch or i else slice(None)  # first the whole table
+                    _wrap_rows(rel, phase, now, last)
+                    last = now
             model.epoch_losses.append(float(np.mean(losses)))
     return model
 
@@ -582,6 +596,13 @@ def load_links(path) -> dict[str, str]:
     return dict(_tsv_rows(path, 2, "word<TAB>entity, got {} fields"))
 
 
+def check_links(links: dict[str, str], store: TripleStore) -> None:
+    """Raise ValueError naming the first word whose linked entity the store lacks."""
+    for word, entity_name in links.items():
+        if entity_name not in store.entities:
+            raise ValueError(f"word {word!r} links to unknown entity {entity_name!r}")
+
+
 def export_aligned_table(
     m: KgeModel,
     links: dict[str, str],
@@ -596,11 +617,10 @@ def export_aligned_table(
     truncated or zero-padded to ``width``. Unlinked words stay all-zero,
     so the table marks them uncovered.
     """
+    check_links(links, store)
     width = m.dim if width is None else int(width)
     vectors = np.zeros((len(vocab), width))
     for word, entity_name in links.items():
-        if entity_name not in store.entities:
-            raise ValueError(f"word {word!r} links to unknown entity {entity_name!r}")
         wid = vocab.token_to_id.get(word)
         if wid is None:
             continue  # word not in this corpus vocabulary

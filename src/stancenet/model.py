@@ -14,6 +14,11 @@ The ``mode`` field selects the ablation: ``W`` pools straight after the
 word level, ``WS`` adds the sentence level, ``WST`` adds the title
 level, and ``All`` is ``WST`` plus knowledge injection. Every level reads
 packed rows, one per 1 of its mask, and ``predict`` pools them with ``mean_rows``.
+
+``predict`` runs a whole batch at once. It embeds each distinct word once, since
+every occurrence of a word gets the same row, and runs the word level on runs of
+length-sorted sentences (``sentence_runs``), since attention within a sentence only
+needs the sentence padded to the width of those like it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DegenerateInput, Tensor
 from .kge import KnowledgeEmbeddingTable, zero_table
-from .textdata import EncodedArticle
+from .textdata import PAD_ID, EncodedArticle
 
 MODES = ("W", "WS", "WST", "All")
 TITLE_MODES = ("WST", "All")  # the modes whose title level reads the article's title
@@ -258,7 +263,7 @@ def inject_knowledge(
     e_com = _mix(base, bundle.com, ids, alpha, 1.0 - alpha)
     e_lib = _mix(e_com, bundle.lib, ids, beta, 1.0 - beta)
     e_con = _mix(e_com, bundle.con, ids, beta, 1.0 - beta)
-    fused = ad.linear(ad.concat_cols([e_lib, e_con]), params.fuse_w, params.fuse_b)
+    fused = ad.linear(ad.concat([e_lib, e_con], axis=1), params.fuse_w, params.fuse_b)
     return ad.add(fused, base)
 
 
@@ -326,41 +331,74 @@ def title_level(title: Tensor, s: Tensor, sentence_mask, params: ModelParams) ->
     return ad.add(ad.matmul(out, attn.wo), s)
 
 
+ROW_BUDGET = 1024  # real body words per word-level run; see sentence_runs
+
+
+def sentence_runs(widths: np.ndarray, words: np.ndarray) -> list[np.ndarray]:
+    """The indices of S sentences, of the given widths (last real word + 1) and real
+    word counts, stably sorted by width and cut into consecutive runs of at most
+    ROW_BUDGET real words; a sentence over the budget is a run of its own.
+
+    A run's word grid is as wide as its widest sentence, so sorting keeps the grid
+    near each sentence's own width, and the budget bounds the grid's rows.
+    """
+    order = np.argsort(widths, kind="stable")
+    cuts, total = [0], 0  # the first sentence of each run
+    for i, count in enumerate(words[order].tolist()):
+        if total + count > ROW_BUDGET and i > cuts[-1]:
+            cuts.append(i)
+            total = 0
+        total += count
+    return np.split(order, cuts[1:])
+
+
 def predict(articles, params: ModelParams, bundle: KnowledgeBundle, hp: HyperParams) -> Tensor:
     """Class probabilities of a list of B encoded articles, [B, classes]; of one
     encoded article, [classes].
 
-    Each level runs once for all the articles: only the real words of the active
-    sentences are embedded, the word level runs on the packed rows of every active
-    sentence, and the sentence and title levels on a [B, L_max] sentence mask; each
-    pooling is a ``mean_rows`` over its mask. The word grid is cut after the last real
-    word, since padded sentences and PAD columns would only get zero weight.
+    The distinct words of the active sentences and, in the title modes, of the titles
+    are embedded once, and every level gathers its rows from those. The word level
+    runs on ``sentence_runs`` of the active sentences, each on a grid cut at its widest
+    sentence, and each run's sentences are pooled with ``mean_rows``; one gather puts
+    the sentence rows back in article order. The sentence and title levels run once, on
+    the [B, L_max] sentence mask.
     """
-    def embed(ids):
-        if hp.mode == "All":
-            return inject_knowledge(ids, params, bundle, hp.alpha, hp.beta)
-        return ad.gather_rows(params.word_table, ids)
-
     one = isinstance(articles, EncodedArticle)
-    chunk = [articles] if one else list(articles)
-    active = [np.flatnonzero(a.sentence_mask) for a in chunk]
+    batch = [articles] if one else list(articles)
+    active = [np.flatnonzero(a.sentence_mask) for a in batch]
     counts = np.array([act.size for act in active])
     if not counts.all():
         raise DegenerateInput("predict got an all-masked article")
-    masks = np.concatenate([a.word_masks[act] for a, act in zip(chunk, active)])
-    n = masks.shape[1] - int(np.argmax(masks.any(axis=0)[::-1]))  # after the last real word
-    masks = masks[:, :n]
-    ids = np.concatenate([a.sentences[act, :n] for a, act in zip(chunk, active)])
-    words = word_level(embed(ids[masks != 0]), masks, params)
-    rows = ad.mean_rows(words, ad.constant(masks))  # each sentence's mean word row
+    sentences = np.concatenate([a.sentences[act] for a, act in zip(batch, active)])
+    real = sentences != PAD_ID
+    ids = [sentences[real]]
+    if hp.mode in TITLE_MODES:
+        title_masks = np.stack([a.title_mask for a in batch])
+        if not title_masks.any(axis=1).all():
+            raise DegenerateInput("title-level modes need a non-empty title")
+        ids.append(np.stack([a.title for a in batch])[title_masks != 0])
+    unique, inverse = np.unique(np.concatenate(ids), return_inverse=True)
+    if hp.mode == "All":
+        table = inject_knowledge(unique, params, bundle, hp.alpha, hp.beta)
+    else:
+        table = ad.gather_rows(params.word_table, unique)
+
+    slot = np.zeros(sentences.shape, dtype=np.int64)  # each word's row of table
+    slot[real] = inverse[: ids[0].size]
+    widths = real.shape[1] - np.argmax(real[:, ::-1], axis=1)
+    runs = sentence_runs(widths, real.sum(axis=1))
+    means = []
+    for run in runs:
+        width = widths[run[-1]]
+        mask = real[run, :width]
+        words = word_level(ad.gather_rows(table, slot[run, :width][mask]), mask, params)
+        means.append(ad.mean_rows(words, ad.constant(mask)))  # each sentence's mean word row
+    rows = ad.gather_rows(ad.concat(means, axis=0), np.argsort(np.concatenate(runs)))
     smask = (np.arange(counts.max()) < counts[:, None]).astype(np.float64)
     if hp.mode != "W":
         rows = sentence_level(rows, smask, params)
     if hp.mode in TITLE_MODES:
-        title_masks = np.stack([a.title_mask for a in chunk])
-        if not title_masks.any(axis=1).all():
-            raise DegenerateInput("title-level modes need a non-empty title")
-        titles = embed(np.stack([a.title for a in chunk])[title_masks != 0])
+        titles = ad.gather_rows(table, inverse[ids[0].size :])
         rows = title_level(ad.mean_rows(titles, ad.constant(title_masks)), rows, smask, params)
 
     pooled = ad.mean_rows(rows, ad.constant(smask))

@@ -7,16 +7,16 @@ the single training loop sit k-fold cross-validation, the alpha/beta
 grid sweep, and Welch's t-test for comparing accuracy samples.
 
 The L2 regularizer lives only in the optimizer, as coupled weight decay
-(weight_decay=5e-2 by default).
+(weight_decay=5e-2 by default). Each training batch is one ``predict`` call, and
+evaluation predicts EVAL_BATCH articles per call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -183,40 +183,14 @@ def plateau_step(state: PlateauState, epoch_loss: float) -> float:
 # Training loop
 # --------------------------------------------------------------------------
 
-ROW_BUDGET = 1024  # real body words per chunk; see chunks()
-
-
-def chunks(articles: Sequence[EncodedArticle]) -> Iterator[list[EncodedArticle]]:
-    """Runs of consecutive whole articles holding at most ROW_BUDGET real body words
-    each, in order; an article over the budget is a run of its own.
-
-    Short articles gain from sharing one forward pass, since per-op overhead
-    dominates their cost. Long ones lose from it: the word grid grows with the
-    longest sentence of the chunk, and the tape with the chunk. On the benchmark's
-    news-v50k workload (~440-word articles, 2-vCPU Xeon), one chunk per 16-article
-    batch and one for the 40 evaluated articles trained 19% fewer articles per
-    second, took 69% longer per evaluated article and peaked 34% higher in memory
-    than 1,024-word chunks, which run as fast as one article at a time.
-    """
-    chunk: list[EncodedArticle] = []
-    rows = 0
-    for article in articles:
-        words = int(article.word_masks.sum())
-        if chunk and rows + words > ROW_BUDGET:
-            yield chunk
-            chunk, rows = [], 0
-        chunk.append(article)
-        rows += words
-    if chunk:
-        yield chunk
+EVAL_BATCH = 16  # articles per evaluation predict call: the default training batch
 
 
 def batch_loss(batch: Sequence[EncodedArticle], params: ModelParams, bundle: KnowledgeBundle,
                hp: HyperParams) -> Tensor:
-    """The mean cross-entropy of a batch, from one ``predict`` call per chunk of it."""
-    losses = [md.cross_entropy(md.predict(chunk, params, bundle, hp), [a.label for a in chunk])
-              for chunk in chunks(batch)]
-    return ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
+    """The mean cross-entropy of a batch, from one ``predict`` call."""
+    probs = md.predict(batch, params, bundle, hp)
+    return ad.scale(md.cross_entropy(probs, [a.label for a in batch]), 1.0 / len(batch))
 
 
 def train(
@@ -227,8 +201,8 @@ def train(
 ) -> tuple[ModelParams, list[EpochReport]]:
     """Mini-batch training; returns final parameters and one report per epoch.
 
-    Each batch runs forward in chunks of whole articles (``chunks``, at most
-    ROW_BUDGET real body words each), and backward once over the mean loss.
+    Each batch runs forward in one ``predict`` call and backward once over the mean
+    loss.
     Shuffling, initialisation, and therefore every report field except
     wall-clock seconds are fully determined by (cfg, seed).
     """
@@ -275,17 +249,18 @@ def evaluate_accuracy(
     hp: HyperParams,
 ) -> float:
     """Fraction of articles whose argmax prediction matches the label, from one
-    ``predict`` call per chunk of the dataset (``chunks``, at most ROW_BUDGET real body
-    words each).
+    ``predict`` call per EVAL_BATCH consecutive articles, which bounds the memory a
+    large dataset takes.
 
     Ties go to the lowest class id (numpy argmax takes the first maximum).
     """
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
     hits = 0
-    for chunk in chunks(dataset):
-        probs = md.predict(chunk, params, bundle, hp).data
-        hits += int((probs.argmax(axis=1) == [a.label for a in chunk]).sum())
+    for lo in range(0, len(dataset), EVAL_BATCH):
+        part = dataset[lo : lo + EVAL_BATCH]
+        probs = md.predict(part, params, bundle, hp).data
+        hits += int((probs.argmax(axis=1) == [a.label for a in part]).sum())
     return hits / len(dataset)
 
 

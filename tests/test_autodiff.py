@@ -316,7 +316,10 @@ OP_CASES = [
     ("mean_rows", lambda x, rng: ad.mean_rows(x, Tensor([1.0, 0.0, 1.0])), (2, 4)),
     ("mean_rows_hole", lambda x, rng: ad.mean_rows(x, Tensor(MEAN_ROWS_HOLE)), (5, 3)),
     ("gather_rows", lambda x, rng: ad.gather_rows(x, [0, 2, 2, 1]), (3, 4)),
-    ("concat_cols", lambda x, rng: ad.concat_cols([x, Tensor(rng.uniform(-1, 1, (3, 2)))]), (3, 4)),
+    ("concat_cols", lambda x, rng: ad.concat([x, Tensor(rng.uniform(-1, 1, (3, 2)))], axis=1),
+     (3, 4)),
+    ("concat_rows", lambda x, rng: ad.concat([Tensor(rng.uniform(-1, 1, (2, 4))), x, x], axis=0),
+     (3, 4)),
     ("transpose", lambda x, rng: ad.transpose(x), (3, 4)),
     ("reshape", lambda x, rng: ad.reshape(x, (4, 3)), (3, 4)),
     ("sum_all", lambda x, rng: ad.sum_all(x), (3, 4)),
@@ -591,6 +594,13 @@ def test_split_heads_rejects_rows_it_cannot_cut(shape, heads, m):
 def test_head_layout_shape_errors(op, message):
     with pytest.raises(ShapeMismatch, match=message):
         op()
+
+
+@pytest.mark.parametrize("axis,shapes", [(0, [(2, 3), (2, 4)]), (1, [(2, 3), (3, 3)]),
+                                         (2, [(2, 3), (2, 3)]), (0, [(2, 3), (3,)])])
+def test_concat_shape_errors(axis, shapes):
+    with pytest.raises(ShapeMismatch, match=rf"concat on axis {axis} got shapes"):
+        ad.concat([Tensor(np.ones(shape)) for shape in shapes], axis=axis)
 
 
 @pytest.mark.parametrize("a,b", [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 3, 2)),

@@ -462,6 +462,26 @@ class TestRowLocalStep:
         self.assert_bitwise_equal(store, KgeConfig(method=method, dim=8, negatives=6,
                                                    lr=lr, epochs=3, seed=5))
 
+    @pytest.mark.parametrize("method", ["RotatE", "HAKE"])
+    def test_a_phase_wrapped_to_pi_matches_dense_loop_bitwise(self, tmp_path, monkeypatch,
+                                                              method):
+        """Relation phases just below -pi wrap to exactly pi at the first step, which
+        wraps the whole table; the whole-table rewrap of the next step makes them -pi,
+        and so does the row-wise wrap."""
+        init = kge.init_kge_model
+
+        def below_pi_init(n_entities, n_relations, config):
+            model = init(n_entities, n_relations, config)
+            model.relation[:, -2:] = np.nextafter(-np.pi, -np.inf)
+            return model
+
+        monkeypatch.setattr(kge, "init_kge_model", below_pi_init)
+        store = self.skewed_store(tmp_path)
+        cfg = KgeConfig(method=method, dim=8, negatives=6, lr=0.05, epochs=3, seed=5)
+        first = kge._wrap_phase(below_pi_init(store.n_entities, store.n_relations, cfg).relation)
+        assert np.any(first == np.pi)
+        self.assert_bitwise_equal(store, cfg)
+
     @pytest.mark.parametrize("method", ["RotatE", "ModE", "HAKE"])
     @pytest.mark.parametrize("named", [
         [("a", "r", "a"), ("a", "s", "a")],  # one entity: no negatives
@@ -512,6 +532,30 @@ class TestWrapPhase:
         keep = once != np.pi
         assert twice[keep].tobytes() == once[keep].tobytes()
         assert np.all(twice[~keep] == -np.pi)
+
+    # the float just below -pi wraps to exactly pi
+    phases = st.one_of(floats, st.just(np.nextafter(-np.pi, -np.inf)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(st.integers(0, 3), st.lists(phases, min_size=3,
+                                                                   max_size=3)),
+                          min_size=1, max_size=12))
+    def test_row_wraps_equal_whole_table_wraps(self, steps):
+        """Steps that each write one row of an unwrapped table and then wrap it: the
+        first step wrapping the whole table and each later one ``_wrap_rows`` its row
+        give the bits of a whole-table ``_wrap_phase`` after every step."""
+        rng = np.random.default_rng(len(steps))
+        whole = rng.uniform(-10, 10, (4, 5))
+        rows = whole.copy()
+        last = slice(0)
+        for i, (r, values) in enumerate(steps):
+            for table in (whole, rows):
+                table[r, 2:] = values
+            whole[:, 2:] = kge._wrap_phase(whole[:, 2:])
+            now = r if i else slice(None)
+            kge._wrap_rows(rows, slice(2, None), now, last)
+            last = now
+            assert rows.tobytes() == whole.tobytes(), i
 
     def test_pi_is_the_one_output_that_rewraps(self):
         below = np.nextafter(-np.pi, -np.inf)

@@ -511,23 +511,25 @@ class TestPredict:
 
     def test_tape_length_of_a_ragged_all_article(self):
         """One mode-All predict on 3 active sentences with holes, a padded sentence and
-        partly covered tables records 75 ops: knowledge injection 10 (gather, 2 per
-        table, concat, fuse linear, residual); word level 17 (the 1/sqrt(k) scale of
+        partly covered tables records 69 ops: knowledge injection of the distinct body
+        and title words 10 (gather, 2 per table, concat, fuse linear, residual); the
+        gather of the one sentence run's words 1; word level 17 (the 1/sqrt(k) scale of
         the query weights; 3 x matmul and head split from the packed rows; transpose,
         scores, softmax over the key mask; weighted sum, head merge to the packed rows,
-        output matmul; the attention residual, linear with ReLU, linear, residual);
-        the pool matmul 1; sentence level 17 (the same ops on a full [1, 3] mask);
-        title 10 + pool matmul, and its level 15 (query weight scale; 3 x matmul and
-        head split; transpose, scores, masked softmax; reshape of the weights, row
-        scaling, head merge, output matmul, residual); output 4 (pool matmul, linear,
-        softmax, reshape to [classes])."""
+        output matmul; the attention residual, linear with ReLU, linear, residual); the
+        pool matmul 1; the run concat and the gather back to article order 2; sentence
+        level 17 (the same ops on a full [1, 3] mask); the title words' gather and pool
+        matmul 2, and its level 15 (query weight scale; 3 x matmul and head split;
+        transpose, scores, masked softmax; reshape of the weights, row scaling, head
+        merge, output matmul, residual); output 4 (pool matmul, linear, softmax, reshape
+        to [classes])."""
         hp = HyperParams(d=8, heads=2, n=5, l=4, classes=2, mode="All")
         real = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 1, 1, 0]])
         article = td.EncodedArticle((np.arange(20).reshape(4, 5) % 11 + 1) * real,
                                     np.array([3, 4, 5, 0, 0]), 1)
         with Tape() as tape:
             predict(article, init_params(12, hp, seed=3), random_bundle(12, hp.d, 4), hp)
-            assert len(tape) == 75
+            assert len(tape) == 69
 
     def test_sentence_permutation_equivariance_with_zero_title(self):
         # permuting whole sentences permutes the refined rows correspondingly,

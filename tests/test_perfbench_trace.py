@@ -35,7 +35,8 @@ def kept_word_count(articles, n, l):
 
 def test_traced_preprocess_and_cross_validation(tmp_path):
     """The traced counts of a tiny ``preprocess`` and ``train --folds 2``: the encoded
-    words, the ``predict`` calls and no failed command; ``uninstall`` puts back every
+    words, one ``predict`` call per fold's training batch and per fold's evaluation,
+    and no failed command; ``uninstall`` puts back every
     patched attribute."""
     articles = td.gen_synthetic(12, 2, 2, seed=0)
     corpus = tmp_path / "corpus.jsonl"
@@ -58,7 +59,7 @@ def test_traced_preprocess_and_cross_validation(tmp_path):
         tracer.uninstall()
     counts = sum(tracer.counts.values(), Counter())
     assert counts["textdata.tokens_encoded"] == kept_word_count(articles, n=2, l=2)
-    assert counts["model.predict_calls"] >= 1
+    assert counts["model.predict_calls"] == 4
     assert counts["cli.exit_nonzero"] == 0
     for owner, saved in zip(OWNERS, before):
         now = vars(owner)

@@ -16,6 +16,7 @@ from stancenet.autodiff import Tape, Tensor
 from stancenet.kge import KnowledgeEmbeddingTable
 from stancenet.model import (
     MODES,
+    ROW_BUDGET,
     HyperParams,
     KnowledgeBundle,
     cross_entropy,
@@ -28,12 +29,11 @@ from stancenet.textdata import build_vocab, encode_corpus, gen_knowledge_corpus,
 from stancenet.training import (
     AdamState,
     CvReport,
+    EVAL_BATCH,
     PlateauState,
-    ROW_BUDGET,
     TrainConfig,
     adam_step,
     batch_loss,
-    chunks,
     cross_validate,
     evaluate_accuracy,
     plateau_step,
@@ -42,6 +42,7 @@ from stancenet.training import (
     welch_t_test,
 )
 
+import chunked_model as chunked
 import tape_ops as tops
 
 
@@ -59,37 +60,27 @@ def encoded_synthetic(num=16, classes=2, hp=None, seed=0):
 
 
 # --------------------------------------------------------------------------
-# Chunks and the batch loss
+# Sentence runs and the batch loss
 # --------------------------------------------------------------------------
 
-def sized_article(words: int, width: int = 64) -> td.EncodedArticle:
-    """An article of ``words`` real body words, ``width`` to a sentence."""
-    l = max(1, -(-words // width))
-    flat = (np.arange(l * width) < words).astype(np.int64)
-    return td.EncodedArticle(flat.reshape(l, width), np.ones(width, dtype=np.int64), 0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(1, 2 * ROW_BUDGET), min_size=0, max_size=40))
-def test_chunks_are_consecutive_whole_articles_within_the_budget(sizes):
-    articles = [sized_article(words) for words in sizes]
-    runs = list(chunks(articles))
-    assert [id(a) for run in runs for a in run] == [id(a) for a in articles]
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 64),
+                          st.one_of(st.integers(1, 64), st.integers(1, 2 * ROW_BUDGET))),
+                min_size=1, max_size=80))
+def test_sentence_runs_sort_and_cut_the_sentences(sentences):
+    """The runs partition the sentences; their widths never decrease, and equal widths
+    keep their input order; a run holds at most ROW_BUDGET real words unless it is one
+    sentence."""
+    widths, words = (np.array(column, dtype=np.int64) for column in zip(*sentences))
+    runs = md.sentence_runs(widths, words)
+    order = np.concatenate(runs)
+    assert sorted(order.tolist()) == list(range(len(sentences)))
+    assert all(run.size for run in runs)
+    assert np.all(np.diff(widths[order]) >= 0)
+    same = np.diff(widths[order]) == 0
+    assert np.all(np.diff(order)[same] > 0)
     for run in runs:
-        assert run
-        words = [int(a.word_masks.sum()) for a in run]
-        if len(run) > 1:
-            assert sum(words) <= ROW_BUDGET
-        for a in run:
-            if int(a.word_masks.sum()) > ROW_BUDGET:
-                assert run == [a]
-
-
-def test_chunks_count_only_the_words_of_active_sentences():
-    """A PAD sentence between real ones adds no word to an article's count."""
-    article = sized_article(ROW_BUDGET + 64)
-    article.sentences[3] = td.PAD_ID
-    assert [len(run) for run in chunks([article, sized_article(0)])] == [2]
+        assert run.size == 1 or words[run].sum() <= ROW_BUDGET
 
 
 def ragged_training_batch(hp, n_words, count, seed):
@@ -120,35 +111,93 @@ def ragged_bundle(n_words, width, seed):
     return KnowledgeBundle(*tables)
 
 
+def loss_and_grads(loss_of, params):
+    """The loss value of ``loss_of()`` and every parameter gradient, zeros where none."""
+    params.zero_grads()
+    with Tape() as tape:
+        loss = loss_of()
+        tape.backward(loss)
+    return loss.data, [np.zeros(t.shape) if t.grad is None else t.grad.copy()
+                       for t in params.tensors()]
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_chunked_batch_loss_matches_the_per_article_sum(mode):
-    """The batch loss and every parameter gradient equal the mean over the articles of
+def test_chunked_batch_loss_matches_the_per_article_sum(monkeypatch, mode):
+    """The batch loss, whose word level runs in several sentence runs, and every
+    parameter gradient equal the mean over the articles of
     ``cross_entropy(predict(article), label)``, the per-article path, within rtol 1e-10."""
     hp = HyperParams(d=8, heads=2, n=36, l=32, classes=3, alpha=0.3, beta=0.6, mode=mode)
     n_words = 40
     params = init_params(n_words, hp, seed=2)
     bundle = ragged_bundle(n_words, hp.d, 3)
     batch = ragged_training_batch(hp, n_words, 9, 4)
-    sizes = [len(run) for run in chunks(batch)]
-    assert sizes[0] == 1 and int(batch[0].word_masks.sum()) > ROW_BUDGET and max(sizes) > 1
-
-    def run(loss_of):
-        params.zero_grads()
-        with Tape() as tape:
-            loss = loss_of()
-            tape.backward(loss)
-        return float(loss.data), [np.zeros(t.shape) if t.grad is None else t.grad.copy()
-                                  for t in params.tensors()]
+    assert int(batch[0].word_masks.sum()) > ROW_BUDGET
 
     def per_article():
         losses = [cross_entropy(predict(a, params, bundle, hp), a.label) for a in batch]
         return ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
 
-    got, got_grads = run(lambda: batch_loss(batch, params, bundle, hp))
-    want, want_grads = run(per_article)
-    assert got == pytest.approx(want, rel=1e-10, abs=0)
+    grids = spy(monkeypatch, md, "word_level", lambda x: x.shape)
+    got, got_grads = loss_and_grads(lambda: batch_loss(batch, params, bundle, hp), params)
+    assert len(grids) > 1
+    want, want_grads = loss_and_grads(per_article, params)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
     for (name, _), g, w in zip(params.named(), got_grads, want_grads):
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=0, err_msg=name)
+
+
+def over_budget_case(mode):
+    """d=64 and 4 heads on a ragged 9-article batch whose first article has more than
+    ROW_BUDGET real words: hyperparameters, parameters, bundle and batch."""
+    hp = HyperParams(d=64, heads=4, n=36, l=32, classes=3, alpha=0.3, beta=0.6, mode=mode)
+    n_words = 40
+    batch = ragged_training_batch(hp, n_words, 9, 4)
+    assert int(batch[0].word_masks.sum()) > ROW_BUDGET
+    return hp, init_params(n_words, hp, seed=2), ragged_bundle(n_words, hp.d, 3), batch
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batched_predict_matches_the_chunked_reference(mode):
+    """At d=64 and 4 heads, on a ragged batch (sentence holes, PAD sentences, repeated
+    ids, one article over the budget), one ``predict`` per batch agrees with the chunked
+    path it replaced, ``tests/chunked_model.py``: the batch loss and the probabilities
+    within rtol 1e-12, every gradient within 1e-12 of its parameter's largest gradient.
+    Sums run over other grid widths, so the bits may differ."""
+    hp, params, bundle, batch = over_budget_case(mode)
+    got, got_grads = loss_and_grads(lambda: batch_loss(batch, params, bundle, hp), params)
+    want, want_grads = loss_and_grads(lambda: chunked.batch_loss(batch, params, bundle, hp),
+                                      params)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(predict(batch, params, bundle, hp).data,
+                               chunked.probabilities(batch, params, bundle, hp),
+                               rtol=1e-12, atol=0)
+    for (name, _), g, w in zip(params.named(), got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+
+
+def test_batched_predict_is_deterministic():
+    """Two runs of the batch loss and its gradients, and of the probabilities, are
+    byte-identical."""
+    hp, params, bundle, batch = over_budget_case("All")
+
+    def run():
+        loss, grads = loss_and_grads(lambda: batch_loss(batch, params, bundle, hp), params)
+        return ([loss.tobytes()] + [g.tobytes() for g in grads]
+                + [predict(batch, params, bundle, hp).data.tobytes()])
+
+    assert run() == run()
+
+
+def test_predict_injects_knowledge_once_on_the_sorted_distinct_ids(monkeypatch):
+    """One ``inject_knowledge`` call per ``predict``, on the sorted distinct ids of the
+    batch's body words and titles."""
+    hp, params, bundle, batch = over_budget_case("All")
+    injected = spy(monkeypatch, md, "inject_knowledge", np.array)
+    predict(batch, params, bundle, hp)
+    words = np.concatenate([a.sentences[a.word_masks != 0] for a in batch]
+                           + [a.title[a.title_mask != 0] for a in batch])
+    assert len(injected) == 1
+    assert np.array_equal(injected[0], np.unique(words))
 
 
 def separate_records_encoder(x, mask, attn, ff):
@@ -207,9 +256,11 @@ def test_mean_rows_pooling_is_bitwise_the_share_matrix_records(monkeypatch, mode
     pooled = run()
     monkeypatch.setattr(ad, "mean_rows", tops.pool_records)
     calls = spy(monkeypatch, ad, "mean_rows", lambda x: x.shape)
+    runs = spy(monkeypatch, md, "word_level", lambda x: x.shape)
     assert run() == pooled
-    # words, title (in the title modes) and sentences, per chunk and in the eval call
-    assert len(calls) == (len(list(chunks(batch))) + 1) * (3 if mode in md.TITLE_MODES else 2)
+    # the words of each sentence run, the title (in the title modes) and the sentences,
+    # in the training and in the eval call
+    assert len(calls) == len(runs) + 2 * (2 if mode in md.TITLE_MODES else 1)
 
 
 def spy(monkeypatch, owner, attr, note):
@@ -229,18 +280,21 @@ def ids(articles):
     return [id(a) for a in articles]
 
 
-@pytest.mark.parametrize("mode,records", [("W", 28), ("WS", 45), ("WST", 62), ("All", 80)],
+@pytest.mark.parametrize("mode,records", [("W", 31), ("WS", 48), ("WST", 65), ("All", 74)],
                          ids=["W", "WS", "WST", "All"])
 def test_a_batch_of_short_articles_is_one_forward_pass(monkeypatch, mode, records):
-    """16 short articles fit one chunk: one predict call and one backward over a tape
-    of 28/45/62/80 records (W/WS/WST/All), where one predict per article took
-    672/1,024/1,344/1,580. Each attention level records no reshape and no padded-row
-    layout: its packed rows are split straight into heads by their mask and merged
-    straight back (the title level reshapes only its weights). Its scores get no
-    offset or scale record: the softmax masks the keys, and the 1/sqrt(k) scale is one
-    record on the [d, d] query weights. Every dense layer is one ``linear`` record: the
-    feed-forward block's two (the first with its ReLU), the output layer's, and in All
-    the knowledge fuse layer's."""
+    """16 short articles are one predict call and one backward over a tape of
+    31/48/65/74 records (W/WS/WST/All), where one predict per article took
+    672/1,024/1,344/1,580. The distinct words are embedded once (one gather, or in All
+    the 10 records of knowledge injection) and the word level gathers its rows from
+    them; its one sentence run adds a concat and the gather back to article order.
+    Each attention level records no reshape and no padded-row layout: its packed rows
+    are split straight into heads by their mask and merged straight back (the title
+    level reshapes only its weights). Its scores get no offset or scale record: the
+    softmax masks the keys, and the 1/sqrt(k) scale is one record on the [d, d] query
+    weights. Every dense layer is one ``linear`` record: the feed-forward block's two
+    (the first with its ReLU), the output layer's, and in All the knowledge fuse
+    layer's."""
     corpus = gen_synthetic(16, 2, 2, seed=0)
     vocab = build_vocab(corpus)
     hp = HyperParams(d=8, heads=2, n=8, l=4, classes=2, mode=mode)
@@ -254,18 +308,19 @@ def test_a_batch_of_short_articles_is_one_forward_pass(monkeypatch, mode, record
 
 
 def test_train_and_evaluate_call_predict_once_per_chunk(monkeypatch):
-    hp = HyperParams(d=8, heads=2, n=36, l=32, classes=3, mode="WS")
-    batch = ragged_training_batch(hp, 40, 9, 4)
+    """Training calls ``predict`` once per batch, and evaluation once per EVAL_BATCH
+    consecutive articles."""
+    hp = HyperParams(d=8, heads=2, n=12, l=6, classes=3, mode="WS")
+    articles = ragged_training_batch(hp, 40, 2 * EVAL_BATCH + 3, 4)
     bundle = zero_bundle(40, hp.d)
     predicted = spy(monkeypatch, md, "predict", ids)
-    evaluate_accuracy(init_params(40, hp), bundle, batch, hp)
-    assert predicted == [ids(run) for run in chunks(batch)]
+    evaluate_accuracy(init_params(40, hp), bundle, articles, hp)
+    assert predicted == [ids(articles[lo : lo + EVAL_BATCH])
+                         for lo in range(0, len(articles), EVAL_BATCH)]
     predicted.clear()
-    train(batch, bundle, TrainConfig(epochs=1, batch_size=len(batch), hp=hp))
-    shuffled = [key for run in predicted for key in run]
-    assert sorted(shuffled) == sorted(ids(batch))
-    by_id = {id(a): a for a in batch}
-    assert predicted == [ids(run) for run in chunks([by_id[key] for key in shuffled])]
+    train(articles, bundle, TrainConfig(epochs=1, batch_size=10, hp=hp))
+    assert [len(batch) for batch in predicted] == [10, 10, 10, 5]
+    assert sorted(key for batch in predicted for key in batch) == sorted(ids(articles))
 
 
 # --------------------------------------------------------------------------
