@@ -205,10 +205,16 @@ class _RowGrad(NamedTuple):
 
 
 def _densify(dense: Optional[np.ndarray], grads: list[_RowGrad], shape) -> np.ndarray:
-    """Scatter-add row gradients into a copy of a dense adjoint (zeros if there is none)."""
-    out = np.zeros(shape) if dense is None else np.array(dense).reshape(shape)
-    np.add.at(out, np.concatenate([g.ids for g in grads]),
-              np.concatenate([g.rows for g in grads]))
+    """Scatter-add row gradients into a new [n, width] array, then add the dense adjoint
+    if there is one. ``np.bincount`` sums each entry from 0.0 in input order, so the
+    scatter is bitwise ``np.add.at`` into zeros, in about half its time."""
+    n, width = shape
+    ids = np.concatenate([g.ids for g in grads])
+    rows = np.concatenate([g.rows for g in grads])
+    out = np.bincount((ids[:, None] * width + np.arange(width)).ravel(), weights=rows.ravel(),
+                      minlength=n * width).astype(np.float64, copy=False).reshape(shape)
+    if dense is not None:
+        out += dense.reshape(shape)
     return out
 
 
@@ -387,6 +393,8 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2 or ids.ndim != 1:
         raise ShapeMismatch(f"gather_rows got table shape {table.shape}, ids shape {ids.shape}")
+    if ids.size and ids.min() < 0:  # the backward scatter counts rows from 0
+        raise IndexError(f"gather_rows got the negative id {ids.min()}")
 
     def backward(g):
         return (_RowGrad(ids, g),)

@@ -50,6 +50,7 @@ from .autodiff import Diverged
 METHODS = ("RotatE", "ModE", "HAKE")
 
 _GRAD_EPS = 1e-30  # keeps sqrt gradients bounded when a distance hits zero
+_SIGN_BIT = np.uint64(1 << 63)  # of a float64 viewed as uint64
 
 
 class TripleFormatError(ValueError):
@@ -505,41 +506,72 @@ def evaluate_completion(
 # Vocabulary-aligned export
 # --------------------------------------------------------------------------
 
-@dataclass
 class KnowledgeEmbeddingTable:
-    """Per-vocabulary-word external-knowledge vectors for one stance."""
+    """Per-vocabulary-word external-knowledge vectors for one stance.
 
-    stance_tag: str
-    vectors: np.ndarray   # [n_words, width]
-    coverage: np.ndarray = field(init=False)  # [n_words] 1.0 at the non-zero rows, else 0.0
+    Only the words that name an entity have a vector, so the table keeps its stored
+    rows: ``_rows`` [1 + S, width] is a row of +0.0 followed by the S rows whose bit
+    pattern is not all zero (a row of -0.0 is stored), in word order, and ``_slot``
+    [n_words] gives each word's row there, 0 for the rest. Memory grows with what the
+    knowledge graph covers, not with the vocabulary. ``rows(ids)`` reads them, and
+    ``vectors`` rebuilds the dense [n_words, width] array as a copy.
+    """
 
-    def __post_init__(self):
-        """Check finite [n_words, width] vectors and derive the coverage from them: an
-        all-zero row is an uncovered word. A NaN row would otherwise reach ``predict``
-        even uncovered, since 0 * NaN is NaN. Raises ValueError naming the stance and
-        the first bad row."""
-        where = f"knowledge table {self.stance_tag!r}"
-        if self.vectors.ndim != 2:
-            raise ValueError(f"{where}: vectors {self.vectors.shape} are not [n_words, width]")
-        bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
-        if bad.size:
-            raise ValueError(f"{where}: row {bad[0]} has a non-finite value")
-        self.coverage = (self.vectors != 0).any(axis=1).astype(np.float64)
+    def __init__(self, stance_tag: str, vectors: np.ndarray):
+        """Check finite [n_words, width] vectors and keep their stored rows. The coverage
+        is 1 exactly at the non-zero rows: an all-zero row is an uncovered word. A NaN
+        row would otherwise reach ``predict`` even uncovered, since 0 * NaN is NaN.
+        Raises ValueError naming the stance and the first bad row."""
+        where = f"knowledge table {stance_tag!r}"
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2:
+            raise ValueError(f"{where}: vectors {vectors.shape} are not [n_words, width]")
+        with np.errstate(over="ignore", invalid="ignore"):  # the scan below names the cause
+            total = vectors.sum()
+        if not np.isfinite(total):  # a finite sum proves every entry finite
+            bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{where}: row {bad[0]} has a non-finite value")
+        # one OR over each row's bits: not 0 marks a stored row, and not 0 without the
+        # sign bit a covered one, since only +0.0 and -0.0 have no other bit set
+        bits = np.bitwise_or.reduce(vectors.view(np.uint64), axis=1)
+        stored = np.flatnonzero(bits)
+        rows = np.empty((1 + stored.size, vectors.shape[1]))
+        rows[0] = 0.0
+        # the ids are in range; "raise" would copy through a buffer, at twice the time
+        np.take(vectors, stored, axis=0, out=rows[1:], mode="clip")
+        slot = np.zeros(len(vectors), dtype=np.intp)
+        slot[stored] = np.arange(1, 1 + stored.size)
+        self._keep(stance_tag, rows, slot, ((bits & ~_SIGN_BIT) != 0).astype(np.float64))
+
+    def _keep(self, stance_tag: str, rows: np.ndarray, slot: np.ndarray, coverage: np.ndarray):
+        self.stance_tag = stance_tag
+        self._rows, self._slot = rows, slot
+        self.coverage = coverage  # [n_words] 1.0 at the non-zero rows, else 0.0
+
+    def rows(self, ids) -> np.ndarray:
+        """The vectors of the words ``ids``, bitwise ``vectors[ids]``."""
+        return self._rows[self._slot[ids]]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """A dense [n_words, width] copy of the table."""
+        return self._rows[self._slot]
 
     @property
     def width(self) -> int:
-        return self.vectors.shape[1]
+        return self._rows.shape[1]
 
     @property
     def n_words(self) -> int:
-        return self.vectors.shape[0]
+        return self._slot.shape[0]
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"stance={self.stance_tag}\n")
             fh.write(f"dim={self.width}\n")
-            for row in self.vectors:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            lines = [" ".join(repr(float(v)) for v in row) + "\n" for row in self._rows]
+            fh.writelines(lines[s] for s in self._slot)
 
     @staticmethod
     def load(path) -> "KnowledgeEmbeddingTable":
@@ -588,7 +620,11 @@ def _bad_row(path, width: int) -> Optional[str]:
 
 
 def zero_table(stance_tag: str, n_words: int, width: int) -> KnowledgeEmbeddingTable:
-    return KnowledgeEmbeddingTable(stance_tag, np.zeros((n_words, width)))
+    """A table that covers no word, built without a dense [n_words, width] array."""
+    table = KnowledgeEmbeddingTable.__new__(KnowledgeEmbeddingTable)
+    table._keep(stance_tag, np.zeros((1, width)), np.zeros(n_words, dtype=np.intp),
+                np.zeros(n_words))
+    return table
 
 
 def load_links(path) -> dict[str, str]:

@@ -177,13 +177,17 @@ class KnowledgeBundle:
     con: KnowledgeEmbeddingTable
 
     def __post_init__(self):
-        shapes = {self.com.vectors.shape, self.lib.vectors.shape, self.con.vectors.shape}
+        shapes = {(t.n_words, t.width) for t in (self.com, self.lib, self.con)}
         if len(shapes) != 1:
             raise ValueError(f"knowledge tables disagree on shape: {shapes}")
 
     @property
     def n_words(self) -> int:
         return self.com.n_words
+
+    @property
+    def width(self) -> int:
+        return self.com.width
 
 
 def zero_bundle(n_words: int, width: int) -> KnowledgeBundle:
@@ -234,11 +238,12 @@ def _mix(base: Tensor, table: KnowledgeEmbeddingTable, ids: np.ndarray,
          w_base: float, w_know: float) -> Tensor:
     """One knowledge-mixing step, gated per word by the table's coverage: covered rows
     scaled by w_base plus w_know times their knowledge vectors, uncovered rows kept.
-    Coverage is 0/1, so the row factors (w_base or 1) and the constant term are exact."""
+    Coverage is 0/1, so the row factors (w_base or 1) and the constant term are exact.
+    ``table.rows(ids)`` reads only the rows of ``ids``, never the dense table."""
     cov = table.coverage[ids]
     if w_know == 0.0 or not cov.any():
         return base
-    know = (w_know * cov)[:, None] * table.vectors[ids]
+    know = (w_know * cov)[:, None] * table.rows(ids)
     return ad.add(ad.scale_rows(base, ad.constant(w_base * cov + (1.0 - cov))),
                   ad.constant(know))
 

@@ -193,6 +193,18 @@ def batch_loss(batch: Sequence[EncodedArticle], params: ModelParams, bundle: Kno
     return ad.scale(md.cross_entropy(probs, [a.label for a in batch]), 1.0 / len(batch))
 
 
+def _check_bundle(params: ModelParams, bundle: KnowledgeBundle, hp: HyperParams) -> None:
+    """In mode All, refuse a bundle that is not [word-table rows, hp.d]: ``predict`` would
+    fail only on a batch that holds a covered word, and then not naming the cause."""
+    if hp.mode != "All":
+        return
+    if bundle.width != hp.d:
+        raise ValueError(f"knowledge tables are {bundle.width} wide, but d = {hp.d}")
+    if bundle.n_words != params.word_table.shape[0]:
+        raise ValueError(f"knowledge tables have {bundle.n_words} words, but the word table "
+                         f"has {params.word_table.shape[0]} rows")
+
+
 def train(
     dataset: list[EncodedArticle],
     bundle: KnowledgeBundle,
@@ -210,6 +222,7 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     hp = cfg.hp
     params = md.init_params(bundle.n_words, hp, seed=cfg.seed)
+    _check_bundle(params, bundle, hp)
     named = list(params.named())
     state = AdamState()
     sched = PlateauState(lr=cfg.lr, patience=cfg.patience, factor=cfg.lr_factor)
@@ -256,6 +269,7 @@ def evaluate_accuracy(
     """
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
+    _check_bundle(params, bundle, hp)
     hits = 0
     for lo in range(0, len(dataset), EVAL_BATCH):
         part = dataset[lo : lo + EVAL_BATCH]

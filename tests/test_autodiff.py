@@ -646,14 +646,22 @@ def test_gather_row_gradients_match_dense_scatter_oracle(shape, data, dense_too,
             tape.backward(loss)
 
     expected = np.zeros(shape)
-    for ids, w in zip(gathers, weights):
+    for ids, w in reversed(list(zip(gathers, weights))):  # backward meets the last gather first
         np.add.at(expected, ids, w)
     if dense_too:
         expected += dense_weight
     expected *= calls * (2.0 if through_scale else 1.0)
     assert isinstance(x.grad, np.ndarray) and x.grad.shape == shape
-    # entries are O(1) sums summed in another order, so an absolute floor covers cancellation
+    if not dense_too:  # the same sums in the same order; the factors are exact
+        assert np.array_equal(x.grad, expected)
+    # the dense adjoint is added after the rows, so entries are O(1) sums summed in
+    # another order, and an absolute floor covers cancellation
     np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_gather_rejects_a_negative_id():
+    with pytest.raises(IndexError, match="^gather_rows got the negative id -1$"):
+        ad.gather_rows(Tensor(np.zeros((3, 2)), requires_grad=True), [0, -1])
 
 
 def test_gather_backward_memory_does_not_grow_with_gathers():

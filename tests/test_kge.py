@@ -7,6 +7,7 @@ ranking oracle enumerates and sorts every corruption by brute force.
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -907,6 +908,38 @@ class TestTableInvariant:
         with pytest.raises(ValueError, match=r"^knowledge table 'liberal': row 2 has a "
                                              r"non-finite value$"):
             kge.KnowledgeEmbeddingTable("liberal", vectors)
+
+    @settings(max_examples=80, deadline=None)
+    @given(width=st.integers(1, 4), data=st.data())
+    def test_rows_and_vectors_are_the_input_bitwise(self, width, data):
+        """The table keeps only its stored rows, yet ``rows(ids)`` (repeated ids too) and
+        ``vectors`` give the input back byte for byte, and ``vectors`` is a copy."""
+        value = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 0.75, -3.0])
+        row = st.one_of(st.just([0.0] * width), st.just([-0.0] * width),
+                        st.just([5e-324] * width), st.lists(value, min_size=width, max_size=width))
+        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+        ids = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12)),
+                       dtype=np.int64)
+        vectors = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        table = kge.KnowledgeEmbeddingTable("common", vectors)
+        expected = vectors.tobytes()
+        assert table.rows(ids).shape == (len(ids), width)
+        assert table.rows(ids).tobytes() == vectors[ids].tobytes()
+        dense = table.vectors
+        assert dense.shape == vectors.shape and dense.tobytes() == expected
+        dense[:] = 7.0
+        vectors[:] = 7.0
+        assert table.vectors.tobytes() == expected
+
+    def test_zero_table_allocates_no_dense_array(self):
+        tracemalloc.start()
+        try:
+            table = kge.zero_table("common", 20_000, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (table.n_words, table.width) == (20_000, 16) and not table.coverage.any()
+        assert peak < 20_000 * 16 * 8 // 4
 
     @pytest.mark.parametrize("vectors", [np.zeros(3), np.zeros((3, 2, 1))])
     def test_shapes_that_do_not_fit_are_refused(self, vectors):

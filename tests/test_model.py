@@ -188,6 +188,29 @@ class TestInjectKnowledge:
         with pytest.raises(ValueError):
             inject_knowledge([0], params, zero_bundle(5, hp.d), 1.2, 0.5)
 
+    def test_bundle_holds_its_stored_rows_only(self):
+        """Three 20,000 x 16 tables that cover 10 words each, their bundle and an injection
+        on 100 ids hold less than one dense table once construction has returned."""
+        n_words, width = 20_000, 16
+        rng = np.random.default_rng(4)
+        params = init_params(n_words, tiny_hp(d=width), seed=0)
+        ids = rng.choice(n_words, 100, replace=False)
+        tracemalloc.start()
+        try:
+            tables = []
+            for tag in ("common", "liberal", "conservative"):
+                vectors = np.zeros((n_words, width))
+                vectors[ids[:10]] = rng.uniform(-1, 1, (10, width))
+                tables.append(KnowledgeEmbeddingTable(tag, vectors))
+            del vectors
+            bundle = KnowledgeBundle(*tables)
+            out = inject_knowledge(ids, params, bundle, 0.3, 0.6)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (100, width) and bundle.com.coverage.sum() == 10
+        assert held < n_words * width * 8
+
 
 def scaled_mix(base, table, ids, w_base, w_know):
     """Knowledge mixing as two blends gated by coverage: the path ``md._mix`` replaces,

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -575,8 +576,32 @@ class TestTrain:
         _, reports = train(encoded[:8], bundle, cfg)
         assert all(math.isnan(r.val_acc) for r in reports)
 
+    @pytest.mark.parametrize("bundle_of", [
+        lambda n: zero_bundle(n, 32),
+        lambda n: make_planted_bundle(n, {5: 0, 6: 1}, 32),
+    ], ids=["uncovered", "covered"])
+    def test_knowledge_width_other_than_d_rejected_before_training(self, bundle_of):
+        """Whether a batch holds a covered word does not decide whether a bundle of the
+        wrong width fails: mode All refuses it up front, naming both widths."""
+        vocab, encoded, hp = encoded_synthetic(8)
+        cfg = TrainConfig(epochs=1, hp=hp)
+        with pytest.raises(ValueError, match=r"^knowledge tables are 32 wide, but d = 16$"):
+            train(encoded, bundle_of(len(vocab)), cfg)
+        train(encoded, bundle_of(len(vocab)), replace(cfg, hp=replace(hp, mode="WST")))
+
 
 class TestEvaluateAccuracy:
+    @pytest.mark.parametrize("words,width,message", [
+        (-10, 16, r"^knowledge tables have \d+ words, but the word table has \d+ rows$"),
+        (0, 8, r"^knowledge tables are 8 wide, but d = 16$"),
+    ], ids=["words", "width"])
+    def test_bundle_that_does_not_fit_the_model_rejected(self, words, width, message):
+        vocab, encoded, hp = encoded_synthetic(8)
+        params = init_params(len(vocab), hp, seed=0)
+        bundle = zero_bundle(len(vocab) + words, width)
+        with pytest.raises(ValueError, match=message):
+            evaluate_accuracy(params, bundle, encoded, hp)
+        evaluate_accuracy(params, bundle, encoded, replace(hp, mode="WST"))
     def test_uniform_model_ties_break_to_class_zero(self):
         vocab, encoded, hp = encoded_synthetic(10)
         params = init_params(len(vocab), hp, seed=0)
