@@ -20,10 +20,14 @@ as soon as the forward code drops it. A key is a serial number per Tensor,
 which, unlike ``id()``, no later tensor reuses.
 
 Most backward closures return a dense gradient of their input's shape.
-``gather_rows`` instead returns a row gradient (ids, rows), so a gather
+``gather_rows`` instead returns a ``RowGrad`` (ids, rows), so a gather
 from a large table costs the rows it touched, not the table. The tape
-collects the row gradients of each tensor and densifies them once, into
-that tensor's dense adjoint; ``grad`` is always a dense array.
+collects the row gradients of each tensor. A leaf that gets nothing else,
+and has no ``grad`` yet, keeps them as its ``grad``: one ``RowGrad`` with
+sorted distinct ids and summed rows, which ``training.adam_step`` reads as
+it is. Any other tensor densifies them once, into its dense adjoint. So a
+``grad`` is a dense array or a ``RowGrad``, and ``Tensor.dense_grad``
+returns it as an array.
 
 Ops take Tensors, never converting an array. Every masked op reads packed rows,
 one per 1 of an [N, m] 0/1 mask, in mask order: ``split_heads`` and ``merge_heads``
@@ -68,7 +72,7 @@ class Tensor:
         if self.data.ndim > 3:
             raise ShapeMismatch(f"tensors are rank <= 3, got shape {self.data.shape}")
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
+        self.grad: Optional[np.ndarray | RowGrad] = None
         self._key = next(_SERIAL)  # the tensor's name on a tape
 
     @property
@@ -81,6 +85,10 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
+
+    def dense_grad(self) -> Optional[np.ndarray]:
+        """``grad`` as an array: a ``RowGrad`` densified, None when there is no grad."""
+        return self.grad.dense() if isinstance(self.grad, RowGrad) else self.grad
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -153,9 +161,12 @@ class Tape:
         The per-call adjoints are kept in a local map, so calling backward
         twice without zeroing grads adds the same contribution twice. A
         non-leaf's adjoint is dropped once its record has run. Row
-        gradients from ``gather_rows`` are collected per tensor and
-        densified once: for a non-leaf when its own record is reached, for
-        a leaf when the leaves are written.
+        gradients from ``gather_rows`` are collected per tensor. A non-leaf
+        densifies them when its own record is reached. A leaf with no dense
+        adjoint and no ``grad`` yet gets them as its ``grad``, summed into
+        one ``RowGrad`` of sorted distinct ids; any other leaf densifies
+        them. Both sum each entry from 0.0 in the order backward met the
+        gathers, so ``RowGrad.dense`` of the one is bitwise the other.
 
         An adjoint is stored as the op returned it, uncopied, so it may be
         an array the op also handed to another input (``add`` hands the
@@ -168,7 +179,7 @@ class Tape:
             raise ValueError("loss was not produced by ops recorded on this tape")
 
         adjoint: dict[int, np.ndarray] = {loss._key: np.ones((), dtype=np.float64)}
-        row_grads: dict[int, list[_RowGrad]] = {}
+        row_grads: dict[int, list[RowGrad]] = {}
         for in_keys, key, shape, back in reversed(self._records):
             if key in row_grads:
                 adjoint[key] = _densify(adjoint.get(key), row_grads.pop(key), shape)
@@ -178,7 +189,7 @@ class Tape:
             for in_key, g in zip(in_keys, back(out_adj)):
                 if in_key is None or g is None:
                     continue
-                if isinstance(g, _RowGrad):
+                if isinstance(g, RowGrad):
                     row_grads.setdefault(in_key, []).append(g)
                 elif in_key in adjoint:
                     adjoint[in_key] = adjoint[in_key] + g
@@ -186,33 +197,56 @@ class Tape:
                     adjoint[in_key] = g
         # every key left is a leaf's: a produced key was popped at its own record
         for key, t in self._leaves.items():
-            if key in row_grads:
-                g = _densify(adjoint.get(key), row_grads[key], t.data.shape)
-            elif key in adjoint:
-                g = adjoint[key].reshape(t.data.shape)
+            rows, dense = row_grads.get(key), adjoint.get(key)
+            if rows is not None and dense is None and t.grad is None:
+                t.grad = _summed(rows, len(t.data))
+                continue
+            if rows is not None:
+                g = _densify(dense, rows, t.data.shape)
+            elif dense is not None:
+                g = dense.reshape(t.data.shape)
                 if t.grad is None:
                     g = g.copy()
             else:
                 continue
-            t.grad = g if t.grad is None else t.grad + g
+            t.grad = g if t.grad is None else t.dense_grad() + g
 
 
-class _RowGrad(NamedTuple):
-    """A table gradient, zero outside the gathered rows: ``rows[i]`` adds to row ``ids[i]``."""
+class RowGrad(NamedTuple):
+    """The gradient of an [n, width] table, zero outside some rows: ``rows[i]`` adds to
+    row ``ids[i]``. A leaf's ``grad`` holds one with sorted distinct ids."""
 
     ids: np.ndarray
     rows: np.ndarray
+    n: int
+
+    def dense(self) -> np.ndarray:
+        """The gradient as a new [n, width] array."""
+        return _scatter(self.ids, self.rows, self.n)
 
 
-def _densify(dense: Optional[np.ndarray], grads: list[_RowGrad], shape) -> np.ndarray:
-    """Scatter-add row gradients into a new [n, width] array, then add the dense adjoint
-    if there is one. ``np.bincount`` sums each entry from 0.0 in input order, so the
-    scatter is bitwise ``np.add.at`` into zeros, in about half its time."""
-    n, width = shape
-    ids = np.concatenate([g.ids for g in grads])
-    rows = np.concatenate([g.rows for g in grads])
-    out = np.bincount((ids[:, None] * width + np.arange(width)).ravel(), weights=rows.ravel(),
-                      minlength=n * width).astype(np.float64, copy=False).reshape(shape)
+def _scatter(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Scatter-add ``rows[i]`` into row ``ids[i]`` of a new [n, width] array.
+    ``np.bincount`` sums each entry from 0.0 in input order, so this is bitwise
+    ``np.add.at`` into zeros, in about half its time."""
+    width = rows.shape[1]
+    return np.bincount((ids[:, None] * width + np.arange(width)).ravel(), weights=rows.ravel(),
+                       minlength=n * width).astype(np.float64, copy=False).reshape(n, width)
+
+
+def _summed(grads: list[RowGrad], n: int) -> RowGrad:
+    """The row gradients as one, with sorted distinct ids: each entry summed from 0.0 in
+    list order, as ``_densify`` sums it, so never -0.0."""
+    unique, inverse = np.unique(np.concatenate([g.ids for g in grads]), return_inverse=True)
+    return RowGrad(unique, _scatter(inverse, np.concatenate([g.rows for g in grads]),
+                                    unique.size), n)
+
+
+def _densify(dense: Optional[np.ndarray], grads: list[RowGrad], shape) -> np.ndarray:
+    """Scatter-add row gradients into a new array of the 2-D ``shape``, then add the
+    dense adjoint if there is one."""
+    out = _scatter(np.concatenate([g.ids for g in grads]),
+                   np.concatenate([g.rows for g in grads]), shape[0])
     if dense is not None:
         out += dense.reshape(shape)
     return out
@@ -389,15 +423,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Select rows of a rank-2 table by integer index; its gradient is a ``_RowGrad``."""
+    """Select rows of a rank-2 table by integer index; its gradient is a ``RowGrad``."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2 or ids.ndim != 1:
         raise ShapeMismatch(f"gather_rows got table shape {table.shape}, ids shape {ids.shape}")
     if ids.size and ids.min() < 0:  # the backward scatter counts rows from 0
         raise IndexError(f"gather_rows got the negative id {ids.min()}")
 
+    n = len(table.data)
+
     def backward(g):
-        return (_RowGrad(ids, g),)
+        return (RowGrad(ids, g, n),)
 
     return _emit((table,), table.data[ids], backward)
 
@@ -537,7 +573,8 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
     with Tape() as tape:
         out = f(x)
         tape.backward(out)
-    analytic = (x.grad if x.grad is not None else np.zeros_like(x.data)).reshape(-1).copy()
+    analytic = x.dense_grad()
+    analytic = (analytic if analytic is not None else np.zeros_like(x.data)).reshape(-1).copy()
     x.grad = saved_grad
 
     flat = x.data.reshape(-1)

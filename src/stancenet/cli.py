@@ -88,17 +88,16 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+    for lineno, line in td.text_lines(path, ConfigError):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, raw)
     return values
 
 

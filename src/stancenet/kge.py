@@ -46,6 +46,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .autodiff import Diverged
+from .textdata import not_utf8, text_lines
 
 METHODS = ("RotatE", "ModE", "HAKE")
 
@@ -81,17 +82,17 @@ class TripleStore:
 def _tsv_rows(path, width: int, expected: str) -> Iterator[list[str]]:
     """The tab-separated fields of each line of a text file, skipping blank and '#'
     lines. A line without ``width`` fields raises TripleFormatError
-    ``{path}:{line}: expected {expected}``, the field count formatted into ``expected``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != width:
-                raise TripleFormatError(
-                    f"{path}:{lineno}: expected {expected.format(len(fields))}")
-            yield fields
+    ``{path}:{line}: expected {expected}``, the field count formatted into ``expected``;
+    a line that is not UTF-8 raises it too, naming the line."""
+    for lineno, line in text_lines(path, TripleFormatError):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise TripleFormatError(
+                f"{path}:{lineno}: expected {expected.format(len(fields))}")
+        yield fields
 
 
 def load_triples(path, stance_tag: str) -> TripleStore:
@@ -575,21 +576,26 @@ class KnowledgeEmbeddingTable:
 
     @staticmethod
     def load(path) -> "KnowledgeEmbeddingTable":
-        with open(path, encoding="utf-8") as fh:
-            stance_line = fh.readline().strip()
-            dim_line = fh.readline().strip()
-            if not stance_line.startswith("stance=") or not dim_line.startswith("dim="):
-                raise ValueError(f"{path}: expected 'stance=' and 'dim=' header lines")
-            stance, dim = stance_line.split("=", 1)[1], dim_line.split("=", 1)[1].strip()
-            if not dim.isdecimal() or int(dim) < 1:
-                raise ValueError(f"{path}: header {dim_line!r} is not dim=<integer >= 1>")
-            width = int(dim)
-            try:
-                with warnings.catch_warnings():  # a header-only table is valid
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    vectors = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
-            except ValueError as err:
-                raise ValueError(_bad_row(path, width) or f"{path}: {err}") from err
+        """Read a table file; a malformed one raises ValueError naming the file, and the
+        row or the line at fault."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                stance_line = fh.readline().strip()
+                dim_line = fh.readline().strip()
+                if not stance_line.startswith("stance=") or not dim_line.startswith("dim="):
+                    raise ValueError(f"{path}: expected 'stance=' and 'dim=' header lines")
+                stance, dim = stance_line.split("=", 1)[1], dim_line.split("=", 1)[1].strip()
+                if not dim.isdecimal() or int(dim) < 1:
+                    raise ValueError(f"{path}: header {dim_line!r} is not dim=<integer >= 1>")
+                width = int(dim)
+                try:
+                    with warnings.catch_warnings():  # a header-only table is valid
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        vectors = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
+                except ValueError as err:  # _bad_row meets a decode error again
+                    raise ValueError(_bad_row(path, width) or f"{path}: {err}") from err
+        except UnicodeDecodeError as err:
+            raise ValueError(not_utf8(path)) from err
         if vectors.size == 0:
             vectors = np.zeros((0, width))
         elif vectors.shape[1] != width:

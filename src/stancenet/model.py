@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DegenerateInput, Tensor
 from .kge import KnowledgeEmbeddingTable, zero_table
-from .textdata import PAD_ID, EncodedArticle
+from .textdata import PAD_ID, EncodedArticle, npz_array, open_npz
 
 MODES = ("W", "WS", "WST", "All")
 TITLE_MODES = ("WST", "All")  # the modes whose title level reads the article's title
@@ -444,14 +444,14 @@ def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams, int]:
     """Parameters, hyperparameters and seed of a checkpoint of the current format.
 
-    Another format (an older stancenet's), a missing manifest key, or an array missing,
-    shaped unlike the manifest's parameters or holding a non-finite value raises a
-    ValueError naming the file.
+    A file that is not a readable .npz archive, another format (an older stancenet's), a
+    missing manifest key, or an array missing, unreadable, shaped unlike the manifest's
+    parameters or holding a non-finite value raises a ValueError naming the file.
     """
-    with np.load(path) as data:
+    with open_npz(path, ValueError) as data:
         if "manifest" not in data.files:
             raise ValueError(f"{path}: not a stancenet checkpoint (no manifest array)")
-        manifest = json.loads(bytes(data["manifest"]).decode())
+        manifest = json.loads(bytes(npz_array(data, "manifest", path, ValueError)).decode())
         if manifest.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: an older stancenet wrote this checkpoint (manifest "
                              f"'format' {manifest.get('format')!r}, not {CHECKPOINT_FORMAT}); "
@@ -464,7 +464,7 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams, int]:
         def saved(name, shape, blocks=1):
             if f"param:{name}" not in data.files:
                 raise ValueError(f"{path}: checkpoint has no array for parameter {name!r}")
-            array = data[f"param:{name}"]
+            array = npz_array(data, f"param:{name}", path, ValueError)
             if array.shape != shape:
                 raise ValueError(f"{path}: parameter {name!r} has shape {array.shape}, "
                                  f"but the manifest implies {shape}")

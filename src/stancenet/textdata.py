@@ -15,8 +15,9 @@ acceptance suite, and to fold construction for cross-validation.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -36,6 +37,53 @@ class CorpusFormatError(ValueError):
 
 class EncodeError(ValueError):
     """An article that cannot be encoded (e.g. empty body)."""
+
+
+def text_lines(path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
+    """The lines of a UTF-8 text file, numbered from 1. A byte sequence that is not
+    UTF-8 raises ``error`` with ``not_utf8``'s message."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as err:
+            raise error(not_utf8(path)) from err
+
+
+def not_utf8(path) -> str:
+    """``{path}:{line}: ...`` naming the first line of a file that is not UTF-8. The
+    decoder reads ahead, so the line is found by decoding each line's bytes; no UTF-8
+    sequence holds a newline byte. Read only after a decode has failed."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return f"{path}:{lineno}: not UTF-8 text ({err})"
+    return f"{path}: not UTF-8 text"
+
+
+# what np.load and an archive member read raise on a file that is not a whole .npz
+_NPZ_ERRORS = (zipfile.BadZipFile, EOFError, OSError, ValueError)
+
+
+def open_npz(path, error: type[ValueError]):
+    """``np.load(path)`` without pickles; a file that is not a readable .npz archive
+    (cut short, not a zip, a pickle) raises ``error`` naming the file."""
+    try:
+        return np.load(path)
+    except FileNotFoundError:
+        raise
+    except _NPZ_ERRORS as err:
+        raise error(f"{path}: not a readable .npz archive ({err})") from err
+
+
+def npz_array(data, key: str, path, error: type[ValueError]) -> np.ndarray:
+    """Array ``key`` of an open archive; one that cannot be read (an object array, a
+    damaged member) raises ``error`` naming the file and the array."""
+    try:
+        return data[key]
+    except _NPZ_ERRORS as err:
+        raise error(f"{path}: array {key!r} cannot be read: {err}") from err
 
 
 @dataclass
@@ -65,8 +113,8 @@ class Vocabulary:
 
     @staticmethod
     def load(path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.strip()]
+        tokens = [line.rstrip("\n") for _, line in text_lines(path, CorpusFormatError)
+                  if line.strip()]
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise CorpusFormatError(f"{path}: vocabulary must start with {PAD_TOKEN}, {UNK_TOKEN}")
         token_to_id = {t: i for i, t in enumerate(tokens)}
@@ -188,31 +236,30 @@ def load_corpus(path) -> tuple[list[RawArticle], int]:
     """
     articles: list[RawArticle] = []
     declared: Optional[int] = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.startswith("classes="):
-                try:
-                    declared = int(line.split("=", 1)[1])
-                except ValueError:
-                    raise CorpusFormatError(f"{path}:{lineno}: bad classes header {line!r}")
-                continue
+    for lineno, line in text_lines(path, CorpusFormatError):
+        line = line.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.startswith("classes="):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({err.msg})")
-            if not isinstance(record, dict) or set(record) != {"title", "body", "label"}:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected exactly the keys title/body/label"
-                )
-            if type(record["label"]) is not int or record["label"] < 0:  # bool is an int
-                raise CorpusFormatError(f"{path}:{lineno}: label must be a non-negative integer")
-            for key in ("title", "body"):
-                if not isinstance(record[key], str):
-                    raise CorpusFormatError(f"{path}:{lineno}: {key} must be a string")
-            articles.append(RawArticle(record["title"], record["body"], record["label"]))
+                declared = int(line.split("=", 1)[1])
+            except ValueError:
+                raise CorpusFormatError(f"{path}:{lineno}: bad classes header {line!r}")
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({err.msg})")
+        if not isinstance(record, dict) or set(record) != {"title", "body", "label"}:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected exactly the keys title/body/label"
+            )
+        if type(record["label"]) is not int or record["label"] < 0:  # bool is an int
+            raise CorpusFormatError(f"{path}:{lineno}: label must be a non-negative integer")
+        for key in ("title", "body"):
+            if not isinstance(record[key], str):
+                raise CorpusFormatError(f"{path}:{lineno}: {key} must be a string")
+        articles.append(RawArticle(record["title"], record["body"], record["label"]))
     if not articles:
         raise CorpusFormatError(f"{path}: no articles found")
     classes = declared if declared is not None else max(a.label for a in articles) + 1
@@ -260,7 +307,8 @@ def load_encoded(path) -> tuple[list[EncodedArticle], int]:
     ``labels`` and ``classes`` arrays. Any other array is ignored, so the mask arrays
     that older files also hold change nothing: the masks are derived from the ids.
 
-    A missing or unreadable array, an array of the wrong rank or of a non-integer
+    A file that is not a readable .npz archive, a missing or unreadable array, an
+    array of the wrong rank or of a non-integer
     dtype, arrays that disagree on the article count or on the sentence width ``n``,
     a label outside ``[0, classes)``, or an article with no word (only PAD_ID in its
     sentences) raises CorpusFormatError naming the file, and the array or the article.
@@ -270,14 +318,11 @@ def load_encoded(path) -> tuple[list[EncodedArticle], int]:
     lookup per article would hold memory growing with the square of the count.
     """
     arrays = {}
-    with np.load(path) as data:
+    with open_npz(path, CorpusFormatError) as data:
         for key, rank in _ENCODED_RANKS.items():
             if key not in data.files:
                 raise CorpusFormatError(f"{path}: not an encoded corpus (no {key!r} array)")
-            try:
-                arr = data[key]
-            except ValueError as err:  # e.g. an object array, which needs pickle to load
-                raise CorpusFormatError(f"{path}: array {key!r} cannot be read: {err}") from err
+            arr = npz_array(data, key, path, CorpusFormatError)
             if arr.ndim != rank or not np.issubdtype(arr.dtype, np.integer):
                 raise CorpusFormatError(f"{path}: array {key!r} must be a rank-{rank} integer "
                                         f"array, not a rank-{arr.ndim} {arr.dtype} one")

@@ -89,7 +89,7 @@ _ADAM_BLOCK = 32768  # elements per row block: two block-sized scratch buffers s
 
 def adam_step(
     params: Sequence[tuple[str, Tensor]],
-    grads: Sequence[np.ndarray],
+    grads: Sequence[Optional[np.ndarray | ad.RowGrad]],
     state: AdamState,
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
@@ -107,13 +107,22 @@ def adam_step(
     scratch buffers, so no parameter-sized temporary is made. A
     non-finite gradient raises ``Diverged`` before its parameter, m or v
     change.
+
+    A gradient may be an ``autodiff.RowGrad`` with sorted distinct ids, as
+    ``Tape.backward`` leaves on a gathered table: every row is still
+    updated. Its dense form is 0.0 off its rows and its summed rows
+    (never -0.0) on them, so each block computes ``(wd*x + 0.0) + rows``
+    (``0.0 + rows`` at wd = 0), bitwise the dense ``grad + wd*x``, signed
+    zeros included, and the finiteness check reads the rows alone.
     """
     b1, b2 = betas
     for (name, tensor), grad in zip(params, grads):
         if grad is None:
             continue
+        row_grad = grad if isinstance(grad, ad.RowGrad) else None
+        stored = grad if row_grad is None else row_grad.rows
         # a finite sum proves every entry finite; only an overflow needs the full check
-        if not np.isfinite(grad.sum()) and not np.isfinite(grad).all():
+        if not np.isfinite(stored.sum()) and not np.isfinite(stored).all():
             raise ad.Diverged(f"training diverged: non-finite gradient for parameter "
                               f"{name!r}; lower lr (now {lr!r})")
         if name not in state.m:
@@ -123,16 +132,28 @@ def adam_step(
         state.t[name] += 1
         t = state.t[name]
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-        x, grad, m, v = (np.atleast_1d(arr) for arr in (tensor.data, grad, state.m[name],
-                                                        state.v[name]))
+        x, m, v = (np.atleast_1d(arr) for arr in (tensor.data, state.m[name], state.v[name]))
+        if row_grad is None:
+            grad = np.atleast_1d(grad)
         rows = max(1, _ADAM_BLOCK // max(1, math.prod(x.shape[1:])))
         a = np.empty((min(rows, len(x)),) + x.shape[1:])
         b = np.empty_like(a)
         for lo in range(0, len(x), rows):
-            xs, gs, ms, vs = (arr[lo : lo + rows] for arr in (x, grad, m, v))
+            xs, ms, vs = (arr[lo : lo + rows] for arr in (x, m, v))
             a_, b_ = a[: len(xs)], b[: len(xs)]
-            if weight_decay != 0.0:  # g = grad + wd*x
-                gs = np.add(gs, np.multiply(weight_decay, xs, out=a_), out=a_)
+            if row_grad is not None:  # g = (wd*x + 0.0) + rows, into a
+                if weight_decay != 0.0:
+                    np.multiply(weight_decay, xs, out=a_)
+                    a_ += 0.0
+                else:
+                    a_.fill(0.0)
+                i, j = np.searchsorted(row_grad.ids, (lo, lo + len(xs)))
+                a_[row_grad.ids[i:j] - lo] += row_grad.rows[i:j]
+                gs = a_
+            else:
+                gs = grad[lo : lo + rows]
+                if weight_decay != 0.0:  # g = grad + wd*x
+                    gs = np.add(gs, np.multiply(weight_decay, xs, out=a_), out=a_)
             np.multiply(b1, ms, out=ms)  # m = b1*m + (1-b1)*g
             ms += np.multiply(1.0 - b1, gs, out=b_)
             np.multiply(gs, gs, out=b_)  # v = b2*v + (1-b2)*(g*g)

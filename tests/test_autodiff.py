@@ -628,7 +628,9 @@ def test_non_row_broadcastable_shapes_rejected(op, a, b):
 def test_gather_row_gradients_match_dense_scatter_oracle(shape, data, dense_too, through_scale,
                                                          calls, seed):
     """Row gradients of gathers, mixed or not with a dense use of the same tensor, on a leaf
-    or a non-leaf, and accumulated over repeated backward calls, equal a dense scatter-add."""
+    or a non-leaf, and accumulated over repeated backward calls, equal a dense scatter-add.
+    A leaf that gets only row gradients, and no earlier grad, keeps them as one RowGrad
+    over the distinct gathered ids."""
     gathers = data.draw(st.lists(st.lists(st.integers(0, shape[0] - 1), min_size=1, max_size=8),
                                  min_size=1, max_size=3))
     rng = np.random.default_rng(seed)
@@ -651,12 +653,17 @@ def test_gather_row_gradients_match_dense_scatter_oracle(shape, data, dense_too,
     if dense_too:
         expected += dense_weight
     expected *= calls * (2.0 if through_scale else 1.0)
-    assert isinstance(x.grad, np.ndarray) and x.grad.shape == shape
+    rows_only = calls == 1 and not dense_too and not through_scale
+    assert isinstance(x.grad, ad.RowGrad) == rows_only
+    if rows_only:
+        assert np.array_equal(x.grad.ids, np.unique(np.concatenate(gathers)))
+    grad = x.dense_grad()
+    assert isinstance(grad, np.ndarray) and grad.shape == shape
     if not dense_too:  # the same sums in the same order; the factors are exact
-        assert np.array_equal(x.grad, expected)
+        assert np.array_equal(grad, expected)
     # the dense adjoint is added after the rows, so entries are O(1) sums summed in
     # another order, and an absolute floor covers cancellation
-    np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_gather_rejects_a_negative_id():
@@ -680,7 +687,7 @@ def test_gather_backward_memory_does_not_grow_with_gathers():
     finally:
         tracemalloc.stop()
     counts = np.bincount(np.concatenate(gathers), minlength=20_000).astype(np.float64)
-    assert np.array_equal(x.grad, np.repeat(counts[:, None], 16, axis=1))
+    assert np.array_equal(x.dense_grad(), np.repeat(counts[:, None], 16, axis=1))
     assert peak < 2 * x.data.nbytes
 
 

@@ -19,7 +19,7 @@ from stancenet import kge as kg
 from stancenet import model as md
 from stancenet import textdata as td
 from stancenet.autodiff import DegenerateInput, ShapeMismatch
-from stancenet.cli import build_config, main, make_parser
+from stancenet.cli import ConfigError, build_config, main, make_parser, parse_config_file
 from stancenet.kge import KgeConfig, KnowledgeEmbeddingTable
 from stancenet.textdata import RawArticle, save_corpus
 
@@ -910,6 +910,64 @@ class TestLoadBoundary:
         assert rc == 2
         assert f"error: {corpus}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command,archive", [("train", "corpus"), ("eval", "corpus"),
+                                                 ("eval", "checkpoint")])
+    def test_archive_cut_short_exits_2_naming_file(self, tmp_path, capsys, command, archive):
+        """A corpus or checkpoint cut at any offset (empty, inside the zip magic, inside a
+        member, one byte short) is a user error naming the file, not an internal
+        BadZipFile or EOFError (exit 1)."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        extra = self.command_args(tmp_path, pre, command)
+        path = Path(extra[1]) if archive == "checkpoint" else pre / "corpus.npz"
+        whole = path.read_bytes()
+        for cut in (0, 1, 3, 4, 100, len(whole) // 2, len(whole) - 1):
+            path.write_bytes(whole[:cut])
+            capsys.readouterr()
+            rc = main([command, "--corpus", str(pre / "corpus.npz"),
+                       "--vocab", str(pre / "vocab.txt"), "--no-knowledge", *extra])
+            err = capsys.readouterr().err
+            assert rc == 2, (cut, err)
+            assert err.startswith(f"error: {path}: "), (cut, err)
+            assert not (tmp_path / "run").exists()
+
+    # each loader of a text file, a valid line for it, its error class and its header
+    TEXT_LOADERS = {
+        "vocabulary": (td.Vocabulary.load, "w{i}", td.CorpusFormatError, ["<pad>", "<unk>"]),
+        "corpus": (td.load_corpus, '{{"title": "t", "body": "w{i}", "label": 0}}',
+                   td.CorpusFormatError, []),
+        "config": (parse_config_file, "seed = {i}", ConfigError, []),
+        "triples": (lambda path: kg.load_triples(path, "common"), "e{i}\tr\te0",
+                    kg.TripleFormatError, []),
+        "entity links": (kg.load_links, "w{i}\te{i}", kg.TripleFormatError, []),
+        "table": (KnowledgeEmbeddingTable.load, "0.5 -0.{i}", ValueError,
+                  ["stance=common", "dim=2"]),
+    }
+
+    @pytest.mark.parametrize("loader", list(TEXT_LOADERS))
+    @pytest.mark.parametrize("line", [1, 2, 1500])
+    def test_text_that_is_not_utf8_names_file_and_line(self, tmp_path, loader, line):
+        """A byte sequence that is not UTF-8 raises the loader's own error naming the file
+        and the line; at line 1,500 the decoder has read past many valid lines first."""
+        load, template, error, header = self.TEXT_LOADERS[loader]
+        lines = [text.encode() for text in header]
+        lines += [template.format(i=i).encode() for i in range(2000)]
+        lines.insert(line - 1, b"\xff\xfe not text")
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(error) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}:{line}: not UTF-8 text (")
+
+    def test_vocabulary_that_is_not_utf8_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        vocab = pre / "vocab.txt"
+        vocab.write_bytes(b"\xff\xfe" + vocab.read_bytes())
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(pre / "corpus.npz"), "--vocab", str(vocab),
+                   "--no-knowledge", *self.command_args(tmp_path, pre, "train")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {vocab}:1: not UTF-8 text (")
 
     @staticmethod
     @functools.cache

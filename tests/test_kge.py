@@ -424,8 +424,8 @@ def reference_train_kge(store, config):
             losses.append(float(loss.data))
             for p in (ent, rel):
                 if p.grad is not None:
-                    assert np.all(np.isfinite(p.grad))
-                    p.data -= config.lr * p.grad
+                    assert np.all(np.isfinite(p.dense_grad()))
+                    p.data -= config.lr * p.dense_grad()
                     p.zero_grad()
             if config.method == "RotatE":
                 rel.data[:] = kge._wrap_phase(rel.data)

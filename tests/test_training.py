@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -118,7 +119,7 @@ def loss_and_grads(loss_of, params):
     with Tape() as tape:
         loss = loss_of()
         tape.backward(loss)
-    return loss.data, [np.zeros(t.shape) if t.grad is None else t.grad.copy()
+    return loss.data, [np.zeros(t.shape) if t.grad is None else t.dense_grad().copy()
                        for t in params.tensors()]
 
 
@@ -225,7 +226,7 @@ def taped_loss_bytes(batch, params, bundle, hp):
         loss = batch_loss(batch, params, bundle, hp)
         tape.backward(loss)
     return len(tape), [loss.data.tobytes()] + [
-        None if t.grad is None else t.grad.tobytes() for t in params.tensors()]
+        None if t.grad is None else t.dense_grad().tobytes() for t in params.tensors()]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -442,6 +443,121 @@ class TestBlockedAdam:
             adam_step([("p", x)], [grad], AdamState(), lr=0.1)
             reference_adam_step([("p", y)], [grad], AdamState(), lr=0.1)
         assert x.data.tobytes() == y.data.tobytes()
+
+
+class TestRowGradientAdam:
+    """adam_step on the RowGrad that backward leaves on a gathered table is bitwise
+    adam_step on that gradient's dense copy: parameter, m and v."""
+
+    # signed zeros, subnormals, and values whose decay underflows to a signed zero
+    SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1.0, -1e-3])
+
+    @classmethod
+    def values(cls, rng, shape):
+        out = rng.uniform(-1, 1, shape)
+        pick = rng.random(shape) < 0.5
+        out[pick] = rng.choice(cls.SPECIALS, int(pick.sum()))
+        return out
+
+    @staticmethod
+    def row_grad(table: Tensor, gathers, weights) -> ad.RowGrad:
+        """The grad backward leaves on ``table`` for sum_k <gather_rows(table, ids_k), w_k>:
+        the rows it sums are the w_k, bit for bit."""
+        with Tape() as tape:
+            terms = [ad.sum_all(ad.mul(ad.gather_rows(table, ids), Tensor(w)))
+                     for ids, w in zip(gathers, weights)]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = ad.add(loss, term)
+            tape.backward(loss)
+        grad, table.grad = table.grad, None
+        assert isinstance(grad, ad.RowGrad)
+        return grad
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.integers(1, 40), st.integers(1, 5)),
+                           st.just((1_500, 64))),  # three real blocks of 512 rows
+           block=st.sampled_from([1, 3, 8, None]), weight_decay=st.sampled_from([0.0, 5e-2]),
+           steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_row_gradient_is_bitwise_its_dense_copy(self, shape, block, weight_decay, steps,
+                                                    seed, data):
+        rng = np.random.default_rng(seed)
+        x = Tensor(self.values(rng, shape), requires_grad=True)
+        y = Tensor(x.data.copy(), requires_grad=True)
+        got_state, want_state = AdamState(), AdamState()
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:  # row blocks of a few elements
+                mp.setattr(tr, "_ADAM_BLOCK", block)
+            for _ in range(steps):
+                gathers = data.draw(st.lists(st.lists(st.integers(0, shape[0] - 1),
+                                                      min_size=0, max_size=12),
+                                             min_size=1, max_size=3), label="gathers")
+                grad = self.row_grad(x, gathers, [self.values(rng, (len(ids), shape[1]))
+                                                  for ids in gathers])
+                adam_step([("p", x)], [grad], got_state, lr=1e-3, weight_decay=weight_decay)
+                adam_step([("p", y)], [grad.dense()], want_state, lr=1e-3,
+                          weight_decay=weight_decay)
+                assert x.data.tobytes() == y.data.tobytes()
+                assert got_state.m["p"].tobytes() == want_state.m["p"].tobytes()
+                assert got_state.v["p"].tobytes() == want_state.v["p"].tobytes()
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-2])
+    def test_non_finite_summed_row_names_the_parameter(self, weight_decay):
+        """Two finite rows whose sum overflows: the row form raises Diverged naming the
+        table, as its dense copy does, after the parameter before it has stepped and
+        before the table, its m or its v change."""
+        rng = np.random.default_rng(3)
+        states, messages = [], []
+        for dense in (False, True):
+            bias = Tensor(np.ones(3), requires_grad=True)
+            table = Tensor(rng.uniform(-1, 1, (6, 2)), requires_grad=True)
+            grad = self.row_grad(table, [[1, 4], [4]], [np.full((2, 2), 1e308),
+                                                       np.full((1, 2), 1e308)])
+            assert not np.isfinite(grad.rows).all()
+            state = AdamState()
+            before = table.data.copy()
+            with np.errstate(over="ignore"), pytest.raises(ad.Diverged) as err:
+                adam_step([("bias", bias), ("words", table)],
+                          [np.ones(3), grad.dense() if dense else grad], state, lr=0.1,
+                          weight_decay=weight_decay)
+            assert table.data.tobytes() == before.tobytes()
+            states.append((state.t, bias.data.tobytes()))
+            messages.append(str(err.value))
+        assert "'words'" in messages[0]
+        assert messages[0] == messages[1]
+        assert states[0] == states[1] and states[0][0] == {"bias": 1}
+
+
+def test_train_holds_no_dense_word_table_gradient(monkeypatch):
+    """One mode-All training batch on a 20,000 x 64 word table hands Adam the table's
+    gradient as a RowGrad over the batch's distinct words, and the traced peak of the
+    step (initialisation, forward, backward and Adam) stays below the parameters, Adam's
+    m and v, and half a table: no dense [20,000, 64] gradient is made."""
+    n_words = 20_000
+    hp = HyperParams(d=64, heads=4, n=8, l=4, classes=2, mode="All")
+    rng = np.random.default_rng(11)
+    batch = [td.EncodedArticle(rng.integers(1, n_words, (hp.l, hp.n)),
+                               rng.integers(1, n_words, hp.n), i % 2) for i in range(2)]
+    words = np.unique(np.concatenate([np.r_[a.sentences.ravel(), a.title] for a in batch]))
+    bundle = ragged_bundle(n_words, hp.d, 12)
+    grads = []
+
+    def spy(named, step_grads, *args, **kwargs):
+        grads.append(dict(zip((name for name, _ in named), step_grads))["word_table"])
+        return adam_step(named, step_grads, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "adam_step", spy)
+    tracemalloc.start()
+    try:
+        params, _ = train(batch, bundle, TrainConfig(epochs=1, batch_size=len(batch), hp=hp))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (grad,) = grads
+    assert isinstance(grad, ad.RowGrad)
+    assert len(grad.ids) == len(words) and np.array_equal(grad.ids, words)
+    table = params.word_table.data.nbytes
+    assert peak < 3 * sum(t.data.nbytes for t in params.tensors()) + table // 2
 
 
 # --------------------------------------------------------------------------
