@@ -3,14 +3,16 @@
 Subcommands: preprocess | train-kge | train | eval | sweep | gen-synthetic.
 
 Configuration comes from a flat ``key = value`` file ('#' starts a
-comment); command-line flags override file values. All randomness
-funnels through the single ``seed`` key. Exit codes are stable for
-scripting: 0 success, 1 internal failure, 2 user or configuration error.
+comment); command-line flags and input paths override file values. Each
+command takes only the flags it reads. All randomness funnels through the
+single ``seed`` key. Exit codes are stable for scripting: 0 success, 1
+internal failure, 2 user or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -67,22 +69,17 @@ _KEYS = {
 _FIELD_TYPES = {key: f.type for keys in _KEYS.values() for key, f in keys.items()}
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# a field's type name -> the parser of its config-file value and of its flag's argument
+_PARSERS = {"bool": lambda raw: _BOOLS[raw.strip().lower()], "int": int, "float": float,
+            "str": str}
+
+
 def _coerce(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
-    except ValueError:
+        return _PARSERS[kind](raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}")
 
 
@@ -186,7 +183,7 @@ def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
 
 def cmd_preprocess(args) -> int:
     cfg, train_cfg, _ = build_config(args)
-    dataset = _require(cfg.dataset or getattr(args, "dataset_path", ""), "dataset")
+    dataset = _require(args.dataset_path or cfg.dataset, "dataset")
     articles, classes = td.load_corpus(dataset)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -202,7 +199,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train_kge(args) -> int:
     cfg, train_cfg, kge_cfg = build_config(args)
-    triples_path = _require(getattr(args, "triples", None) or cfg.kg_common, "triples")
+    triples_path = _require(args.triples or cfg.kg_common, "triples")
     store = kg.load_triples(triples_path, cfg.stance)
     links = vocab = None
     if cfg.entity_links:  # read and checked before training, so a bad file fails first
@@ -382,19 +379,15 @@ def _add_config_flags(sub, keys):
         flag = "--" + key.replace("_", "-")
         if kind == "bool":
             sub.add_argument(flag, dest=key, action="store_const", const=True, default=None)
-        elif kind == "int":
-            sub.add_argument(flag, dest=key, type=int, default=None)
-        elif kind == "float":
-            sub.add_argument(flag, dest=key, type=float, default=None)
         else:
-            sub.add_argument(flag, dest=key, default=None)
+            sub.add_argument(flag, dest=key, type=_PARSERS[kind], default=None)
 
 
 # the encoded corpus fixes n and l, which only preprocess sets
-MODEL_KEYS = (*(key for key in _KEYS[md.HyperParams] if key not in ("n", "l")), "no_knowledge")
-TRAIN_KEYS = (*_KEYS[tr.TrainConfig], "seed", "folds", "val_fraction")
-PATH_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "checkpoint",
-             "output_dir")
+TRAIN_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "output_dir",
+              *_KEYS[tr.TrainConfig], "seed", "folds", "val_fraction",
+              *(key for key in _KEYS[md.HyperParams] if key not in ("n", "l")), "no_knowledge")
+SWEEP_KEYS = tuple(key for key in TRAIN_KEYS if key not in ("alpha", "beta"))  # set per cell
 EVAL_KEYS = ("corpus", "vocab", "table_com", "table_lib", "table_con", "checkpoint",
              "no_knowledge")  # the model itself comes from the checkpoint
 
@@ -405,33 +398,35 @@ def make_parser() -> argparse.ArgumentParser:
         description="Knowledge-aware hierarchical attention stance classification",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # a flag matches by its full name only, so sweep takes no --alpha for --alphas
+    command = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    p = subs.add_parser("preprocess", help="encode a JSONL article file")
+    p = command("preprocess", help="encode a JSONL article file")
     p.add_argument("dataset_path", nargs="?", help="JSONL article file")
     _add_config_flags(p, ("dataset", "n", "l", "output_dir"))
     p.set_defaults(func=cmd_preprocess)
 
-    p = subs.add_parser("train-kge", help="train knowledge graph embeddings")
+    p = command("train-kge", help="train knowledge graph embeddings")
     p.add_argument("triples", nargs="?", help="TSV triple file")
     _add_config_flags(p, ("kg_common", "stance", *_KEYS[kg.KgeConfig], "holdout", "seed",
                           "entity_links", "vocab", "d", "output_dir"))
     p.set_defaults(func=cmd_train_kge)
 
-    p = subs.add_parser("train", help="train the stance classifier")
-    _add_config_flags(p, PATH_KEYS + TRAIN_KEYS + MODEL_KEYS)
+    p = command("train", help="train the stance classifier")
+    _add_config_flags(p, TRAIN_KEYS)
     p.set_defaults(func=cmd_train)
 
-    p = subs.add_parser("eval", help="evaluate a checkpoint on an encoded corpus")
+    p = command("eval", help="evaluate a checkpoint on an encoded corpus")
     _add_config_flags(p, EVAL_KEYS)
     p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("sweep", help="alpha/beta grid sweep")
-    _add_config_flags(p, PATH_KEYS + TRAIN_KEYS + MODEL_KEYS)
+    p = command("sweep", help="alpha/beta grid sweep")
+    _add_config_flags(p, SWEEP_KEYS)
     p.add_argument("--alphas", help="comma-separated alpha grid values")
     p.add_argument("--betas", help="comma-separated beta grid values")
     p.set_defaults(func=cmd_sweep)
 
-    p = subs.add_parser("gen-synthetic", help="generate a separable synthetic corpus")
+    p = command("gen-synthetic", help="generate a separable synthetic corpus")
     p.add_argument("--articles", type=int, default=64)
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--planted", type=int, default=3)

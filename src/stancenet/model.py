@@ -429,7 +429,10 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
 # Checkpoints
 # --------------------------------------------------------------------------
 
-_HP_KEYS = tuple(f.name for f in fields(HyperParams))
+# manifest key -> the JSON values it takes; a number written without a point loads as int
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_MANIFEST_KEYS = {**{f.name: f.type for f in fields(HyperParams)}, "seed": "int",
+                  "n_words": "int"}
 CHECKPOINT_FORMAT = 2
 
 
@@ -444,22 +447,35 @@ def save_checkpoint(path, params: ModelParams, hp: HyperParams, seed: int = 0):
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams, int]:
     """Parameters, hyperparameters and seed of a checkpoint of the current format.
 
-    A file that is not a readable .npz archive, another format (an older stancenet's), a
-    missing manifest key, or an array missing, unreadable, shaped unlike the manifest's
-    parameters or holding a non-finite value raises a ValueError naming the file.
+    A file that is not a readable .npz archive, a manifest that is not a JSON object, another
+    format (an older stancenet's), a manifest key missing, of the wrong JSON type or out of
+    range, or an array missing, unreadable, shaped unlike the manifest's parameters or
+    holding a non-finite value raises a ValueError naming the file.
     """
     with open_npz(path, ValueError) as data:
         if "manifest" not in data.files:
             raise ValueError(f"{path}: not a stancenet checkpoint (no manifest array)")
-        manifest = json.loads(bytes(npz_array(data, "manifest", path, ValueError)).decode())
+        text = bytes(npz_array(data, "manifest", path, ValueError))
+        try:
+            manifest = json.loads(text.decode())
+        except ValueError as err:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: checkpoint manifest is not JSON text ({err})") from err
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{path}: checkpoint manifest is not a JSON object")
         if manifest.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: an older stancenet wrote this checkpoint (manifest "
                              f"'format' {manifest.get('format')!r}, not {CHECKPOINT_FORMAT}); "
                              f"retrain the model")
-        for key in _HP_KEYS + ("seed", "n_words"):
+        for key, kind in _MANIFEST_KEYS.items():
             if key not in manifest:
                 raise ValueError(f"{path}: checkpoint manifest has no {key!r} key")
-        hp = HyperParams(**{key: manifest[key] for key in _HP_KEYS})
+            if type(manifest[key]) not in _JSON_TYPES[kind]:  # a JSON true is no int
+                raise ValueError(f"{path}: checkpoint manifest key {key!r} must be {kind}, "
+                                 f"not {manifest[key]!r}")
+        try:
+            hp = HyperParams(**{f.name: manifest[f.name] for f in fields(HyperParams)})
+        except ValueError as err:
+            raise ValueError(f"{path}: checkpoint manifest: {err}") from err
 
         def saved(name, shape, blocks=1):
             if f"param:{name}" not in data.files:

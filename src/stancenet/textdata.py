@@ -147,20 +147,17 @@ class EncodedArticle:
         return (self.title != PAD_ID).astype(np.float64)
 
 
-def split_sentences(body: str, separator: str = SEP_TOKEN) -> list[list[str]]:
-    """Split a token string into sentences at the separator token, dropping empties."""
-    sentences: list[list[str]] = []
+def split_sentences(body: str) -> list[list[str]]:
+    """Split a token string into sentences at SEP_TOKEN, dropping empties."""
     current: list[str] = []
+    sentences = [current]
     for token in body.split():
-        if token == separator:
-            if current:
-                sentences.append(current)
-            current = []
-        else:
+        if token != SEP_TOKEN:
             current.append(token)
-    if current:
-        sentences.append(current)
-    return sentences
+        elif current:  # a separator ends a sentence that has a word
+            current = []
+            sentences.append(current)
+    return sentences if current else sentences[:-1]
 
 
 def _article_tokens(article: RawArticle) -> Iterable[str]:

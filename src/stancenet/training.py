@@ -85,6 +85,8 @@ class AdamState:
 
 
 _ADAM_BLOCK = 32768  # elements per row block: two block-sized scratch buffers stay in cache
+ADAM_BETAS = (0.9, 0.999)  # Kingma & Ba's defaults, as constants
+ADAM_EPS = 1e-8
 
 
 def adam_step(
@@ -92,17 +94,15 @@ def adam_step(
     grads: Sequence[Optional[np.ndarray | ad.RowGrad]],
     state: AdamState,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ):
-    """Bias-corrected Adam update, in place.
+    """Bias-corrected Adam update, in place, with betas ADAM_BETAS and eps ADAM_EPS.
 
     Weight decay enters as an additive gradient term g + wd*x (classic L2
     coupling), the same gradient as a wd/2 * ||x||^2 loss term.
 
     The update runs over row blocks of each parameter with the float ops
-    of ``g = grad + wd*x; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+    of ``g = (wd*x + 0.0) + grad; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
     x -= lr*m_hat/(sqrt(v_hat)+eps)`` in that order, written into two
     scratch buffers, so no parameter-sized temporary is made. A
     non-finite gradient raises ``Diverged`` before its parameter, m or v
@@ -110,17 +110,17 @@ def adam_step(
 
     A gradient may be an ``autodiff.RowGrad`` with sorted distinct ids, as
     ``Tape.backward`` leaves on a gathered table: every row is still
-    updated. Its dense form is 0.0 off its rows and its summed rows
-    (never -0.0) on them, so each block computes ``(wd*x + 0.0) + rows``
-    (``0.0 + rows`` at wd = 0), bitwise the dense ``grad + wd*x``, signed
-    zeros included, and the finiteness check reads the rows alone.
+    updated, its rows are added on their own rows of g, and the finiteness
+    check reads the rows alone. g is ``grad + wd*x`` up to the sign of a zero
+    entry, which changes no bit of m, v or x: m starts at +0.0 and
+    ``b1*m + (1-b1)*g`` is -0.0 only where m already is, and v reads g*g.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     for (name, tensor), grad in zip(params, grads):
         if grad is None:
             continue
-        row_grad = grad if isinstance(grad, ad.RowGrad) else None
-        stored = grad if row_grad is None else row_grad.rows
+        row_grad = isinstance(grad, ad.RowGrad)
+        stored = grad.rows if row_grad else np.atleast_1d(grad)
         # a finite sum proves every entry finite; only an overflow needs the full check
         if not np.isfinite(stored.sum()) and not np.isfinite(stored).all():
             raise ad.Diverged(f"training diverged: non-finite gradient for parameter "
@@ -133,35 +133,27 @@ def adam_step(
         t = state.t[name]
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         x, m, v = (np.atleast_1d(arr) for arr in (tensor.data, state.m[name], state.v[name]))
-        if row_grad is None:
-            grad = np.atleast_1d(grad)
         rows = max(1, _ADAM_BLOCK // max(1, math.prod(x.shape[1:])))
         a = np.empty((min(rows, len(x)),) + x.shape[1:])
         b = np.empty_like(a)
         for lo in range(0, len(x), rows):
             xs, ms, vs = (arr[lo : lo + rows] for arr in (x, m, v))
             a_, b_ = a[: len(xs)], b[: len(xs)]
-            if row_grad is not None:  # g = (wd*x + 0.0) + rows, into a
-                if weight_decay != 0.0:
-                    np.multiply(weight_decay, xs, out=a_)
-                    a_ += 0.0
-                else:
-                    a_.fill(0.0)
-                i, j = np.searchsorted(row_grad.ids, (lo, lo + len(xs)))
-                a_[row_grad.ids[i:j] - lo] += row_grad.rows[i:j]
-                gs = a_
+            np.multiply(weight_decay, xs, out=a_)  # g = (wd*x + 0.0) + grad, into a
+            a_ += 0.0
+            if row_grad:
+                i, j = np.searchsorted(grad.ids, (lo, lo + len(xs)))
+                a_[grad.ids[i:j] - lo] += grad.rows[i:j]
             else:
-                gs = grad[lo : lo + rows]
-                if weight_decay != 0.0:  # g = grad + wd*x
-                    gs = np.add(gs, np.multiply(weight_decay, xs, out=a_), out=a_)
+                a_ += stored[lo : lo + rows]
             np.multiply(b1, ms, out=ms)  # m = b1*m + (1-b1)*g
-            ms += np.multiply(1.0 - b1, gs, out=b_)
-            np.multiply(gs, gs, out=b_)  # v = b2*v + (1-b2)*(g*g)
+            ms += np.multiply(1.0 - b1, a_, out=b_)
+            np.multiply(a_, a_, out=b_)  # v = b2*v + (1-b2)*(g*g)
             np.multiply(b2, vs, out=vs)
             vs += np.multiply(1.0 - b2, b_, out=b_)
             np.divide(vs, c2, out=a_)  # a = sqrt(v_hat) + eps
             np.sqrt(a_, out=a_)
-            a_ += eps
+            a_ += ADAM_EPS
             np.divide(ms, c1, out=b_)  # x -= lr*m_hat / a
             b_ *= lr
             b_ /= a_

@@ -62,13 +62,13 @@ class TestCommandLine:
         "train-kge": "--config --d --entity-links --holdout --kg-common --kge-adv-temperature "
                      "--kge-dim --kge-epochs --kge-gamma --kge-lr --kge-method --kge-negatives "
                      "--output-dir --seed --stance --vocab",
-        "train": "--alpha --batch-size --beta --checkpoint --config --corpus --d --epochs "
+        "train": "--alpha --batch-size --beta --config --corpus --d --epochs "
                  "--folds --heads --lr --lr-factor --mode --no-knowledge "
                  "--output-dir --patience --seed --table-com --table-con --table-lib "
                  "--val-fraction --vocab --weight-decay",
         "eval": "--checkpoint --config --corpus --no-knowledge --table-com --table-con "
                 "--table-lib --vocab",
-        "sweep": "--alpha --alphas --batch-size --beta --betas --checkpoint --config --corpus "
+        "sweep": "--alphas --batch-size --betas --config --corpus "
                  "--d --epochs --folds --heads --lr --lr-factor --mode "
                  "--no-knowledge --output-dir --patience --seed --table-com --table-con "
                  "--table-lib --val-fraction --vocab --weight-decay",
@@ -180,6 +180,30 @@ class TestCommandLine:
                      "--l", "3", "--output-dir", str(tmp_path / "pre")]) == 0
         assert main(["preprocess", str(corpus), "--seed", "7"]) == 2
 
+    @pytest.mark.parametrize("argv", [["train", "--checkpoint", "x"],
+                                      ["sweep", "--checkpoint", "x"],
+                                      ["sweep", "--alpha", "0.3"], ["sweep", "--beta", "0.3"]])
+    def test_flags_the_command_would_ignore_are_rejected(self, capsys, argv):
+        """train and sweep write a checkpoint but read none, and every sweep cell sets its
+        own alpha and beta."""
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {argv[1]} " in capsys.readouterr().err
+
+    def test_positional_input_beats_the_config_file(self, tmp_path, capsys):
+        """As every flag does: preprocess's dataset and train-kge's triples."""
+        config = tmp_path / "run.cfg"
+        config.write_text(f"dataset = {write_corpus(tmp_path, num=6, name='a.jsonl')}\n"
+                          f"kg_common = {TestTrainKge.write_kg(tmp_path / 'a', CYCLE[:3])}\n")
+        assert main(["preprocess", str(write_corpus(tmp_path, num=10, name="b.jsonl")),
+                     "--config", str(config), "--output-dir", str(tmp_path / "pre")]) == 0
+        assert capsys.readouterr().out.startswith("10 articles")
+        out = tmp_path / "kge"
+        assert main(["train-kge", str(TestTrainKge.write_kg(tmp_path / "b", CYCLE)),
+                     "--config", str(config), "--kge-dim", "4", "--kge-epochs", "0",
+                     "--holdout", "0", "--output-dir", str(out)]) == 0
+        with np.load(out / "kge_common.npz") as data:
+            assert data["entity"].shape[0] == 5
+
     @pytest.mark.parametrize("command", ["preprocess", "train", "eval"])
     def test_config_file_keys_are_checked_for_every_command(self, tmp_path, capsys, command):
         config = tmp_path / "shared.cfg"
@@ -241,8 +265,13 @@ class TestPreprocess:
         assert main(["preprocess", str(tmp_path / "nope.jsonl")]) == 2
 
 
+CYCLE = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("c", "r", "d"), ("d", "r", "e")]
+
+
 class TestTrainKge:
-    def write_kg(self, tmp_path, triples):
+    @staticmethod
+    def write_kg(tmp_path, triples):
+        tmp_path.mkdir(exist_ok=True)
         path = tmp_path / "kg.tsv"
         path.write_text("\n".join("\t".join(t) for t in triples) + "\n")
         return path

@@ -983,6 +983,34 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=rf"model\.npz.*'{key}'"):
                 md.load_checkpoint(path)
 
+    @staticmethod
+    def with_key(key, value) -> bytes:
+        """The tiny checkpoint's manifest text with ``key`` set to ``value``."""
+        manifest = {"format": md.CHECKPOINT_FORMAT, **vars(tiny_hp()), "seed": 0, "n_words": 9}
+        return json.dumps({**manifest, key: value}).encode()
+
+    @pytest.mark.parametrize("text, key", [
+        (b"\xff\xfe{}", None),               # not UTF-8
+        (b'{"format": 2, "d": 8', None),      # not JSON
+        (b"[1, 2]", None),                    # JSON, but not an object
+        (with_key("heads", "2"), "heads"),    # a string where an int belongs
+        (with_key("d", 8.0), "d"),            # a float where an int belongs
+        (with_key("mode", 1), "mode"),
+        (with_key("alpha", True), "alpha"),
+        (with_key("n_words", None), "n_words"),
+        (with_key("heads", 3), None),         # an int, but heads must divide d
+    ], ids=["not-utf8", "not-json", "json-list", "heads-str", "d-float", "mode-int",
+            "alpha-bool", "n_words-null", "heads-3"])
+    def test_bad_manifest_raises_value_error_naming_file_and_key(self, tmp_path, text, key):
+        def edit(arrays):
+            arrays["manifest"] = np.frombuffer(text, dtype=np.uint8)
+        path = self.rewrite(tmp_path, edit)
+        with pytest.raises(ValueError) as err:
+            md.load_checkpoint(path)
+        assert str(path) in str(err.value)
+        if key is not None:
+            assert repr(key) in str(err.value)
+
     def test_missing_parameter_array_rejected(self, tmp_path):
         path = self.rewrite(tmp_path, lambda arrays: arrays.pop("param:sentence_attn.k"))
         with pytest.raises(ValueError, match=r"model\.npz.*'sentence_attn\.k'"):

@@ -528,6 +528,34 @@ class TestRowGradientAdam:
         assert states[0] == states[1] and states[0][0] == {"bias": 1}
 
 
+@settings(max_examples=80, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(9, 40), st.integers(1, 5)),
+                       st.just((1_500, 64))),  # three real blocks of 512 rows
+       block=st.sampled_from([1, 3, 8, None]), weight_decay=st.sampled_from([0.0, 5e-2]),
+       steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_dense_adam_is_bitwise_the_whole_array_formula(shape, block, weight_decay, steps, seed):
+    """adam_step's g = (wd*x + 0.0) + grad differs from the formula's grad + wd*x only in
+    the sign of a zero entry, on -0.0 gradients, -0.0 parameters and subnormals alike.
+    m starts at +0.0 and never turns -0.0, and v reads g*g, so x, m and v keep every bit."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(TestRowGradientAdam.values(rng, shape), requires_grad=True)
+    y = Tensor(x.data.copy(), requires_grad=True)
+    got_state, want_state = AdamState(), AdamState()
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:  # row blocks of a few elements
+            mp.setattr(tr, "_ADAM_BLOCK", block)
+        for _ in range(steps):
+            grad = TestRowGradientAdam.values(rng, shape)
+            adam_step([("p", x)], [grad], got_state, lr=1e-3, weight_decay=weight_decay)
+            reference_adam_step([("p", y)], [grad], want_state, lr=1e-3,
+                                weight_decay=weight_decay)
+            assert x.data.tobytes() == y.data.tobytes()
+            assert got_state.m["p"].tobytes() == want_state.m["p"].tobytes()
+            assert got_state.v["p"].tobytes() == want_state.v["p"].tobytes()
+            m = got_state.m["p"]
+            assert not (np.signbit(m) & (m == 0.0)).any()
+
+
 def test_train_holds_no_dense_word_table_gradient(monkeypatch):
     """One mode-All training batch on a 20,000 x 64 word table hands Adam the table's
     gradient as a RowGrad over the batch's distinct words, and the traced peak of the
