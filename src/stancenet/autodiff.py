@@ -558,8 +558,12 @@ def log(x: Tensor) -> Tensor:
 # Gradient verification
 # --------------------------------------------------------------------------
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Compare the analytic gradient of scalar-valued f at x with central differences.
+FD_STEP = 1e-5  # the central-difference step of finite_diff_check
+
+
+def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Compare the analytic gradient of scalar-valued f at x with central differences
+    of step ``FD_STEP``.
 
     Returns max_i |analytic_i - central_i| / (|central_i| + 1e-10). The
     numeric side perturbs x.data in place, one coordinate at a time, and
@@ -581,11 +585,11 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         up = float(f(x).data)
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         down = float(f(x).data)
         flat[i] = orig
-        numeric[i] = (up - down) / (2.0 * h)
+        numeric[i] = (up - down) / (2.0 * FD_STEP)
 
     return float(np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-10)))

@@ -340,6 +340,11 @@ def cmd_sweep(args) -> int:
     alphas = _grid_values("--alphas", args.alphas)  # before any input is loaded
     betas = _grid_values("--betas", args.betas)
     cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
+    if args.config:  # one config file may serve train too, so its alpha and beta are valid
+        overridden = [key for key in ("alpha", "beta") if key in parse_config_file(args.config)]
+        if overridden:
+            print(f"note: {args.config} sets {', '.join(overridden)}; every sweep cell "
+                  f"overrides {'them' if len(overridden) > 1 else 'it'}", file=sys.stderr)
     grid = tr.sweep_alpha_beta(encoded, bundle, train_cfg, alphas=alphas, betas=betas,
                                folds=cfg.folds, val_fraction=cfg.val_fraction)
     out_dir.mkdir(parents=True, exist_ok=True)

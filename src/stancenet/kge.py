@@ -29,7 +29,11 @@ temporaries per side. It follows the same op order step by step, and a
 test asserts that its scores are bitwise equal to the oracle's for every
 method, both sides and several widths.
 
-Training minimises a self-adversarial negative-sampling loss with SGD.
+Training minimises a self-adversarial negative-sampling loss with SGD, one
+step per positive. Each block of positives draws its negatives in one
+generator call, the same stream as one call per step, and finds each step's
+distinct entity rows and scatter index at once (``_draw_negatives``,
+``_step_rows``).
 Evaluation scores every entity as a replacement for the head and for the
 tail of each test triple and ranks the true one in the filtered setting:
 one mask per side drops the other known-true triples from the candidate
@@ -364,6 +368,10 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     scored as one batch by ``_sgd_step``, in plain NumPy with hand-derived
     gradients. Per-epoch mean losses are recorded on the returned model.
 
+    Each block of at most ``_DRAW_BLOCK`` positives draws its negatives in one
+    call (``_draw_negatives``, the same stream as one draw per step) and finds
+    each step's distinct entity rows and scatter index at once (``_step_rows``);
+    a step then gathers its rows, scores them and scatters the gradients.
     A step updates, checks and wraps only the entity rows it scores; every
     other row has a zero gradient and already-wrapped phases. The first step
     wraps the whole relation table's phases, since RotatE's relation init is
@@ -379,60 +387,93 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     n_ent = store.n_entities
     half = config.dim // 2
     n_neg = config.negatives if n_ent >= 2 else 0
-    signs = np.r_[1.0, -np.ones(n_neg)]  # row 0 is the positive
-    grads = np.empty((2 * (1 + n_neg), config.dim))  # the scored tail rows', then head rows'
+    b = 1 + n_neg  # scored rows per side; row 0 is the positive
+    signs = np.r_[1.0, -np.ones(n_neg)]
+    grads = np.empty((2 * b, config.dim))  # the scored tail rows', then head rows'
     phase = {"RotatE": slice(None), "HAKE": slice(half, None)}.get(config.method)
     last = slice(0)  # the relation rows the last step wrapped: none before the first step
+    triples = np.array(store.triples)
 
     # a diverging step overflows before its gradient check names the cause; the check
     # is the one report
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             losses = []
-            for i, (h, r, t) in enumerate(store.triples):
-                heads, tails = _corrupt(rng, h, t, n_ent, n_neg)
-                loss, g_rel = _sgd_step(forward, ent[heads], rel[r], ent[tails], signs, config,
-                                        grads)
-                losses.append(loss)
-                rows = sorted(set(heads + tails))
-                at = {e: k for k, e in enumerate(rows)}
-                g_ent = np.zeros((len(rows), config.dim))
-                np.add.at(g_ent, [at[e] for e in tails + heads], grads)
-                if not (np.isfinite(g_ent).all() and np.isfinite(g_rel).all()):
-                    raise Diverged(f"{config.method} embedding training diverged at epoch "
-                                   f"{epoch + 1}, triple {i + 1} of {len(store.triples)}: a "
-                                   f"non-finite gradient; lower kge_lr (now {config.lr!r})")
-                ent[rows] -= config.lr * g_ent
-                rel[r] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
-                if config.method == "HAKE":
-                    ent[rows, half:] = _wrap_phase(ent[rows, half:])
-                if phase is not None:
-                    now = r if epoch or i else slice(None)  # first the whole table
-                    _wrap_rows(rel, phase, now, last)
-                    last = now
+            for start in range(0, len(triples), _DRAW_BLOCK):
+                block = triples[start:start + _DRAW_BLOCK]
+                heads, tails = _draw_negatives(rng, block[:, 0], block[:, 2], n_ent, n_neg)
+                ids = np.concatenate((tails, heads), axis=1)  # in the order of grads' rows
+                rows, ends, inv = _step_rows(ids)
+                begin = 0
+                for j, (r, end) in enumerate(zip(block[:, 1].tolist(), ends.tolist())):
+                    scored = ent[ids[j]]
+                    loss, g_rel = _sgd_step(forward, scored[b:], rel[r], scored[:b], signs,
+                                            config, grads)
+                    losses.append(loss)
+                    g_ent = np.zeros((end - begin, config.dim))
+                    np.add.at(g_ent, inv[j], grads)
+                    if not (np.isfinite(g_ent).all() and np.isfinite(g_rel).all()):
+                        raise Diverged(f"{config.method} embedding training diverged at epoch "
+                                       f"{epoch + 1}, triple {start + j + 1} of "
+                                       f"{len(triples)}: a non-finite gradient; lower kge_lr "
+                                       f"(now {config.lr!r})")
+                    step = rows[begin:end]
+                    begin = end
+                    ent[step] -= config.lr * g_ent
+                    rel[r] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
+                    if config.method == "HAKE":
+                        ent[step, half:] = _wrap_phase(ent[step, half:])
+                    if phase is not None:
+                        now = r if epoch or start or j else slice(None)  # first the whole table
+                        _wrap_rows(rel, phase, now, last)
+                        last = now
             model.epoch_losses.append(float(np.mean(losses)))
     return model
 
 
-def _corrupt(rng: np.random.Generator, h: int, t: int, n_ent: int,
-             n_neg: int) -> tuple[list[int], list[int]]:
-    """The heads and tails of the positive (h, t) followed by its n_neg negatives.
+_DRAW_BLOCK = 4096  # positives whose negatives and row indices one call builds
+
+
+def _draw_negatives(rng: np.random.Generator, h: np.ndarray, t: np.ndarray, n_ent: int,
+                    n_neg: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [P, 1 + n_neg] heads and tails of the P positives (h, t), each row the
+    positive followed by its n_neg negatives.
 
     A negative replaces the head or the tail, by a fair coin, with a uniform
     entity, or with the next entity if it drew the replaced one. The coins and
     entities come from one draw against the bounds [2, n_ent, 2, n_ent, ...],
-    which yields the values, and leaves the generator in the state, of the
-    2 * n_neg interleaved scalar draws; n_neg = 0 draws nothing.
+    n_neg pairs per positive, which yields the values, and leaves the generator
+    in the state, of the 2 * n_neg interleaved scalar draws of each positive in
+    turn; n_neg = 0 draws nothing.
     """
-    heads, tails = [h], [t]
+    heads = np.repeat(h[:, None], 1 + n_neg, axis=1)
+    tails = np.repeat(t[:, None], 1 + n_neg, axis=1)
     if n_neg:
-        draw = rng.integers(0, [2, n_ent] * n_neg).tolist()
-        for corrupt_head, cand in zip(draw[0::2], draw[1::2]):
-            if cand == (h if corrupt_head else t):
-                cand = (cand + 1) % n_ent
-            heads.append(cand if corrupt_head else h)
-            tails.append(t if corrupt_head else cand)
+        draw = rng.integers(0, np.tile([2, n_ent], (len(h), n_neg)))
+        corrupt_head = draw[:, 0::2] == 1
+        cand = draw[:, 1::2]
+        cand += cand == np.where(corrupt_head, heads[:, 1:], tails[:, 1:])
+        cand %= n_ent  # only a drawn replaced entity + 1 can reach n_ent
+        np.copyto(heads[:, 1:], cand, where=corrupt_head)
+        np.copyto(tails[:, 1:], cand, where=~corrupt_head)
     return heads, tails
+
+
+def _step_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct entities of each row of ids [P, m] and where each entry is among them.
+
+    Returns ``rows``, each row's sorted distinct ids back to back, ``ends``, where
+    each row's run in ``rows`` ends, and ``inv`` [P, m], each entry's index in its
+    row's run: row i of ids is ``rows[ends[i - 1]:ends[i]][inv[i]]``.
+    """
+    order = np.argsort(ids, axis=1)  # equal ids get one index, in any order
+    ranked = np.take_along_axis(ids, order, axis=1)
+    first = np.empty(ids.shape, dtype=bool)  # the first of each distinct value
+    first[:, 0] = True
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    inv = np.empty_like(ids)
+    np.put_along_axis(inv, order, np.cumsum(first, axis=1) - 1, axis=1)
+    return ranked[first], np.cumsum(first.sum(axis=1)), inv
 
 
 def _sgd_step(forward: Callable, h: np.ndarray, r: np.ndarray, t: np.ndarray, signs: np.ndarray,

@@ -1130,6 +1130,24 @@ class TestSweep:
         assert len((tmp_path / "run" / "sweep.csv").read_text().splitlines()) == 2
 
 
+    @pytest.mark.parametrize("lines, note", [
+        (["alpha = 0.3", "beta = 0.9"], "sets alpha, beta; every sweep cell overrides them"),
+        (["beta = 0.9"], "sets beta; every sweep cell overrides it"),
+        (["seed = 0"], None),
+    ])
+    def test_config_alpha_and_beta_are_named_as_overridden(self, tmp_path, capsys, lines, note):
+        """A config file's alpha and beta change no cell: the sweep says so on stderr, and
+        exits and writes as without them."""
+        config = tmp_path / "sweep.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        assert self.sweep_three_articles(tmp_path) == 0
+        plain = (tmp_path / "run" / "sweep.csv").read_bytes()
+        capsys.readouterr()
+        assert self.sweep_three_articles(tmp_path, "--config", str(config)) == 0
+        assert capsys.readouterr().err == (f"note: {config} {note}\n" if note else "")
+        assert (tmp_path / "run" / "sweep.csv").read_bytes() == plain
+
+
 class TestSweepReport:
     """A sweep trains one model per distinct (alpha, beta) effect and says so."""
 

@@ -9,6 +9,7 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -494,26 +495,109 @@ class TestRowLocalStep:
                                                    lr=0.5, epochs=3, seed=1))
 
 
+@pytest.mark.parametrize("method", ["RotatE", "ModE", "HAKE"])
+def test_short_draw_blocks_match_dense_loop_bitwise(tmp_path, monkeypatch, method):
+    """Many blocks per epoch, the last one short, train the dense loop's bits."""
+    monkeypatch.setattr(kge, "_DRAW_BLOCK", 5)
+    store = TestRowLocalStep.skewed_store(tmp_path)
+    assert len(store.triples) % 5 != 0
+    TestRowLocalStep.assert_bitwise_equal(store, KgeConfig(method=method, dim=8, negatives=6,
+                                                           lr=0.05, epochs=3, seed=5))
+
+
 class TestNegativeDraws:
-    """One array draw per step stands for the 2 * k interleaved scalar draws of
-    ``scalar_negatives``, whose stream the kg-2k reference losses depend on."""
+    """One draw per block of positives stands for the 2 * k interleaved scalar draws
+    per step of ``scalar_negatives``, whose stream the kg-2k reference losses depend on."""
 
     @pytest.mark.parametrize("n_ent", [2, 3, 2000, 2**32 + 5])
     @pytest.mark.parametrize("k", [1, 8])
     def test_array_draw_matches_scalar_pairs_and_generator_state(self, n_ent, k):
         got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
-        for step in range(50):
-            h, t = step % n_ent, (7 * step + 1) % n_ent
-            got = kge._corrupt(got_rng, h, t, n_ent, k)
-            assert got == scalar_negatives(want_rng, h, t, n_ent, k), step
-            assert all(type(e) is int for e in got[0] + got[1])
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state, step
+        steps = np.arange(50)
+        h, t = steps % n_ent, (7 * steps + 1) % n_ent
+        for block in (slice(0, 1), slice(1, 30), slice(30, 50)):
+            heads, tails = kge._draw_negatives(got_rng, h[block], t[block], n_ent, k)
+            assert heads.shape == tails.shape == (block.stop - block.start, 1 + k)
+            for j, (hj, tj) in enumerate(zip(h[block].tolist(), t[block].tolist())):
+                want = scalar_negatives(want_rng, hj, tj, n_ent, k)
+                assert (heads[j].tolist(), tails[j].tolist()) == want, (block, j)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, block
 
     def test_no_negatives_draw_nothing(self):
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        assert kge._corrupt(rng, 0, 0, 1, 0) == ([0], [0])
+        heads, tails = kge._draw_negatives(rng, np.array([0, 0]), np.array([0, 0]), 1, 0)
+        assert heads.tolist() == tails.tolist() == [[0], [0]]
         assert rng.bit_generator.state == before
+
+    class CountingGenerator(np.random.Generator):
+        """A Generator that counts its ``integers`` calls."""
+
+        calls = 0
+
+        def integers(self, *args, **kwargs):
+            type(self).calls += 1
+            return super().integers(*args, **kwargs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_ent=st.sampled_from([1, 2, 3, 2000, 2**32 + 5]), k=st.sampled_from([0, 1, 8]),
+           block=st.integers(1, 5), n_pos=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_the_per_step_draws_and_rows(self, n_ent, k, block, n_pos, seed):
+        """Blocks of ``_DRAW_BLOCK`` positives, the last one short when it does not
+        divide P: each step's heads and tails are ``scalar_negatives``'s, its rows and
+        inverse index are the sorted distinct ids and their positions, and train_kge
+        draws once per block."""
+        n_neg = k if n_ent >= 2 else 0  # as train_kge forces it
+        pick = np.random.default_rng(seed)
+        h, t = pick.integers(0, n_ent, n_pos), pick.integers(0, n_ent, n_pos)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for start in range(0, n_pos, block):
+            heads, tails = kge._draw_negatives(got_rng, h[start:start + block],
+                                               t[start:start + block], n_ent, n_neg)
+            rows, ends, inv = kge._step_rows(np.concatenate((tails, heads), axis=1))
+            begin = 0
+            for j, end in enumerate(ends.tolist()):
+                want_heads, want_tails = scalar_negatives(
+                    want_rng, int(h[start + j]), int(t[start + j]), n_ent, n_neg)
+                assert (heads[j].tolist(), tails[j].tolist()) == (want_heads, want_tails)
+                want_rows = sorted(set(want_heads + want_tails))
+                at = {e: i for i, e in enumerate(want_rows)}
+                assert rows[begin:end].tolist() == want_rows
+                assert inv[j].tolist() == [at[e] for e in want_tails + want_heads]
+                begin = end
+            assert begin == len(rows)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+        if n_ent > 2000:
+            return  # too many entities to train
+        names = [f"e{i}" for i in range(n_ent)]
+        store = TripleStore({name: i for i, name in enumerate(names)}, names, {"r": 0}, ["r"],
+                            list(zip(h.tolist(), [0] * n_pos, t.tolist())), "common")
+        counter = self.CountingGenerator
+        counter.calls = 0
+        with mock.patch.object(kge, "_DRAW_BLOCK", block), \
+                mock.patch.object(np.random, "default_rng",
+                                  lambda s: counter(np.random.PCG64(s))):
+            train_kge(store, KgeConfig(method="ModE", dim=2, negatives=k, epochs=2))
+        assert counter.calls == (2 * math.ceil(n_pos / block) if n_neg else 0)
+
+    @pytest.mark.parametrize("lr, block, where", [
+        (1e150, 4, "epoch 1, triple 7 of 9"),
+        (1e100, 2, "epoch 2, triple 3 of 9"),
+    ])
+    def test_divergence_in_a_later_block_names_the_global_triple(self, monkeypatch, lr, block,
+                                                                 where):
+        """The triples that diverge lie in the second block; the messages are those of
+        the step-by-step loop, for any block size."""
+        names = [f"e{i}" for i in range(12)]
+        store = TripleStore({name: i for i, name in enumerate(names)}, names,
+                            {"r0": 0, "r1": 1}, ["r0", "r1"],
+                            [(i % 12, i % 2, (5 * i + 3) % 12) for i in range(9)], "common")
+        cfg = KgeConfig(method="ModE", dim=4, negatives=2, lr=lr, epochs=2, seed=3)
+        for size in (block, kge._DRAW_BLOCK):
+            monkeypatch.setattr(kge, "_DRAW_BLOCK", size)
+            with pytest.raises(ad.Diverged, match=f"diverged at {where}: a non-finite"):
+                train_kge(store, cfg)
 
 
 class TestWrapPhase:
