@@ -14,9 +14,10 @@ than corrupted ones. Three scoring functions are supported:
   distance through ``|sin((h_p + r_p - t_p) / 2)|``.
 
 Each formula is written once for training, in ``_rotate``, ``_mode`` and
-``_hake``: plain NumPy over [B, dim] entity rows and one relation row,
-returning the scores and a backward function with the hand-derived
-gradients. ``score_triple`` runs the same forward. The SGD step
+``_hake``: plain NumPy over a wave of S steps, [S, B, dim] entity rows and one
+relation row per step, returning the scores and a backward function with the
+hand-derived gradients. ``score_triple`` runs the same forward on a wave of
+one. The SGD step
 (``_sgd_step``) follows the op and accumulation order of the same loss
 recorded on the autodiff tape, so its parameters and losses are bitwise
 the tape's; the tests keep that tape scorer as their oracle
@@ -31,9 +32,10 @@ method, both sides and several widths.
 
 Training minimises a self-adversarial negative-sampling loss with SGD, one
 step per positive. Each block of positives draws its negatives in one
-generator call, the same stream as one call per step, and finds each step's
-distinct entity rows and scatter index at once (``_draw_negatives``,
-``_step_rows``).
+generator call, the same stream as one call per step (``_draw_negatives``),
+and is cut into waves (``_wave_ends``): runs of consecutive steps that share
+no entity row and no relation, so that no step of a wave can see another's
+update. A wave runs as one batched step with the per-step loop's bits.
 Evaluation scores every entity as a replacement for the head and for the
 tail of each test triple and ranks the true one in the filtered setting:
 one mask per side drops the other known-true triples from the candidate
@@ -83,9 +85,9 @@ class TripleStore:
         return len(self.relation_names)
 
 
-def _tsv_rows(path, width: int, expected: str) -> Iterator[list[str]]:
-    """The tab-separated fields of each line of a text file, skipping blank and '#'
-    lines. A line without ``width`` fields raises TripleFormatError
+def _tsv_rows(path, width: int, expected: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and tab-separated fields of each line of a text file, skipping
+    blank and '#' lines. A line without ``width`` fields raises TripleFormatError
     ``{path}:{line}: expected {expected}``, the field count formatted into ``expected``;
     a line that is not UTF-8 raises it too, naming the line."""
     for lineno, line in text_lines(path, TripleFormatError):
@@ -96,7 +98,7 @@ def _tsv_rows(path, width: int, expected: str) -> Iterator[list[str]]:
         if len(fields) != width:
             raise TripleFormatError(
                 f"{path}:{lineno}: expected {expected.format(len(fields))}")
-        yield fields
+        yield lineno, fields
 
 
 def load_triples(path, stance_tag: str) -> TripleStore:
@@ -115,7 +117,7 @@ def load_triples(path, stance_tag: str) -> TripleStore:
             names.append(name)
         return table[name]
 
-    for head, relation, tail in _tsv_rows(path, 3, "3 tab-separated fields, got {}"):
+    for _, (head, relation, tail) in _tsv_rows(path, 3, "3 tab-separated fields, got {}"):
         triple = (intern(head, entities, entity_names),
                   intern(relation, relations, relation_names),
                   intern(tail, entities, entity_names))
@@ -176,14 +178,24 @@ def _wrap_phase(x: np.ndarray) -> np.ndarray:
     return np.mod(x + np.pi, 2.0 * np.pi) - np.pi
 
 
-def _wrap_rows(table: np.ndarray, cols: slice, rows, last) -> None:
-    """Wrap the phase columns ``cols`` of ``table[rows]``, the rows a step changed, in
-    place, to the bits a ``_wrap_phase`` of the whole table would give. A wrapped phase
-    rewraps to itself except an exact pi, which becomes -pi; only ``last``, the rows the
-    step before wrapped, can hold one."""
-    before = table[last, cols]
-    before[before == np.pi] = -np.pi
+def _fix_pi(table: np.ndarray, rows, cols: slice) -> None:
+    part = table[rows, cols]
+    part[part == np.pi] = -np.pi
+    table[rows, cols] = part
+
+
+def _wrap_rows(table: np.ndarray, cols: slice, rows, last):
+    """Wrap the phase columns ``cols`` of ``table[rows]`` in place, the relation rows of
+    a wave in step order or, at the run's first step, the whole table, to the bits a
+    whole-table ``_wrap_phase`` after each step would give. That rewrap only turns an
+    exact pi into -pi, so ``last``, which this returns for the next wave, is fixed
+    first, and then each row of the wave but its last."""
+    _fix_pi(table, last, cols)
     table[rows, cols] = _wrap_phase(table[rows, cols])
+    if isinstance(rows, slice):
+        return rows
+    _fix_pi(table, rows[:-1], cols)
+    return rows[-1]
 
 
 def init_kge_model(n_entities: int, n_relations: int, config: KgeConfig) -> KgeModel:
@@ -210,72 +222,74 @@ def _rotate(h: np.ndarray, r: np.ndarray, t: np.ndarray,
             gamma: float) -> tuple[np.ndarray, Callable]:
     """RotatE scores of the rows of (h, r, t) and their backward function.
 
-    h and t are [B, dim] entity rows, r one [dim/2] relation row. ``backward(g,
-    grads)`` takes the [B] score gradients, writes the gradients of t's rows and
-    then of h's into the [2B, dim] ``grads`` and returns the relation row's.
+    A wave of S steps: h and t are [S, B, dim] entity rows, r is [S, dim/2], one
+    relation row per step. ``backward(g, grads)`` takes the [S, B] score gradients,
+    writes each step's gradients of t's rows and then of h's into the [S, 2B, dim]
+    ``grads`` and returns the [S, dim/2] relation rows'.
     """
-    half = r.shape[0]
-    h_re, h_im, t_re, t_im = h[:, :half], h[:, half:], t[:, :half], t[:, half:]
-    cos_r, sin_r = np.cos(r), np.sin(r)
+    half = r.shape[1]
+    h_re, h_im, t_re, t_im = h[..., :half], h[..., half:], t[..., :half], t[..., half:]
+    cos_r, sin_r = np.cos(r)[:, None], np.sin(r)[:, None]
     d_re = h_re * cos_r - h_im * sin_r - t_re
     d_im = h_re * sin_r + h_im * cos_r - t_im
     root = np.sqrt(d_re * d_re + d_im * d_im + _GRAD_EPS)
 
     def backward(g, grads):
-        b = len(g)
-        g_sq = (-g)[:, None] * 0.5 / root
+        b = g.shape[1]
+        g_sq = (-g)[..., None] * 0.5 / root
         g_re, g_im = g_sq * d_re, g_sq * d_im
         g_re += g_re  # d_re * d_re: one term per operand
         g_im += g_im
-        np.negative(g_re, out=grads[:b, :half])
-        np.negative(g_im, out=grads[:b, half:])
-        grads[b:, :half] = g_im * sin_r + g_re * cos_r
-        grads[b:, half:] = g_im * cos_r - g_re * sin_r
-        g_cos = (g_im * h_im).sum(axis=0) + (g_re * h_re).sum(axis=0)
-        g_sin = (g_im * h_re).sum(axis=0) - (g_re * h_im).sum(axis=0)
-        return g_sin * cos_r - g_cos * sin_r
+        np.negative(g_re, out=grads[:, :b, :half])
+        np.negative(g_im, out=grads[:, :b, half:])
+        grads[:, b:, :half] = g_im * sin_r + g_re * cos_r
+        grads[:, b:, half:] = g_im * cos_r - g_re * sin_r
+        g_cos = (g_im * h_im).sum(axis=1) + (g_re * h_re).sum(axis=1)
+        g_sin = (g_im * h_re).sum(axis=1) - (g_re * h_im).sum(axis=1)
+        return g_sin * cos_r[:, 0] - g_cos * sin_r[:, 0]
 
-    return gamma - root.sum(axis=1), backward
+    return gamma - root.sum(axis=2), backward
 
 
 def _mode(h: np.ndarray, r: np.ndarray, t: np.ndarray,
           gamma: float) -> tuple[np.ndarray, Callable]:
-    """ModE scores and backward function, as ``_rotate``'s; r is one [dim] row."""
+    """ModE scores and backward function, as ``_rotate``'s; r is [S, dim]."""
+    r = r[:, None]
     d = h * r - t
 
     def backward(g, grads):
-        b = len(g)
-        g_d = (-g)[:, None] * np.sign(d)
-        np.negative(g_d, out=grads[:b])
-        np.multiply(g_d, r, out=grads[b:])
-        return (g_d * h).sum(axis=0)
+        b = g.shape[1]
+        g_d = (-g)[..., None] * np.sign(d)
+        np.negative(g_d, out=grads[:, :b])
+        np.multiply(g_d, r, out=grads[:, b:])
+        return (g_d * h).sum(axis=1)
 
-    return gamma - np.abs(d).sum(axis=1), backward
+    return gamma - np.abs(d).sum(axis=2), backward
 
 
 def _hake(h: np.ndarray, r: np.ndarray, t: np.ndarray,
           gamma: float) -> tuple[np.ndarray, Callable]:
-    """HAKE scores and backward function, as ``_rotate``'s; r is one [dim] row."""
-    half = h.shape[1] // 2
-    h_m, r_m = h[:, :half], r[:half]
-    d_m = h_m * r_m - t[:, :half]
-    mod = np.sqrt((d_m * d_m).sum(axis=1) + _GRAD_EPS)
-    d_p = (h[:, half:] + r[half:] - t[:, half:]) * 0.5
+    """HAKE scores and backward function, as ``_rotate``'s; r is [S, dim]."""
+    half = h.shape[2] // 2
+    h_m, r_m = h[..., :half], r[:, None, :half]
+    d_m = h_m * r_m - t[..., :half]
+    mod = np.sqrt((d_m * d_m).sum(axis=2) + _GRAD_EPS)
+    d_p = (h[..., half:] + r[:, None, half:] - t[..., half:]) * 0.5
     sin_p = np.sin(d_p)
 
     def backward(g, grads):
-        b = len(g)
+        b = g.shape[1]
         g_dist = -g
-        g_p = g_dist[:, None] * np.sign(sin_p) * np.cos(d_p) * 0.5
-        g_m = (g_dist * 0.5 / mod)[:, None] * d_m
+        g_p = g_dist[..., None] * np.sign(sin_p) * np.cos(d_p) * 0.5
+        g_m = (g_dist * 0.5 / mod)[..., None] * d_m
         g_m += g_m  # d_m * d_m: one term per operand
-        np.negative(g_m, out=grads[:b, :half])
-        np.negative(g_p, out=grads[:b, half:])
-        np.multiply(g_m, r_m, out=grads[b:, :half])
-        grads[b:, half:] = g_p
-        return np.concatenate(((g_m * h_m).sum(axis=0), g_p.sum(axis=0)))
+        np.negative(g_m, out=grads[:, :b, :half])
+        np.negative(g_p, out=grads[:, :b, half:])
+        np.multiply(g_m, r_m, out=grads[:, b:, :half])
+        grads[:, b:, half:] = g_p
+        return np.concatenate(((g_m * h_m).sum(axis=1), g_p.sum(axis=1)), axis=1)
 
-    return gamma - (mod + np.abs(sin_p).sum(axis=1)), backward
+    return gamma - (mod + np.abs(sin_p).sum(axis=2)), backward
 
 
 _FORWARD = {"RotatE": _rotate, "ModE": _mode, "HAKE": _hake}
@@ -351,9 +365,9 @@ def _side_scorer(m: KgeModel) -> Callable[[int, int, bool], np.ndarray]:
 
 def score_triple(m: KgeModel, h: int, r: int, t: int) -> float:
     """Plausibility score of one triple; higher means more plausible."""
-    scores, _ = _FORWARD[m.method](m.entity[h : h + 1], m.relation[r], m.entity[t : t + 1],
-                                   m.gamma)
-    return float(scores[0])
+    scores, _ = _FORWARD[m.method](m.entity[None, h : h + 1], m.relation[r : r + 1],
+                                   m.entity[None, t : t + 1], m.gamma)
+    return float(scores[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -369,14 +383,16 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     gradients. Per-epoch mean losses are recorded on the returned model.
 
     Each block of at most ``_DRAW_BLOCK`` positives draws its negatives in one
-    call (``_draw_negatives``, the same stream as one draw per step) and finds
-    each step's distinct entity rows and scatter index at once (``_step_rows``);
-    a step then gathers its rows, scores them and scatters the gradients.
+    call (``_draw_negatives``, the same stream as one draw per step) and is cut
+    into waves (``_wave_ends``): runs of consecutive steps none of which can see
+    another's update. A wave runs as one batched step: one gather, one forward
+    and backward, one scatter into its distinct entity rows, then the updates.
     A step updates, checks and wraps only the entity rows it scores; every
     other row has a zero gradient and already-wrapped phases. The first step
     wraps the whole relation table's phases, since RotatE's relation init is
     not wrapped, and each later step only row r (``_wrap_rows``).
-    A non-finite gradient raises ``Diverged`` before its step changes anything.
+    A non-finite gradient raises ``Diverged``, naming the wave's first bad step,
+    before the wave changes anything.
     """
     if not store.triples:
         raise ValueError("cannot train on an empty triple store")
@@ -389,9 +405,9 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     n_neg = config.negatives if n_ent >= 2 else 0
     b = 1 + n_neg  # scored rows per side; row 0 is the positive
     signs = np.r_[1.0, -np.ones(n_neg)]
-    grads = np.empty((2 * b, config.dim))  # the scored tail rows', then head rows'
     phase = {"RotatE": slice(None), "HAKE": slice(half, None)}.get(config.method)
-    last = slice(0)  # the relation rows the last step wrapped: none before the first step
+    last = slice(0)  # the relation rows whose exact pi the next wrap fixes: none at first
+    before = -1  # the relation of the step before a block; -1 before the run's first step
     triples = np.array(store.triples)
 
     # a diverging step overflows before its gradient check names the cause; the check
@@ -403,35 +419,39 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
                 block = triples[start:start + _DRAW_BLOCK]
                 heads, tails = _draw_negatives(rng, block[:, 0], block[:, 2], n_ent, n_neg)
                 ids = np.concatenate((tails, heads), axis=1)  # in the order of grads' rows
-                rows, ends, inv = _step_rows(ids)
                 begin = 0
-                for j, (r, end) in enumerate(zip(block[:, 1].tolist(), ends.tolist())):
-                    scored = ent[ids[j]]
-                    loss, g_rel = _sgd_step(forward, scored[b:], rel[r], scored[:b], signs,
-                                            config, grads)
-                    losses.append(loss)
-                    g_ent = np.zeros((end - begin, config.dim))
-                    np.add.at(g_ent, inv[j], grads)
+                for end in _wave_ends(ids, block[:, 1], before):
+                    wave, rs = ids[begin:end], block[begin:end, 1]
+                    rows, inv = np.unique(wave, return_inverse=True)
+                    scored = ent[wave]
+                    grads = np.empty(scored.shape)  # each step's tail rows', then head rows'
+                    loss, g_rel = _sgd_step(forward, scored[:, b:], rel[rs], scored[:, :b],
+                                            signs, config, grads)
+                    losses += loss.tolist()
+                    # steps share no row, so each row sums its own step's entries in order
+                    g_ent = np.zeros((len(rows), config.dim))
+                    np.add.at(g_ent, inv.reshape(-1), grads.reshape(-1, config.dim))
                     if not (np.isfinite(g_ent).all() and np.isfinite(g_rel).all()):
+                        finite = (np.isfinite(g_ent).all(axis=1)[inv.reshape(wave.shape)]
+                                  .all(axis=1) & np.isfinite(g_rel).all(axis=1))
                         raise Diverged(f"{config.method} embedding training diverged at epoch "
-                                       f"{epoch + 1}, triple {start + j + 1} of "
-                                       f"{len(triples)}: a non-finite gradient; lower kge_lr "
+                                       f"{epoch + 1}, triple {start + begin + finite.argmin() + 1}"
+                                       f" of {len(triples)}: a non-finite gradient; lower kge_lr "
                                        f"(now {config.lr!r})")
-                    step = rows[begin:end]
-                    begin = end
-                    ent[step] -= config.lr * g_ent
-                    rel[r] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
+                    ent[rows] -= config.lr * g_ent
+                    rel[rs] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
                     if config.method == "HAKE":
-                        ent[step, half:] = _wrap_phase(ent[step, half:])
-                    if phase is not None:
-                        now = r if epoch or start or j else slice(None)  # first the whole table
-                        _wrap_rows(rel, phase, now, last)
-                        last = now
+                        ent[rows, half:] = _wrap_phase(ent[rows, half:])
+                    if phase is not None:  # first the whole table
+                        now = rs if epoch or start or begin else slice(None)
+                        last = _wrap_rows(rel, phase, now, last)
+                    begin = end
+                before = int(block[-1, 1])
             model.epoch_losses.append(float(np.mean(losses)))
     return model
 
 
-_DRAW_BLOCK = 4096  # positives whose negatives and row indices one call builds
+_DRAW_BLOCK = 4096  # positives whose negatives one call draws
 
 
 def _draw_negatives(rng: np.random.Generator, h: np.ndarray, t: np.ndarray, n_ent: int,
@@ -459,46 +479,54 @@ def _draw_negatives(rng: np.random.Generator, h: np.ndarray, t: np.ndarray, n_en
     return heads, tails
 
 
-def _step_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct entities of each row of ids [P, m] and where each entry is among them.
+def _wave_ends(ids: np.ndarray, rels: np.ndarray, before: int) -> list[int]:
+    """Where each wave of a block of steps ends, cut greedily in order.
 
-    Returns ``rows``, each row's sorted distinct ids back to back, ``ends``, where
-    each row's run in ``rows`` ends, and ``inv`` [P, m], each entry's index in its
-    row's run: row i of ids is ``rows[ends[i - 1]:ends[i]][inv[i]]``.
+    Step j scores the entity rows ``ids[j]`` and relation ``rels[j]``; ``before`` is
+    the relation of the step before the block, or -1 when the block starts the run.
+    A step joins the current wave only if none of its entity rows is in the wave and
+    its relation is neither one of the wave's nor that of the step before the wave,
+    whose exact-pi fix-up lands after the wave's updates. So no step of a wave sees
+    another's update, and the wave runs as one batched step with the per-step bits.
+    The run's first step wraps every relation row (relation -1 here), so it and the
+    step after it each run alone.
     """
-    order = np.argsort(ids, axis=1)  # equal ids get one index, in any order
-    ranked = np.take_along_axis(ids, order, axis=1)
-    first = np.empty(ids.shape, dtype=bool)  # the first of each distinct value
-    first[:, 0] = True
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
-    inv = np.empty_like(ids)
-    np.put_along_axis(inv, order, np.cumsum(first, axis=1) - 1, axis=1)
-    return ranked[first], np.cumsum(first.sum(axis=1)), inv
+    ends, rows, blocked = [], set(), {-1}
+    for j, (step, r) in enumerate(zip(ids.tolist(), rels.tolist())):
+        if -1 in blocked or r in blocked or not rows.isdisjoint(step):
+            if j:
+                ends.append(j)
+            rows, blocked = set(), {before}
+        before = r if j or before >= 0 else -1
+        rows.update(step)
+        blocked.add(before)
+    ends.append(len(ids))
+    return ends
 
 
 def _sgd_step(forward: Callable, h: np.ndarray, r: np.ndarray, t: np.ndarray, signs: np.ndarray,
-              config: KgeConfig, grads: np.ndarray) -> tuple[float, np.ndarray]:
-    """The self-adversarial loss of one positive (row 0 of h and t) and its negatives,
-    and its gradients.
+              config: KgeConfig, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The self-adversarial losses of a wave of S steps, each a positive (row 0 of its
+    h and t) and its negatives, and their gradients.
 
     loss = -sum_i weight_i * logsigmoid(sign_i * score_i), where the negatives'
     weights are a softmax of their scores at ``adv_temperature``, held constant.
-    Writes the gradients of t's rows, then of h's, into the [2B, dim] ``grads`` and
-    returns (loss, relation-row gradient). Every value follows the op and
-    accumulation order of the same loss recorded on an autodiff tape, so both give
-    bitwise equal results.
+    Writes each step's gradients of t's rows, then of h's, into the [S, 2B, dim]
+    ``grads`` and returns the [S] losses and the [S, w] relation-row gradients.
+    Every value follows the op and accumulation order of the same loss recorded on
+    an autodiff tape, step by step, so both give bitwise equal results.
     """
     scores, backward = forward(h, r, t, config.gamma)
-    weights = np.ones(len(scores))
-    if len(scores) > 1:
-        raw = scores[1:]
-        w = np.exp(config.adv_temperature * (raw - raw.max()))
-        weights[1:] = w / w.sum()
+    weights = np.ones(scores.shape)
+    if scores.shape[1] > 1:
+        raw = scores[:, 1:]
+        w = np.exp(config.adv_temperature * (raw - raw.max(axis=1, keepdims=True)))
+        weights[:, 1:] = w / w.sum(axis=1, keepdims=True)
     x = scores * signs
     e_pos, e_neg = np.exp(x), np.exp(-x)
     fit = np.where(x >= 0, -np.log1p(e_neg), x - np.log1p(e_pos))  # logsigmoid(x)
     sigmoid_neg = np.where(x <= 0, 1.0 / (1.0 + e_pos), e_neg / (1.0 + e_neg))
-    return float((fit * weights).sum() * -1.0), backward(-weights * sigmoid_neg * signs, grads)
+    return (fit * weights).sum(axis=1) * -1.0, backward(-weights * sigmoid_neg * signs, grads)
 
 
 # --------------------------------------------------------------------------
@@ -675,8 +703,16 @@ def zero_table(stance_tag: str, n_words: int, width: int) -> KnowledgeEmbeddingT
 
 
 def load_links(path) -> dict[str, str]:
-    """word<TAB>entity_name per line; '#' comments allowed."""
-    return dict(_tsv_rows(path, 2, "word<TAB>entity, got {} fields"))
+    """word<TAB>entity_name per line; '#' comments allowed. A word linked on two lines
+    raises ValueError naming both, as a repeated vocabulary token does."""
+    links: dict[str, str] = {}
+    first: dict[str, int] = {}
+    for lineno, (word, entity_name) in _tsv_rows(path, 2, "word<TAB>entity, got {} fields"):
+        if word in links:
+            raise ValueError(f"{path}:{lineno}: word {word!r} is linked again "
+                             f"(first at line {first[word]})")
+        links[word], first[word] = entity_name, lineno
+    return links
 
 
 def check_links(links: dict[str, str], store: TripleStore) -> None:

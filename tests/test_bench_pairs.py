@@ -151,3 +151,33 @@ def test_verdict_is_printed_and_written(tmp_path, capsys):
     written = json.loads(out.read_text())["workloads"]["kg"]["end_to_end"]
     assert written["cycle_s"]["verdict"] == "CLAIM MET"
     assert written["peak_rss_mb"]["verdict"] == "WITHIN BOUND"
+
+
+@pytest.mark.parametrize("parent_failed,change_failed,failed", [
+    ([0] * 10, [0] * 9 + [1], True),  # one failed run on the change side
+    ([1] * 10, [1] * 9 + [2], True),
+    ([1] + [0] * 9, [0] * 9 + [1], False),  # the same share on both sides
+    ([2] * 10, [1] * 10, False),  # the change fails less
+], ids=["one-more", "more-of-many", "same-share", "fewer"])
+def test_a_larger_failed_share_fails_every_metric_and_the_exit_code(
+        tmp_path, capsys, parent_failed, change_failed, failed):
+    """The change wins every pair by far, which is a claim met, unless it fails a larger
+    share of its operations than the parent does."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    names = [m["name"] for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]]
+    for seed in range(10):
+        write_run(parent, "kg", seed, failed=parent_failed[seed], **dict.fromkeys(names, 1.0))
+        write_run(change, "kg", seed, failed=change_failed[seed],
+                  **dict.fromkeys(names, 1.0) | {"cycle_s": 0.5})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == int(failed)
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("  FAILED") for line in lines) == failed
+    written = json.loads(out.read_text())["workloads"]["kg"]
+    assert written["failed"] == failed
+    verdicts = {name: m["verdict"] for name, m in written["end_to_end"].items()}
+    if failed:
+        assert set(verdicts.values()) == {"FAILED"}
+        assert sum(line.endswith(" FAILED") for line in lines) == len(names)
+    else:
+        assert verdicts["cycle_s"] == "CLAIM MET"

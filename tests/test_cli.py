@@ -396,6 +396,22 @@ class TestTrainKge:
         assert trained == []
         assert not (tmp_path / "kge").exists()
 
+    def test_a_word_linked_again_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        kg_path = self.write_kg(tmp_path, [("E1", "r", "E2"), ("E2", "r", "E3")])
+        links = tmp_path / "links.tsv"
+        links.write_text("w1\tE1\nw1\tE2\n")
+        trained = []
+        monkeypatch.setattr(kg, "train_kge", lambda *args: trained.append(args))
+        rc = main(["train-kge", str(kg_path), "--kge-dim", "4", "--kge-epochs", "2",
+                   "--entity-links", str(links), "--vocab", str(pre / "vocab.txt"),
+                   "--output-dir", str(tmp_path / "kge")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {links}:2: word 'w1' is linked again (first at line 1)\n")
+        assert trained == []
+        assert not (tmp_path / "kge").exists()
+
     def test_links_without_vocab_exit_2_naming_vocab(self, tmp_path, capsys):
         kg_path = self.write_kg(tmp_path, [("E1", "r", "E2"), ("E2", "r", "E3")])
         links = tmp_path / "links.tsv"

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stancenet import autodiff as ad
@@ -97,11 +97,21 @@ class TestLoadTriples:
             read(path)
         assert str(err.value) == message.format(path)
 
-    def test_links_skip_comments_and_blanks_and_keep_the_last_link(self, tmp_path):
+    def test_links_skip_comments_and_blanks(self, tmp_path):
         path = tmp_path / "links.tsv"
-        path.write_text("# word\tentity\nobama\tBarack_Obama\n\n  # x\nbiden\tJoe\n"
-                        "obama\tObama\n")
-        assert load_links(path) == {"obama": "Obama", "biden": "Joe"}
+        path.write_text("# word\tentity\nobama\tBarack_Obama\n\n  # x\nbiden\tJoe\n")
+        assert load_links(path) == {"obama": "Barack_Obama", "biden": "Joe"}
+
+    @pytest.mark.parametrize("text,line,first", [
+        ("w1\tE1\nw1\tE2\n", 2, 1),
+        ("# c\nw1\tE1\n\nw2\tE2\nw1\tE1\n", 5, 2),  # the same link again, too
+    ])
+    def test_a_word_linked_again_names_both_lines(self, tmp_path, text, line, first):
+        path = tmp_path / "links.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_links(path)
+        assert str(err.value) == f"{path}:{line}: word 'w1' is linked again (first at line {first})"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "kg.tsv"
@@ -505,6 +515,160 @@ def test_short_draw_blocks_match_dense_loop_bitwise(tmp_path, monkeypatch, metho
                                                            lr=0.05, epochs=3, seed=5))
 
 
+def brute_force_wave_ends(ids, rels, before, n_rel):
+    """The wave cut written from its rule, set by set. Step j touches the relation rows
+    {rels[j]}, or every row when it is the run's first step (``before`` -1), since that
+    step wraps the whole table. Step j joins the current wave when its entity rows miss
+    the wave's and the rows it touches miss those the wave's steps and the step before
+    the wave touched; otherwise it starts a new wave."""
+    def touched(j):
+        if j < 0:
+            return set() if before < 0 else {before}
+        return set(range(n_rel)) if j == 0 and before < 0 else {rels[j]}
+
+    waves = []
+    for j in range(len(rels)):
+        if waves:
+            wave = waves[-1]
+            rows = set().union(*(ids[i] for i in wave))
+            relations = set().union(touched(wave[0] - 1), *(touched(i) for i in wave))
+            if not (rows & set(ids[j]) or relations & touched(j)):
+                wave.append(j)
+                continue
+        waves.append([j])
+    return [wave[-1] + 1 for wave in waves]
+
+
+class TestWaves:
+    """``train_kge`` runs each wave of steps, which cannot see each other's updates, as
+    one batched step with the per-step loop's bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n_ent=st.sampled_from([2, 3, 6, 1000]),
+           n_rel=st.sampled_from([1, 2, 5, 200]), width=st.integers(1, 6),
+           n_steps=st.integers(1, 30))
+    @example(data=None, n_ent=100_000, n_rel=1000, width=18, n_steps=40)
+    def test_the_cut_is_the_greedy_rule(self, data, n_ent, n_rel, width, n_steps):
+        """The waves partition the steps in order; within a wave entity rows are
+        disjoint and relations distinct, and no step after the first uses the relation
+        of the step before the wave; the run's first step, which wraps the whole
+        relation table, and the step after it are alone; and the cut is maximal: each
+        wave's next step conflicts with it. It matches the rule written set by set."""
+        if data is None:  # many entities and relations: the waves are long
+            rng = np.random.default_rng(7)
+            ids = rng.integers(0, n_ent, (n_steps, width))
+            rels, before = rng.integers(0, n_rel, n_steps), 3
+        else:
+            ids = np.array(data.draw(st.lists(
+                st.lists(st.integers(0, n_ent - 1), min_size=width, max_size=width),
+                min_size=n_steps, max_size=n_steps)))
+            rels = np.array(data.draw(st.lists(st.integers(0, n_rel - 1),
+                                               min_size=n_steps, max_size=n_steps)))
+            before = data.draw(st.integers(-1, n_rel - 1))
+        ends = kge._wave_ends(ids, rels, before)
+        assert ends == brute_force_wave_ends(ids.tolist(), rels.tolist(), before, n_rel)
+        starts = [0] + ends[:-1]
+        assert all(a < z for a, z in zip(starts, ends)) and ends[-1] == n_steps
+        if before < 0:
+            assert ends[:2] == [1, 2][:n_steps]
+        if data is None:
+            assert len(ends) <= 3
+        for a, z in zip(starts, ends):
+            wave_rows = [set(row) for row in ids[a:z].tolist()]
+            assert sum(map(len, wave_rows)) == len(set().union(*wave_rows))
+            assert len(set(rels[a:z].tolist())) == z - a
+            prior = rels[a - 1] if a else before
+            assert prior not in rels[a + 1:z].tolist()
+            if z < n_steps:  # the next step conflicts with the wave
+                assert (set(ids[z].tolist()) & set().union(*wave_rows)
+                        or rels[z] in rels[a:z].tolist() or rels[z] == prior
+                        or (before < 0 and a <= 1))
+
+    @staticmethod
+    def sparse_store(n_ent=2000, n_rel=300, n_triples=70, seed=9):
+        """A graph whose steps rarely share a row or a relation: long waves."""
+        rng = np.random.default_rng(seed)
+        names = [f"e{i}" for i in range(n_ent)]
+        triples = zip(*(rng.integers(0, n, n_triples).tolist() for n in (n_ent, n_rel, n_ent)))
+        return TripleStore({name: i for i, name in enumerate(names)}, names,
+                           {f"r{i}": i for i in range(n_rel)}, [f"r{i}" for i in range(n_rel)],
+                           list(triples), "common")
+
+    @pytest.mark.parametrize("method", ["RotatE", "ModE", "HAKE"])
+    @pytest.mark.parametrize("block", [None, 1, 3, 5])
+    def test_long_waves_match_dense_loop_bitwise(self, monkeypatch, method, block):
+        if block is not None:
+            monkeypatch.setattr(kge, "_DRAW_BLOCK", block)
+        cut, lengths = kge._wave_ends, []
+
+        def recorded(ids, rels, before):
+            ends = cut(ids, rels, before)
+            lengths.extend(np.diff([0] + ends).tolist())
+            return ends
+
+        monkeypatch.setattr(kge, "_wave_ends", recorded)
+        store = self.sparse_store()
+        TestRowLocalStep.assert_bitwise_equal(store, KgeConfig(method=method, dim=8, negatives=6,
+                                                               lr=0.05, epochs=2, seed=5))
+        assert sum(lengths) == 2 * len(store.triples)
+        assert max(lengths) >= 8 if block is None else max(lengths) == block  # waves fill
+
+    @pytest.mark.parametrize("method", ["RotatE", "HAKE"])
+    def test_the_step_after_the_first_runs_alone(self, monkeypatch, method):
+        """Every relation phase wraps to exactly pi at the run's first step. The step
+        after it fixes every row to -pi after its update, so the step after that must
+        read -pi: a wave of the second and third steps would read pi."""
+        init = kge.init_kge_model
+
+        def below_pi_init(n_entities, n_relations, config):
+            model = init(n_entities, n_relations, config)
+            model.relation[:, -2:] = np.nextafter(-np.pi, -np.inf)
+            return model
+
+        monkeypatch.setattr(kge, "init_kge_model", below_pi_init)
+        TestRowLocalStep.assert_bitwise_equal(self.sparse_store(), KgeConfig(
+            method=method, dim=8, negatives=6, lr=0.05, epochs=1, seed=5))
+
+    def test_divergence_in_the_second_step_of_a_wave_names_its_triple(self, monkeypatch):
+        """Step 4 is the second of the wave that starts at step 3. Its raw gradients are
+        finite, but the two rows of its head entity (the positive's and the negative's)
+        sum to inf; the step before it in the wave is finite. The message is the
+        step-by-step loop's: epoch 1, triple 4."""
+        n_ent = 40
+        names = [f"e{i}" for i in range(n_ent)]
+        triples = [(2, 0, 3), (4, 0, 5), (6, 0, 7), (0, 1, 1), (8, 0, 9)]
+        store = TripleStore({name: i for i, name in enumerate(names)}, names,
+                            {"r0": 0, "r1": 1}, ["r0", "r1"], triples, "common")
+        cfg = KgeConfig(method="ModE", dim=2, negatives=1, lr=0.05, epochs=1, seed=13)
+        init = kge.init_kge_model
+
+        def planted_init(n_entities, n_relations, config):
+            model = init(n_entities, n_relations, config)
+            model.entity[:] = 0.01
+            model.entity[0], model.entity[1] = 0.0, -100.0  # step 4's head and tail
+            model.relation[0], model.relation[1] = 0.5, 1e308
+            return model
+
+        monkeypatch.setattr(kge, "init_kge_model", planted_init)
+        arr = np.array(triples)
+        heads, tails = kge._draw_negatives(np.random.default_rng(cfg.seed + 1), arr[:, 0],
+                                           arr[:, 2], n_ent, 1)
+        ids = np.concatenate((tails, heads), axis=1)
+        assert kge._wave_ends(ids, arr[:, 1], -1) == [1, 2, 4, 5]
+        assert not set(ids[:3].ravel()) & set(ids[3])  # no earlier step touches its rows
+        model = planted_init(n_ent, 2, cfg)
+        grads = np.empty((1, 4, 2))
+        kge._sgd_step(kge._mode, model.entity[heads[3:4]], model.relation[[1]],
+                      model.entity[tails[3:4]], np.r_[1.0, -1.0], cfg, grads)
+        assert np.isfinite(grads).all()
+        summed = np.zeros((n_ent, 2))
+        with np.errstate(over="ignore"):
+            np.add.at(summed, ids[3], grads[0])
+        assert not np.isfinite(summed).all()
+        with pytest.raises(ad.Diverged, match="diverged at epoch 1, triple 4 of 5: a non-fin"):
+            train_kge(store, cfg)
+
+
 class TestNegativeDraws:
     """One draw per block of positives stands for the 2 * k interleaved scalar draws
     per step of ``scalar_negatives``, whose stream the kg-2k reference losses depend on."""
@@ -542,10 +706,9 @@ class TestNegativeDraws:
     @settings(max_examples=60, deadline=None)
     @given(n_ent=st.sampled_from([1, 2, 3, 2000, 2**32 + 5]), k=st.sampled_from([0, 1, 8]),
            block=st.integers(1, 5), n_pos=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_blocks_match_the_per_step_draws_and_rows(self, n_ent, k, block, n_pos, seed):
+    def test_blocks_match_the_per_step_draws(self, n_ent, k, block, n_pos, seed):
         """Blocks of ``_DRAW_BLOCK`` positives, the last one short when it does not
-        divide P: each step's heads and tails are ``scalar_negatives``'s, its rows and
-        inverse index are the sorted distinct ids and their positions, and train_kge
+        divide P: each step's heads and tails are ``scalar_negatives``'s, and train_kge
         draws once per block."""
         n_neg = k if n_ent >= 2 else 0  # as train_kge forces it
         pick = np.random.default_rng(seed)
@@ -554,18 +717,10 @@ class TestNegativeDraws:
         for start in range(0, n_pos, block):
             heads, tails = kge._draw_negatives(got_rng, h[start:start + block],
                                                t[start:start + block], n_ent, n_neg)
-            rows, ends, inv = kge._step_rows(np.concatenate((tails, heads), axis=1))
-            begin = 0
-            for j, end in enumerate(ends.tolist()):
-                want_heads, want_tails = scalar_negatives(
-                    want_rng, int(h[start + j]), int(t[start + j]), n_ent, n_neg)
-                assert (heads[j].tolist(), tails[j].tolist()) == (want_heads, want_tails)
-                want_rows = sorted(set(want_heads + want_tails))
-                at = {e: i for i, e in enumerate(want_rows)}
-                assert rows[begin:end].tolist() == want_rows
-                assert inv[j].tolist() == [at[e] for e in want_tails + want_heads]
-                begin = end
-            assert begin == len(rows)
+            for j in range(len(heads)):
+                want = scalar_negatives(want_rng, int(h[start + j]), int(t[start + j]), n_ent,
+                                        n_neg)
+                assert (heads[j].tolist(), tails[j].tolist()) == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
         if n_ent > 2000:
@@ -626,21 +781,24 @@ class TestWrapPhase:
                                                                    max_size=3)),
                           min_size=1, max_size=12))
     def test_row_wraps_equal_whole_table_wraps(self, steps):
-        """Steps that each write one row of an unwrapped table and then wrap it: the
-        first step wrapping the whole table and each later one ``_wrap_rows`` its row
-        give the bits of a whole-table ``_wrap_phase`` after every step."""
+        """Steps that each write one row of an unwrapped table, cut into waves by the
+        relation rule of ``_wave_ends``: a wave writing its rows and then wrapping them
+        with ``_wrap_rows``, the first wave the whole table, gives the bits of a
+        whole-table ``_wrap_phase`` after every step."""
         rng = np.random.default_rng(len(steps))
         whole = rng.uniform(-10, 10, (4, 5))
         rows = whole.copy()
         last = slice(0)
-        for i, (r, values) in enumerate(steps):
-            for table in (whole, rows):
-                table[r, 2:] = values
-            whole[:, 2:] = kge._wrap_phase(whole[:, 2:])
-            now = r if i else slice(None)
-            kge._wrap_rows(rows, slice(2, None), now, last)
-            last = now
-            assert rows.tobytes() == whole.tobytes(), i
+        rels = np.array([r for r, _ in steps])
+        begin = 0
+        for end in kge._wave_ends(np.zeros((len(steps), 0), dtype=int), rels, -1):
+            for r, values in steps[begin:end]:
+                whole[r, 2:] = rows[r, 2:] = values
+                whole[:, 2:] = kge._wrap_phase(whole[:, 2:])
+            now = rels[begin:end] if begin else slice(None)
+            last = kge._wrap_rows(rows, slice(2, None), now, last)
+            assert rows.tobytes() == whole.tobytes(), (begin, end)
+            begin = end
 
     def test_pi_is_the_one_output_that_rewraps(self):
         below = np.nextafter(-np.pi, -np.inf)
@@ -910,52 +1068,56 @@ def test_training_gradients_match_finite_differences():
 
 def kink_margin(method, h, r, t):
     """How far the point is from the kinks of a method's distance: ModE's |x| at
-    h*r - t = 0, HAKE's |sin| at a zero of the sine, RotatE's modulus at 0."""
-    half = h.shape[1] // 2
+    h*r - t = 0, HAKE's |sin| at a zero of the sine, RotatE's modulus at 0. h and t
+    are [S, B, dim] and r [S, w], a wave of S steps."""
+    half = h.shape[2] // 2
+    r = r[:, None]
     if method == "ModE":
         return np.abs(h * r - t).min()
     if method == "HAKE":
-        return np.abs(np.sin((h[:, half:] + r[half:] - t[:, half:]) * 0.5)).min()
-    d_re = h[:, :half] * np.cos(r) - h[:, half:] * np.sin(r) - t[:, :half]
-    d_im = h[:, :half] * np.sin(r) + h[:, half:] * np.cos(r) - t[:, half:]
+        return np.abs(np.sin((h[..., half:] + r[..., half:] - t[..., half:]) * 0.5)).min()
+    d_re = h[..., :half] * np.cos(r) - h[..., half:] * np.sin(r) - t[..., :half]
+    d_im = h[..., :half] * np.sin(r) + h[..., half:] * np.cos(r) - t[..., half:]
     return np.sqrt(d_re**2 + d_im**2).min()
 
 
 @pytest.mark.parametrize("method", kge.METHODS)
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
 def test_step_gradients_match_finite_differences(method, temperature):
-    """The hand-written gradient of one SGD step, for every scored head and tail row
-    and the relation row, agrees with central differences of the step's loss to a
-    relative error below 1e-5. The adversarial weights are constants of the gradient,
-    so the differenced loss holds them at their value at the point: at temperature 0
-    that is the step's own loss, and otherwise the same loss from NumPy's logaddexp."""
+    """The hand-written gradient of a wave of two SGD steps, for every scored head and
+    tail row and the relation rows, agrees with central differences of the sum of the
+    steps' losses to a relative error below 1e-5. The adversarial weights are constants
+    of the gradient, so the differenced loss holds them at their value at the point: at
+    temperature 0 that is the steps' own loss, and otherwise the same loss from NumPy's
+    logaddexp."""
     rng = np.random.default_rng(31)
-    dim, k = 6, 3
+    dim, k, waves = 6, 3, 2
     config = KgeConfig(method=method, dim=dim, gamma=2.0, adv_temperature=temperature)
     forward = kge._FORWARD[method]
     signs = np.r_[1.0, -np.ones(k)]
     width = dim // 2 if method == "RotatE" else dim
     while True:  # a point well away from every kink
-        h, t = rng.uniform(-1, 1, (1 + k, dim)), rng.uniform(-1, 1, (1 + k, dim))
-        r = rng.uniform(-2, 2, width)
+        h = rng.uniform(-1, 1, (waves, 1 + k, dim))
+        t = rng.uniform(-1, 1, (waves, 1 + k, dim))
+        r = rng.uniform(-2, 2, (waves, width))
         if kink_margin(method, h, r, t) > 1e-2:
             break
-    grads = np.empty((2 * (1 + k), dim))
+    grads = np.empty((waves, 2 * (1 + k), dim))
     loss, g_rel = kge._sgd_step(forward, h, r, t, signs, config, grads)
     scores, _ = forward(h, r, t, config.gamma)
-    weights = np.ones(1 + k)
-    w = np.exp(temperature * (scores[1:] - scores[1:].max()))
-    weights[1:] = w / w.sum()
+    weights = np.ones((waves, 1 + k))
+    w = np.exp(temperature * (scores[:, 1:] - scores[:, 1:].max(axis=1, keepdims=True)))
+    weights[:, 1:] = w / w.sum(axis=1, keepdims=True)
 
     def frozen_loss():
         if temperature == 0.0:
-            return kge._sgd_step(forward, h, r, t, signs, config, np.empty_like(grads))[0]
+            return kge._sgd_step(forward, h, r, t, signs, config, np.empty_like(grads))[0].sum()
         s, _ = forward(h, r, t, config.gamma)
         return float((weights * np.logaddexp(0.0, -signs * s)).sum())
 
-    assert frozen_loss() == pytest.approx(loss, rel=1e-12)
+    assert frozen_loss() == pytest.approx(loss.sum(), rel=1e-12)
     step = 1e-5
-    for name, x, analytic in (("tail", t, grads[: 1 + k]), ("head", h, grads[1 + k :]),
+    for name, x, analytic in (("tail", t, grads[:, : 1 + k]), ("head", h, grads[:, 1 + k :]),
                               ("relation", r, g_rel)):
         numeric = np.zeros_like(x)
         for i in np.ndindex(x.shape):

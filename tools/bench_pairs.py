@@ -9,8 +9,10 @@ and each end-to-end metric of ``BENCHMARK.json`` (untraced runs) the
 script prints the median and quartiles of each side and how many pairs
 the change wins, in the metric's better direction, and the relative change
 of the medians, signed so that positive is worse, and a verdict (see
-``verdict``). Traced runs, where both sides have one for a seed, add the
-medians of each per-layer metric.
+``verdict``). A workload where the change fails a larger share of its
+operations than the parent gets a ``FAILED`` line, every one of its metrics
+the verdict ``FAILED``, and the script exits 1. Traced runs, where both sides
+have one for a seed, add the medians of each per-layer metric.
 ``--out`` writes the same data as JSON. Standard library only.
 """
 
@@ -79,6 +81,9 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
         for side, index in (("parent", 0), ("change", 1)):
             entry[f"{side}_failed"] = sum(p[index]["failed"] for p in pairs)
             entry[f"{side}_attempted"] = sum(p[index]["attempted"] for p in pairs)
+        # a gain does not count when a larger share of operations fails
+        entry["failed"] = (entry["change_failed"] * entry["parent_attempted"]
+                           > entry["parent_failed"] * entry["change_attempted"])
         for metric in end_to_end:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             before = [p["end_to_end"][name] for p, _ in pairs]
@@ -94,7 +99,8 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
                 "parent": summary(before), "change": summary(after),
                 "change_wins": wins, "pairs": len(pairs), "relative": relative,
                 "beyond_bound": beyond_bound,
-                "verdict": verdict(before, after, sign, metric["bound"], wins, beyond_bound),
+                "verdict": "FAILED" if entry["failed"] else verdict(
+                    before, after, sign, metric["bound"], wins, beyond_bound),
             }
         traced = [s for s in sorted({s for w, tr, s in parent if w == workload and tr == 1})
                   if (workload, 1, s) in change]
@@ -117,6 +123,8 @@ def report(workloads: dict) -> str:
         lines.append(f"{workload}: {len(entry['seeds'])} pairs, seeds {entry['seeds']}; failed "
                      f"{entry['parent_failed']}/{entry['parent_attempted']} -> "
                      f"{entry['change_failed']}/{entry['change_attempted']}")
+        if entry["failed"]:
+            lines.append("  FAILED: the change fails a larger share of operations than the parent")
         for name, m in entry["end_to_end"].items():
             p, c = m["parent"], m["change"]
             relative = "n/a" if m["relative"] is None else f"{m['relative']:+.1%}"
@@ -149,7 +157,7 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps({"environment": environment, "workloads": workloads},
                                        indent=1) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
-    return 0
+    return 1 if any(entry["failed"] for entry in workloads.values()) else 0
 
 
 if __name__ == "__main__":
