@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -185,10 +185,10 @@ def cmd_preprocess(args) -> int:
     cfg, train_cfg, _ = build_config(args)
     dataset = _require(args.dataset_path or cfg.dataset, "dataset")
     articles, classes = td.load_corpus(dataset)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     vocab = td.build_vocab(articles)
     encoded = td.encode_corpus(articles, vocab, train_cfg.hp.n, train_cfg.hp.l)
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / "vocab.txt")
     td.save_encoded(out_dir / "corpus.npz", encoded, classes)
     histogram = td.class_histogram(articles, classes)
@@ -208,8 +208,6 @@ def cmd_train_kge(args) -> int:
         links = kg.load_links(_require(cfg.entity_links, "entity_links"))
         kg.check_links(links, store)
         vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if store.duplicates_dropped:
         print(f"dropped {store.duplicates_dropped} duplicate triples")
     rng = np.random.default_rng(cfg.seed)
@@ -222,6 +220,8 @@ def cmd_train_kge(args) -> int:
                                  store.relation_names, train_triples, cfg.stance)
     model = kg.train_kge(train_store, kge_cfg)
 
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / f"kge_{cfg.stance}.npz"
     np.savez(model_path, method=np.frombuffer(model.method.encode(), dtype=np.uint8),
              dim=np.array(model.dim), gamma=np.array(model.gamma),
@@ -293,7 +293,7 @@ def cmd_train(args) -> int:
     reports_path = out_dir / "epochs.jsonl"
     with open(reports_path, "w", encoding="utf-8") as fh:
         for r in reports:
-            fh.write(json.dumps(r.to_json_dict()) + "\n")
+            fh.write(json.dumps(asdict(r)) + "\n")
     if reports:
         last = reports[-1]
         print(f"epoch {last.epoch}: loss {last.loss:.4f} val_acc {last.val_acc:.4f} "

@@ -17,10 +17,9 @@ Each formula is written once for training, in ``_rotate``, ``_mode`` and
 ``_hake``: plain NumPy over a wave of S steps, [S, B, dim] entity rows and one
 relation row per step, returning the scores and a backward function with the
 hand-derived gradients. ``score_triple`` runs the same forward on a wave of
-one. The SGD step
-(``_sgd_step``) follows the op and accumulation order of the same loss
-recorded on the autodiff tape, so its parameters and losses are bitwise
-the tape's; the tests keep that tape scorer as their oracle
+one. The SGD step (``_sgd_step``) follows the op and accumulation order of the
+same loss recorded on the autodiff tape, so its parameters and losses are
+bitwise the tape's; the tests keep that tape scorer as their oracle
 (``tests/test_kge.py``, on the test-only tape ops of ``tests/tape_ops.py``)
 and check the hand-written gradients against central differences.
 Ranking scores every entity twice per test triple, so it runs a second
@@ -35,7 +34,8 @@ step per positive. Each block of positives draws its negatives in one
 generator call, the same stream as one call per step (``_draw_negatives``),
 and is cut into waves (``_wave_ends``): runs of consecutive steps that share
 no entity row and no relation, so that no step of a wave can see another's
-update. A wave runs as one batched step with the per-step loop's bits.
+update. A wave runs as one batched step with the per-step loop's bits. A step
+wraps the phases of the rows it updated, entities' and relations' alike.
 Evaluation scores every entity as a replacement for the head and for the
 tail of each test triple and ranks the true one in the filtered setting:
 one mask per side drops the other known-true triples from the candidate
@@ -176,26 +176,6 @@ class KgeModel:
 
 def _wrap_phase(x: np.ndarray) -> np.ndarray:
     return np.mod(x + np.pi, 2.0 * np.pi) - np.pi
-
-
-def _fix_pi(table: np.ndarray, rows, cols: slice) -> None:
-    part = table[rows, cols]
-    part[part == np.pi] = -np.pi
-    table[rows, cols] = part
-
-
-def _wrap_rows(table: np.ndarray, cols: slice, rows, last):
-    """Wrap the phase columns ``cols`` of ``table[rows]`` in place, the relation rows of
-    a wave in step order or, at the run's first step, the whole table, to the bits a
-    whole-table ``_wrap_phase`` after each step would give. That rewrap only turns an
-    exact pi into -pi, so ``last``, which this returns for the next wave, is fixed
-    first, and then each row of the wave but its last."""
-    _fix_pi(table, last, cols)
-    table[rows, cols] = _wrap_phase(table[rows, cols])
-    if isinstance(rows, slice):
-        return rows
-    _fix_pi(table, rows[:-1], cols)
-    return rows[-1]
 
 
 def init_kge_model(n_entities: int, n_relations: int, config: KgeConfig) -> KgeModel:
@@ -377,22 +357,20 @@ def score_triple(m: KgeModel, h: int, r: int, t: int) -> float:
 def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     """Fit embeddings to a triple store with self-adversarial negative sampling.
 
-    One SGD step per positive triple, in a fixed order, so a seed fully
-    determines the final parameters. The positive and its negatives are
-    scored as one batch by ``_sgd_step``, in plain NumPy with hand-derived
-    gradients. Per-epoch mean losses are recorded on the returned model.
-
-    Each block of at most ``_DRAW_BLOCK`` positives draws its negatives in one
-    call (``_draw_negatives``, the same stream as one draw per step) and is cut
-    into waves (``_wave_ends``): runs of consecutive steps none of which can see
-    another's update. A wave runs as one batched step: one gather, one forward
-    and backward, one scatter into its distinct entity rows, then the updates.
-    A step updates, checks and wraps only the entity rows it scores; every
-    other row has a zero gradient and already-wrapped phases. The first step
-    wraps the whole relation table's phases, since RotatE's relation init is
-    not wrapped, and each later step only row r (``_wrap_rows``).
-    A non-finite gradient raises ``Diverged``, naming the wave's first bad step,
-    before the wave changes anything.
+    One SGD step per positive triple, in a fixed order, so a seed fully determines
+    the final parameters; per-epoch mean losses are recorded on the returned model.
+    Each block of at most ``_DRAW_BLOCK`` positives draws its negatives in one call
+    (``_draw_negatives``, the same stream as one draw per step) and is cut into
+    waves (``_wave_ends``) of steps none of which can see another's update. A wave
+    runs as one batched step, in plain NumPy with hand-derived gradients
+    (``_sgd_step``): one gather, one forward and backward, one scatter into its
+    distinct entity rows, then the updates. A step updates, checks and wraps only
+    the entity rows and the relation row it scores; every other row has a zero
+    gradient and already-wrapped phases. So the parameters are those of a loop
+    that wraps whole tables after every step, except that a phase a wrap returns
+    as exactly pi stays pi until its row's next update. A non-finite gradient
+    raises ``Diverged``, naming the wave's first bad step, before the wave changes
+    anything.
     """
     if not store.triples:
         raise ValueError("cannot train on an empty triple store")
@@ -406,9 +384,12 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     b = 1 + n_neg  # scored rows per side; row 0 is the positive
     signs = np.r_[1.0, -np.ones(n_neg)]
     phase = {"RotatE": slice(None), "HAKE": slice(half, None)}.get(config.method)
-    last = slice(0)  # the relation rows whose exact pi the next wrap fixes: none at first
-    before = -1  # the relation of the step before a block; -1 before the run's first step
     triples = np.array(store.triples)
+    if phase is not None and config.epochs:
+        # as under a whole-table wrap after every step: the first step reads its own
+        # relation row as drawn, every other row wrapped
+        others = np.arange(store.n_relations) != triples[0, 1]
+        rel[others, phase] = _wrap_phase(rel[others, phase])
 
     # a diverging step overflows before its gradient check names the cause; the check
     # is the one report
@@ -420,7 +401,7 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
                 heads, tails = _draw_negatives(rng, block[:, 0], block[:, 2], n_ent, n_neg)
                 ids = np.concatenate((tails, heads), axis=1)  # in the order of grads' rows
                 begin = 0
-                for end in _wave_ends(ids, block[:, 1], before):
+                for end in _wave_ends(ids, block[:, 1]):
                     wave, rs = ids[begin:end], block[begin:end, 1]
                     rows, inv = np.unique(wave, return_inverse=True)
                     scored = ent[wave]
@@ -442,11 +423,9 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
                     rel[rs] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
                     if config.method == "HAKE":
                         ent[rows, half:] = _wrap_phase(ent[rows, half:])
-                    if phase is not None:  # first the whole table
-                        now = rs if epoch or start or begin else slice(None)
-                        last = _wrap_rows(rel, phase, now, last)
+                    if phase is not None:
+                        rel[rs, phase] = _wrap_phase(rel[rs, phase])
                     begin = end
-                before = int(block[-1, 1])
             model.epoch_losses.append(float(np.mean(losses)))
     return model
 
@@ -479,27 +458,18 @@ def _draw_negatives(rng: np.random.Generator, h: np.ndarray, t: np.ndarray, n_en
     return heads, tails
 
 
-def _wave_ends(ids: np.ndarray, rels: np.ndarray, before: int) -> list[int]:
-    """Where each wave of a block of steps ends, cut greedily in order.
-
-    Step j scores the entity rows ``ids[j]`` and relation ``rels[j]``; ``before`` is
-    the relation of the step before the block, or -1 when the block starts the run.
-    A step joins the current wave only if none of its entity rows is in the wave and
-    its relation is neither one of the wave's nor that of the step before the wave,
-    whose exact-pi fix-up lands after the wave's updates. So no step of a wave sees
-    another's update, and the wave runs as one batched step with the per-step bits.
-    The run's first step wraps every relation row (relation -1 here), so it and the
-    step after it each run alone.
-    """
-    ends, rows, blocked = [], set(), {-1}
+def _wave_ends(ids: np.ndarray, rels: np.ndarray) -> list[int]:
+    """Where each wave of a block of steps ends, cut greedily in order: step j, which
+    scores the entity rows ``ids[j]`` and relation ``rels[j]``, joins the current wave
+    only if its entity rows miss the wave's and its relation is not one of the wave's.
+    So no step of a wave sees another's update, and the wave runs as one batched step."""
+    ends, rows, relations = [], set(), set()
     for j, (step, r) in enumerate(zip(ids.tolist(), rels.tolist())):
-        if -1 in blocked or r in blocked or not rows.isdisjoint(step):
-            if j:
-                ends.append(j)
-            rows, blocked = set(), {before}
-        before = r if j or before >= 0 else -1
+        if r in relations or not rows.isdisjoint(step):
+            ends.append(j)
+            rows, relations = set(), set()
         rows.update(step)
-        blocked.add(before)
+        relations.add(r)
     ends.append(len(ids))
     return ends
 

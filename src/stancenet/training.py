@@ -59,10 +59,6 @@ class EpochReport:
     lr: float
     secs: float
 
-    def to_json_dict(self) -> dict:
-        return {"epoch": self.epoch, "loss": self.loss, "val_acc": self.val_acc,
-                "lr": self.lr, "secs": self.secs}
-
 
 @dataclass
 class CvReport:

@@ -17,10 +17,10 @@ END_TO_END = [
 ]
 
 
-def write_run(directory, workload, seed, trace=0, failed=0, **values):
+def write_run(directory, workload, seed, trace=0, failed=0, seconds=30.0, **values):
     directory.mkdir(exist_ok=True)
     result = {"workload": workload, "seed": seed, "trace": {"spans": []} if trace else 0,
-              "attempted": 10,
+              "seconds": seconds, "attempted": 10,
               "failed": failed, "environment": {"nproc": 2},
               "end_to_end": values if not trace else {},
               "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
@@ -76,6 +76,23 @@ def test_main_writes_json_and_fails_without_pairs(tmp_path, capsys):
     written = json.loads(out.read_text())
     assert written["environment"] == {"nproc": 2}
     assert written["workloads"]["kg"]["end_to_end"]["cycle_s"]["change_wins"] == 1
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_runs_of_different_lengths_are_refused_naming_workload_and_seed(
+        tmp_path, capsys, trace):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    names = [m["name"] for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]]
+    for seed in (1, 2):
+        write_run(parent, "kg", seed, **dict.fromkeys(names, 1.0))
+        write_run(change, "kg", seed, **dict.fromkeys(names, 1.0))
+    write_run(parent, "kg", 3, trace=trace, **dict.fromkeys(names, 1.0))
+    write_run(change, "kg", 3, trace=trace, seconds=10.0, **dict.fromkeys(names, 1.0))
+    assert bench_pairs.main([str(parent), str(change)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("kg seed 3: the parent ran for 30.0 s and the change for 10.0 s; "
+                            "pair runs of the same length\n")
 
 
 def test_relative_change_is_signed_worse_and_flagged_beyond_bound(tmp_path, capsys):

@@ -254,6 +254,14 @@ class TestPreprocess:
         assert f"{path}:1: title must be a string" in capsys.readouterr().err
         assert not (tmp_path / "pre").exists()
 
+    def test_article_without_sentences_exits_2_without_output(self, tmp_path, capsys):
+        path = tmp_path / "sep.jsonl"
+        save_corpus(path, [RawArticle("a", "b c", 0), RawArticle("c", "<sep>", 1)], classes=2)
+        rc = main(["preprocess", str(path), "--output-dir", str(tmp_path / "pre")])
+        assert rc == 2
+        assert "article 'c' has no sentences after splitting" in capsys.readouterr().err
+        assert not (tmp_path / "pre").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = write_corpus(tmp_path)
         out1 = preprocess(tmp_path, corpus, out="pre1")
@@ -314,21 +322,34 @@ class TestTrainKge:
         assert not (out / "kge_common_metrics.csv").exists()
 
     def test_zero_epochs_writes_the_initial_model(self, tmp_path, capsys):
+        """No step runs, so not even the relation phases are wrapped: RotatE's relation
+        table is the one ``init_kge_model`` draws, bit for bit."""
         kg_path = self.write_kg(tmp_path, [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
         out = tmp_path / "kge"
-        rc = main(["train-kge", str(kg_path), "--kge-dim", "4", "--kge-epochs", "0",
-                   "--output-dir", str(out)])
+        argv = ["train-kge", str(kg_path), "--kge-dim", "4", "--kge-epochs", "0",
+                "--output-dir", str(out)]
+        rc = main(argv)
         assert rc == 0
         assert "(no epoch ran)" in capsys.readouterr().out
+        drawn = kg.init_kge_model(3, 1, build_config(make_parser().parse_args(argv))[2])
+        assert drawn.method == "RotatE"
         with np.load(out / "kge_common.npz") as data:
             assert sorted(data.files) == ["dim", "entity", "epoch_losses", "gamma", "method",
                                           "relation"]
             assert data["epoch_losses"].size == 0
+            assert data["relation"].tobytes() == drawn.relation.tobytes()
 
     def test_malformed_triples_exit_2(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tr\tb\nbad line without tabs\n")
         assert main(["train-kge", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_a_store_of_only_comments_exits_2_without_output(self, tmp_path, capsys):
+        path = tmp_path / "comments.tsv"
+        path.write_text("# head\trelation\ttail\n\n")
+        assert main(["train-kge", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: cannot train on an empty triple store\n"
         assert not (tmp_path / "o").exists()
 
     def test_divergence_exits_2_naming_method_epoch_triple_and_kge_lr(self, tmp_path, capsys):
@@ -348,6 +369,7 @@ class TestTrainKge:
         assert [str(w.message) for w in caught] == []  # the error line is the one report
         assert re.fullmatch(r"error: ModE embedding training diverged at epoch \d+, triple \d+ "
                             r"of 6: .*lower kge_lr \(now 100000\.0\)\n", err), err
+        assert not (tmp_path / "kge").exists()
 
     def test_exports_aligned_table_with_links(self, tmp_path):
         corpus = write_corpus(tmp_path)

@@ -4,7 +4,8 @@
 
 PARENT_DIR and CHANGE_DIR are the ``.bench_out/`` directories that
 ``perfbench/run.py`` wrote in a checkout of the parent commit and of the
-change. Result files are paired by workload and seed. For each workload
+change. Result files are paired by workload and seed; a pair whose sides
+ran for different ``seconds`` is an error (exit 1). For each workload
 and each end-to-end metric of ``BENCHMARK.json`` (untraced runs) the
 script prints the median and quartiles of each side and how many pairs
 the change wins, in the metric's better direction, and the relative change
@@ -147,6 +148,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     end_to_end = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     parent, change = load_runs(args.parent), load_runs(args.change)
+    for workload, trace, seed in sorted(parent.keys() & change.keys()):
+        lengths = [side[workload, trace, seed]["seconds"] for side in (parent, change)]
+        if lengths[0] != lengths[1]:
+            print(f"{workload} seed {seed}: the parent ran for {lengths[0]} s and the change "
+                  f"for {lengths[1]} s; pair runs of the same length", file=sys.stderr)
+            return 1
     workloads = compare(parent, change, end_to_end)
     if not workloads:
         print("no workload and seed has a result on both sides", file=sys.stderr)
