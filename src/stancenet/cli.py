@@ -286,8 +286,8 @@ def cmd_train(args) -> int:
     if not train_set:
         raise ConfigError(f"config key 'val_fraction' = {cfg.val_fraction} leaves none of "
                           f"the {len(encoded)} articles to train on")
-    out_dir.mkdir(parents=True, exist_ok=True)
     params, reports = tr.train(train_set, bundle, train_cfg, val_dataset=val_set or None)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.npz"
     md.save_checkpoint(ckpt_path, params, train_cfg.hp, seed=cfg.seed)
     reports_path = out_dir / "epochs.jsonl"

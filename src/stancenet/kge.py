@@ -32,10 +32,11 @@ method, both sides and several widths.
 Training minimises a self-adversarial negative-sampling loss with SGD, one
 step per positive. Each block of positives draws its negatives in one
 generator call, the same stream as one call per step (``_draw_negatives``),
-and is cut into waves (``_wave_ends``): runs of consecutive steps that share
-no entity row and no relation, so that no step of a wave can see another's
-update. A wave runs as one batched step with the per-step loop's bits. A step
-wraps the phases of the rows it updated, entities' and relations' alike.
+and its steps are grouped into waves (``_waves``): each step runs in the wave
+right after the latest one holding an earlier step it shares an entity row or
+its relation with. Steps that touch disjoint rows commute, so a wave runs as
+one batched step with the per-step loop's bits. A step wraps the phases of
+the rows it updated, entities' and relations' alike.
 Evaluation scores every entity as a replacement for the head and for the
 tail of each test triple and ranks the true one in the filtered setting:
 one mask per side drops the other known-true triples from the candidate
@@ -51,7 +52,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Diverged
+from .autodiff import Diverged, _scatter
 from .textdata import not_utf8, text_lines
 
 METHODS = ("RotatE", "ModE", "HAKE")
@@ -360,17 +361,19 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     One SGD step per positive triple, in a fixed order, so a seed fully determines
     the final parameters; per-epoch mean losses are recorded on the returned model.
     Each block of at most ``_DRAW_BLOCK`` positives draws its negatives in one call
-    (``_draw_negatives``, the same stream as one draw per step) and is cut into
-    waves (``_wave_ends``) of steps none of which can see another's update. A wave
-    runs as one batched step, in plain NumPy with hand-derived gradients
-    (``_sgd_step``): one gather, one forward and backward, one scatter into its
-    distinct entity rows, then the updates. A step updates, checks and wraps only
-    the entity rows and the relation row it scores; every other row has a zero
-    gradient and already-wrapped phases. So the parameters are those of a loop
-    that wraps whole tables after every step, except that a phase a wrap returns
-    as exactly pi stays pi until its row's next update. A non-finite gradient
-    raises ``Diverged``, naming the wave's first bad step, before the wave changes
-    anything.
+    (``_draw_negatives``, the same stream as one draw per step) and its steps are
+    grouped into waves (``_waves``): each step runs after every earlier step it
+    shares a row with and before every later one, and with no step that shares
+    one. A wave runs as one batched step, in plain NumPy with hand-derived
+    gradients (``_sgd_step``): one gather, one forward and backward, one scatter
+    into its distinct entity rows, then the updates. Each step's loss is kept at
+    its own index, so an epoch's mean sums them in step order. A step updates,
+    checks and wraps only the entity rows and the relation row it scores; every
+    other row has a zero gradient and already-wrapped phases. So the parameters
+    are those of a loop that wraps whole tables after every step, except that a
+    phase a wrap returns as exactly pi stays pi until its row's next update. A
+    non-finite gradient raises ``Diverged`` once the block has run every step
+    before the first bad one, naming that step in step order.
     """
     if not store.triples:
         raise ValueError("cannot train on an empty triple store")
@@ -395,37 +398,42 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     # is the one report
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
-            losses = []
+            losses = np.empty(len(triples))  # in step order, whatever the waves' order
             for start in range(0, len(triples), _DRAW_BLOCK):
                 block = triples[start:start + _DRAW_BLOCK]
                 heads, tails = _draw_negatives(rng, block[:, 0], block[:, 2], n_ent, n_neg)
                 ids = np.concatenate((tails, heads), axis=1)  # in the order of grads' rows
-                begin = 0
-                for end in _wave_ends(ids, block[:, 1]):
-                    wave, rs = ids[begin:end], block[begin:end, 1]
-                    rows, inv = np.unique(wave, return_inverse=True)
-                    scored = ent[wave]
+                stop = len(block)  # the block's first bad step found so far
+                for wave in _waves(ids, block[:, 1]):
+                    if stop < len(block):  # no step after a bad one needs to run
+                        wave = wave[wave < stop]
+                        if not wave.size:
+                            continue
+                    wave_ids, rs = ids[wave], block[wave, 1]
+                    rows, inv = np.unique(wave_ids, return_inverse=True)
+                    scored = ent[wave_ids]
                     grads = np.empty(scored.shape)  # each step's tail rows', then head rows'
                     loss, g_rel = _sgd_step(forward, scored[:, b:], rel[rs], scored[:, :b],
                                             signs, config, grads)
-                    losses += loss.tolist()
+                    losses[start + wave] = loss
                     # steps share no row, so each row sums its own step's entries in order
-                    g_ent = np.zeros((len(rows), config.dim))
-                    np.add.at(g_ent, inv.reshape(-1), grads.reshape(-1, config.dim))
+                    g_ent = _scatter(inv.reshape(-1), grads.reshape(-1, config.dim), len(rows))
                     if not (np.isfinite(g_ent).all() and np.isfinite(g_rel).all()):
-                        finite = (np.isfinite(g_ent).all(axis=1)[inv.reshape(wave.shape)]
+                        finite = (np.isfinite(g_ent).all(axis=1)[inv.reshape(wave_ids.shape)]
                                   .all(axis=1) & np.isfinite(g_rel).all(axis=1))
-                        raise Diverged(f"{config.method} embedding training diverged at epoch "
-                                       f"{epoch + 1}, triple {start + begin + finite.argmin() + 1}"
-                                       f" of {len(triples)}: a non-finite gradient; lower kge_lr "
-                                       f"(now {config.lr!r})")
+                        stop = wave[finite.argmin()]
+                    # a bad step updates its rows too: a step that shares one and runs
+                    # later comes after it in step order, so never runs
                     ent[rows] -= config.lr * g_ent
                     rel[rs] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
                     if config.method == "HAKE":
                         ent[rows, half:] = _wrap_phase(ent[rows, half:])
                     if phase is not None:
                         rel[rs, phase] = _wrap_phase(rel[rs, phase])
-                    begin = end
+                if stop < len(block):
+                    raise Diverged(f"{config.method} embedding training diverged at epoch "
+                                   f"{epoch + 1}, triple {start + stop + 1} of {len(triples)}: "
+                                   f"a non-finite gradient; lower kge_lr (now {config.lr!r})")
             model.epoch_losses.append(float(np.mean(losses)))
     return model
 
@@ -458,20 +466,23 @@ def _draw_negatives(rng: np.random.Generator, h: np.ndarray, t: np.ndarray, n_en
     return heads, tails
 
 
-def _wave_ends(ids: np.ndarray, rels: np.ndarray) -> list[int]:
-    """Where each wave of a block of steps ends, cut greedily in order: step j, which
-    scores the entity rows ``ids[j]`` and relation ``rels[j]``, joins the current wave
-    only if its entity rows miss the wave's and its relation is not one of the wave's.
-    So no step of a wave sees another's update, and the wave runs as one batched step."""
-    ends, rows, relations = [], set(), set()
-    for j, (step, r) in enumerate(zip(ids.tolist(), rels.tolist())):
-        if r in relations or not rows.isdisjoint(step):
-            ends.append(j)
-            rows, relations = set(), set()
-        rows.update(step)
-        relations.add(r)
-    ends.append(len(ids))
-    return ends
+def _waves(ids: np.ndarray, rels: np.ndarray) -> list[np.ndarray]:
+    """A block's steps grouped into waves, each an ascending index array, in the order
+    they run. Step j scores the entity rows ``ids[j]`` and the relation ``rels[j]``; it
+    goes in the wave right after the latest one that holds an earlier step sharing an
+    entity row or its relation, or in the first. So no step of a wave sees another's
+    update, each step sees the updates of every earlier step it shares a row with, and
+    none of a later one's: the waves give the step-by-step loop's bits."""
+    n = int(ids.max()) + 1  # the relations' keys follow the entities'
+    last = [-1] * (n + int(rels.max()) + 1)  # the latest wave that touched each key
+    levels = []
+    for keys in np.concatenate((ids, n + rels[:, None]), axis=1).tolist():
+        level = 1 + max(map(last.__getitem__, keys))
+        levels.append(level)
+        for key in keys:
+            last[key] = level
+    order = np.argsort(levels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(levels))[:-1])
 
 
 def _sgd_step(forward: Callable, h: np.ndarray, r: np.ndarray, t: np.ndarray, signs: np.ndarray,

@@ -17,10 +17,14 @@ END_TO_END = [
 ]
 
 
-def write_run(directory, workload, seed, trace=0, failed=0, seconds=30.0, **values):
+OUTPUTS = {"RotatE": {"loss": 0.5, "MR": 12.25, "params": "ab12"}, "accuracy": [0.5, 0.75]}
+
+
+def write_run(directory, workload, seed, trace=0, failed=0, seconds=30.0, outputs=OUTPUTS,
+              **values):
     directory.mkdir(exist_ok=True)
     result = {"workload": workload, "seed": seed, "trace": {"spans": []} if trace else 0,
-              "seconds": seconds, "attempted": 10,
+              "seconds": seconds, "attempted": 10, "cycles": [{"outputs": outputs}],
               "failed": failed, "environment": {"nproc": 2},
               "end_to_end": values if not trace else {},
               "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
@@ -126,6 +130,7 @@ def verdicts(tmp_path, before, after):
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 SPREAD = [1.0] * 6 + [1.9] * 4
+RSS = [45.27, 45.26, 45.27, 45.28, 45.27, 45.27, 45.26, 45.28, 45.27, 45.27]
 
 
 @pytest.mark.parametrize("after,expected", [
@@ -141,6 +146,16 @@ SPREAD = [1.0] * 6 + [1.9] * 4
 def test_claim_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_spread(
         tmp_path, after, expected):
     assert verdicts(tmp_path, PARENT, after) == expected
+
+
+@pytest.mark.parametrize("after,expected", [
+    ([v - 0.09 for v in RSS], "WITHIN BOUND"),  # 0.2% better, 10 of 10 won
+    ([v - 0.46 for v in RSS], "CLAIM MET"),  # 1.02% better
+], ids=["below-one-percent", "one-percent"])
+def test_claim_needs_a_gain_of_at_least_one_percent(tmp_path, after, expected):
+    """Peak RSS barely spreads: the parent's quartiles lie 0.01 apart, so a change
+    that wins every pair by 0.09 of 45.27 beats the spread, but that is no claim."""
+    assert verdicts(tmp_path, RSS, after) == expected
 
 
 @pytest.mark.parametrize("after,expected", [
@@ -198,3 +213,41 @@ def test_a_larger_failed_share_fails_every_metric_and_the_exit_code(
         assert sum(line.endswith(" FAILED") for line in lines) == len(names)
     else:
         assert verdicts["cycle_s"] == "CLAIM MET"
+
+
+def test_outputs_are_compared_bit_for_bit_per_seed(tmp_path, capsys):
+    """The first cycle's outputs of every pair: the same bits read SAME BITS; one
+    digest that differs in one seed reads OUTPUTS DIFFER and names seed and key."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    names = [m["name"] for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]]
+    for seed in range(3):
+        write_run(parent, "kg", seed, **dict.fromkeys(names, 1.0))
+        write_run(change, "kg", seed, **dict.fromkeys(names, 1.0))
+        write_run(parent, "news", seed, **dict.fromkeys(names, 1.0))
+    differ = {**OUTPUTS, "RotatE": {**OUTPUTS["RotatE"], "params": "ab13"}}
+    write_run(change, "news", 0, **dict.fromkeys(names, 1.0))
+    write_run(change, "news", 1, outputs=differ, **dict.fromkeys(names, 1.0))
+    write_run(change, "news", 2, outputs=differ, **dict.fromkeys(names, 1.0))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  outputs: SAME BITS (3 of 3 seeds)" in lines
+    assert "  outputs: OUTPUTS DIFFER, first at seed 1, key RotatE.params" in lines
+    written = json.loads(out.read_text())["workloads"]
+    assert written["kg"]["outputs"] == {"same": True, "seeds": 3}
+    assert written["news"]["outputs"] == {"same": False, "seeds": 3, "seed": 1,
+                                          "key": "RotatE.params"}
+
+
+@pytest.mark.parametrize("before,after,key", [
+    (OUTPUTS, {**OUTPUTS, "accuracy": [0.5, 0.75000000000000001]}, None),  # the same float
+    (OUTPUTS, {**OUTPUTS, "accuracy": [0.5, 0.7500000000000001]}, "accuracy[1]"),  # one ulp
+    ({"loss": 0.0}, {"loss": -0.0}, "loss"),  # equal floats, different bits
+    (OUTPUTS, {"RotatE": OUTPUTS["RotatE"]}, "accuracy[0]"),  # a key missing
+    (OUTPUTS, {**OUTPUTS, "extra": 1}, "extra"),
+])
+def test_a_difference_names_the_first_key_whose_bits_differ(before, after, key):
+    got = bench_pairs.same_bits([({"cycles": [{"outputs": before}]},
+                                  {"cycles": [{"outputs": after}]})], [7])
+    assert got == ({"same": True, "seeds": 1} if key is None
+                   else {"same": False, "seeds": 1, "seed": 7, "key": key})

@@ -516,6 +516,18 @@ class TestTrain:
         assert re.fullmatch(r"error: training diverged: non-finite gradient for parameter "
                             r"'\w+'; lower lr \(now 1e\+300\)\n", err), err
 
+    def test_divergence_exits_2_without_output(self, tmp_path, capsys):
+        """The output directory is created after training, as train --folds, train-kge
+        and preprocess create theirs, so a diverged run leaves none behind."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        rc = main(["train", "--corpus", str(pre / "corpus.npz"),
+                   "--vocab", str(pre / "vocab.txt"), "--no-knowledge", "--mode", "WST",
+                   "--d", "8", "--heads", "2", "--epochs", "3", "--lr", "1e300",
+                   "--output-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "error: training diverged" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_alpha_exits_2_naming_key(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         pre = preprocess(tmp_path, corpus)

@@ -543,20 +543,15 @@ def test_short_draw_blocks_match_dense_loop_bitwise(tmp_path, monkeypatch, metho
                                                            lr=0.05, epochs=3, seed=5))
 
 
-def brute_force_wave_ends(ids, rels):
-    """The wave cut written from its rule, set by set: step j joins the current wave
-    when its entity rows miss the wave's and its relation is none of the wave's;
-    otherwise it starts a new wave."""
-    waves = []
+def brute_force_levels(ids, rels):
+    """Each step's wave written from its rule, step by step: one past the latest wave
+    that holds an earlier step sharing an entity row or the relation, else the first."""
+    levels = []
     for j in range(len(rels)):
-        if waves:
-            wave = waves[-1]
-            rows = set().union(*(ids[i] for i in wave))
-            if not (rows & set(ids[j]) or rels[j] in {rels[i] for i in wave}):
-                wave.append(j)
-                continue
-        waves.append([j])
-    return [wave[-1] + 1 for wave in waves]
+        levels.append(1 + max((levels[i] for i in range(j)
+                                if set(ids[i]) & set(ids[j]) or rels[i] == rels[j]),
+                               default=-1))
+    return levels
 
 
 class TestWaves:
@@ -568,10 +563,12 @@ class TestWaves:
            n_rel=st.sampled_from([1, 2, 5, 200]), width=st.integers(1, 6),
            n_steps=st.integers(1, 30))
     @example(data=None, n_ent=100_000, n_rel=1000, width=18, n_steps=40)
-    def test_the_cut_is_the_greedy_rule(self, data, n_ent, n_rel, width, n_steps):
-        """The waves partition the steps in order; within a wave entity rows are
-        disjoint and relations distinct; and the cut is maximal: each wave's next step
-        conflicts with it. It matches the rule written set by set."""
+    def test_each_step_runs_in_the_earliest_wave_its_dependencies_allow(
+            self, data, n_ent, n_rel, width, n_steps):
+        """The waves partition the steps, each in ascending order; no two steps of a wave
+        share an entity row or a relation; every earlier step that shares one with a
+        step lies in an earlier wave; and every step of a wave but the first conflicts
+        with a step of the wave before. They match the levels written step by step."""
         if data is None:  # many entities and relations: the waves are long
             rng = np.random.default_rng(7)
             ids = rng.integers(0, n_ent, (n_steps, width))
@@ -582,19 +579,28 @@ class TestWaves:
                 min_size=n_steps, max_size=n_steps)))
             rels = np.array(data.draw(st.lists(st.integers(0, n_rel - 1),
                                                min_size=n_steps, max_size=n_steps)))
-        ends = kge._wave_ends(ids, rels)
-        assert ends == brute_force_wave_ends(ids.tolist(), rels.tolist())
-        starts = [0] + ends[:-1]
-        assert all(a < z for a, z in zip(starts, ends)) and ends[-1] == n_steps
+        waves = kge._waves(ids, rels)
+        assert all(w.size and np.all(np.diff(w) > 0) for w in waves)
+        assert sorted(np.concatenate(waves).tolist()) == list(range(n_steps))
         if data is None:
-            assert len(ends) <= 3
-        for a, z in zip(starts, ends):
-            wave_rows = [set(row) for row in ids[a:z].tolist()]
-            assert sum(map(len, wave_rows)) == len(set().union(*wave_rows))
-            assert len(set(rels[a:z].tolist())) == z - a
-            if z < n_steps:  # the next step conflicts with the wave
-                assert (set(ids[z].tolist()) & set().union(*wave_rows)
-                        or rels[z] in rels[a:z].tolist())
+            assert len(waves) <= 3
+        level = np.empty(n_steps, dtype=int)
+        for k, wave in enumerate(waves):
+            level[wave] = k
+        assert level.tolist() == brute_force_levels(ids.tolist(), rels.tolist())
+
+        rows = [set(row) for row in ids.tolist()]
+
+        def conflict(i, j):
+            return bool(rows[i] & rows[j]) or rels[i] == rels[j]
+        for k, wave in enumerate(waves):
+            wave = wave.tolist()
+            assert sum(len(rows[j]) for j in wave) == len(set().union(*(rows[j] for j in wave)))
+            assert len(set(rels[wave].tolist())) == len(wave)
+            for j in wave:
+                assert all(level[i] < k for i in range(j) if conflict(i, j))
+                if k:
+                    assert any(conflict(i, j) for i in waves[k - 1].tolist())
 
     @staticmethod
     def sparse_store(n_ent=2000, n_rel=300, n_triples=70, seed=9):
@@ -611,14 +617,14 @@ class TestWaves:
     def test_long_waves_match_dense_loop_bitwise(self, monkeypatch, method, block):
         if block is not None:
             monkeypatch.setattr(kge, "_DRAW_BLOCK", block)
-        cut, lengths = kge._wave_ends, []
+        cut, lengths = kge._waves, []
 
         def recorded(ids, rels):
-            ends = cut(ids, rels)
-            lengths.extend(np.diff([0] + ends).tolist())
-            return ends
+            waves = cut(ids, rels)
+            lengths.extend(len(wave) for wave in waves)
+            return waves
 
-        monkeypatch.setattr(kge, "_wave_ends", recorded)
+        monkeypatch.setattr(kge, "_waves", recorded)
         store = self.sparse_store()
         TestRowLocalStep.assert_bitwise_equal(store, KgeConfig(method=method, dim=8, negatives=6,
                                                                lr=0.05, epochs=2, seed=5))
@@ -627,7 +633,7 @@ class TestWaves:
         assert lengths[0] > 1 or block == 1  # the run's first wave holds several steps too
 
     def test_divergence_in_the_second_step_of_a_wave_names_its_triple(self, monkeypatch):
-        """Step 4 is the second of the wave that starts at step 3. Its raw gradients are
+        """Step 4 is the second of the first wave, after step 1. Its raw gradients are
         finite, but the two rows of its head entity (the positive's and the negative's)
         sum to inf; the step before it in the wave is finite. The message is the
         step-by-step loop's: epoch 1, triple 4."""
@@ -651,7 +657,7 @@ class TestWaves:
         heads, tails = kge._draw_negatives(np.random.default_rng(cfg.seed + 1), arr[:, 0],
                                            arr[:, 2], n_ent, 1)
         ids = np.concatenate((tails, heads), axis=1)
-        assert kge._wave_ends(ids, arr[:, 1]) == [1, 2, 4, 5]
+        assert [wave.tolist() for wave in kge._waves(ids, arr[:, 1])] == [[0, 3], [1], [2], [4]]
         assert not set(ids[:3].ravel()) & set(ids[3])  # no earlier step touches its rows
         model = planted_init(n_ent, 2, cfg)
         grads = np.empty((1, 4, 2))
@@ -663,6 +669,33 @@ class TestWaves:
             np.add.at(summed, ids[3], grads[0])
         assert not np.isfinite(summed).all()
         with pytest.raises(ad.Diverged, match="diverged at epoch 1, triple 4 of 5: a non-fin"):
+            train_kge(store, cfg)
+
+    def test_divergence_names_the_first_bad_step_in_step_order_not_in_wave_order(
+            self, monkeypatch):
+        """Steps 2 and 3 both score an infinite relation row. Step 2 shares an entity with
+        step 1, so it runs in the second wave; step 3 shares nothing, so it runs in the
+        first, and is found bad first. The message is the step-by-step loop's: triple 2."""
+        n_ent = 40
+        names = [f"e{i}" for i in range(n_ent)]
+        triples = [(2, 0, 3), (3, 1, 4), (0, 2, 1)]
+        store = TripleStore({name: i for i, name in enumerate(names)}, names,
+                            {"r0": 0, "r1": 1, "r2": 2}, ["r0", "r1", "r2"], triples, "common")
+        cfg = KgeConfig(method="ModE", dim=2, negatives=1, lr=0.05, epochs=1, seed=13)
+        init = kge.init_kge_model
+
+        def planted_init(n_entities, n_relations, config):
+            model = init(n_entities, n_relations, config)
+            model.relation[1:] = np.inf
+            return model
+
+        monkeypatch.setattr(kge, "init_kge_model", planted_init)
+        arr = np.array(triples)
+        heads, tails = kge._draw_negatives(np.random.default_rng(cfg.seed + 1), arr[:, 0],
+                                           arr[:, 2], n_ent, 1)
+        ids = np.concatenate((tails, heads), axis=1)
+        assert [wave.tolist() for wave in kge._waves(ids, arr[:, 1])] == [[0, 2], [1]]
+        with pytest.raises(ad.Diverged, match="diverged at epoch 1, triple 2 of 3: a non-fin"):
             train_kge(store, cfg)
 
 

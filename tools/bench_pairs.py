@@ -12,9 +12,12 @@ the change wins, in the metric's better direction, and the relative change
 of the medians, signed so that positive is worse, and a verdict (see
 ``verdict``). A workload where the change fails a larger share of its
 operations than the parent gets a ``FAILED`` line, every one of its metrics
-the verdict ``FAILED``, and the script exits 1. Traced runs, where both sides
-have one for a seed, add the medians of each per-layer metric.
-``--out`` writes the same data as JSON. Standard library only.
+the verdict ``FAILED``, and the script exits 1. Each workload also gets one
+line on whether the first cycle's ``outputs`` have the same float bits on
+both sides of every pair (``same_bits``); it reports, it does not gate.
+Traced runs, where both sides have one for a seed, add the medians of each
+per-layer metric. ``--out`` writes the same data as JSON. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+MIN_GAIN = 0.01  # the smallest gain a claim can meet, relative to the parent's median
 
 
 def load_runs(directory: Path) -> dict[tuple[str, int, int], dict]:
@@ -51,16 +55,18 @@ def verdict(before: list[float], after: list[float], sign: int, bound: float,
 
     ``CLAIM MET``: the change wins at least nine tenths of the pairs (ties count for
     neither side) and its median is better by more than the parent's interquartile
-    distance. ``BEYOND BOUND``: the change's median is worse than the parent's by
-    more than the metric's bound. ``UNRESOLVED``: the parent's interquartile distance
-    over its median exceeds the bound, so its runs spread too widely to call the
-    metric unchanged, unless every change run beats every parent run.
+    distance and by at least ``MIN_GAIN`` of the parent's median. ``BEYOND BOUND``:
+    the change's median is worse than the parent's by more than the metric's bound.
+    ``UNRESOLVED``: the parent's interquartile distance over its median exceeds the
+    bound, so its runs spread too widely to call the metric unchanged, unless every
+    change run beats every parent run.
     ``WITHIN BOUND`` otherwise.
     """
     parent = summary(before)
     spread = parent["q3"] - parent["q1"]
     gain = sign * (statistics.median(after) - parent["median"])
-    if 10 * wins >= 9 * len(before) and gain > spread:
+    large = gain > spread and gain >= MIN_GAIN * abs(parent["median"])
+    if 10 * wins >= 9 * len(before) and large:
         return "CLAIM MET"
     if beyond_bound:
         return "BEYOND BOUND"
@@ -68,6 +74,30 @@ def verdict(before: list[float], after: list[float], sign: int, bound: float,
     if spread > bound * abs(parent["median"]) and not every_run_better:
         return "UNRESOLVED"
     return "WITHIN BOUND"
+
+
+def leaves(value, key: str = ""):
+    """The dotted key and value of every leaf of a run's ``outputs``, in order, a float
+    as its ``hex()``: ``perfbench/run.py``'s rule for comparing them bit for bit."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from leaves(v, f"{key}[{i}]")
+    else:
+        yield key, value.hex() if isinstance(value, float) else value
+
+
+def same_bits(pairs: list[tuple[dict, dict]], seeds: list[int]) -> dict:
+    """Whether the first cycle's outputs have the same float bits on both sides of
+    every pair, and the first seed and key where they do not."""
+    for seed, (p, c) in zip(seeds, pairs):
+        before, after = (dict(leaves(side["cycles"][0]["outputs"])) for side in (p, c))
+        for key in list(before) + [k for k in after if k not in before]:
+            if key not in before or key not in after or before[key] != after[key]:
+                return {"same": False, "seeds": len(seeds), "seed": seed, "key": key}
+    return {"same": True, "seeds": len(seeds)}
 
 
 def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
@@ -78,7 +108,8 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
         if not seeds:
             continue
         pairs = [(parent[workload, 0, s], change[workload, 0, s]) for s in seeds]
-        entry = {"seeds": seeds, "end_to_end": {}, "per_layer": {}}
+        entry = {"seeds": seeds, "outputs": same_bits(pairs, seeds), "end_to_end": {},
+                 "per_layer": {}}
         for side, index in (("parent", 0), ("change", 1)):
             entry[f"{side}_failed"] = sum(p[index]["failed"] for p in pairs)
             entry[f"{side}_attempted"] = sum(p[index]["attempted"] for p in pairs)
@@ -126,6 +157,10 @@ def report(workloads: dict) -> str:
                      f"{entry['change_failed']}/{entry['change_attempted']}")
         if entry["failed"]:
             lines.append("  FAILED: the change fails a larger share of operations than the parent")
+        bits = entry["outputs"]
+        lines.append(f"  outputs: SAME BITS ({bits['seeds']} of {bits['seeds']} seeds)"
+                     if bits["same"] else
+                     f"  outputs: OUTPUTS DIFFER, first at seed {bits['seed']}, key {bits['key']}")
         for name, m in entry["end_to_end"].items():
             p, c = m["parent"], m["change"]
             relative = "n/a" if m["relative"] is None else f"{m['relative']:+.1%}"
