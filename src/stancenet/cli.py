@@ -75,14 +75,6 @@ _PARSERS = {"bool": lambda raw: _BOOLS[raw.strip().lower()], "int": int, "float"
             "str": str}
 
 
-def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    try:
-        return _PARSERS[kind](raw)
-    except (KeyError, ValueError):
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}")
-
-
 def parse_config_file(path) -> dict:
     values = {}
     for lineno, line in td.text_lines(path, ConfigError):
@@ -94,7 +86,12 @@ def parse_config_file(path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        kind = _FIELD_TYPES[key]
+        try:
+            values[key] = _PARSERS[kind](raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: config key {key!r}: cannot parse {raw!r} "
+                              f"as {kind}") from None
     return values
 
 
@@ -168,11 +165,10 @@ def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
             )
         table = kg.KnowledgeEmbeddingTable.load(_require(path, key))
         if table.n_words != n_words:
-            raise ConfigError(
-                f"{key} has {table.n_words} rows but the vocabulary has {n_words} words"
-            )
+            raise ConfigError(f"{path}: {key} has {table.n_words} rows but the vocabulary "
+                              f"has {n_words} words")
         if table.width != d:
-            raise ConfigError(f"{key} width {table.width} does not match d={d}")
+            raise ConfigError(f"{path}: {key} width {table.width} does not match d={d}")
         tables.append(table)
     return md.KnowledgeBundle(*tables)
 
@@ -279,13 +275,7 @@ def cmd_train(args) -> int:
         print(f"wrote {cv_path}")
         return 0
 
-    split = int(round(len(encoded) * cfg.val_fraction))
-    order = np.random.default_rng(cfg.seed).permutation(len(encoded))
-    val_set = [encoded[i] for i in order[:split]]
-    train_set = [encoded[i] for i in order[split:]]
-    if not train_set:
-        raise ConfigError(f"config key 'val_fraction' = {cfg.val_fraction} leaves none of "
-                          f"the {len(encoded)} articles to train on")
+    train_set, val_set = tr.holdout(encoded, cfg.val_fraction, cfg.seed)
     params, reports = tr.train(train_set, bundle, train_cfg, val_dataset=val_set or None)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.npz"

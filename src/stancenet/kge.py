@@ -180,17 +180,20 @@ def _wrap_phase(x: np.ndarray) -> np.ndarray:
 
 
 def init_kge_model(n_entities: int, n_relations: int, config: KgeConfig) -> KgeModel:
+    """The tables ``config.seed`` draws, every phase wrapped as a training step wraps
+    it: RotatE's relation table, and HAKE's entity and relation phase halves. So a
+    step need wrap only the rows it updated."""
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.dim)
     entity = rng.uniform(-bound, bound, (n_entities, config.dim))
     if config.method == "RotatE":
-        relation = rng.uniform(-np.pi, np.pi, (n_relations, config.dim // 2))
+        relation = _wrap_phase(rng.uniform(-np.pi, np.pi, (n_relations, config.dim // 2)))
     elif config.method == "ModE":
         relation = rng.uniform(-bound, bound, (n_relations, config.dim))
     else:  # HAKE: modulus half free, phase half wrapped
         relation = rng.uniform(-bound, bound, (n_relations, config.dim))
         half = config.dim // 2
-        relation[:, half:] = rng.uniform(-np.pi, np.pi, (n_relations, half))
+        relation[:, half:] = _wrap_phase(rng.uniform(-np.pi, np.pi, (n_relations, half)))
         entity[:, half:] = _wrap_phase(entity[:, half:])
     return KgeModel(config.method, config.dim, config.gamma, entity, relation)
 
@@ -369,11 +372,12 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     into its distinct entity rows, then the updates. Each step's loss is kept at
     its own index, so an epoch's mean sums them in step order. A step updates,
     checks and wraps only the entity rows and the relation row it scores; every
-    other row has a zero gradient and already-wrapped phases. So the parameters
-    are those of a loop that wraps whole tables after every step, except that a
-    phase a wrap returns as exactly pi stays pi until its row's next update. A
-    non-finite gradient raises ``Diverged`` once the block has run every step
-    before the first bad one, naming that step in step order.
+    other row has a zero gradient and phases already wrapped, by ``init_kge_model``
+    or by its own last update. So the parameters are those of a loop that wraps
+    whole tables after every step, except that a phase a wrap returns as exactly pi
+    stays pi until its row's next update. A non-finite gradient raises ``Diverged``
+    once the block has run every step before the first bad one, naming that step in
+    step order.
     """
     if not store.triples:
         raise ValueError("cannot train on an empty triple store")
@@ -388,11 +392,6 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     signs = np.r_[1.0, -np.ones(n_neg)]
     phase = {"RotatE": slice(None), "HAKE": slice(half, None)}.get(config.method)
     triples = np.array(store.triples)
-    if phase is not None and config.epochs:
-        # as under a whole-table wrap after every step: the first step reads its own
-        # relation row as drawn, every other row wrapped
-        others = np.arange(store.n_relations) != triples[0, 1]
-        rel[others, phase] = _wrap_phase(rel[others, phase])
 
     # a diverging step overflows before its gradient check names the cause; the check
     # is the one report
@@ -564,8 +563,7 @@ class KnowledgeEmbeddingTable:
     rows: ``_rows`` [1 + S, width] is a row of +0.0 followed by the S rows whose bit
     pattern is not all zero (a row of -0.0 is stored), in word order, and ``_slot``
     [n_words] gives each word's row there, 0 for the rest. Memory grows with what the
-    knowledge graph covers, not with the vocabulary. ``rows(ids)`` reads them, and
-    ``vectors`` rebuilds the dense [n_words, width] array as a copy.
+    knowledge graph covers, not with the vocabulary. ``rows(ids)`` reads them.
     """
 
     def __init__(self, stance_tag: str, vectors: np.ndarray):
@@ -601,13 +599,9 @@ class KnowledgeEmbeddingTable:
         self.coverage = coverage  # [n_words] 1.0 at the non-zero rows, else 0.0
 
     def rows(self, ids) -> np.ndarray:
-        """The vectors of the words ``ids``, bitwise ``vectors[ids]``."""
+        """The vectors of the words ``ids``, bitwise the rows ``ids`` of the vectors the
+        table was made from."""
         return self._rows[self._slot[ids]]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """A dense [n_words, width] copy of the table."""
-        return self._rows[self._slot]
 
     @property
     def width(self) -> int:

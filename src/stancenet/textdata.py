@@ -253,17 +253,16 @@ def load_corpus(path) -> tuple[list[RawArticle], int]:
             )
         if type(record["label"]) is not int or record["label"] < 0:  # bool is an int
             raise CorpusFormatError(f"{path}:{lineno}: label must be a non-negative integer")
+        if declared is not None and record["label"] >= declared:
+            raise CorpusFormatError(f"{path}:{lineno}: label {record['label']} >= classes "
+                                    f"{declared}")
         for key in ("title", "body"):
             if not isinstance(record[key], str):
                 raise CorpusFormatError(f"{path}:{lineno}: {key} must be a string")
         articles.append(RawArticle(record["title"], record["body"], record["label"]))
     if not articles:
         raise CorpusFormatError(f"{path}: no articles found")
-    classes = declared if declared is not None else max(a.label for a in articles) + 1
-    for i, a in enumerate(articles):
-        if a.label >= classes:
-            raise CorpusFormatError(f"{path}: article {i} has label {a.label} >= classes {classes}")
-    return articles, classes
+    return articles, declared if declared is not None else max(a.label for a in articles) + 1
 
 
 def save_corpus(path, articles: list[RawArticle], classes: Optional[int] = None):

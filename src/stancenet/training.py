@@ -3,8 +3,9 @@
 Adam with weight decay drives the classifier parameters; a plateau
 scheduler halves the learning rate after `patience` consecutive epochs
 without a strict improvement of the epoch-mean training loss. On top of
-the single training loop sit k-fold cross-validation, the alpha/beta
-grid sweep, and Welch's t-test for comparing accuracy samples.
+the single training loop sit the train/validation split, k-fold
+cross-validation, the alpha/beta grid sweep, and Welch's t-test for
+comparing accuracy samples.
 
 The L2 regularizer lives only in the optimizer, as coupled weight decay
 (weight_decay=5e-2 by default). Each training batch is one ``predict`` call, and
@@ -308,6 +309,25 @@ def cross_validate(
     return CvReport(accuracies, mean, std)
 
 
+def holdout(corpus: list[EncodedArticle], val_fraction: float,
+            seed: int) -> tuple[list[EncodedArticle], list[EncodedArticle]]:
+    """The single train/validation split of ``train`` and of a sweep without folds.
+
+    The first round(N * val_fraction) articles of default_rng(seed).permutation(N) are
+    held out and the rest are trained on, both lists in permutation order. Raises
+    ValueError naming 'val_fraction' unless it lies in [0, 1) and leaves an article to
+    train on.
+    """
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError(f"'val_fraction' must lie in [0, 1), got {val_fraction}")
+    order = np.random.default_rng(seed).permutation(len(corpus))
+    n_val = int(round(len(corpus) * val_fraction))
+    if n_val >= len(corpus):
+        raise ValueError(f"'val_fraction' = {val_fraction} leaves none of the {len(corpus)} "
+                         f"articles to train on")
+    return [corpus[i] for i in order[n_val:]], [corpus[i] for i in order[:n_val]]
+
+
 DEFAULT_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
@@ -322,29 +342,24 @@ def sweep_alpha_beta(
 ) -> np.ndarray:
     """Accuracy for every (alpha, beta) cell; rows follow alphas ascending.
 
-    With folds >= 2 each cell runs a cross-validation; otherwise a single
-    deterministic train/validation split (the same split for every cell), which
-    needs 0 < val_fraction < 1 and at least one training article. Cells that
-    differ only in a factor the model does not read share one training, and a
-    line says how many cells were trained: ``predict`` reads alpha and beta only
-    in mode All, and a table that covers no word makes its mixing step a no-op
+    With folds >= 2 each cell runs a cross-validation; otherwise every cell trains
+    and validates on ``holdout(corpus, val_fraction, cfg.seed)``, the split ``train``
+    makes, so a cell is the final ``val_acc`` of a training with its alpha and beta. A
+    fraction that holds out no article, or leaves none to train on, raises ValueError.
+    Cells that differ only in a factor the model does not read share one training, and
+    a line says how many cells were trained: ``predict`` reads alpha and beta only in
+    mode All, and a table that covers no word makes its mixing step a no-op
     (``model._mix``).
     """
     for value in list(alphas) + list(betas):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"grid values must lie in [0, 1], got {value}")
     grid = np.zeros((len(alphas), len(betas)))
-    order = np.random.default_rng(cfg.seed).permutation(len(corpus))
-    n_val = max(1, int(round(len(corpus) * val_fraction)))
-    if folds < 2 and not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must lie in (0, 1) for a sweep without folds, "
-                         f"got {val_fraction}")
-    if folds < 2 and n_val >= len(corpus):
-        raise ValueError(f"val_fraction = {val_fraction} leaves none of the {len(corpus)} "
-                         f"articles to train on")
-    val_idx = set(order[:n_val].tolist())
-    train_set = [a for i, a in enumerate(corpus) if i not in val_idx]
-    val_set = [corpus[i] for i in sorted(val_idx)]
+    if folds < 2:
+        train_set, val_set = holdout(corpus, val_fraction, cfg.seed)
+        if not val_set:
+            raise ValueError(f"'val_fraction' = {val_fraction} holds out none of the "
+                             f"{len(corpus)} articles")
 
     knowledge = cfg.hp.mode == "All"
     read = {"alpha": knowledge and bool(bundle.com.coverage.any()),

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from stancenet import kge as kg
 from stancenet import model as md
 from stancenet import textdata as td
+from stancenet import training as tr
 from stancenet.autodiff import DegenerateInput, ShapeMismatch
 from stancenet.cli import ConfigError, build_config, main, make_parser, parse_config_file
 from stancenet.kge import KgeConfig, KnowledgeEmbeddingTable
@@ -276,6 +277,99 @@ class TestPreprocess:
 CYCLE = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("c", "r", "d"), ("d", "r", "e")]
 
 
+class TestErrorExits:
+    """Each bad input exits 2 with one error line naming the file, and the line or key
+    where the format has one, and creates no output directory."""
+
+    @staticmethod
+    def train_argv(pre, *flags):
+        return ["train", "--corpus", str(pre / "corpus.npz"), "--vocab", str(pre / "vocab.txt"),
+                "--mode", "W", "--d", "8", "--heads", "2", "--epochs", "1", *flags]
+
+    def case(self, tmp_path, name):
+        """The argv of one bad input and the texts its error line must hold."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        if name.startswith("table"):
+            tables = write_tables(tmp_path, pre)
+            bad = tmp_path / "bad_table.txt"
+            n_words = len(td.Vocabulary.load(pre / "vocab.txt"))
+            if name == "table header":
+                bad.write_text("0 0 0 0 0 0 0 0\n")
+            else:
+                shape = (n_words + 1, 8) if name == "table rows" else (n_words, 4)
+                KnowledgeEmbeddingTable("common", np.ones(shape)).save(bad)
+            want = {"table rows": "rows", "table width": "width 4", "table header": "header"}
+            return self.train_argv(pre, "--table-com", str(bad), "--table-lib",
+                                   str(tables["table_lib"]), "--table-con",
+                                   str(tables["table_con"])), [str(bad), want[name]]
+        if name.startswith("config"):
+            config = tmp_path / "run.cfg"
+            config.write_text("# defaults\n" + ("d = eight\n" if name == "config value"
+                                                else "epochs 3\n"))
+            want = ["'d'", "'eight'"] if name == "config value" else ["'key = value'"]
+            return self.train_argv(pre, "--no-knowledge", "--config", str(config)), \
+                [f"{config}:2", *want]
+        if name == "empty path":
+            return [*self.train_argv(pre, "--no-knowledge"), "--corpus", ""], \
+                ["missing required path for encoded corpus"]
+        if name == "no article":
+            corpus = tmp_path / "empty.npz"
+            np.savez(corpus, sentences=np.zeros((0, 3, 8), np.int64),
+                     titles=np.zeros((0, 8), np.int64), labels=np.zeros(0, np.int64),
+                     classes=np.array(2))
+            return [*self.train_argv(pre, "--no-knowledge"), "--corpus", str(corpus)], \
+                [str(corpus), "no article"]
+        if name == "kge method":
+            kg_path = TestTrainKge.write_kg(tmp_path / "kg", [("a", "r", "b"), ("b", "r", "a")])
+            return ["train-kge", str(kg_path), "--kge-method", "TransE"], ["method 'TransE'"]
+        if name == "vocab start":
+            vocab = tmp_path / "vocab.txt"
+            vocab.write_text("the\n<pad>\n<unk>\n")
+            return self.train_argv(pre, "--no-knowledge", "--vocab", str(vocab)), \
+                [str(vocab), "<pad>, <unk>"]
+        jsonl = tmp_path / "bad.jsonl"
+        record = json.dumps({"title": "t", "body": "b", "label": 2})
+        if name == "classes header":
+            jsonl.write_text(f"classes=two\n{record}\n")
+            return ["preprocess", str(jsonl)], [f"{jsonl}:1", "'classes=two'"]
+        jsonl.write_text(f"classes=2\n{record}\n")  # label at the declared classes
+        return ["preprocess", str(jsonl)], [f"{jsonl}:2", "label 2"]
+
+    @pytest.mark.parametrize("name", [
+        "table rows", "table width", "table header", "config value", "config line",
+        "empty path", "no article", "kge method", "vocab start", "classes header",
+        "label range"])
+    def test_bad_input_exits_2_naming_its_file(self, tmp_path, capsys, name):
+        argv, want = self.case(tmp_path, name)
+        capsys.readouterr()
+        rc = main([*argv, "--output-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for text in want:
+            assert text in err
+        assert not (tmp_path / "run").exists()
+
+    def test_unexpected_exception_exits_1_as_internal_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(td, "build_vocab", broken)
+        rc = main(["preprocess", str(write_corpus(tmp_path)),
+                   "--output-dir", str(tmp_path / "pre")])
+        assert rc == 1
+        assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
+
+    def test_a_repeated_triple_is_dropped_and_counted(self, tmp_path, capsys):
+        kg_path = TestTrainKge.write_kg(tmp_path / "kg", [("a", "r", "b"), ("b", "r", "c"),
+                                                          ("a", "r", "b")])
+        rc = main(["train-kge", str(kg_path), "--kge-dim", "4", "--kge-epochs", "1",
+                   "--output-dir", str(tmp_path / "kge")])
+        assert rc == 0
+        assert "dropped 1 duplicate triples" in capsys.readouterr().out.splitlines()
+
+
 class TestTrainKge:
     @staticmethod
     def write_kg(tmp_path, triples):
@@ -322,8 +416,8 @@ class TestTrainKge:
         assert not (out / "kge_common_metrics.csv").exists()
 
     def test_zero_epochs_writes_the_initial_model(self, tmp_path, capsys):
-        """No step runs, so not even the relation phases are wrapped: RotatE's relation
-        table is the one ``init_kge_model`` draws, bit for bit."""
+        """No step runs, so RotatE's relation table is the one ``init_kge_model`` draws
+        and wraps, bit for bit."""
         kg_path = self.write_kg(tmp_path, [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
         out = tmp_path / "kge"
         argv = ["train-kge", str(kg_path), "--kge-dim", "4", "--kge-epochs", "0",
@@ -1121,6 +1215,36 @@ class TestSweep:
         assert len(lines) == 2
         printed = capsys.readouterr().out
         assert "best cell" in printed
+
+    def test_single_split_cell_trains_and_validates_as_train_does(self, tmp_path,
+                                                                   monkeypatch):
+        """Without --folds, a sweep trains and validates on the articles ``train`` does
+        for the same seed and val_fraction, in the same order, so its cell is the final
+        val_acc that train reports."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path, num=20))
+        calls = []
+        for name, position in (("train", 0), ("evaluate_accuracy", 2)):
+            def recorded(*args, _name=name, _position=position, _run=getattr(tr, name),
+                         **kwargs):
+                calls.append((_name, [(a.label, a.sentences.tobytes(), a.title.tobytes())
+                                      for a in args[_position]]))
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(tr, name, recorded)
+        flags = ["--corpus", str(pre / "corpus.npz"), "--vocab", str(pre / "vocab.txt"),
+                 "--no-knowledge", "--mode", "WS", "--d", "8", "--heads", "2", "--epochs", "2",
+                 "--batch-size", "4", "--seed", "3", "--val-fraction", "0.3"]
+        assert main(["train", *flags, "--output-dir", str(tmp_path / "train")]) == 0
+        trained, calls[:] = calls[:], []
+        assert main(["sweep", *flags, "--alphas", "0.5", "--betas", "0.5",
+                     "--output-dir", str(tmp_path / "sweep")]) == 0
+        assert [name for name, _ in trained] == ["train"] + ["evaluate_accuracy"] * 2
+        assert trained[1] == trained[2]
+        assert calls == [trained[0], trained[2]]
+        assert len(calls[1][1]) == round(20 * 0.3)
+        last = json.loads((tmp_path / "train" / "epochs.jsonl").read_text().splitlines()[-1])
+        cell = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1]
+        assert cell == f"0.5,0.5,{last['val_acc']!r}"
 
     def test_best_cell_is_grid_max(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

@@ -140,7 +140,8 @@ class TestInjectKnowledge:
             out = inject_knowledge(covered, params, bundle, alpha=0.0, beta=1.0)
             base = params.word_table.data[covered]
             mixed = out.data - base
-            assert np.allclose(mixed, bundle.com.vectors[covered], atol=1e-12)
+            dense = bundle.com.rows(np.arange(bundle.com.n_words))
+            assert np.allclose(mixed, dense[covered], atol=1e-12)
 
     def test_half_mix_with_zero_fuse_is_residual_only(self):
         hp = tiny_hp()
@@ -218,7 +219,8 @@ def scaled_mix(base, table, ids, w_base, w_know):
     cov = table.coverage[ids]
     if w_know == 0.0 or not cov.any():
         return base
-    mixed = ad.add(ad.scale(base, w_base), ad.scale(ad.constant(table.vectors[ids]), w_know))
+    dense = table.rows(np.arange(table.n_words))
+    mixed = ad.add(ad.scale(base, w_base), ad.scale(ad.constant(dense[ids]), w_know))
     if cov.all():
         return mixed
     return ad.add(
@@ -684,7 +686,8 @@ def ref_inject(ids, params, bundle, hp):
 
     def mix(rows, table, weights):
         covered = table.coverage[ids][:, None] == 1.0
-        return np.where(covered, weights[0] * rows + weights[1] * table.vectors[ids], rows)
+        dense = table.rows(np.arange(table.n_words))
+        return np.where(covered, weights[0] * rows + weights[1] * dense[ids], rows)
 
     e_com = mix(base, bundle.com, mix_a)
     fused = np.concatenate([mix(e_com, bundle.lib, mix_b), mix(e_com, bundle.con, mix_b)], axis=1)

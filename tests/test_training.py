@@ -806,12 +806,8 @@ class TestSweep:
         bundle = zero_bundle(len(vocab), hp.d)
         grid = sweep_alpha_beta(encoded, bundle, cfg, alphas=[0.5], betas=[0.5])
         assert grid.shape == (1, 1)
-        # replicate the sweep's split and run directly
-        order = np.random.default_rng(cfg.seed).permutation(len(encoded))
-        n_val = max(1, int(round(len(encoded) * 0.25)))
-        val_idx = set(order[:n_val].tolist())
-        train_set = [a for i, a in enumerate(encoded) if i not in val_idx]
-        val_set = [encoded[i] for i in sorted(val_idx)]
+        # the sweep's split, run directly
+        train_set, val_set = tr.holdout(encoded, 0.25, cfg.seed)
         params, _ = train(train_set, bundle, cfg)
         assert grid[0, 0] == evaluate_accuracy(params, bundle, val_set, hp)
 
@@ -880,11 +876,8 @@ class TestSweepCells:
         encoded = encode_corpus(corpus, vocab, hp.n, hp.l)
         cfg = TrainConfig(epochs=2, batch_size=4, hp=hp, seed=1)
 
-        # every cell on its own, on the sweep's split: round(12 * 0.25) articles held out
-        order = np.random.default_rng(cfg.seed).permutation(len(encoded))
-        val_idx = set(order[:3].tolist())
-        train_set = [a for i, a in enumerate(encoded) if i not in val_idx]
-        val_set = [encoded[i] for i in sorted(val_idx)]
+        # every cell on its own, on the sweep's split
+        train_set, val_set = tr.holdout(encoded, 0.25, cfg.seed)
         want = np.zeros((len(self.ALPHAS), len(self.BETAS)))
         models = set()
         for i, alpha in enumerate(self.ALPHAS):
