@@ -118,18 +118,21 @@ def build_config(args: argparse.Namespace) -> tuple[RunConfig, tr.TrainConfig, k
     return cfg, train_cfg, kg.KgeConfig(seed=cfg.seed, **given(kg.KgeConfig))
 
 
-def _require(path: str, what: str) -> Path:
+def _require(path: str, key: str) -> Path:
+    """The input file that config key ``key`` (flag ``--<key>``) names; empty or missing
+    exits 2 naming the key."""
     if not path:
-        raise ConfigError(f"missing required path for {what}")
+        raise ConfigError(f"missing required path: config key {key!r} "
+                          f"(--{key.replace('_', '-')}) is empty")
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"{what} file not found: {path}")
+        raise ConfigError(f"{key} file not found: {path}")
     return p
 
 
 def _load_corpus(cfg: RunConfig) -> tuple[list[td.EncodedArticle], int, td.Vocabulary]:
     """The encoded corpus, its class count, and the vocabulary its word ids must index."""
-    corpus_path = _require(cfg.corpus, "encoded corpus")
+    corpus_path = _require(cfg.corpus, "corpus")
     encoded, classes = td.load_encoded(corpus_path)
     if not encoded:
         raise ConfigError(f"{corpus_path}: the encoded corpus has no article")
@@ -195,7 +198,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train_kge(args) -> int:
     cfg, train_cfg, kge_cfg = build_config(args)
-    triples_path = _require(args.triples or cfg.kg_common, "triples")
+    triples_path = _require(args.triples or cfg.kg_common, "kg_common")
     store = kg.load_triples(triples_path, cfg.stance)
     links = vocab = None
     if cfg.entity_links:  # read and checked before training, so a bad file fails first

@@ -45,7 +45,6 @@ pool, and ties are broken by ascending entity id.
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -143,6 +142,8 @@ class KgeConfig:
     adv_temperature: float = 1.0
 
     def __post_init__(self):
+        """Range checks; each error names the field and the config key that sets it,
+        ``kge_<field>`` (the seed is the run's ``seed``)."""
         for key, ok, rule in (
                 ("dim", self.dim >= 1, "be >= 1"),
                 ("negatives", self.negatives >= 0, "be >= 0"),
@@ -152,11 +153,15 @@ class KgeConfig:
                 ("gamma", np.isfinite(self.gamma), "be finite"),
                 ("adv_temperature", 0.0 <= self.adv_temperature < np.inf, "be finite and >= 0")):
             if not ok:
-                raise ValueError(f"{key} must {rule}, got {getattr(self, key)}")
+                config_key = key if key == "seed" else f"kge_{key}"
+                raise ValueError(f"{key} must {rule} (config key {config_key!r}), "
+                                 f"got {getattr(self, key)}")
         if self.method not in METHODS:
-            raise ValueError(f"unknown embedding method {self.method!r}; choose from {METHODS}")
+            raise ValueError(f"unknown embedding method {self.method!r} (config key "
+                             f"'kge_method'); choose from {METHODS}")
         if self.method in ("RotatE", "HAKE") and self.dim % 2 != 0:
-            raise ValueError(f"{self.method} needs an even dim (pairs/halves), got {self.dim}")
+            raise ValueError(f"{self.method} needs an even dim (pairs/halves; config key "
+                             f"'kge_dim'), got {self.dim}")
 
 
 @dataclass
@@ -564,43 +569,66 @@ class KnowledgeEmbeddingTable:
     pattern is not all zero (a row of -0.0 is stored), in word order, and ``_slot``
     [n_words] gives each word's row there, 0 for the rest. Memory grows with what the
     knowledge graph covers, not with the vocabulary. ``rows(ids)`` reads them.
+    ``from_rows`` builds every table; ``KnowledgeEmbeddingTable(stance, vectors)``
+    is the dense form of it.
     """
 
     def __init__(self, stance_tag: str, vectors: np.ndarray):
-        """Check finite [n_words, width] vectors and keep their stored rows. The coverage
-        is 1 exactly at the non-zero rows: an all-zero row is an uncovered word. A NaN
-        row would otherwise reach ``predict`` even uncovered, since 0 * NaN is NaN.
-        Raises ValueError naming the stance and the first bad row."""
-        where = f"knowledge table {stance_tag!r}"
+        """The table of finite [n_words, width] vectors: ``from_rows`` with every word's
+        row, so a ValueError names the stance and the first bad row."""
         vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError(f"{where}: vectors {vectors.shape} are not [n_words, width]")
+        n_words = len(vectors) if vectors.ndim else 0
+        vars(self).update(vars(self.from_rows(stance_tag, n_words, np.arange(n_words),
+                                              vectors)))
+
+    @classmethod
+    def from_rows(cls, stance_tag: str, n_words: int, ids, rows) -> "KnowledgeEmbeddingTable":
+        """The table of ``n_words`` words whose vectors are ``rows`` [k, width] at the
+        distinct word ids ``ids`` [k] and all-zero elsewhere, built without a dense
+        [n_words, width] array. The rows must be finite: a NaN row would otherwise reach
+        ``predict`` even uncovered, since 0 * NaN is NaN. The coverage is 1 exactly at
+        the non-zero rows; an all-zero row is an uncovered word. Raises ValueError
+        naming the stance and the first bad row's word id."""
+        where = f"knowledge table {stance_tag!r}"
+        rows = np.asarray(rows, dtype=np.float64)
+        ids = np.asarray(ids, dtype=np.intp)
+        if rows.ndim != 2:
+            raise ValueError(f"{where}: vectors {rows.shape} are not [n_words, width]")
+        if ids.shape != rows.shape[:1]:
+            raise ValueError(f"{where}: {ids.size} word ids for {len(rows)} rows")
+        outside = ids[(ids < 0) | (ids >= n_words)]
+        if outside.size:
+            raise ValueError(f"{where}: word id {outside[0]} is outside [0, {n_words})")
+        ordered = np.sort(ids)
+        twice = ordered[1:][ordered[1:] == ordered[:-1]]
+        if twice.size:
+            raise ValueError(f"{where}: word id {twice[0]} has two rows")
         with np.errstate(over="ignore", invalid="ignore"):  # the scan below names the cause
-            total = vectors.sum()
+            total = rows.sum()
         if not np.isfinite(total):  # a finite sum proves every entry finite
-            bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+            bad = ids[~np.isfinite(rows).all(axis=1)]
             if bad.size:
-                raise ValueError(f"{where}: row {bad[0]} has a non-finite value")
+                raise ValueError(f"{where}: row {bad.min()} has a non-finite value")
         # one OR over each row's bits: not 0 marks a stored row, and not 0 without the
         # sign bit a covered one, since only +0.0 and -0.0 have no other bit set
-        bits = np.bitwise_or.reduce(vectors.view(np.uint64), axis=1)
+        bits = np.bitwise_or.reduce(np.ascontiguousarray(rows).view(np.uint64), axis=1)
         stored = np.flatnonzero(bits)
-        rows = np.empty((1 + stored.size, vectors.shape[1]))
-        rows[0] = 0.0
+        stored = stored[np.argsort(ids[stored], kind="stable")]  # in word order
+        table = cls.__new__(cls)
+        table.stance_tag = stance_tag
+        table._rows = np.empty((1 + stored.size, rows.shape[1]))
+        table._rows[0] = 0.0
         # the ids are in range; "raise" would copy through a buffer, at twice the time
-        np.take(vectors, stored, axis=0, out=rows[1:], mode="clip")
-        slot = np.zeros(len(vectors), dtype=np.intp)
-        slot[stored] = np.arange(1, 1 + stored.size)
-        self._keep(stance_tag, rows, slot, ((bits & ~_SIGN_BIT) != 0).astype(np.float64))
-
-    def _keep(self, stance_tag: str, rows: np.ndarray, slot: np.ndarray, coverage: np.ndarray):
-        self.stance_tag = stance_tag
-        self._rows, self._slot = rows, slot
-        self.coverage = coverage  # [n_words] 1.0 at the non-zero rows, else 0.0
+        np.take(rows, stored, axis=0, out=table._rows[1:], mode="clip")
+        table._slot = np.zeros(n_words, dtype=np.intp)
+        table._slot[ids[stored]] = np.arange(1, 1 + stored.size)
+        table.coverage = np.zeros(n_words)  # 1.0 at the non-zero rows, else 0.0
+        table.coverage[ids[stored]] = (bits[stored] & ~_SIGN_BIT) != 0
+        return table
 
     def rows(self, ids) -> np.ndarray:
-        """The vectors of the words ``ids``, bitwise the rows ``ids`` of the vectors the
-        table was made from."""
+        """The vectors of the words ``ids``, bitwise the rows ``ids`` of the [n_words,
+        width] vectors the table was made from (all-zero where no row was given)."""
         return self._rows[self._slot[ids]]
 
     @property
@@ -621,7 +649,14 @@ class KnowledgeEmbeddingTable:
     @staticmethod
     def load(path) -> "KnowledgeEmbeddingTable":
         """Read a table file; a malformed one raises ValueError naming the file, and the
-        row or the line at fault."""
+        row or the line at fault.
+
+        The file is read once, in lines as text mode splits them (CRLF and a lone CR
+        end a line, as LF does). A row that is the canonical zero line,
+        ``dim`` copies of ``0.0`` as ``save`` writes an uncovered word, is counted
+        without being parsed; one ``np.loadtxt`` call parses the other non-blank lines,
+        and ``from_rows`` places them at their word ids. Every other spelling of zero
+        goes through the parser and loads to the same table."""
         try:
             with open(path, encoding="utf-8") as fh:
                 stance_line = fh.readline().strip()
@@ -632,33 +667,35 @@ class KnowledgeEmbeddingTable:
                 if not dim.isdecimal() or int(dim) < 1:
                     raise ValueError(f"{path}: header {dim_line!r} is not dim=<integer >= 1>")
                 width = int(dim)
-                try:
-                    with warnings.catch_warnings():  # a header-only table is valid
-                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                        vectors = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
-                except ValueError as err:  # _bad_row meets a decode error again
-                    raise ValueError(_bad_row(path, width) or f"{path}: {err}") from err
+                lines = [line for line in fh.readlines() if not line.isspace()]
         except UnicodeDecodeError as err:
             raise ValueError(not_utf8(path)) from err
-        if vectors.size == 0:
-            vectors = np.zeros((0, width))
-        elif vectors.shape[1] != width:
-            raise ValueError(_bad_row(path, width))
+        zero = " ".join(["0.0"] * width)
+        zero_lines = (zero + "\n", zero)  # the last line may have no newline
+        ids = [i for i, line in enumerate(lines) if line not in zero_lines]
+        rows = np.empty((0, width))
+        if ids:
+            try:
+                rows = np.loadtxt([lines[i] for i in ids], dtype=np.float64, ndmin=2,
+                                  comments=None)
+            except ValueError as err:
+                raise ValueError(_bad_row(path, width, lines)) from err
+            if rows.shape[1] != width:
+                raise ValueError(_bad_row(path, width, lines))
         try:
-            return KnowledgeEmbeddingTable(stance, vectors)
+            return KnowledgeEmbeddingTable.from_rows(stance, len(lines), ids, rows)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
 
 
-def _bad_row(path, width: int) -> Optional[str]:
-    """The message naming the first row of a table file that is not ``width`` numbers.
+def _bad_row(path, width: int, lines: list[str]) -> str:
+    """The message naming the first of a table file's non-blank ``lines`` that is not
+    ``width`` numbers.
 
     Rows count the non-blank lines after the header from 0, as word ids do.
     Only called after a load has failed, so loading a valid table pays nothing for it.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()[2:]
-    for i, tokens in enumerate(line.split() for line in lines if line.strip()):
+    for i, tokens in enumerate(line.split() for line in lines):
         for token in tokens:
             try:
                 float(token)
@@ -666,15 +703,18 @@ def _bad_row(path, width: int) -> Optional[str]:
                 return f"{path}: row {i} has the non-numeric value {token!r}"
         if len(tokens) != width:
             return f"{path}: row {i} has {len(tokens)} values, but dim={width}"
-    return None
+    # every token is a Python float, yet numpy refused one ('1_0'): numpy's message, from
+    # a parse of every row, numbers the rows as a parse of the whole file does
+    try:
+        np.loadtxt(lines, comments=None)
+    except ValueError as err:
+        return f"{path}: {err}"
+    return f"{path}: a row numpy cannot read"  # not reached after a failed parse
 
 
 def zero_table(stance_tag: str, n_words: int, width: int) -> KnowledgeEmbeddingTable:
     """A table that covers no word, built without a dense [n_words, width] array."""
-    table = KnowledgeEmbeddingTable.__new__(KnowledgeEmbeddingTable)
-    table._keep(stance_tag, np.zeros((1, width)), np.zeros(n_words, dtype=np.intp),
-                np.zeros(n_words))
-    return table
+    return KnowledgeEmbeddingTable.from_rows(stance_tag, n_words, [], np.empty((0, width)))
 
 
 def load_links(path) -> dict[str, str]:
@@ -713,12 +753,9 @@ def export_aligned_table(
     """
     check_links(links, store)
     width = m.dim if width is None else int(width)
-    vectors = np.zeros((len(vocab), width))
-    for word, entity_name in links.items():
-        wid = vocab.token_to_id.get(word)
-        if wid is None:
-            continue  # word not in this corpus vocabulary
-        row = m.entity[store.entities[entity_name]]
-        take = min(width, row.shape[0])
-        vectors[wid, :take] = row[:take]
-    return KnowledgeEmbeddingTable(store.stance_tag, vectors)
+    linked = [word for word in links if word in vocab.token_to_id]  # in this vocabulary
+    rows = np.zeros((len(linked), width))
+    take = min(width, m.entity.shape[1])
+    rows[:, :take] = m.entity[[store.entities[links[word]] for word in linked], :take]
+    return KnowledgeEmbeddingTable.from_rows(
+        store.stance_tag, len(vocab), [vocab.token_to_id[word] for word in linked], rows)

@@ -311,7 +311,7 @@ class TestErrorExits:
                 [f"{config}:2", *want]
         if name == "empty path":
             return [*self.train_argv(pre, "--no-knowledge"), "--corpus", ""], \
-                ["missing required path for encoded corpus"]
+                ["missing required path", "'corpus'", "--corpus"]
         if name == "no article":
             corpus = tmp_path / "empty.npz"
             np.savez(corpus, sentences=np.zeros((0, 3, 8), np.int64),
@@ -319,9 +319,13 @@ class TestErrorExits:
                      classes=np.array(2))
             return [*self.train_argv(pre, "--no-knowledge"), "--corpus", str(corpus)], \
                 [str(corpus), "no article"]
-        if name == "kge method":
+        if name.startswith("kge"):
             kg_path = TestTrainKge.write_kg(tmp_path / "kg", [("a", "r", "b"), ("b", "r", "a")])
-            return ["train-kge", str(kg_path), "--kge-method", "TransE"], ["method 'TransE'"]
+            flag, value, want = {"kge method": ("--kge-method", "TransE", "method 'TransE'"),
+                                 "kge dim": ("--kge-dim", "0", "'kge_dim'"),
+                                 "kge negatives": ("--kge-negatives", "-1",
+                                                   "'kge_negatives'")}[name]
+            return ["train-kge", str(kg_path), flag, value], [want]
         if name == "vocab start":
             vocab = tmp_path / "vocab.txt"
             vocab.write_text("the\n<pad>\n<unk>\n")
@@ -337,8 +341,8 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("name", [
         "table rows", "table width", "table header", "config value", "config line",
-        "empty path", "no article", "kge method", "vocab start", "classes header",
-        "label range"])
+        "empty path", "no article", "kge method", "kge dim", "kge negatives", "vocab start",
+        "classes header", "label range"])
     def test_bad_input_exits_2_naming_its_file(self, tmp_path, capsys, name):
         argv, want = self.case(tmp_path, name)
         capsys.readouterr()
@@ -349,6 +353,21 @@ class TestErrorExits:
         for text in want:
             assert text in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["dataset", "kg_common", "vocab", "checkpoint"])
+    def test_empty_required_path_names_its_key_and_flag(self, tmp_path, capsys, key):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        corpus = ["--corpus", str(pre / "corpus.npz"), "--no-knowledge"]
+        argv = {"dataset": ["preprocess", "--dataset", ""],
+                "kg_common": ["train-kge", "--kg-common", ""],
+                "vocab": ["train", *corpus, "--vocab", ""],
+                "checkpoint": ["eval", *corpus, "--vocab", str(pre / "vocab.txt"),
+                               "--checkpoint", ""]}[key]
+        capsys.readouterr()
+        assert main(argv) == 2
+        flag = "--" + key.replace("_", "-")
+        assert capsys.readouterr().err == (f"error: missing required path: config key "
+                                           f"{key!r} ({flag}) is empty\n")
 
     def test_unexpected_exception_exits_1_as_internal_error(self, tmp_path, capsys,
                                                             monkeypatch):

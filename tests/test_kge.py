@@ -8,6 +8,7 @@ ranking oracle enumerates and sorts every corruption by brute force.
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +31,7 @@ from stancenet.kge import (
     score_triple,
     train_kge,
 )
-from stancenet.textdata import RawArticle, build_vocab
+from stancenet.textdata import RawArticle, Vocabulary, build_vocab, not_utf8
 
 import tape_ops as tops
 
@@ -1209,3 +1210,188 @@ class TestTableInvariant:
         with pytest.raises(ValueError) as err:
             kge.KnowledgeEmbeddingTable.load(path)
         assert str(err.value) == f"{path}: knowledge table 'liberal': row 1 has a non-finite value"
+
+
+class TestTableFromRows:
+    """``from_rows`` builds every table from its stored rows and their word ids."""
+
+    def test_rows_land_at_their_ids_in_any_order(self):
+        rows = np.array([[0.5, -1.0], [-0.0, -0.0], [0.0, 0.0], [2.0, 0.0]])
+        table = kge.KnowledgeEmbeddingTable.from_rows("liberal", 6, [4, 0, 2, 1], rows)
+        dense = np.zeros((6, 2))
+        dense[[4, 0, 2, 1]] = rows
+        assert table.rows(np.arange(6)).tobytes() == dense.tobytes()
+        assert table.coverage.tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+        # the -0.0 row and the two covered ones are stored, in word order
+        assert table._rows[1:].tobytes() == rows[[1, 3, 0]].tobytes()
+
+    @pytest.mark.parametrize("ids, rows, message", [
+        ([0, 1], np.ones((3, 2)), "2 word ids for 3 rows"),
+        ([0, 5], np.ones((2, 2)), "word id 5 is outside \\[0, 5\\)"),
+        ([-1], np.ones((1, 2)), "word id -1 is outside"),
+        ([3, 1, 3], np.ones((3, 2)), "word id 3 has two rows"),
+        ([4, 2], [[1.0, np.nan], [np.inf, 0.0]], "row 2 has a non-finite value"),
+        ([0], np.ones(2), "vectors \\(2,\\) are not"),
+    ])
+    def test_bad_input_names_the_stance(self, ids, rows, message):
+        with pytest.raises(ValueError, match=f"^knowledge table 'common': {message}"):
+            kge.KnowledgeEmbeddingTable.from_rows("common", 5, ids, rows)
+
+    def test_export_allocates_no_dense_array(self):
+        n_words, width = 20_000, 16
+        vocab = Vocabulary({f"w{i}": i for i in range(n_words)},
+                           [f"w{i}" for i in range(n_words)])
+        store = TripleStore({f"E{i}": i for i in range(8)}, [f"E{i}" for i in range(8)],
+                            {"r": 0}, ["r"], [(0, 0, 1)], "common")
+        model = KgeModel("ModE", width, 2.0, np.random.default_rng(0).uniform(-1, 1, (8, width)),
+                         np.ones((1, width)))
+        links = {f"w{3 * i}": f"E{i}" for i in range(8)}
+        tracemalloc.start()
+        try:
+            table = export_aligned_table(model, links, vocab, store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (table.n_words, table.width) == (n_words, width)
+        assert table.coverage.sum() == 8
+        assert table.rows(np.array([21])).tobytes() == model.entity[7].tobytes()
+        assert peak < n_words * width * 8 // 4
+
+
+def _dense_load(path):
+    """The whole-file loader ``KnowledgeEmbeddingTable.load`` replaced: one
+    ``np.loadtxt`` over every row after the header into a dense [n_words, width] array,
+    then the dense checks. Kept as the oracle of the loader: returns the stance, the
+    dense vectors and their coverage, or raises the same ValueError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stance_line = fh.readline().strip()
+            dim_line = fh.readline().strip()
+            if not stance_line.startswith("stance=") or not dim_line.startswith("dim="):
+                raise ValueError(f"{path}: expected 'stance=' and 'dim=' header lines")
+            stance, dim = stance_line.split("=", 1)[1], dim_line.split("=", 1)[1].strip()
+            if not dim.isdecimal() or int(dim) < 1:
+                raise ValueError(f"{path}: header {dim_line!r} is not dim=<integer >= 1>")
+            width = int(dim)
+            try:
+                with warnings.catch_warnings():  # a header-only table is valid
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    vectors = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
+            except ValueError as err:
+                raise ValueError(_dense_bad_row(path, width) or f"{path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ValueError(not_utf8(path)) from err
+    if vectors.size == 0:
+        vectors = np.zeros((0, width))
+    elif vectors.shape[1] != width:
+        raise ValueError(_dense_bad_row(path, width))
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: knowledge table {stance!r}: row {bad[0]} has a "
+                         f"non-finite value")
+    bits = vectors.view(np.uint64) & ~np.uint64(1 << 63)
+    return stance, vectors, bits.any(axis=1).astype(np.float64)
+
+
+def _dense_bad_row(path, width):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()[2:]
+    for i, tokens in enumerate(line.split() for line in lines if line.strip()):
+        for token in tokens:
+            try:
+                float(token)
+            except ValueError:
+                return f"{path}: row {i} has the non-numeric value {token!r}"
+        if len(tokens) != width:
+            return f"{path}: row {i} has {len(tokens)} values, but dim={width}"
+    return None
+
+
+@st.composite
+def table_files(draw):
+    """The bytes of a table file: rows among which canonical zero lines and other
+    spellings of zero, blank lines, three line endings and a last line with or without
+    one; about one file in three has one fault: a short, long, non-numeric or
+    non-finite row, a bad header, or a byte that is not UTF-8."""
+    width = draw(st.integers(1, 3))
+    zero = " ".join(["0.0"] * width)
+    number = st.sampled_from(["0", "0.0", "-0.0", "+0.0", "0e0", "5e-324", "-2.5e-310",
+                              "0.1", "-3.25", "1e300", "0.30000000000000004"])
+    sep = st.sampled_from([" ", " ", "\t", "  ", " \t"])
+
+    def row(tokens):
+        spaced = [tokens[0]]
+        for token in tokens[1:]:
+            spaced += [draw(sep), token]
+        return "".join(spaced) + draw(st.sampled_from(["", "", "", " ", "\t"]))
+
+    good = st.one_of(st.just(zero), st.just(zero), st.just(" ".join(["-0.0"] * width)),
+                     st.lists(number, min_size=width, max_size=width).map(row))
+    blank = st.sampled_from(["", " ", "\t", " \t "])
+    lines = draw(st.lists(st.one_of(good, good, good, blank), max_size=8))
+    fault = draw(st.sampled_from([None] * 12 + ["short", "long", "token", "dim", "byte"]))
+    if fault in ("short", "long", "token"):
+        if fault == "token":
+            tokens = draw(st.lists(number, min_size=width, max_size=width))
+            tokens[draw(st.integers(0, width - 1))] = draw(st.sampled_from(
+                ["abc", "#1", "nan", "inf", "-inf", "1e400", "1_0", "\u0661"]))
+        else:
+            size = width + 1 if fault == "long" or width == 1 else width - 1
+            tokens = draw(st.lists(number, min_size=size, max_size=size))
+        lines.insert(draw(st.integers(0, len(lines))), row(tokens))
+    dim = draw(st.sampled_from(["0", "x", ""])) if fault == "dim" else str(width)
+    text = f"stance=liberal{draw(st.sampled_from(['', ' ']))}\ndim={dim}\n"
+    for i, body in enumerate(lines):
+        last = i == len(lines) - 1
+        text += body + draw(st.sampled_from(["\n", "\r\n", "\r"] + (["", ""] if last else [])))
+    data = text.encode("utf-8")
+    if fault == "byte":  # a byte that is not UTF-8, or a cut sequence
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=table_files())
+def test_load_matches_the_dense_whole_file_parse(data):
+    """Skipping the canonical zero lines changes nothing: on any file, the table's rows,
+    coverage and word count are bitwise the dense parse's, or both raise the same
+    ValueError text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        path.write_bytes(data)
+        try:
+            stance, vectors, coverage = _dense_load(path)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                kge.KnowledgeEmbeddingTable.load(path)
+            assert str(got.value) == str(err)
+            return
+        table = kge.KnowledgeEmbeddingTable.load(path)
+    assert table.stance_tag == stance and table.n_words == len(vectors)
+    assert table.width == vectors.shape[1]
+    assert table.rows(np.arange(table.n_words)).tobytes() == vectors.tobytes()
+    assert table.coverage.tobytes() == coverage.tobytes()
+
+
+def test_load_parses_only_the_stored_rows(tmp_path, monkeypatch):
+    """On a file ``save`` wrote, ``np.loadtxt`` is called once, on the lines of the
+    stored rows only: the uncovered words' zero lines are counted, not parsed."""
+    vectors = np.zeros((7, 3))
+    vectors[1] = [0.5, -1.0, 2.0]
+    vectors[3] = -0.0
+    vectors[4] = [0.0, 5e-324, 0.0]
+    path = tmp_path / "table.txt"
+    kge.KnowledgeEmbeddingTable("common", vectors).save(path)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(lines, *args, **kwargs):
+        calls.append(list(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    table = kge.KnowledgeEmbeddingTable.load(path)
+    saved = path.read_text().splitlines(keepends=True)[2:]
+    assert calls == [[saved[1], saved[3], saved[4]]]
+    assert table.rows(np.arange(7)).tobytes() == vectors.tobytes()
