@@ -97,25 +97,35 @@ def parse_config_file(path) -> dict:
 
 def build_config(args: argparse.Namespace) -> tuple[RunConfig, tr.TrainConfig, kg.KgeConfig]:
     """File values first, then flag overrides, each range-checked by the class
-    that owns it; the model's HyperParams ride on the TrainConfig."""
+    that owns it; the model's HyperParams ride on the TrainConfig. A refused value
+    is reported with the config file's name when the flags alone pass the checks."""
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _FIELD_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    flags = {key: getattr(args, key) for key in _FIELD_TYPES
+             if getattr(args, key, None) is not None}
+    values.update(flags)
 
-    def given(cls) -> dict:
-        return {f.name: values[key] for key, f in _KEYS[cls].items() if key in values}
+    def make(cls, source, **fixed):
+        return cls(**fixed, **{f.name: source[key] for key, f in _KEYS[cls].items()
+                               if key in source})
 
-    cfg = RunConfig(**given(RunConfig))
-    for key in ("val_fraction", "holdout"):
-        if not 0.0 <= getattr(cfg, key) < 1.0:
-            raise ConfigError(f"config key {key!r} must lie in [0, 1), got {getattr(cfg, key)}")
-    if cfg.folds < 2 and cfg.folds != 0:
-        raise ConfigError(f"config key 'folds' must be 0 (off) or at least 2, got {cfg.folds}")
-    train_cfg = tr.TrainConfig(seed=cfg.seed, hp=md.HyperParams(**given(md.HyperParams)),
-                               **given(tr.TrainConfig))
-    return cfg, train_cfg, kg.KgeConfig(seed=cfg.seed, **given(kg.KgeConfig))
+    def build(source):
+        cfg = make(RunConfig, source)
+        for key in ("val_fraction", "holdout"):
+            if not 0.0 <= getattr(cfg, key) < 1.0:
+                raise ConfigError(f"config key {key!r} must lie in [0, 1), got {getattr(cfg, key)}")
+        if cfg.folds < 2 and cfg.folds != 0:
+            raise ConfigError(f"config key 'folds' must be 0 (off) or at least 2, got {cfg.folds}")
+        train_cfg = make(tr.TrainConfig, source, seed=cfg.seed, hp=make(md.HyperParams, source))
+        return cfg, train_cfg, make(kg.KgeConfig, source, seed=cfg.seed)
+
+    try:
+        return build(values)
+    except ValueError as err:
+        try:
+            build(flags)
+        except ValueError:
+            raise err from None
+        raise ConfigError(f"{args.config}: {err}") from None
 
 
 def _require(path: str, key: str) -> Path:
@@ -204,8 +214,12 @@ def cmd_train_kge(args) -> int:
     if cfg.entity_links:  # read and checked before training, so a bad file fails first
         if not cfg.vocab:
             raise ConfigError("config key 'entity_links' needs 'vocab' to align its table")
-        links = kg.load_links(_require(cfg.entity_links, "entity_links"))
-        kg.check_links(links, store)
+        links_path = _require(cfg.entity_links, "entity_links")
+        links = kg.load_links(links_path)
+        try:
+            kg.check_links(links, store)
+        except ValueError as err:
+            raise ConfigError(f"{links_path}: {err} (not in {triples_path})") from None
         vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
     if store.duplicates_dropped:
         print(f"dropped {store.duplicates_dropped} duplicate triples")
@@ -289,8 +303,8 @@ def cmd_train(args) -> int:
             fh.write(json.dumps(asdict(r)) + "\n")
     if reports:
         last = reports[-1]
-        print(f"epoch {last.epoch}: loss {last.loss:.4f} val_acc {last.val_acc:.4f} "
-              f"lr {last.lr:.2e}")
+        val_acc = f" val_acc {last.val_acc:.4f}" if val_set else ""  # nan without a val set
+        print(f"epoch {last.epoch}: loss {last.loss:.4f}{val_acc} lr {last.lr:.2e}")
     print(f"wrote {ckpt_path} and {reports_path}")
     return 0
 
@@ -435,8 +449,7 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-USER_ERRORS = (ConfigError, td.CorpusFormatError, td.EncodeError, kg.TripleFormatError,
-               FileNotFoundError, ValueError, Diverged)
+USER_ERRORS = (ValueError, FileNotFoundError, Diverged)  # ConfigError and the format errors too
 
 
 def main(argv=None) -> int:

@@ -190,12 +190,11 @@ class KnowledgeBundle:
         return self.com.width
 
 
+STANCES = ("common", "liberal", "conservative")  # the tables of a bundle, in field order
+
+
 def zero_bundle(n_words: int, width: int) -> KnowledgeBundle:
-    return KnowledgeBundle(
-        zero_table("common", n_words, width),
-        zero_table("liberal", n_words, width),
-        zero_table("conservative", n_words, width),
-    )
+    return KnowledgeBundle(*(zero_table(stance, n_words, width) for stance in STANCES))
 
 
 def make_planted_bundle(
@@ -215,19 +214,11 @@ def make_planted_bundle(
     rng = np.random.default_rng(seed)
     direction = rng.uniform(-1.0, 1.0, width)
     direction *= strength / np.linalg.norm(direction)
-    com = np.zeros((n_words, width))
-    lib = np.zeros((n_words, width))
-    con = np.zeros((n_words, width))
-    for wid, cls in word_classes.items():
-        sign = 1.0 if cls == 0 else -1.0
-        com[wid] = sign * direction
-        lib[wid] = sign * direction
-        con[wid] = -sign * direction
-    return KnowledgeBundle(
-        KnowledgeEmbeddingTable("common", com),
-        KnowledgeEmbeddingTable("liberal", lib),
-        KnowledgeEmbeddingTable("conservative", con),
-    )
+    ids = np.fromiter(word_classes, dtype=np.intp, count=len(word_classes))
+    signs = np.array([1.0 if cls == 0 else -1.0 for cls in word_classes.values()])
+    return KnowledgeBundle(*(KnowledgeEmbeddingTable.from_rows(stance, n_words, ids,
+                                                               sign[:, None] * direction)
+                             for stance, sign in zip(STANCES, (signs, signs, -signs))))
 
 
 # --------------------------------------------------------------------------
@@ -248,6 +239,14 @@ def _mix(base: Tensor, table: KnowledgeEmbeddingTable, ids: np.ndarray,
                   ad.constant(know))
 
 
+def factors_read(hp: HyperParams, bundle: KnowledgeBundle) -> tuple[bool, bool]:
+    """Whether ``predict`` reads (alpha, beta): only in mode All, and ``_mix`` skips a
+    table that covers no word, so alpha needs a covered common word, beta a stance one."""
+    knowledge = hp.mode == "All"
+    return (knowledge and bool(bundle.com.coverage.any()),
+            knowledge and bool(bundle.lib.coverage.any() or bundle.con.coverage.any()))
+
+
 def inject_knowledge(
     word_ids,
     params: ModelParams,
@@ -260,9 +259,18 @@ def inject_knowledge(
     The common table is mixed in first, the two political tables are mixed
     into that result independently, and a learned fuse layer combines the
     two stance views; a residual keeps the original embedding in reach.
+
+    A bundle that is not [word-table rows, d] raises ValueError naming its width against
+    d, or else its word count against the rows, whatever words ``word_ids`` holds.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError(f"knowledge factors must lie in [0, 1], got {alpha}, {beta}")
+    n_words, d = params.word_table.shape
+    if bundle.width != d:
+        raise ValueError(f"knowledge tables are {bundle.width} wide, but d = {d}")
+    if bundle.n_words != n_words:
+        raise ValueError(f"knowledge tables have {bundle.n_words} words, but the word table "
+                         f"has {n_words} rows")
     ids = np.asarray(word_ids, dtype=np.int64)
     base = ad.gather_rows(params.word_table, ids)
     e_com = _mix(base, bundle.com, ids, alpha, 1.0 - alpha)

@@ -210,14 +210,7 @@ def make_folds(dataset_size: int, k: int, seed: int) -> list[list[int]]:
     if k > dataset_size:
         raise ValueError(f"cannot make {k} folds from {dataset_size} items")
     order = np.random.default_rng(seed).permutation(dataset_size)
-    base, extra = divmod(dataset_size, k)
-    folds = []
-    pos = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append([int(x) for x in order[pos : pos + size]])
-        pos += size
-    return folds
+    return [f.tolist() for f in np.array_split(order, k)]
 
 
 # --------------------------------------------------------------------------

@@ -203,18 +203,6 @@ def batch_loss(batch: Sequence[EncodedArticle], params: ModelParams, bundle: Kno
     return ad.scale(md.cross_entropy(probs, [a.label for a in batch]), 1.0 / len(batch))
 
 
-def _check_bundle(params: ModelParams, bundle: KnowledgeBundle, hp: HyperParams) -> None:
-    """In mode All, refuse a bundle that is not [word-table rows, hp.d]: ``predict`` would
-    fail only on a batch that holds a covered word, and then not naming the cause."""
-    if hp.mode != "All":
-        return
-    if bundle.width != hp.d:
-        raise ValueError(f"knowledge tables are {bundle.width} wide, but d = {hp.d}")
-    if bundle.n_words != params.word_table.shape[0]:
-        raise ValueError(f"knowledge tables have {bundle.n_words} words, but the word table "
-                         f"has {params.word_table.shape[0]} rows")
-
-
 def train(
     dataset: list[EncodedArticle],
     bundle: KnowledgeBundle,
@@ -226,13 +214,14 @@ def train(
     Each batch runs forward in one ``predict`` call and backward once over the mean
     loss.
     Shuffling, initialisation, and therefore every report field except
-    wall-clock seconds are fully determined by (cfg, seed).
+    wall-clock seconds are fully determined by (cfg, seed). In mode All the first
+    ``predict`` refuses a bundle that does not fit the model (``model.inject_knowledge``),
+    before any update; with epochs=0 none runs, so none is refused.
     """
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
     hp = cfg.hp
     params = md.init_params(bundle.n_words, hp, seed=cfg.seed)
-    _check_bundle(params, bundle, hp)
     named = list(params.named())
     state = AdamState()
     sched = PlateauState(lr=cfg.lr, patience=cfg.patience, factor=cfg.lr_factor)
@@ -275,11 +264,11 @@ def evaluate_accuracy(
     ``predict`` call per EVAL_BATCH consecutive articles, which bounds the memory a
     large dataset takes.
 
-    Ties go to the lowest class id (numpy argmax takes the first maximum).
+    Ties go to the lowest class id (numpy argmax takes the first maximum). In mode All
+    ``predict`` refuses a bundle that does not fit ``params`` (``model.inject_knowledge``).
     """
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
-    _check_bundle(params, bundle, hp)
     hits = 0
     for lo in range(0, len(dataset), EVAL_BATCH):
         part = dataset[lo : lo + EVAL_BATCH]
@@ -346,10 +335,8 @@ def sweep_alpha_beta(
     and validates on ``holdout(corpus, val_fraction, cfg.seed)``, the split ``train``
     makes, so a cell is the final ``val_acc`` of a training with its alpha and beta. A
     fraction that holds out no article, or leaves none to train on, raises ValueError.
-    Cells that differ only in a factor the model does not read share one training, and
-    a line says how many cells were trained: ``predict`` reads alpha and beta only in
-    mode All, and a table that covers no word makes its mixing step a no-op
-    (``model._mix``).
+    Cells that differ only in a factor the model does not read (``model.factors_read``)
+    share one training, and a line says how many cells were trained.
     """
     for value in list(alphas) + list(betas):
         if not 0.0 <= value <= 1.0:
@@ -361,9 +348,7 @@ def sweep_alpha_beta(
             raise ValueError(f"'val_fraction' = {val_fraction} holds out none of the "
                              f"{len(corpus)} articles")
 
-    knowledge = cfg.hp.mode == "All"
-    read = {"alpha": knowledge and bool(bundle.com.coverage.any()),
-            "beta": knowledge and bool(bundle.lib.coverage.any() or bundle.con.coverage.any())}
+    read = dict(zip(("alpha", "beta"), md.factors_read(cfg.hp, bundle)))
     accuracies: dict[tuple, float] = {}  # keyed by the factors the model reads
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stancenet import cli
 from stancenet import kge as kg
 from stancenet import model as md
 from stancenet import textdata as td
@@ -527,7 +528,8 @@ class TestTrainKge:
                    "--entity-links", str(links), "--vocab", str(pre / "vocab.txt"),
                    "--output-dir", str(tmp_path / "kge")])
         assert rc == 2
-        assert capsys.readouterr().err == "error: word 'w2' links to unknown entity 'E9'\n"
+        assert capsys.readouterr().err == (f"error: {links}: word 'w2' links to unknown "
+                                           f"entity 'E9' (not in {kg_path})\n")
         assert trained == []
         assert not (tmp_path / "kge").exists()
 
@@ -1215,6 +1217,105 @@ class TestLoadBoundary:
             assert rc == 2, err.getvalue()
             assert f"error: {corpus}: " in err.getvalue()
             assert repr(key) in err.getvalue()
+
+
+class TestFuzzedLoaders:
+    """Seeded byte-level mutations of one valid input file of a command: a cut at k bytes,
+    a line dropped or repeated, or a token replaced. The command exits 0 or 2, never 1; on
+    exit 2 one error line names the file (or the table that does not fit the config's d)
+    and a line, row or key, no traceback is printed and no output directory is made; on
+    exit 0 every printed number is finite."""
+
+    # (command, input file): where the message of an exit 2 may point inside that file
+    TARGETS = {
+        ("train", "vocab"): r":\d+: |'[^']*'|must start with|\d+-word vocabulary",
+        ("train", "config"): r":\d+: |alpha/beta|\b(" + "|".join(cli._FIELD_TYPES) + r")\b",
+        **{("train", table): r":\d+: |\brow \d+|\bheader\b|\b\d+ rows\b|\bwidth \d+"
+           for table in ("table_com", "table_lib", "table_con")},
+        ("train-kge", "triples"): r":\d+: |word '[^']*'",
+        ("train-kge", "links"): r":\d+: |word '[^']*'",
+    }
+    TOKENS = [b"nan", b"-1", b"1e400", b"true", b"", b"\xff"]
+
+    @staticmethod
+    @functools.cache
+    def inputs():
+        """The bytes of the encoded corpus ("corpus.npz") and of every valid text input."""
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            pre = preprocess(Path(tmp), write_corpus(Path(tmp), num=8), n=6, l=2)
+            files = {"corpus.npz": (pre / "corpus.npz").read_bytes(),
+                     "vocab": (pre / "vocab.txt").read_bytes(),
+                     **{key: path.read_bytes()
+                        for key, path in write_tables(Path(tmp), pre).items()}}
+            words = td.Vocabulary.load(pre / "vocab.txt").id_to_token[2:6]
+        files["config"] = (b"# run\nmode = All\nd = 8\nheads = 2\nepochs = 1\nbatch_size = 4\n"
+                           b"lr = 0.01\nalpha = 0.5\nbeta = 0.5\nval_fraction = 0.25\nseed = 3\n")
+        files["triples"] = b"".join(f"e{i}\tr{i % 2}\te{(3 * i + 1) % 6}\n".encode()
+                                    for i in range(10))
+        files["links"] = b"# word\tentity\n" + b"".join(f"{w}\te{i}\n".encode()
+                                                         for i, w in enumerate(words))
+        return files
+
+    @staticmethod
+    def mutate(data, kind, at, token):
+        """``data`` cut at ``at`` bytes, or its line ``at`` dropped or repeated, or a token
+        of that line (a run of neither space nor '=') replaced by ``token``."""
+        if kind == "cut":
+            return data[: at % (len(data) + 1)]
+        lines = data.splitlines(keepends=True)
+        i = at % len(lines)
+        if kind == "drop":
+            return b"".join(lines[:i] + lines[i + 1 :])
+        if kind == "repeat":
+            return b"".join(lines[: i + 1] + lines[i:])
+        spans = [m.span() for m in re.finditer(rb"[^\s=]+", lines[i])] or [(0, 0)]
+        lo, hi = spans[at // len(lines) % len(spans)]
+        lines[i] = lines[i][:lo] + token + lines[i][hi:]
+        return b"".join(lines)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(target=st.sampled_from(sorted(TARGETS)),
+           kind=st.sampled_from(["cut", "drop", "repeat", "token"]),
+           at=st.integers(0, 2**16), token=st.sampled_from(TOKENS))
+    # found by this test: a link to an entity the triples lack named no file
+    @example(target=("train-kge", "links"), kind="token", at=36488, token=b"nan")
+    @example(target=("train-kge", "triples"), kind="drop", at=0, token=b"nan")
+    # a config value out of range named no file
+    @example(target=("train", "config"), kind="token", at=21, token=b"-1")  # seed = -1
+    @example(target=("train", "config"), kind="token", at=17, token=b"nan")  # lr = nan
+    # "val_fraction = 0" holds out nothing, and train printed "val_acc nan"
+    @example(target=("train", "config"), kind="cut", at=108, token=b"nan")
+    def test_mutated_input_exits_0_or_2_as_the_contract_says(self, target, kind, at, token):
+        command, key = target
+        files = self.inputs()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: Path(tmp) / (name if "." in name else f"{name}.txt") for name in files}
+            for name, data in files.items():
+                paths[name].write_bytes(self.mutate(data, kind, at, token) if name == key
+                                        else data)
+            if command == "train":
+                argv = ["train", "--corpus", str(paths["corpus.npz"]),
+                        "--vocab", str(paths["vocab"]), "--config", str(paths["config"]),
+                        *(arg for table in ("table_com", "table_lib", "table_con")
+                          for arg in (f"--{table.replace('_', '-')}", str(paths[table])))]
+            else:
+                argv = ["train-kge", str(paths["triples"]), "--entity-links",
+                        str(paths["links"]), "--vocab", str(paths["vocab"]), "--kge-dim", "4",
+                        "--kge-epochs", "1", "--d", "8"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([*argv, "--output-dir", str(Path(tmp) / "run")])
+            out, err = out.getvalue(), err.getvalue()
+            assert rc in (0, 2), err
+            assert "Traceback" not in out + err
+            if rc == 0:
+                assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+                return
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            # a config without its d line leaves the default d, which the tables do not fit
+            assert str(paths[key]) in err or (key == "config" and "does not match d=" in err)
+            assert re.search(self.TARGETS[target], err), err
+            assert not (Path(tmp) / "run").exists()
 
 
 class TestSweep:

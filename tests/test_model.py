@@ -256,6 +256,100 @@ def test_mix_matches_blended_reference_bitwise(coverage, w_base, w_know):
 
 
 # --------------------------------------------------------------------------
+# Bundle rules: the fit check, the factors read, the planted tables
+# --------------------------------------------------------------------------
+
+def all_words_planted(n_words, width):
+    """A bundle whose three tables cover every word but <pad> and <unk>."""
+    return make_planted_bundle(n_words, {w: w % 2 for w in range(2, n_words)}, width)
+
+
+@pytest.mark.parametrize("extra,width,covered", [
+    (0, 8, True), (0, 8, False), (-5, 16, False), (5, 16, False),
+], ids=["narrow, words covered", "narrow, no word covered", "5 words too few",
+        "5 words too many"])
+def test_predict_refuses_a_bundle_that_does_not_fit(extra, width, covered):
+    """Mode All refuses a bundle that is not [word-table rows, d] with one ValueError
+    naming both numbers, whether or not the batch holds a covered word or one past the
+    bundle's last; the other modes read no bundle."""
+    hp = tiny_hp(d=16)
+    _, vocab, encoded = encode_fixture(hp)
+    params = init_params(len(vocab), hp, seed=0)
+    n_words = len(vocab) + extra
+    bundle = (all_words_planted if covered else zero_bundle)(n_words, width)
+    message = (f"knowledge tables are {width} wide, but d = 16" if width != 16 else
+               f"knowledge tables have {n_words} words, but the word table has {len(vocab)} rows")
+    for batch in (encoded, encoded[0]):
+        with pytest.raises(ValueError, match=f"^{message}$") as err:
+            predict(batch, params, bundle, hp)
+        assert type(err.value) is ValueError  # not ShapeMismatch, a ValueError for a bug
+    for mode in ("W", "WS", "WST"):
+        predict(encoded, params, bundle, replace(hp, mode=mode))
+
+
+@pytest.mark.parametrize("mode", md.MODES)
+@pytest.mark.parametrize("covering", [(), ("common",), ("liberal",), ("conservative",),
+                                      ("liberal", "conservative"), md.STANCES])
+def test_factors_read_are_the_factors_predict_reads(mode, covering):
+    """``factors_read`` says alpha (beta) is read exactly when changing it alone changes
+    ``predict``'s bits: in mode All, with a common (a stance) table that covers a word."""
+    hp = tiny_hp(mode=mode)
+    _, vocab, encoded = encode_fixture(hp)
+    params = init_params(len(vocab), hp, seed=3)
+    planted, empty = all_words_planted(len(vocab), hp.d), zero_bundle(len(vocab), hp.d)
+    bundle = KnowledgeBundle(*(getattr(planted if stance in covering else empty, field)
+                               for stance, field in zip(md.STANCES, ("com", "lib", "con"))))
+
+    def probs(**factors):
+        return predict(encoded, params, bundle, replace(hp, **factors)).data.tobytes()
+
+    read = (probs(alpha=0.2) != probs(alpha=0.7), probs(beta=0.2) != probs(beta=0.7))
+    assert md.factors_read(hp, bundle) == read
+    assert read == (mode == "All" and "common" in covering,
+                    mode == "All" and bool({"liberal", "conservative"} & set(covering)))
+
+
+def dense_planted_bundle(n_words, word_classes, width, seed=0, strength=1.0):
+    """``make_planted_bundle`` as it was built before ``from_rows``: three dense
+    [n_words, width] arrays filled word by word, kept here as its oracle."""
+    rng = np.random.default_rng(seed)
+    direction = rng.uniform(-1.0, 1.0, width)
+    direction *= strength / np.linalg.norm(direction)
+    com, lib, con = (np.zeros((n_words, width)) for _ in range(3))
+    for wid, cls in word_classes.items():
+        sign = 1.0 if cls == 0 else -1.0
+        com[wid] = sign * direction
+        lib[wid] = sign * direction
+        con[wid] = -sign * direction
+    return KnowledgeBundle(KnowledgeEmbeddingTable("common", com),
+                           KnowledgeEmbeddingTable("liberal", lib),
+                           KnowledgeEmbeddingTable("conservative", con))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_planted_bundle_matches_the_dense_build_bitwise(data):
+    """Word ids in any order, any class ids, strength 0 (whose -0.0 rows are stored but
+    uncover their words) included."""
+    n_words = data.draw(st.integers(1, 30), label="n_words")
+    width = data.draw(st.integers(1, 5), label="width")
+    ids = data.draw(st.lists(st.integers(0, n_words - 1), unique=True), label="ids")
+    classes = data.draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    strength = data.draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 10.0),
+                         label="strength")
+    word_classes = dict(zip(ids, classes))
+    got = make_planted_bundle(n_words, word_classes, width, seed, strength)
+    want = dense_planted_bundle(n_words, word_classes, width, seed, strength)
+    for field in ("com", "lib", "con"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.stance_tag == w.stance_tag
+        for part in ("_rows", "_slot", "coverage"):
+            a, b = getattr(g, part), getattr(w, part)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# --------------------------------------------------------------------------
 # Attention layers against a big-step loop reference
 # --------------------------------------------------------------------------
 
