@@ -12,6 +12,7 @@ internal failure, 2 user or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -25,10 +26,6 @@ from . import model as md
 from . import textdata as td
 from . import training as tr
 from .autodiff import DegenerateInput, Diverged, ShapeMismatch
-
-
-class ConfigError(ValueError):
-    """A problem with user-supplied configuration; maps to exit code 2."""
 
 
 @dataclass
@@ -77,21 +74,21 @@ _PARSERS = {"bool": lambda raw: _BOOLS[raw.strip().lower()], "int": int, "float"
 
 def parse_config_file(path) -> dict:
     values = {}
-    for lineno, line in td.text_lines(path, ConfigError):
+    for lineno, line in td.text_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         kind = _FIELD_TYPES[key]
         try:
             values[key] = _PARSERS[kind](raw)
         except (KeyError, ValueError):
-            raise ConfigError(f"{path}:{lineno}: config key {key!r}: cannot parse {raw!r} "
-                              f"as {kind}") from None
+            raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse {raw!r} "
+                             f"as {kind}") from None
     return values
 
 
@@ -112,9 +109,9 @@ def build_config(args: argparse.Namespace) -> tuple[RunConfig, tr.TrainConfig, k
         cfg = make(RunConfig, source)
         for key in ("val_fraction", "holdout"):
             if not 0.0 <= getattr(cfg, key) < 1.0:
-                raise ConfigError(f"config key {key!r} must lie in [0, 1), got {getattr(cfg, key)}")
+                raise ValueError(f"config key {key!r} must lie in [0, 1), got {getattr(cfg, key)}")
         if cfg.folds < 2 and cfg.folds != 0:
-            raise ConfigError(f"config key 'folds' must be 0 (off) or at least 2, got {cfg.folds}")
+            raise ValueError(f"config key 'folds' must be 0 (off) or at least 2, got {cfg.folds}")
         train_cfg = make(tr.TrainConfig, source, seed=cfg.seed, hp=make(md.HyperParams, source))
         return cfg, train_cfg, make(kg.KgeConfig, source, seed=cfg.seed)
 
@@ -125,18 +122,29 @@ def build_config(args: argparse.Namespace) -> tuple[RunConfig, tr.TrainConfig, k
             build(flags)
         except ValueError:
             raise err from None
-        raise ConfigError(f"{args.config}: {err}") from None
+        raise ValueError(f"{args.config}: {err}") from None
+
+
+@contextlib.contextmanager
+def _naming_config(args: argparse.Namespace, key: str):
+    """Prefix a ValueError raised inside with the config file if it set ``key`` (no flag)."""
+    try:
+        yield
+    except ValueError as err:
+        if getattr(args, key) is None and args.config and key in parse_config_file(args.config):
+            raise ValueError(f"{args.config}: {err}") from None
+        raise
 
 
 def _require(path: str, key: str) -> Path:
     """The input file that config key ``key`` (flag ``--<key>``) names; empty or missing
     exits 2 naming the key."""
     if not path:
-        raise ConfigError(f"missing required path: config key {key!r} "
-                          f"(--{key.replace('_', '-')}) is empty")
+        raise ValueError(f"missing required path: config key {key!r} "
+                         f"(--{key.replace('_', '-')}) is empty")
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"{key} file not found: {path}")
+        raise ValueError(f"{key} file not found: {path}")
     return p
 
 
@@ -145,14 +153,14 @@ def _load_corpus(cfg: RunConfig) -> tuple[list[td.EncodedArticle], int, td.Vocab
     corpus_path = _require(cfg.corpus, "corpus")
     encoded, classes = td.load_encoded(corpus_path)
     if not encoded:
-        raise ConfigError(f"{corpus_path}: the encoded corpus has no article")
+        raise ValueError(f"{corpus_path}: the encoded corpus has no article")
     vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
     for a in encoded:
         for ids in (a.sentences, a.title):
             outside = ids[(ids < 0) | (ids >= len(vocab))]
             if outside.size:
-                raise ConfigError(f"{corpus_path}: word id {outside[0]} is outside the "
-                                  f"{len(vocab)}-word vocabulary {cfg.vocab}")
+                raise ValueError(f"{corpus_path}: word id {outside[0]} is outside the "
+                                 f"{len(vocab)}-word vocabulary {cfg.vocab}")
     return encoded, classes, vocab
 
 
@@ -161,8 +169,8 @@ def _check_titles(cfg: RunConfig, encoded: list[td.EncodedArticle], mode: str):
     if mode in md.TITLE_MODES:
         for i, a in enumerate(encoded):
             if not a.title_mask.any():
-                raise ConfigError(f"{cfg.corpus}: article {i} has no title word, "
-                                  f"which mode {mode} needs")
+                raise ValueError(f"{cfg.corpus}: article {i} has no title word, "
+                                 f"which mode {mode} needs")
 
 
 def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
@@ -173,15 +181,14 @@ def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
     for key, path in (("table_com", cfg.table_com), ("table_lib", cfg.table_lib),
                       ("table_con", cfg.table_con)):
         if not path:
-            raise ConfigError(
-                f"missing knowledge table {key!r}; pass --no-knowledge to train without one"
-            )
+            raise ValueError(f"missing knowledge table {key!r}; pass --no-knowledge to train "
+                             f"without one")
         table = kg.KnowledgeEmbeddingTable.load(_require(path, key))
         if table.n_words != n_words:
-            raise ConfigError(f"{path}: {key} has {table.n_words} rows but the vocabulary "
-                              f"has {n_words} words")
+            raise ValueError(f"{path}: {key} has {table.n_words} rows but the vocabulary "
+                             f"has {n_words} words")
         if table.width != d:
-            raise ConfigError(f"{path}: {key} width {table.width} does not match d={d}")
+            raise ValueError(f"{path}: {key} width {table.width} does not match d={d}")
         tables.append(table)
     return md.KnowledgeBundle(*tables)
 
@@ -213,13 +220,13 @@ def cmd_train_kge(args) -> int:
     links = vocab = None
     if cfg.entity_links:  # read and checked before training, so a bad file fails first
         if not cfg.vocab:
-            raise ConfigError("config key 'entity_links' needs 'vocab' to align its table")
+            raise ValueError("config key 'entity_links' needs 'vocab' to align its table")
         links_path = _require(cfg.entity_links, "entity_links")
         links = kg.load_links(links_path)
         try:
             kg.check_links(links, store)
         except ValueError as err:
-            raise ConfigError(f"{links_path}: {err} (not in {triples_path})") from None
+            raise ValueError(f"{links_path}: {err} (not in {triples_path})") from None
         vocab = td.Vocabulary.load(_require(cfg.vocab, "vocab"))
     if store.duplicates_dropped:
         print(f"dropped {store.duplicates_dropped} duplicate triples")
@@ -292,7 +299,8 @@ def cmd_train(args) -> int:
         print(f"wrote {cv_path}")
         return 0
 
-    train_set, val_set = tr.holdout(encoded, cfg.val_fraction, cfg.seed)
+    with _naming_config(args, "val_fraction"):
+        train_set, val_set = tr.holdout(encoded, cfg.val_fraction, cfg.seed)
     params, reports = tr.train(train_set, bundle, train_cfg, val_dataset=val_set or None)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.npz"
@@ -314,13 +322,13 @@ def cmd_eval(args) -> int:
     encoded, classes, vocab = _load_corpus(cfg)
     params, hp, _ = md.load_checkpoint(_require(cfg.checkpoint, "checkpoint"))
     if params.word_table.shape[0] != len(vocab):
-        raise ConfigError(f"checkpoint {cfg.checkpoint} was trained with vocabulary size "
-                          f"{params.word_table.shape[0]}, but vocabulary {cfg.vocab} has "
-                          f"{len(vocab)} words")
+        raise ValueError(f"checkpoint {cfg.checkpoint} was trained with vocabulary size "
+                         f"{params.word_table.shape[0]}, but vocabulary {cfg.vocab} has "
+                         f"{len(vocab)} words")
     _check_titles(cfg, encoded, hp.mode)
     if classes > hp.classes:
-        raise ConfigError(f"{cfg.corpus} has {classes} classes, but checkpoint "
-                          f"{cfg.checkpoint} predicts only {hp.classes}")
+        raise ValueError(f"{cfg.corpus} has {classes} classes, but checkpoint "
+                         f"{cfg.checkpoint} predicts only {hp.classes}")
     bundle = _load_bundle(cfg, len(vocab), hp.d)
     accuracy = tr.evaluate_accuracy(params, bundle, encoded, hp)
     print(f"accuracy {accuracy:.6f} on {len(encoded)} articles")
@@ -337,9 +345,9 @@ def _grid_values(flag: str, raw) -> list[float]:
         try:
             values.append(float(token))
         except ValueError:
-            raise ConfigError(f"{flag}: cannot parse {token!r} as a float") from None
+            raise ValueError(f"{flag}: cannot parse {token!r} as a float") from None
         if not 0.0 <= values[-1] <= 1.0:
-            raise ConfigError(f"{flag}: {token!r} does not lie in [0, 1]")
+            raise ValueError(f"{flag}: {token!r} does not lie in [0, 1]")
     return values
 
 
@@ -347,6 +355,9 @@ def cmd_sweep(args) -> int:
     alphas = _grid_values("--alphas", args.alphas)  # before any input is loaded
     betas = _grid_values("--betas", args.betas)
     cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
+    if cfg.folds < 2:  # checked before the note, as every other input is
+        with _naming_config(args, "val_fraction"):
+            tr.validation_split(encoded, cfg.val_fraction, cfg.seed)
     if args.config:  # one config file may serve train too, so its alpha and beta are valid
         overridden = [key for key in ("alpha", "beta") if key in parse_config_file(args.config)]
         if overridden:
@@ -449,7 +460,7 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-USER_ERRORS = (ValueError, FileNotFoundError, Diverged)  # ConfigError and the format errors too
+USER_ERRORS = (ValueError, OSError, Diverged)  # bad input, a path that cannot be used, divergence
 
 
 def main(argv=None) -> int:
@@ -460,15 +471,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ShapeMismatch, DegenerateInput) as err:  # ValueErrors, but bugs in the program
-        print(f"internal error: {err!r}", file=sys.stderr)
-        return 1
-    except USER_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except Exception as err:  # anything unexpected is an internal failure
-        print(f"internal error: {err!r}", file=sys.stderr)
-        return 1
+    except Exception as err:  # anything unexpected is an internal failure (exit 1), and so
+        # are ShapeMismatch and DegenerateInput: ValueErrors, but bugs in the program
+        user = isinstance(err, USER_ERRORS) and not isinstance(err, (ShapeMismatch, DegenerateInput))
+        print(f"error: {err}" if user else f"internal error: {err!r}", file=sys.stderr)
+        return 2 if user else 1
 
 
 if __name__ == "__main__":

@@ -52,16 +52,12 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .autodiff import Diverged, _scatter
-from .textdata import not_utf8, text_lines
+from .textdata import text_lines
 
 METHODS = ("RotatE", "ModE", "HAKE")
 
 _GRAD_EPS = 1e-30  # keeps sqrt gradients bounded when a distance hits zero
 _SIGN_BIT = np.uint64(1 << 63)  # of a float64 viewed as uint64
-
-
-class TripleFormatError(ValueError):
-    """A triple file line that is not head<TAB>relation<TAB>tail."""
 
 
 @dataclass
@@ -87,17 +83,16 @@ class TripleStore:
 
 def _tsv_rows(path, width: int, expected: str) -> Iterator[tuple[int, list[str]]]:
     """The line number and tab-separated fields of each line of a text file, skipping
-    blank and '#' lines. A line without ``width`` fields raises TripleFormatError
+    blank and '#' lines. A line without ``width`` fields raises ValueError
     ``{path}:{line}: expected {expected}``, the field count formatted into ``expected``;
     a line that is not UTF-8 raises it too, naming the line."""
-    for lineno, line in text_lines(path, TripleFormatError):
+    for lineno, line in text_lines(path):
         line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != width:
-            raise TripleFormatError(
-                f"{path}:{lineno}: expected {expected.format(len(fields))}")
+            raise ValueError(f"{path}:{lineno}: expected {expected.format(len(fields))}")
         yield lineno, fields
 
 
@@ -651,25 +646,21 @@ class KnowledgeEmbeddingTable:
         """Read a table file; a malformed one raises ValueError naming the file, and the
         row or the line at fault.
 
-        The file is read once, in lines as text mode splits them (CRLF and a lone CR
-        end a line, as LF does). A row that is the canonical zero line,
+        The file is read once through ``text_lines``, in lines as text mode splits them
+        (CRLF and a lone CR end a line, as LF does). A row that is the canonical zero line,
         ``dim`` copies of ``0.0`` as ``save`` writes an uncovered word, is counted
         without being parsed; one ``np.loadtxt`` call parses the other non-blank lines,
         and ``from_rows`` places them at their word ids. Every other spelling of zero
         goes through the parser and loads to the same table."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                stance_line = fh.readline().strip()
-                dim_line = fh.readline().strip()
-                if not stance_line.startswith("stance=") or not dim_line.startswith("dim="):
-                    raise ValueError(f"{path}: expected 'stance=' and 'dim=' header lines")
-                stance, dim = stance_line.split("=", 1)[1], dim_line.split("=", 1)[1].strip()
-                if not dim.isdecimal() or int(dim) < 1:
-                    raise ValueError(f"{path}: header {dim_line!r} is not dim=<integer >= 1>")
-                width = int(dim)
-                lines = [line for line in fh.readlines() if not line.isspace()]
-        except UnicodeDecodeError as err:
-            raise ValueError(not_utf8(path)) from err
+        numbered = text_lines(path)
+        stance_line, dim_line = (next(numbered, (0, ""))[1].strip() for _ in range(2))
+        if not stance_line.startswith("stance=") or not dim_line.startswith("dim="):
+            raise ValueError(f"{path}: expected 'stance=' and 'dim=' header lines")
+        stance, dim = stance_line.split("=", 1)[1], dim_line.split("=", 1)[1].strip()
+        if not dim.isdecimal() or int(dim) < 1:
+            raise ValueError(f"{path}: header {dim_line!r} is not dim=<integer >= 1>")
+        width = int(dim)
+        lines = [line for _, line in numbered if not line.isspace()]
         zero = " ".join(["0.0"] * width)
         zero_lines = (zero + "\n", zero)  # the last line may have no newline
         ids = [i for i, line in enumerate(lines) if line not in zero_lines]
@@ -719,10 +710,14 @@ def zero_table(stance_tag: str, n_words: int, width: int) -> KnowledgeEmbeddingT
 
 def load_links(path) -> dict[str, str]:
     """word<TAB>entity_name per line; '#' comments allowed. A word linked on two lines
-    raises ValueError naming both, as a repeated vocabulary token does."""
+    raises ValueError naming both, as a repeated vocabulary token does, and so does a word
+    no vocabulary holds: an empty one or one with whitespace, where preprocess splits."""
     links: dict[str, str] = {}
     first: dict[str, int] = {}
     for lineno, (word, entity_name) in _tsv_rows(path, 2, "word<TAB>entity, got {} fields"):
+        if word.split() != [word]:
+            raise ValueError(f"{path}:{lineno}: word {word!r} cannot be a vocabulary word: "
+                             f"it is empty or holds whitespace")
         if word in links:
             raise ValueError(f"{path}:{lineno}: word {word!r} is linked again "
                              f"(first at line {first[word]})")

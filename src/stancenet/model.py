@@ -460,10 +460,10 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams, int]:
     range, or an array missing, unreadable, shaped unlike the manifest's parameters or
     holding a non-finite value raises a ValueError naming the file.
     """
-    with open_npz(path, ValueError) as data:
+    with open_npz(path) as data:
         if "manifest" not in data.files:
             raise ValueError(f"{path}: not a stancenet checkpoint (no manifest array)")
-        text = bytes(npz_array(data, "manifest", path, ValueError))
+        text = bytes(npz_array(data, "manifest", path))
         try:
             manifest = json.loads(text.decode())
         except ValueError as err:  # not UTF-8, or not JSON
@@ -488,7 +488,7 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams, int]:
         def saved(name, shape, blocks=1):
             if f"param:{name}" not in data.files:
                 raise ValueError(f"{path}: checkpoint has no array for parameter {name!r}")
-            array = npz_array(data, f"param:{name}", path, ValueError)
+            array = npz_array(data, f"param:{name}", path)
             if array.shape != shape:
                 raise ValueError(f"{path}: parameter {name!r} has shape {array.shape}, "
                                  f"but the manifest implies {shape}")

@@ -30,23 +30,15 @@ SEP_TOKEN = "<sep>"
 _RESERVED = {PAD_TOKEN, UNK_TOKEN, SEP_TOKEN}
 
 
-class CorpusFormatError(ValueError):
-    """A corpus file that cannot be read; the message names the file, and the line,
-    array or article at fault."""
-
-
-class EncodeError(ValueError):
-    """An article that cannot be encoded (e.g. empty body)."""
-
-
-def text_lines(path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
+def text_lines(path) -> Iterator[tuple[int, str]]:
     """The lines of a UTF-8 text file, numbered from 1. A byte sequence that is not
-    UTF-8 raises ``error`` with ``not_utf8``'s message."""
+    UTF-8 raises ValueError with ``not_utf8``'s message; a path that cannot be opened
+    raises the OSError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError as err:
-            raise error(not_utf8(path)) from err
+            raise ValueError(not_utf8(path)) from err
 
 
 def not_utf8(path) -> str:
@@ -66,24 +58,27 @@ def not_utf8(path) -> str:
 _NPZ_ERRORS = (zipfile.BadZipFile, EOFError, OSError, ValueError)
 
 
-def open_npz(path, error: type[ValueError]):
-    """``np.load(path)`` without pickles; a file that is not a readable .npz archive
-    (cut short, not a zip, a pickle) raises ``error`` naming the file."""
+def open_npz(path):
+    """``np.load(path)`` without pickles; a path that is not a readable .npz archive
+    (missing, a directory, cut short, not a zip, a pickle) raises ValueError naming
+    the file."""
     try:
         return np.load(path)
-    except FileNotFoundError:
-        raise
     except _NPZ_ERRORS as err:
-        raise error(f"{path}: not a readable .npz archive ({err})") from err
+        raise ValueError(f"{path}: not a readable .npz archive ({err})") from err
 
 
-def npz_array(data, key: str, path, error: type[ValueError]) -> np.ndarray:
+def npz_array(data, key: str, path) -> np.ndarray:
     """Array ``key`` of an open archive; one that cannot be read (an object array, a
-    damaged member) raises ``error`` naming the file and the array."""
+    damaged member, a member that is not .npy data) raises ValueError naming the file
+    and the array."""
     try:
-        return data[key]
+        array = data[key]
     except _NPZ_ERRORS as err:
-        raise error(f"{path}: array {key!r} cannot be read: {err}") from err
+        raise ValueError(f"{path}: array {key!r} cannot be read: {err}") from err
+    if not isinstance(array, np.ndarray):  # np.load returns such a member's raw bytes
+        raise ValueError(f"{path}: array {key!r} cannot be read: not .npy data")
+    return array
 
 
 @dataclass
@@ -113,15 +108,14 @@ class Vocabulary:
 
     @staticmethod
     def load(path) -> "Vocabulary":
-        tokens = [line.rstrip("\n") for _, line in text_lines(path, CorpusFormatError)
-                  if line.strip()]
+        tokens = [line.rstrip("\n") for _, line in text_lines(path) if line.strip()]
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
-            raise CorpusFormatError(f"{path}: vocabulary must start with {PAD_TOKEN}, {UNK_TOKEN}")
+            raise ValueError(f"{path}: vocabulary must start with {PAD_TOKEN}, {UNK_TOKEN}")
         token_to_id = {t: i for i, t in enumerate(tokens)}
         if len(token_to_id) != len(tokens):  # a repeated token leaves its first id dead
             i = next(i for i, t in enumerate(tokens) if token_to_id[t] != i)
-            raise CorpusFormatError(f"{path}: token {tokens[i]!r} is repeated, at ids {i} "
-                                    f"and {token_to_id[tokens[i]]}")
+            raise ValueError(f"{path}: token {tokens[i]!r} is repeated, at ids {i} "
+                             f"and {token_to_id[tokens[i]]}")
         return Vocabulary(token_to_id, tokens)
 
 
@@ -186,7 +180,7 @@ def encode_article(article: RawArticle, vocab: Vocabulary, n: int, l: int) -> En
         raise ValueError(f"sequence limits must be positive, got n={n}, l={l}")
     sentence_tokens = split_sentences(article.body)
     if not sentence_tokens:
-        raise EncodeError(f"article {article.title!r} has no sentences after splitting")
+        raise ValueError(f"article {article.title!r} has no sentences after splitting")
 
     sentences = np.full((l, n), PAD_ID, dtype=np.int64)
     for j, tokens in enumerate(sentence_tokens[:l]):
@@ -226,7 +220,7 @@ def load_corpus(path) -> tuple[list[RawArticle], int]:
     """
     articles: list[RawArticle] = []
     declared: Optional[int] = None
-    for lineno, line in text_lines(path, CorpusFormatError):
+    for lineno, line in text_lines(path):
         line = line.strip()
         if not line:
             continue
@@ -234,27 +228,24 @@ def load_corpus(path) -> tuple[list[RawArticle], int]:
             try:
                 declared = int(line.split("=", 1)[1])
             except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: bad classes header {line!r}")
+                raise ValueError(f"{path}:{lineno}: bad classes header {line!r}")
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as err:
-            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({err.msg})")
+            raise ValueError(f"{path}:{lineno}: invalid JSON ({err.msg})")
         if not isinstance(record, dict) or set(record) != {"title", "body", "label"}:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: expected exactly the keys title/body/label"
-            )
+            raise ValueError(f"{path}:{lineno}: expected exactly the keys title/body/label")
         if type(record["label"]) is not int or record["label"] < 0:  # bool is an int
-            raise CorpusFormatError(f"{path}:{lineno}: label must be a non-negative integer")
+            raise ValueError(f"{path}:{lineno}: label must be a non-negative integer")
         if declared is not None and record["label"] >= declared:
-            raise CorpusFormatError(f"{path}:{lineno}: label {record['label']} >= classes "
-                                    f"{declared}")
+            raise ValueError(f"{path}:{lineno}: label {record['label']} >= classes {declared}")
         for key in ("title", "body"):
             if not isinstance(record[key], str):
-                raise CorpusFormatError(f"{path}:{lineno}: {key} must be a string")
+                raise ValueError(f"{path}:{lineno}: {key} must be a string")
         articles.append(RawArticle(record["title"], record["body"], record["label"]))
     if not articles:
-        raise CorpusFormatError(f"{path}: no articles found")
+        raise ValueError(f"{path}: no articles found")
     return articles, declared if declared is not None else max(a.label for a in articles) + 1
 
 
@@ -300,39 +291,38 @@ def load_encoded(path) -> tuple[list[EncodedArticle], int]:
     array of the wrong rank or of a non-integer
     dtype, arrays that disagree on the article count or on the sentence width ``n``,
     a label outside ``[0, classes)``, or an article with no word (only PAD_ID in its
-    sentences) raises CorpusFormatError naming the file, and the array or the article.
+    sentences) raises ValueError naming the file, and the array or the article.
 
     Each array is read from the archive once and the articles are rows of
     it: every archive lookup reads a fresh copy of the whole array, so a
     lookup per article would hold memory growing with the square of the count.
     """
     arrays = {}
-    with open_npz(path, CorpusFormatError) as data:
+    with open_npz(path) as data:
         for key, rank in _ENCODED_RANKS.items():
             if key not in data.files:
-                raise CorpusFormatError(f"{path}: not an encoded corpus (no {key!r} array)")
-            arr = npz_array(data, key, path, CorpusFormatError)
+                raise ValueError(f"{path}: not an encoded corpus (no {key!r} array)")
+            arr = npz_array(data, key, path)
             if arr.ndim != rank or not np.issubdtype(arr.dtype, np.integer):
-                raise CorpusFormatError(f"{path}: array {key!r} must be a rank-{rank} integer "
-                                        f"array, not a rank-{arr.ndim} {arr.dtype} one")
+                raise ValueError(f"{path}: array {key!r} must be a rank-{rank} integer "
+                                 f"array, not a rank-{arr.ndim} {arr.dtype} one")
             arrays[key] = arr
     sentences, titles, labels = arrays["sentences"], arrays["titles"], arrays["labels"]
     classes = int(arrays["classes"])
     counts = {key: len(arrays[key]) for key in ("sentences", "titles", "labels")}
     if len(set(counts.values())) != 1:
-        raise CorpusFormatError(f"{path}: arrays disagree on the article count: " +
-                                ", ".join(f"{key!r} has {count}" for key, count in counts.items()))
+        raise ValueError(f"{path}: arrays disagree on the article count: " +
+                         ", ".join(f"{key!r} has {count}" for key, count in counts.items()))
     if titles.shape[1] != sentences.shape[2]:
-        raise CorpusFormatError(f"{path}: array 'titles' holds {titles.shape[1]} words per "
-                                f"title, but 'sentences' {sentences.shape[2]} per sentence")
+        raise ValueError(f"{path}: array 'titles' holds {titles.shape[1]} words per "
+                         f"title, but 'sentences' {sentences.shape[2]} per sentence")
     outside = np.flatnonzero((labels < 0) | (labels >= classes))
     if outside.size:
         i = int(outside[0])
-        raise CorpusFormatError(f"{path}: article {i} has label {int(labels[i])}, "
-                                f"outside [0, {classes})")
+        raise ValueError(f"{path}: article {i} has label {int(labels[i])}, outside [0, {classes})")
     wordless = np.flatnonzero((sentences == PAD_ID).all(axis=(1, 2)))
     if wordless.size:
-        raise CorpusFormatError(f"{path}: article {int(wordless[0])} has no word")
+        raise ValueError(f"{path}: article {int(wordless[0])} has no word")
     encoded = [EncodedArticle(sentences[i], titles[i], int(labels[i]))
                for i in range(labels.shape[0])]
     return encoded, classes

@@ -317,6 +317,16 @@ def holdout(corpus: list[EncodedArticle], val_fraction: float,
     return [corpus[i] for i in order[n_val:]], [corpus[i] for i in order[:n_val]]
 
 
+def validation_split(corpus: list[EncodedArticle], val_fraction: float,
+                     seed: int) -> tuple[list[EncodedArticle], list[EncodedArticle]]:
+    """``holdout``'s split, refusing one that holds out no article: a sweep cell's."""
+    train_set, val_set = holdout(corpus, val_fraction, seed)
+    if not val_set:
+        raise ValueError(f"'val_fraction' = {val_fraction} holds out none of the "
+                         f"{len(corpus)} articles")
+    return train_set, val_set
+
+
 DEFAULT_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
@@ -331,10 +341,10 @@ def sweep_alpha_beta(
 ) -> np.ndarray:
     """Accuracy for every (alpha, beta) cell; rows follow alphas ascending.
 
-    With folds >= 2 each cell runs a cross-validation; otherwise every cell trains
-    and validates on ``holdout(corpus, val_fraction, cfg.seed)``, the split ``train``
-    makes, so a cell is the final ``val_acc`` of a training with its alpha and beta. A
-    fraction that holds out no article, or leaves none to train on, raises ValueError.
+    With folds >= 2 each cell runs a cross-validation; otherwise every cell trains and
+    validates on ``validation_split``, the split ``train`` makes, so a cell is the final
+    ``val_acc`` of a training with its alpha and beta. A fraction that holds out no
+    article, or leaves none to train on, raises ValueError.
     Cells that differ only in a factor the model does not read (``model.factors_read``)
     share one training, and a line says how many cells were trained.
     """
@@ -343,10 +353,7 @@ def sweep_alpha_beta(
             raise ValueError(f"grid values must lie in [0, 1], got {value}")
     grid = np.zeros((len(alphas), len(betas)))
     if folds < 2:
-        train_set, val_set = holdout(corpus, val_fraction, cfg.seed)
-        if not val_set:
-            raise ValueError(f"'val_fraction' = {val_fraction} holds out none of the "
-                             f"{len(corpus)} articles")
+        train_set, val_set = validation_split(corpus, val_fraction, cfg.seed)
 
     read = dict(zip(("alpha", "beta"), md.factors_read(cfg.hp, bundle)))
     accuracies: dict[tuple, float] = {}  # keyed by the factors the model reads

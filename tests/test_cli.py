@@ -7,12 +7,13 @@ import json
 import re
 import tempfile
 import warnings
+import zipfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stancenet import cli
@@ -21,7 +22,7 @@ from stancenet import model as md
 from stancenet import textdata as td
 from stancenet import training as tr
 from stancenet.autodiff import DegenerateInput, ShapeMismatch
-from stancenet.cli import ConfigError, build_config, main, make_parser, parse_config_file
+from stancenet.cli import build_config, main, make_parser, parse_config_file
 from stancenet.kge import KgeConfig, KnowledgeEmbeddingTable
 from stancenet.textdata import RawArticle, save_corpus
 
@@ -369,6 +370,58 @@ class TestErrorExits:
         flag = "--" + key.replace("_", "-")
         assert capsys.readouterr().err == (f"error: missing required path: config key "
                                            f"{key!r} ({flag}) is empty\n")
+
+    @pytest.mark.parametrize("name", [
+        "config", "vocab", "corpus", "table", "checkpoint", "dataset", "triples", "links",
+        "output under a file", "output that is a file", "empty output file"])
+    def test_a_path_that_cannot_be_used_exits_2_naming_it(self, tmp_path, capsys,
+                                                           monkeypatch, name):
+        """A directory in place of an input file, or an output path that cannot be made,
+        is a user error naming the path, not an internal one (exit 1)."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        directory, regular = tmp_path / "dir", tmp_path / "file"
+        directory.mkdir()
+        regular.write_text("")
+        tables = write_tables(tmp_path, pre)
+        corpus = {"corpus": str(pre / "corpus.npz"), "vocab": str(pre / "vocab.txt"),
+                  **{key: str(path) for key, path in tables.items()}}
+        links = tmp_path / "links.tsv"
+        links.write_text("filler0\ta\n")
+        kg_path = TestTrainKge.write_kg(tmp_path / "kg", [("a", "r", "b"), ("b", "r", "a")])
+        run, bad = tmp_path / "run", directory
+        if name in ("config", "vocab", "corpus", "table", "output under a file"):
+            key = {"table": "table_com", "output under a file": "output_dir"}.get(name, name)
+            if name == "output under a file":
+                run = bad = regular / "run"
+            flags = {**corpus, "config": None, "output_dir": str(run), key: str(bad)}
+            argv = ["train", "--mode", "W", "--d", "8", "--heads", "2", "--epochs", "1",
+                    *(arg for flag, value in flags.items() if value
+                      for arg in (f"--{flag.replace('_', '-')}", value))]
+        elif name == "checkpoint":
+            argv = ["eval", "--corpus", corpus["corpus"], "--vocab", corpus["vocab"],
+                    "--no-knowledge", "--checkpoint", str(bad)]
+        elif name in ("dataset", "output that is a file"):
+            if name == "output that is a file":
+                run = bad = regular
+            dataset = directory if name == "dataset" else write_corpus(tmp_path)
+            argv = ["preprocess", str(dataset), "--output-dir", str(run)]
+        elif name in ("triples", "links"):
+            argv = ["train-kge", str(bad if name == "triples" else kg_path),
+                    "--entity-links", str(bad if name == "links" else links),
+                    "--vocab", corpus["vocab"], "--kge-dim", "4", "--kge-epochs", "1",
+                    "--output-dir", str(run)]
+        else:  # the empty path is the working directory
+            monkeypatch.chdir(directory)
+            bad = Path(".")
+            argv = ["gen-synthetic", "--articles", "4", "--out", ""]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"'{bad}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists() and not (regular / "run").exists()
 
     def test_unexpected_exception_exits_1_as_internal_error(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -1125,31 +1178,28 @@ class TestLoadBoundary:
             assert err.startswith(f"error: {path}: "), (cut, err)
             assert not (tmp_path / "run").exists()
 
-    # each loader of a text file, a valid line for it, its error class and its header
+    # each loader of a text file, a valid line for it and its header
     TEXT_LOADERS = {
-        "vocabulary": (td.Vocabulary.load, "w{i}", td.CorpusFormatError, ["<pad>", "<unk>"]),
-        "corpus": (td.load_corpus, '{{"title": "t", "body": "w{i}", "label": 0}}',
-                   td.CorpusFormatError, []),
-        "config": (parse_config_file, "seed = {i}", ConfigError, []),
-        "triples": (lambda path: kg.load_triples(path, "common"), "e{i}\tr\te0",
-                    kg.TripleFormatError, []),
-        "entity links": (kg.load_links, "w{i}\te{i}", kg.TripleFormatError, []),
-        "table": (KnowledgeEmbeddingTable.load, "0.5 -0.{i}", ValueError,
-                  ["stance=common", "dim=2"]),
+        "vocabulary": (td.Vocabulary.load, "w{i}", ["<pad>", "<unk>"]),
+        "corpus": (td.load_corpus, '{{"title": "t", "body": "w{i}", "label": 0}}', []),
+        "config": (parse_config_file, "seed = {i}", []),
+        "triples": (lambda path: kg.load_triples(path, "common"), "e{i}\tr\te0", []),
+        "entity links": (kg.load_links, "w{i}\te{i}", []),
+        "table": (KnowledgeEmbeddingTable.load, "0.5 -0.{i}", ["stance=common", "dim=2"]),
     }
 
     @pytest.mark.parametrize("loader", list(TEXT_LOADERS))
     @pytest.mark.parametrize("line", [1, 2, 1500])
     def test_text_that_is_not_utf8_names_file_and_line(self, tmp_path, loader, line):
-        """A byte sequence that is not UTF-8 raises the loader's own error naming the file
-        and the line; at line 1,500 the decoder has read past many valid lines first."""
-        load, template, error, header = self.TEXT_LOADERS[loader]
+        """A byte sequence that is not UTF-8 raises ValueError naming the file and the
+        line; at line 1,500 the decoder has read past many valid lines first."""
+        load, template, header = self.TEXT_LOADERS[loader]
         lines = [text.encode() for text in header]
         lines += [template.format(i=i).encode() for i in range(2000)]
         lines.insert(line - 1, b"\xff\xfe not text")
         path = tmp_path / "input.txt"
         path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(error) as err:
+        with pytest.raises(ValueError) as err:
             load(path)
         assert str(err.value).startswith(f"{path}:{line}: not UTF-8 text (")
 
@@ -1221,32 +1271,53 @@ class TestLoadBoundary:
 
 class TestFuzzedLoaders:
     """Seeded byte-level mutations of one valid input file of a command: a cut at k bytes,
-    a line dropped or repeated, or a token replaced. The command exits 0 or 2, never 1; on
-    exit 2 one error line names the file (or the table that does not fit the config's d)
-    and a line, row or key, no traceback is printed and no output directory is made; on
-    exit 0 every printed number is finite."""
+    a line dropped or repeated, a token replaced, or, in an .npz archive, a member missing
+    or cut short. The command exits 0 or 2, never 1; on exit 2 one error line names the
+    file (or the table that does not fit the config's d) and a line, row, key or array, no
+    traceback is printed and no output directory is made; on exit 0 every printed number
+    is finite, and every link read names a word some vocabulary can hold."""
 
+    # each input of train and sweep: where the message of an exit 2 may point inside it
+    TRAINING = {
+        "corpus.npz": r"array '\w+'|'\w+' array|\barticle \d+|not a readable \.npz|"
+                      r"word id -?\d+",
+        "vocab": r":\d+: |'[^']*'|must start with|\d+-word vocabulary",
+        "config": r":\d+: |alpha/beta|\b(" + "|".join(cli._FIELD_TYPES) + r")\b",
+        **dict.fromkeys(("table_com", "table_lib", "table_con"),
+                        r":\d+: |\brow \d+|\bheader\b|\b\d+ rows\b|\bwidth \d+"),
+    }
     # (command, input file): where the message of an exit 2 may point inside that file
     TARGETS = {
-        ("train", "vocab"): r":\d+: |'[^']*'|must start with|\d+-word vocabulary",
-        ("train", "config"): r":\d+: |alpha/beta|\b(" + "|".join(cli._FIELD_TYPES) + r")\b",
-        **{("train", table): r":\d+: |\brow \d+|\bheader\b|\b\d+ rows\b|\bwidth \d+"
-           for table in ("table_com", "table_lib", "table_con")},
+        ("preprocess", "dataset.jsonl"): r":\d+: |no articles",
+        **{(command, key): where for key, where in TRAINING.items()
+           for command in ("train", "sweep")},
+        ("eval", "checkpoint.npz"): r"array '[^']*'|manifest|parameter '[^']*'|"
+                                    r"not a readable \.npz|vocabulary size",
         ("train-kge", "triples"): r":\d+: |word '[^']*'",
         ("train-kge", "links"): r":\d+: |word '[^']*'",
     }
     TOKENS = [b"nan", b"-1", b"1e400", b"true", b"", b"\xff"]
+    MEMBER_KINDS = ("drop member", "cut member")
 
     @staticmethod
     @functools.cache
     def inputs():
-        """The bytes of the encoded corpus ("corpus.npz") and of every valid text input."""
+        """The bytes of every valid input: the article file, its encoded corpus, a
+        checkpoint trained on it, and every text input."""
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-            pre = preprocess(Path(tmp), write_corpus(Path(tmp), num=8), n=6, l=2)
-            files = {"corpus.npz": (pre / "corpus.npz").read_bytes(),
+            dataset = write_corpus(Path(tmp), num=8)
+            pre = preprocess(Path(tmp), dataset, n=6, l=2)
+            tables = write_tables(Path(tmp), pre)
+            assert main(["train", "--corpus", str(pre / "corpus.npz"),
+                         "--vocab", str(pre / "vocab.txt"), "--mode", "All", "--d", "8",
+                         "--heads", "2", "--epochs", "1", "--output-dir", f"{tmp}/run",
+                         *(arg for key, path in tables.items()
+                           for arg in (f"--{key.replace('_', '-')}", str(path)))]) == 0
+            files = {"dataset.jsonl": dataset.read_bytes(),
+                     "corpus.npz": (pre / "corpus.npz").read_bytes(),
+                     "checkpoint.npz": Path(tmp, "run", "checkpoint.npz").read_bytes(),
                      "vocab": (pre / "vocab.txt").read_bytes(),
-                     **{key: path.read_bytes()
-                        for key, path in write_tables(Path(tmp), pre).items()}}
+                     **{key: path.read_bytes() for key, path in tables.items()}}
             words = td.Vocabulary.load(pre / "vocab.txt").id_to_token[2:6]
         files["config"] = (b"# run\nmode = All\nd = 8\nheads = 2\nepochs = 1\nbatch_size = 4\n"
                            b"lr = 0.01\nalpha = 0.5\nbeta = 0.5\nval_fraction = 0.25\nseed = 3\n")
@@ -1256,10 +1327,24 @@ class TestFuzzedLoaders:
                                                          for i, w in enumerate(words))
         return files
 
-    @staticmethod
-    def mutate(data, kind, at, token):
+    @classmethod
+    def mutate(cls, data, kind, at, token):
         """``data`` cut at ``at`` bytes, or its line ``at`` dropped or repeated, or a token
-        of that line (a run of neither space nor '=') replaced by ``token``."""
+        of that line (a run of neither space nor '=') replaced by ``token``; for an .npz
+        archive, also its member ``at`` dropped or its bytes cut short."""
+        if kind in cls.MEMBER_KINDS:
+            with zipfile.ZipFile(io.BytesIO(data)) as archive:
+                members = {name: archive.read(name) for name in archive.namelist()}
+            name = sorted(members)[at % len(members)]
+            if kind == "drop member":
+                del members[name]
+            else:
+                members[name] = members[name][: at // len(members) % len(members[name])]
+            out = io.BytesIO()
+            with zipfile.ZipFile(out, "w") as archive:
+                for name, member in members.items():
+                    archive.writestr(name, member)
+            return out.getvalue()
         if kind == "cut":
             return data[: at % (len(data) + 1)]
         lines = data.splitlines(keepends=True)
@@ -1273,9 +1358,28 @@ class TestFuzzedLoaders:
         lines[i] = lines[i][:lo] + token + lines[i][hi:]
         return b"".join(lines)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @staticmethod
+    def argv(command, paths, run):
+        """The command line of ``command`` over the input files, writing to ``run``."""
+        out = ["--output-dir", str(run)]
+        tables = [arg for table in ("table_com", "table_lib", "table_con")
+                  for arg in (f"--{table.replace('_', '-')}", str(paths[table]))]
+        corpus = ["--corpus", str(paths["corpus.npz"]), "--vocab", str(paths["vocab"]), *tables]
+        return {
+            "preprocess": ["preprocess", str(paths["dataset.jsonl"]), "--n", "6", "--l", "2",
+                           *out],
+            "train": ["train", *corpus, "--config", str(paths["config"]), *out],
+            "sweep": ["sweep", *corpus, "--config", str(paths["config"]),
+                      "--alphas", "0.5", "--betas", "0.5", *out],
+            "eval": ["eval", *corpus, "--checkpoint", str(paths["checkpoint.npz"])],
+            "train-kge": ["train-kge", str(paths["triples"]), "--entity-links",
+                          str(paths["links"]), "--vocab", str(paths["vocab"]), "--kge-dim", "4",
+                          "--kge-epochs", "1", "--d", "8", *out],
+        }[command]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(target=st.sampled_from(sorted(TARGETS)),
-           kind=st.sampled_from(["cut", "drop", "repeat", "token"]),
+           kind=st.sampled_from(["cut", "drop", "repeat", "token", *MEMBER_KINDS]),
            at=st.integers(0, 2**16), token=st.sampled_from(TOKENS))
     # found by this test: a link to an entity the triples lack named no file
     @example(target=("train-kge", "links"), kind="token", at=36488, token=b"nan")
@@ -1285,31 +1389,38 @@ class TestFuzzedLoaders:
     @example(target=("train", "config"), kind="token", at=17, token=b"nan")  # lr = nan
     # "val_fraction = 0" holds out nothing, and train printed "val_acc nan"
     @example(target=("train", "config"), kind="cut", at=108, token=b"nan")
+    # a link from the empty word was read, and dropped without a word
+    @example(target=("train-kge", "links"), kind="token", at=1, token=b"")
+    # an archive member emptied reads as bytes, not as an array: exit 1
+    @example(target=("train", "corpus.npz"), kind="cut member", at=0, token=b"nan")
+    @example(target=("eval", "checkpoint.npz"), kind="cut member", at=1, token=b"nan")
+    # "val_fraction = 0" in a sweep's config was refused naming no file
+    @example(target=("sweep", "config"), kind="cut", at=108, token=b"nan")
     def test_mutated_input_exits_0_or_2_as_the_contract_says(self, target, kind, at, token):
         command, key = target
         files = self.inputs()
+        assume(key.endswith(".npz") or kind not in self.MEMBER_KINDS)
         with tempfile.TemporaryDirectory() as tmp:
             paths = {name: Path(tmp) / (name if "." in name else f"{name}.txt") for name in files}
             for name, data in files.items():
                 paths[name].write_bytes(self.mutate(data, kind, at, token) if name == key
                                         else data)
-            if command == "train":
-                argv = ["train", "--corpus", str(paths["corpus.npz"]),
-                        "--vocab", str(paths["vocab"]), "--config", str(paths["config"]),
-                        *(arg for table in ("table_com", "table_lib", "table_con")
-                          for arg in (f"--{table.replace('_', '-')}", str(paths[table])))]
-            else:
-                argv = ["train-kge", str(paths["triples"]), "--entity-links",
-                        str(paths["links"]), "--vocab", str(paths["vocab"]), "--kge-dim", "4",
-                        "--kge-epochs", "1", "--d", "8"]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main([*argv, "--output-dir", str(Path(tmp) / "run")])
-            out, err = out.getvalue(), err.getvalue()
+                rc = main(self.argv(command, paths, Path(tmp) / "run"))
+            out = out.getvalue()
+            # sweep notes on stderr that the config's alpha and beta are overridden
+            err = "".join(line for line in err.getvalue().splitlines(keepends=True)
+                          if not line.startswith("note: "))
             assert rc in (0, 2), err
             assert "Traceback" not in out + err
             if rc == 0:
                 assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+                if key == "links":
+                    lines = paths[key].read_text(encoding="utf-8").splitlines()
+                    words = [line.split("\t")[0] for line in lines
+                             if line.strip() and not line.lstrip().startswith("#")]
+                    assert all(word.split() == [word] for word in words), words
                 return
             assert err.startswith("error: ") and err.count("\n") == 1, err
             # a config without its d line leaves the default d, which the tables do not fit

@@ -1,9 +1,11 @@
 """Import cost: the package and its command-line pipeline load numpy and the standard
 library only. ``scipy.stats`` is loaded by ``welch_t_test`` alone, when it is called,
-since importing it takes most of the import time and memory of the package. And the
-autodiff library exports no function that only the tests call."""
+since importing it takes most of the import time and memory of the package. The
+autodiff library exports no function that only the tests call, and the package defines
+no exception class besides its three program faults."""
 
 import ast
+import builtins
 import inspect
 import os
 import subprocess
@@ -77,3 +79,25 @@ def test_every_public_autodiff_function_runs_outside_the_tests():
              if p.name != "__init__.py"]
     used = set().union(*(_autodiff_references(p) for p in files))
     assert not public - used, f"no caller outside the tests: {sorted(public - used)}"
+
+
+def test_the_only_exception_classes_are_the_three_program_faults():
+    """Bad input raises ``ValueError`` and a path that cannot be used ``OSError``: the
+    package defines no exception class of its own for either. Its only ones are the
+    autodiff faults, which the command line tells apart from bad input."""
+    defined = {}  # class name -> base names, for every class the package defines
+    for path in (ROOT / "src" / "stancenet").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                defined[node.name] = {b.id if isinstance(b, ast.Name) else b.attr
+                                      for b in node.bases
+                                      if isinstance(b, (ast.Name, ast.Attribute))}
+    builtin = {name for name, value in vars(builtins).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    exceptions: set[str] = set()
+    while True:  # a class is an exception if a base is a builtin exception or one of these
+        found = {name for name, bases in defined.items() if bases & (builtin | exceptions)}
+        if found == exceptions:
+            break
+        exceptions = found
+    assert exceptions == {"ShapeMismatch", "DegenerateInput", "Diverged"}

@@ -22,7 +22,6 @@ from stancenet import kge
 from stancenet.kge import (
     KgeConfig,
     KgeModel,
-    TripleFormatError,
     TripleStore,
     evaluate_completion,
     export_aligned_table,
@@ -83,18 +82,22 @@ class TestLoadTriples:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tr\tb\nonly two\tfields\n")
-        with pytest.raises(TripleFormatError, match=":2:"):
+        with pytest.raises(ValueError, match=":2:"):
             load_triples(path, "common")
 
     @pytest.mark.parametrize("read,text,message", [
         (lambda path: load_triples(path, "common"), "# c\n\na\tr\tb\nonly two\tfields\n",
          "{}:4: expected 3 tab-separated fields, got 2"),
         (load_links, "# c\n\nw\te\nw\te\tx\n", "{}:4: expected word<TAB>entity, got 3 fields"),
-    ], ids=["triples", "links"])
+        (load_links, "w\te\n w0\te0\n", "{}:2: word ' w0' cannot be a vocabulary word: "
+                                         "it is empty or holds whitespace"),
+        (load_links, "\te1\n", "{}:1: word '' cannot be a vocabulary word: "
+                               "it is empty or holds whitespace"),
+    ], ids=["triples", "links", "links word with a space", "links empty word"])
     def test_malformed_line_message(self, tmp_path, read, text, message):
         path = tmp_path / "bad.tsv"
         path.write_text(text)
-        with pytest.raises(TripleFormatError) as err:
+        with pytest.raises(ValueError) as err:
             read(path)
         assert str(err.value) == message.format(path)
 
@@ -144,7 +147,7 @@ class TestLoadTriples:
             path = Path(tmp) / "kg.tsv"
             path.write_text("".join(ln + "\n" for ln in text))
             if bad is not None:
-                with pytest.raises(TripleFormatError, match=rf"kg\.tsv:{at + 1}: expected 3"):
+                with pytest.raises(ValueError, match=rf"kg\.tsv:{at + 1}: expected 3"):
                     load_triples(path, "common")
                 return
             store = load_triples(path, "common")
