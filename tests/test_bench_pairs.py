@@ -21,9 +21,11 @@ OUTPUTS = {"RotatE": {"loss": 0.5, "MR": 12.25, "params": "ab12"}, "accuracy": [
 
 
 def write_run(directory, workload, seed, trace=0, failed=0, seconds=30.0, outputs=OUTPUTS,
-              **values):
+              unscaled=None, calibrations=None, **values):
     directory.mkdir(exist_ok=True)
-    result = {"workload": workload, "seed": seed, "trace": {"spans": []} if trace else 0,
+    measured = {} if unscaled is None else {"end_to_end_unscaled": unscaled,
+                                            "calibrations_s": calibrations}
+    result = {**measured,"workload": workload, "seed": seed, "trace": {"spans": []} if trace else 0,
               "seconds": seconds, "attempted": 10, "cycles": [{"outputs": outputs}],
               "failed": failed, "environment": {"nproc": 2},
               "end_to_end": values if not trace else {},
@@ -251,3 +253,43 @@ def test_a_difference_names_the_first_key_whose_bits_differ(before, after, key):
                                   {"cycles": [{"outputs": after}]})], [7])
     assert got == ({"same": True, "seeds": 1} if key is None
                    else {"same": False, "seeds": 1, "seed": 7, "key": key})
+
+
+def test_unscaled_medians_and_the_calibration_kernel_are_reported_beside_the_verdicts(
+        tmp_path, capsys):
+    """The scaled cycle_s reads 10% worse because the kernel ran 10% faster in the
+    change's runs; the unscaled medians and the kernel's show it. Peak RSS is not
+    scaled, so it gets no unscaled line. The verdicts still read the scaled values."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    names = [m["name"] for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]]
+    raw = dict.fromkeys(names, 1.0)
+    for seed in range(3):
+        write_run(parent, "kg", seed, unscaled=raw, calibrations=[0.05, 0.04, 0.06], **raw)
+        write_run(change, "kg", seed, unscaled=raw, calibrations=[0.036, 0.036, 0.04],
+                  **raw | {"cycle_s": 1.1, "setup_s": 1.1, "train_per_s": 1 / 1.1,
+                           "eval_ms_per_item": 1.1})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("cycle_s"))
+    assert lines[at].endswith("worse by +10.0% (bound 25%) WITHIN BOUND")
+    assert lines[at + 1] == "    unscaled medians 1 -> 1 s"
+    assert "  calibration kernel median 0.05 -> 0.036 s" in lines
+    assert sum(line.startswith("    unscaled medians") for line in lines) == len(names) - 1
+    written = json.loads(out.read_text())["workloads"]["kg"]
+    assert written["calibration_s"] == {"parent": 0.05, "change": 0.036}
+    assert written["end_to_end"]["cycle_s"]["unscaled"] == {"parent": 1.0, "change": 1.0}
+    assert written["end_to_end"]["peak_rss_mb"]["unscaled"] is None
+
+
+def test_runs_without_unscaled_values_report_none(tmp_path, capsys):
+    """Result files written before ``end_to_end_unscaled`` existed still pair."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        write_run(side, "kg", 1, cycle_s=1.0, train_per_s=1.0)
+    entry = bench_pairs.compare(bench_pairs.load_runs(parent), bench_pairs.load_runs(change),
+                                END_TO_END)["kg"]
+    assert entry["calibration_s"] == {"parent": None, "change": None}
+    assert entry["end_to_end"]["cycle_s"]["unscaled"] is None
+    assert not any("unscaled" in line or "calibration" in line
+                   for line in bench_pairs.report({"kg": entry}).splitlines())

@@ -15,6 +15,12 @@ operations than the parent gets a ``FAILED`` line, every one of its metrics
 the verdict ``FAILED``, and the script exits 1. Each workload also gets one
 line on whether the first cycle's ``outputs`` have the same float bits on
 both sides of every pair (``same_bits``); it reports, it does not gate.
+``perfbench/run.py`` scales each time by the speed of a calibration kernel
+measured in the same process; beside each scaled metric the script prints
+the medians of its unscaled values (``end_to_end_unscaled``), and per
+workload each side's median calibration-kernel time, so that a drift of the
+kernel between the two builds can be told from a change of the program.
+These are reports too: every verdict reads the scaled values.
 Traced runs, where both sides have one for a seed, add the medians of each
 per-layer metric. ``--out`` writes the same data as JSON. Standard library
 only.
@@ -27,6 +33,7 @@ import json
 import statistics
 import sys
 from pathlib import Path
+from typing import Optional
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 MIN_GAIN = 0.01  # the smallest gain a claim can meet, relative to the parent's median
@@ -100,6 +107,26 @@ def same_bits(pairs: list[tuple[dict, dict]], seeds: list[int]) -> dict:
     return {"same": True, "seeds": len(seeds)}
 
 
+def calibration_s(runs: list[dict]) -> Optional[float]:
+    """The median over runs of each run's median calibration-kernel time, the time
+    ``perfbench/run.py`` scales its cycle times by; None for runs that record none."""
+    if all(run.get("calibrations_s") for run in runs):
+        return statistics.median(statistics.median(run["calibrations_s"]) for run in runs)
+    return None
+
+
+def unscaled(pairs: list[tuple[dict, dict]], name: str) -> Optional[dict]:
+    """Each side's median of metric ``name`` before scaling; None when a run does not
+    record it, or when no run scaled it (peak RSS is not scaled)."""
+    raw = [[side.get("end_to_end_unscaled", {}).get(name) for side in pair] for pair in pairs]
+    if None in (value for pair in raw for value in pair) or all(
+            side["end_to_end"][name] == value
+            for pair, values in zip(pairs, raw) for side, value in zip(pair, values)):
+        return None
+    return {"parent": statistics.median(p for p, _ in raw),
+            "change": statistics.median(c for _, c in raw)}
+
+
 def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
     workloads = {}
     for workload in sorted({w for w, _, _ in parent} & {w for w, _, _ in change}):
@@ -109,7 +136,9 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
             continue
         pairs = [(parent[workload, 0, s], change[workload, 0, s]) for s in seeds]
         entry = {"seeds": seeds, "outputs": same_bits(pairs, seeds), "end_to_end": {},
-                 "per_layer": {}}
+                 "per_layer": {}, "calibration_s": {
+                     label: calibration_s([pair[index] for pair in pairs])
+                     for label, index in (("parent", 0), ("change", 1))}}
         for side, index in (("parent", 0), ("change", 1)):
             entry[f"{side}_failed"] = sum(p[index]["failed"] for p in pairs)
             entry[f"{side}_attempted"] = sum(p[index]["attempted"] for p in pairs)
@@ -130,7 +159,7 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                 "parent": summary(before), "change": summary(after),
                 "change_wins": wins, "pairs": len(pairs), "relative": relative,
-                "beyond_bound": beyond_bound,
+                "beyond_bound": beyond_bound, "unscaled": unscaled(pairs, name),
                 "verdict": "FAILED" if entry["failed"] else verdict(
                     before, after, sign, metric["bound"], wins, beyond_bound),
             }
@@ -168,6 +197,14 @@ def report(workloads: dict) -> str:
                          f"{c['median']:.5g} [{c['q1']:.5g}, {c['q3']:.5g}] {m['unit']}, "
                          f"{m['better']} is better; change wins {m['change_wins']}/{m['pairs']}; "
                          f"worse by {relative} (bound {m['bound']:.0%}) {m['verdict']}")
+            if m["unscaled"]:
+                raw = m["unscaled"]
+                lines.append(f"    unscaled medians {raw['parent']:.5g} -> {raw['change']:.5g} "
+                             f"{m['unit']}")
+        kernel = entry["calibration_s"]
+        if kernel["parent"] is not None and kernel["change"] is not None:
+            lines.append(f"  calibration kernel median {kernel['parent']:.5g} -> "
+                         f"{kernel['change']:.5g} s")
         if entry["per_layer"]:
             lines.append(f"  per layer, medians of traced seeds {entry['traced_seeds']}:")
             for name, m in entry["per_layer"].items():
