@@ -275,6 +275,10 @@ def _training_inputs(args):
     model's classes, and its l sentences of n words, come from the corpus."""
     cfg, train_cfg, _ = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
+    with _naming_config(args, "folds"):
+        if cfg.folds > len(encoded):
+            raise ValueError(f"config key 'folds' must be at most the {len(encoded)} articles "
+                             f"of {cfg.corpus}, got {cfg.folds}")
     _check_titles(cfg, encoded, train_cfg.hp.mode)
     l, n = encoded[0].sentences.shape
     train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes, n=n, l=l))

@@ -23,11 +23,12 @@ bitwise the tape's; the tests keep that tape scorer as their oracle
 (``tests/test_kge.py``, on the test-only tape ops of ``tests/tape_ops.py``)
 and check the hand-written gradients against central differences.
 Ranking scores every entity twice per test triple, so it runs a second
-copy of the formulas, ``_side_scorer``, which writes each step into work
-buffers allocated once per ranking instead of fresh ``[n_entities, dim/2]``
-temporaries per side. It follows the same op order step by step, and a
-test asserts that its scores are bitwise equal to the oracle's for every
-method, both sides and several widths.
+form of the formulas, ``_side_scorer``: each side does its per-query algebra
+on one [dim/2] vector, touches a transposed copy of the entity table a few
+times, and writes into work buffers allocated once per ranking. Its scores
+agree with ``score_triple`` to a few ulps, not bitwise (a test holds them to
+1e-12, relative or absolute, for every method, both sides and several
+widths), and entities with equal rows get bitwise equal scores.
 
 Training minimises a self-adversarial negative-sampling loss with SGD, one
 step per positive. Each block of positives draws its negatives in one
@@ -40,7 +41,9 @@ the rows it updated, entities' and relations' alike.
 Evaluation scores every entity as a replacement for the head and for the
 tail of each test triple and ranks the true one in the filtered setting:
 one mask per side drops the other known-true triples from the candidate
-pool, and ties are broken by ascending entity id.
+pool, and ties of the ranking scores are broken by ascending entity id. So a
+rank can differ from one computed with ``score_triple`` only where two
+candidates' scores lie within a few ulps.
 """
 
 from __future__ import annotations
@@ -283,66 +286,78 @@ def _side_scorer(m: KgeModel) -> Callable[[int, int, bool], np.ndarray]:
     """A tape-free scorer of every entity on one side of a (relation, entity) pair.
 
     ``score(r, e, head)`` returns the [n_entities] scores of (every, r, e) when
-    ``head`` is true, else of (e, r, every), bitwise equal to ``score_triple``: it
-    runs the training forward's ops in the same order on C-contiguous halves,
-    but writes each [n_entities, w] step into work buffers allocated once
-    here. The returned array is one of those buffers, so read it before the
-    next call.
+    ``head`` is true, else of (e, r, every). They agree with ``score_triple`` to a
+    few ulps, not bitwise: each side does its per-query algebra on [w] vectors and
+    touches the table as few times as it can.
+
+    * RotatE: a relation entry has modulus 1, so |x∘r − e| = |x − e∘r̄|, and both
+      sides measure |x − q| against one vector, q = e∘r̄ (head) or e∘r (tail).
+    * HAKE: sin(x/2 + k) = sin(x/2)·cos k + cos(x/2)·sin k, with the table's
+      half-phase sines and cosines taken once here; k = (r_p − e_p)/2 for the head
+      side, and sin(k − x/2) with k = (e_p + r_p)/2 for the tail side.
+    * ModE keeps its multiply: a relation entry may be 0, so it cannot divide.
+
+    The table is held transposed, [w, n_entities], and each entity's sum runs over
+    axis 0, in the same order for every entity. So two entities with equal rows get
+    bitwise equal scores wherever they sit, as the tie rule needs; a BLAS row sum
+    would not, as it adds the rows past its last full block in another order. Every
+    step writes into work buffers allocated once here; the returned array is one of
+    them, so read it before the next call.
     """
     n, half, gamma = m.n_entities, m.dim // 2, m.gamma
     out = np.empty(n)
 
     if m.method == "ModE":
-        every, d = m.entity, np.empty((n, m.dim))
+        every, d = np.ascontiguousarray(m.entity.T), np.empty((m.dim, n))
 
         def score(r, e, head):
-            rel, row = m.relation[r], m.entity[e]
+            rel, row = m.relation[r, :, None], m.entity[e, :, None]
             if head:
                 np.subtract(np.multiply(every, rel, out=d), row, out=d)
             else:
                 np.subtract(row * rel, every, out=d)
-            return np.subtract(gamma, np.abs(d, out=d).sum(axis=1, out=out), out=out)
+            return np.subtract(gamma, np.abs(d, out=d).sum(axis=0, out=out), out=out)
         return score
 
-    first, second = (np.ascontiguousarray(m.entity[:, :half]),
-                     np.ascontiguousarray(m.entity[:, half:]))
-    a, b = np.empty((n, half)), np.empty((n, half))
+    first, second = (np.ascontiguousarray(m.entity[:, :half].T),
+                     np.ascontiguousarray(m.entity[:, half:].T))
+    a, b = np.empty((half, n)), np.empty((half, n))
 
     if m.method == "RotatE":
-        c = np.empty((n, half))
-
         def score(r, e, head):
             cos_r, sin_r = np.cos(m.relation[r]), np.sin(m.relation[r])
             e_re, e_im = m.entity[e, :half], m.entity[e, half:]
-            if head:  # d = (every * rot) - e, real and imaginary parts
-                np.multiply(first, cos_r, out=a)
-                np.subtract(a, np.multiply(second, sin_r, out=b), out=a)
-                np.subtract(a, e_re, out=a)
-                np.multiply(first, sin_r, out=b)
-                np.add(b, np.multiply(second, cos_r, out=c), out=b)
-                np.subtract(b, e_im, out=b)
-            else:  # d = (e * rot) - every
-                np.subtract(e_re * cos_r - e_im * sin_r, first, out=a)
-                np.subtract(e_re * sin_r + e_im * cos_r, second, out=b)
+            if head:  # q = e * conj(rot)
+                q_re, q_im = e_re * cos_r + e_im * sin_r, e_im * cos_r - e_re * sin_r
+            else:  # q = e * rot
+                q_re, q_im = e_re * cos_r - e_im * sin_r, e_re * sin_r + e_im * cos_r
+            np.subtract(first, q_re[:, None], out=a)
+            np.subtract(second, q_im[:, None], out=b)
             np.add(np.multiply(a, a, out=a), np.multiply(b, b, out=b), out=a)
             np.sqrt(np.add(a, _GRAD_EPS, out=a), out=a)
-            return np.subtract(gamma, a.sum(axis=1, out=out), out=out)
+            return np.subtract(gamma, a.sum(axis=0, out=out), out=out)
         return score
 
+    half_phase = second * 0.5
+    sin_half, cos_half = np.sin(half_phase), np.cos(half_phase)
     phase = np.empty(n)
 
     def score(r, e, head):  # HAKE
-        r_m, r_p = m.relation[r, :half], m.relation[r, half:]
-        e_m, e_p = m.entity[e, :half], m.entity[e, half:]
-        if head:
+        r_m, r_p = m.relation[r, :half, None], m.relation[r, half:]
+        e_m, e_p = m.entity[e, :half, None], m.entity[e, half:]
+        if head:  # sin(x/2 + k), then x * r_m - e_m
+            k = (r_p - e_p) * 0.5
+            np.multiply(sin_half, np.cos(k)[:, None], out=b)
+            np.add(b, np.multiply(cos_half, np.sin(k)[:, None], out=a), out=b)
             np.subtract(np.multiply(first, r_m, out=a), e_m, out=a)
-            np.subtract(np.add(second, r_p, out=b), e_p, out=b)
-        else:
+        else:  # sin(k - x/2), then e_m * r_m - x
+            k = (e_p + r_p) * 0.5
+            np.multiply(cos_half, np.sin(k)[:, None], out=b)
+            np.subtract(b, np.multiply(sin_half, np.cos(k)[:, None], out=a), out=b)
             np.subtract(e_m * r_m, first, out=a)
-            np.subtract(e_p + r_p, second, out=b)
-        mod = np.multiply(a, a, out=a).sum(axis=1, out=out)
+        mod = np.multiply(a, a, out=a).sum(axis=0, out=out)
         np.sqrt(np.add(mod, _GRAD_EPS, out=mod), out=mod)
-        np.abs(np.sin(np.multiply(b, 0.5, out=b), out=b), out=b).sum(axis=1, out=phase)
+        np.abs(b, out=b).sum(axis=0, out=phase)
         return np.subtract(gamma, np.add(mod, phase, out=out), out=out)
     return score
 
@@ -524,7 +539,7 @@ def evaluate_completion(
     For each test triple and each side, every entity is scored as a
     replacement; entities forming a different known-true triple are
     excluded. The true entity's rank counts strictly-better scores plus
-    equal-score entities with a smaller id.
+    equal-score entities with a smaller id, on ``_side_scorer``'s scores.
     """
     if not test:
         raise ValueError("evaluate_completion needs at least one test triple")

@@ -311,6 +311,15 @@ class TestErrorExits:
             want = ["'d'", "'eight'"] if name == "config value" else ["'key = value'"]
             return self.train_argv(pre, "--no-knowledge", "--config", str(config)), \
                 [f"{config}:2", *want]
+        if name.startswith("folds"):  # more folds than the 12 articles
+            _, source, command = name.split()
+            argv = [command, *self.train_argv(pre, "--no-knowledge")[1:]]
+            want = ["config key 'folds'", "12 articles", str(pre / "corpus.npz"), "got 20"]
+            if source == "flag":
+                return [*argv, "--folds", "20"], want
+            config = tmp_path / "run.cfg"
+            config.write_text("folds = 20\n")
+            return [*argv, "--config", str(config)], [f"{config}: ", *want]
         if name == "empty path":
             return [*self.train_argv(pre, "--no-knowledge"), "--corpus", ""], \
                 ["missing required path", "'corpus'", "--corpus"]
@@ -344,7 +353,8 @@ class TestErrorExits:
     @pytest.mark.parametrize("name", [
         "table rows", "table width", "table header", "config value", "config line",
         "empty path", "no article", "kge method", "kge dim", "kge negatives", "vocab start",
-        "classes header", "label range"])
+        "classes header", "label range", "folds flag train", "folds file train",
+        "folds flag sweep", "folds file sweep"])
     def test_bad_input_exits_2_naming_its_file(self, tmp_path, capsys, name):
         argv, want = self.case(tmp_path, name)
         capsys.readouterr()

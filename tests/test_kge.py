@@ -845,23 +845,46 @@ SIDE_SCORER_CASES = [(method, dim) for method in kge.METHODS for dim in (2, 3, 4
                      if dim % 2 == 0 or method == "ModE"]
 
 
+def side_scorer_model(rng, method, n_ent, dim):
+    """A random model with the awkward entries the ranking algebra must survive:
+    RotatE relation phases outside [-pi, pi], HAKE entity and relation phases outside
+    it, and a ModE relation row with a 0 entry."""
+    m = random_model(rng, method, n_ent, 3, dim)
+    half = dim // 2
+    if method == "RotatE":
+        m.relation *= 3.0
+    elif method == "HAKE":
+        m.entity[:, half:] *= 5.0
+        m.relation[:, half:] *= 5.0
+    else:
+        m.relation[1, half] = 0.0
+    return m
+
+
 @pytest.mark.parametrize("method,dim", SIDE_SCORER_CASES)
 @pytest.mark.parametrize("n_ent", [1, 3, 257])
 def test_side_scorer_is_bitwise_scores(method, dim, n_ent):
-    """Ranking's buffered scorer returns exactly ``_scores``' values on both sides,
-    call after call, including RotatE relation phases outside [-pi, pi]."""
+    """Ranking's scorer agrees with ``_scores`` (so with ``score_triple``) to 1e-12,
+    relative or absolute, on both sides, call after call; and its scores are bitwise
+    those of the same rows in another order: an entity's score does not depend on
+    where its row sits in the table."""
     rng = np.random.default_rng(17)
-    m = random_model(rng, method, n_ent, 3, dim)
-    if method == "RotatE":
-        m.relation *= 3.0
-    score = kge._side_scorer(m)
+    m = side_scorer_model(rng, method, n_ent, dim)
+    perm = rng.permutation(n_ent)
+    moved = KgeModel(method, dim, m.gamma, m.entity[perm], m.relation)
+    score, score_moved = kge._side_scorer(m), kge._side_scorer(moved)
     every = ad.constant(m.entity)
     for r in range(3):
         for e in rng.integers(0, n_ent, 3):
             rel, row = _row(m.relation, r), _row(m.entity, int(e))
             for head, want in ((True, _scores(m, every, rel, row)),
                                (False, _scores(m, row, rel, every))):
-                assert np.array_equal(score(r, int(e), head), want.data), (r, int(e), head)
+                got = score(r, int(e), head).copy()
+                np.testing.assert_allclose(got, want.data, rtol=1e-12, atol=1e-12,
+                                           err_msg=str((r, int(e), head)))
+                e_moved = int(np.flatnonzero(perm == e)[0])
+                assert np.array_equal(score_moved(r, e_moved, head), got[perm]), \
+                    (r, int(e), head)
 
 
 class TestEvaluateCompletion:
@@ -883,6 +906,31 @@ class TestEvaluateCompletion:
         m = KgeModel("ModE", 2, gamma=1.0, entity=entity, relation=relation)
         store = TripleStore({}, list("abcd"), {}, ["r"], [], "common")
         test = [(1, 0, 2), (3, 0, 0)]
+        assert evaluate_completion(m, store, test) == brute_force_metrics(m, store, test)
+
+    @pytest.mark.parametrize("method", kge.METHODS)
+    def test_equal_rows_tie_exactly_and_rank_by_id(self, method):
+        """Entities with equal rows get bitwise equal ranking scores on both sides, so
+        the tie rule (strictly better, then smaller id) ranks them as the oracle does."""
+        rng = np.random.default_rng(31)
+        n_ent = 43  # not a multiple of 4, where a BLAS row sum changes its order
+        m = side_scorer_model(rng, method, n_ent, 32)
+        copies = [(0, 7), (0, 21), (3, 42), (12, 13), (12, 41), (25, 30), (25, 31)]
+        for src, dst in copies:
+            m.entity[dst] = m.entity[src]
+        score = kge._side_scorer(m)
+        for r in range(3):
+            for e in range(n_ent):
+                for head in (True, False):
+                    s = score(r, e, head)
+                    for src, dst in copies:
+                        assert s[src] == s[dst], (r, e, head, src, dst)
+        # each of the first six test triples has a copied row as its true or fixed entity
+        triples = [(0, 0, 7), (21, 1, 3), (42, 2, 12), (13, 0, 25), (30, 1, 31), (41, 2, 0)]
+        store = TripleStore({}, [str(i) for i in range(n_ent)], {}, ["r", "s", "t"],
+                            triples + [(7, 0, 3), (25, 1, 21)], "common")
+        test = triples + [(int(rng.integers(n_ent)), int(rng.integers(3)),
+                           int(rng.integers(n_ent))) for _ in range(10)]
         assert evaluate_completion(m, store, test) == brute_force_metrics(m, store, test)
 
     def test_hand_ranked_toy_graph(self):
