@@ -12,7 +12,6 @@ internal failure, 2 user or configuration error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -54,6 +53,15 @@ class RunConfig:
     holdout: float = 0.1
     stance: str = "common"
 
+    def __post_init__(self):
+        for key in ("val_fraction", "holdout"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise td.config_error((key,), f"config key {key!r} must lie in [0, 1), "
+                                              f"got {getattr(self, key)}")
+        if self.folds < 2 and self.folds != 0:
+            raise td.config_error(("folds",), f"config key 'folds' must be 0 (off) or at "
+                                              f"least 2, got {self.folds}")
+
 
 # Config key -> field, per owning class. A corpus sets the model's classes,
 # and the run's seed is TrainConfig's and KgeConfig's.
@@ -73,6 +81,7 @@ _PARSERS = {"bool": lambda raw: _BOOLS[raw.strip().lower()], "int": int, "float"
 
 
 def parse_config_file(path) -> dict:
+    """Each key the file sets -> (its value, the number of the line that set it)."""
     values = {}
     for lineno, line in td.text_lines(path):
         line = line.split("#", 1)[0].strip()
@@ -85,7 +94,7 @@ def parse_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         kind = _FIELD_TYPES[key]
         try:
-            values[key] = _PARSERS[kind](raw)
+            values[key] = _PARSERS[kind](raw), lineno
         except (KeyError, ValueError):
             raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse {raw!r} "
                              f"as {kind}") from None
@@ -93,47 +102,19 @@ def parse_config_file(path) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> tuple[RunConfig, tr.TrainConfig, kg.KgeConfig]:
-    """File values first, then flag overrides, each range-checked by the class
-    that owns it; the model's HyperParams ride on the TrainConfig. A refused value
-    is reported with the config file's name when the flags alone pass the checks."""
-    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    flags = {key: getattr(args, key) for key in _FIELD_TYPES
-             if getattr(args, key, None) is not None}
-    values.update(flags)
+    """The --config file's values (``args.config_lines``), then flag overrides, each
+    range-checked by the class that owns it; HyperParams ride on the TrainConfig."""
+    values = {key: value for key, (value, _) in args.config_lines.items()}
+    values.update((key, getattr(args, key)) for key in _FIELD_TYPES
+                  if getattr(args, key, None) is not None)
 
-    def make(cls, source, **fixed):
-        return cls(**fixed, **{f.name: source[key] for key, f in _KEYS[cls].items()
-                               if key in source})
+    def make(cls, **fixed):
+        return cls(**fixed, **{f.name: values[key] for key, f in _KEYS[cls].items()
+                               if key in values})
 
-    def build(source):
-        cfg = make(RunConfig, source)
-        for key in ("val_fraction", "holdout"):
-            if not 0.0 <= getattr(cfg, key) < 1.0:
-                raise ValueError(f"config key {key!r} must lie in [0, 1), got {getattr(cfg, key)}")
-        if cfg.folds < 2 and cfg.folds != 0:
-            raise ValueError(f"config key 'folds' must be 0 (off) or at least 2, got {cfg.folds}")
-        train_cfg = make(tr.TrainConfig, source, seed=cfg.seed, hp=make(md.HyperParams, source))
-        return cfg, train_cfg, make(kg.KgeConfig, source, seed=cfg.seed)
-
-    try:
-        return build(values)
-    except ValueError as err:
-        try:
-            build(flags)
-        except ValueError:
-            raise err from None
-        raise ValueError(f"{args.config}: {err}") from None
-
-
-@contextlib.contextmanager
-def _naming_config(args: argparse.Namespace, key: str):
-    """Prefix a ValueError raised inside with the config file if it set ``key`` (no flag)."""
-    try:
-        yield
-    except ValueError as err:
-        if getattr(args, key) is None and args.config and key in parse_config_file(args.config):
-            raise ValueError(f"{args.config}: {err}") from None
-        raise
+    cfg = make(RunConfig)
+    train_cfg = make(tr.TrainConfig, seed=cfg.seed, hp=make(md.HyperParams))
+    return cfg, train_cfg, make(kg.KgeConfig, seed=cfg.seed)
 
 
 def _require(path: str, key: str) -> Path:
@@ -164,13 +145,14 @@ def _load_corpus(cfg: RunConfig) -> tuple[list[td.EncodedArticle], int, td.Vocab
     return encoded, classes, vocab
 
 
-def _check_titles(cfg: RunConfig, encoded: list[td.EncodedArticle], mode: str):
-    """Before any training: the title-level modes need a title word in every article."""
+def _check_titles(cfg: RunConfig, encoded: list[td.EncodedArticle], mode: str, keys):
+    """Before any training: the title-level modes need a title word in every article.
+    ``keys`` are the config keys that set ``mode``: none when a checkpoint did."""
     if mode in md.TITLE_MODES:
         for i, a in enumerate(encoded):
             if not a.title_mask.any():
-                raise ValueError(f"{cfg.corpus}: article {i} has no title word, "
-                                 f"which mode {mode} needs")
+                raise td.config_error(keys, f"{cfg.corpus}: article {i} has no title word, "
+                                            f"which mode {mode} needs")
 
 
 def _load_bundle(cfg: RunConfig, n_words: int, d: int) -> md.KnowledgeBundle:
@@ -217,10 +199,13 @@ def cmd_train_kge(args) -> int:
     cfg, train_cfg, kge_cfg = build_config(args)
     triples_path = _require(args.triples or cfg.kg_common, "kg_common")
     store = kg.load_triples(triples_path, cfg.stance)
+    if not store.triples:
+        raise ValueError(f"{triples_path}: no triple to train on")
     links = vocab = None
     if cfg.entity_links:  # read and checked before training, so a bad file fails first
         if not cfg.vocab:
-            raise ValueError("config key 'entity_links' needs 'vocab' to align its table")
+            raise td.config_error(("entity_links", "vocab"),
+                                  "config key 'entity_links' needs 'vocab' to align its table")
         links_path = _require(cfg.entity_links, "entity_links")
         links = kg.load_links(links_path)
         try:
@@ -275,11 +260,10 @@ def _training_inputs(args):
     model's classes, and its l sentences of n words, come from the corpus."""
     cfg, train_cfg, _ = build_config(args)
     encoded, classes, vocab = _load_corpus(cfg)
-    with _naming_config(args, "folds"):
-        if cfg.folds > len(encoded):
-            raise ValueError(f"config key 'folds' must be at most the {len(encoded)} articles "
-                             f"of {cfg.corpus}, got {cfg.folds}")
-    _check_titles(cfg, encoded, train_cfg.hp.mode)
+    if cfg.folds > len(encoded):
+        raise td.config_error(("folds",), f"config key 'folds' must be at most the {len(encoded)} "
+                                          f"articles of {cfg.corpus}, got {cfg.folds}")
+    _check_titles(cfg, encoded, train_cfg.hp.mode, ("mode",))
     l, n = encoded[0].sentences.shape
     train_cfg = replace(train_cfg, hp=replace(train_cfg.hp, classes=classes, n=n, l=l))
     bundle = _load_bundle(cfg, len(vocab), train_cfg.hp.d)
@@ -303,8 +287,7 @@ def cmd_train(args) -> int:
         print(f"wrote {cv_path}")
         return 0
 
-    with _naming_config(args, "val_fraction"):
-        train_set, val_set = tr.holdout(encoded, cfg.val_fraction, cfg.seed)
+    train_set, val_set = tr.holdout(encoded, cfg.val_fraction, cfg.seed)
     params, reports = tr.train(train_set, bundle, train_cfg, val_dataset=val_set or None)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.npz"
@@ -329,7 +312,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"checkpoint {cfg.checkpoint} was trained with vocabulary size "
                          f"{params.word_table.shape[0]}, but vocabulary {cfg.vocab} has "
                          f"{len(vocab)} words")
-    _check_titles(cfg, encoded, hp.mode)
+    _check_titles(cfg, encoded, hp.mode, ())
     if classes > hp.classes:
         raise ValueError(f"{cfg.corpus} has {classes} classes, but checkpoint "
                          f"{cfg.checkpoint} predicts only {hp.classes}")
@@ -360,13 +343,12 @@ def cmd_sweep(args) -> int:
     betas = _grid_values("--betas", args.betas)
     cfg, train_cfg, encoded, bundle, out_dir = _training_inputs(args)
     if cfg.folds < 2:  # checked before the note, as every other input is
-        with _naming_config(args, "val_fraction"):
-            tr.validation_split(encoded, cfg.val_fraction, cfg.seed)
-    if args.config:  # one config file may serve train too, so its alpha and beta are valid
-        overridden = [key for key in ("alpha", "beta") if key in parse_config_file(args.config)]
-        if overridden:
-            print(f"note: {args.config} sets {', '.join(overridden)}; every sweep cell "
-                  f"overrides {'them' if len(overridden) > 1 else 'it'}", file=sys.stderr)
+        tr.validation_split(encoded, cfg.val_fraction, cfg.seed)
+    # one config file may serve train too, so its alpha and beta are valid
+    overridden = [key for key in ("alpha", "beta") if key in args.config_lines]
+    if overridden:
+        print(f"note: {args.config} sets {', '.join(overridden)}; every sweep cell "
+              f"overrides {'them' if len(overridden) > 1 else 'it'}", file=sys.stderr)
     grid = tr.sweep_alpha_beta(encoded, bundle, train_cfg, alphas=alphas, betas=betas,
                                folds=cfg.folds, val_fraction=cfg.val_fraction)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -401,6 +383,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def _add_config_flags(sub, keys):
     sub.add_argument("--config", help="path to a key = value config file")
+    sub.set_defaults(config_lines={})  # main puts the parsed --config file here
     for key in keys:
         kind = _FIELD_TYPES[key]
         flag = "--" + key.replace("_", "-")
@@ -474,11 +457,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.config:
+            args.config_lines = parse_config_file(args.config)
         return args.func(args)
     except Exception as err:  # anything unexpected is an internal failure (exit 1), and so
         # are ShapeMismatch and DegenerateInput: ValueErrors, but bugs in the program
         user = isinstance(err, USER_ERRORS) and not isinstance(err, (ShapeMismatch, DegenerateInput))
-        print(f"error: {err}" if user else f"internal error: {err!r}", file=sys.stderr)
+        # a refused config value names the --config lines that set it, unless a flag did
+        lines = sorted({args.config_lines[key][1] for key in getattr(err, "config_keys", ())
+                        if key in args.config_lines and getattr(args, key, None) is None})
+        where = f"{args.config}:{','.join(map(str, lines))}: " if lines else ""
+        print(f"error: {where}{err}" if user else f"internal error: {err!r}", file=sys.stderr)
         return 2 if user else 1
 
 

@@ -55,7 +55,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .autodiff import Diverged, _scatter
-from .textdata import text_lines
+from .textdata import config_error, text_lines
 
 METHODS = ("RotatE", "ModE", "HAKE")
 
@@ -152,14 +152,14 @@ class KgeConfig:
                 ("adv_temperature", 0.0 <= self.adv_temperature < np.inf, "be finite and >= 0")):
             if not ok:
                 config_key = key if key == "seed" else f"kge_{key}"
-                raise ValueError(f"{key} must {rule} (config key {config_key!r}), "
-                                 f"got {getattr(self, key)}")
+                raise config_error((config_key,), f"{key} must {rule} (config key "
+                                                  f"{config_key!r}), got {getattr(self, key)}")
         if self.method not in METHODS:
-            raise ValueError(f"unknown embedding method {self.method!r} (config key "
-                             f"'kge_method'); choose from {METHODS}")
+            raise config_error(("kge_method",), f"unknown embedding method {self.method!r} (config "
+                                                f"key 'kge_method'); choose from {METHODS}")
         if self.method in ("RotatE", "HAKE") and self.dim % 2 != 0:
-            raise ValueError(f"{self.method} needs an even dim (pairs/halves; config key "
-                             f"'kge_dim'), got {self.dim}")
+            raise config_error(("kge_method", "kge_dim"), f"{self.method} needs an even dim "
+                               f"(pairs/halves; config key 'kge_dim'), got {self.dim}")
 
 
 @dataclass

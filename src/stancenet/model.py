@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DegenerateInput, Tensor
 from .kge import KnowledgeEmbeddingTable, zero_table
-from .textdata import PAD_ID, EncodedArticle, npz_array, open_npz
+from .textdata import PAD_ID, EncodedArticle, config_error, npz_array, open_npz
 
 MODES = ("W", "WS", "WST", "All")
 TITLE_MODES = ("WST", "All")  # the modes whose title level reads the article's title
@@ -53,13 +53,15 @@ class HyperParams:
     def __post_init__(self):
         for key in ("d", "heads", "n", "l"):
             if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+                raise config_error((key,), f"{key} must be >= 1, got {getattr(self, key)}")
         if self.d % self.heads != 0:
-            raise ValueError(f"heads ({self.heads}) must divide d ({self.d})")
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError(f"alpha/beta must lie in [0, 1], got {self.alpha}, {self.beta}")
+            raise config_error(("heads", "d"), f"heads ({self.heads}) must divide d ({self.d})")
+        outside = [key for key in ("alpha", "beta") if not 0.0 <= getattr(self, key) <= 1.0]
+        if outside:
+            raise config_error(outside, f"alpha/beta must lie in [0, 1], got {self.alpha}, "
+                                        f"{self.beta}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise config_error(("mode",), f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass

@@ -41,6 +41,13 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
             raise ValueError(not_utf8(path)) from err
 
 
+def config_error(keys, message: str) -> ValueError:
+    """ValueError(message) refusing config ``keys``, kept in its ``config_keys`` attribute."""
+    err = ValueError(message)
+    err.config_keys = tuple(keys)
+    return err
+
+
 def not_utf8(path) -> str:
     """``{path}:{line}: ...`` naming the first line of a file that is not UTF-8. The
     decoder reads ahead, so the line is found by decoding each line's bytes; no UTF-8

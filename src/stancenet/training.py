@@ -25,7 +25,7 @@ from . import model as md
 from .autodiff import Tape, Tensor
 from . import autodiff as ad
 from .model import HyperParams, KnowledgeBundle, ModelParams
-from .textdata import EncodedArticle, make_folds
+from .textdata import EncodedArticle, config_error, make_folds
 
 
 @dataclass
@@ -49,7 +49,7 @@ class TrainConfig:
                 ("lr", 0.0 < self.lr < math.inf, "be finite and > 0"),
                 ("weight_decay", 0.0 <= self.weight_decay < math.inf, "be finite and >= 0")):
             if not ok:
-                raise ValueError(f"{key} must {rule}, got {getattr(self, key)}")
+                raise config_error((key,), f"{key} must {rule}, got {getattr(self, key)}")
 
 
 @dataclass
@@ -308,12 +308,13 @@ def holdout(corpus: list[EncodedArticle], val_fraction: float,
     train on.
     """
     if not 0.0 <= val_fraction < 1.0:
-        raise ValueError(f"'val_fraction' must lie in [0, 1), got {val_fraction}")
+        raise config_error(("val_fraction",),
+                           f"'val_fraction' must lie in [0, 1), got {val_fraction}")
     order = np.random.default_rng(seed).permutation(len(corpus))
     n_val = int(round(len(corpus) * val_fraction))
     if n_val >= len(corpus):
-        raise ValueError(f"'val_fraction' = {val_fraction} leaves none of the {len(corpus)} "
-                         f"articles to train on")
+        raise config_error(("val_fraction",), f"'val_fraction' = {val_fraction} leaves none of "
+                                              f"the {len(corpus)} articles to train on")
     return [corpus[i] for i in order[n_val:]], [corpus[i] for i in order[:n_val]]
 
 
@@ -322,8 +323,8 @@ def validation_split(corpus: list[EncodedArticle], val_fraction: float,
     """``holdout``'s split, refusing one that holds out no article: a sweep cell's."""
     train_set, val_set = holdout(corpus, val_fraction, seed)
     if not val_set:
-        raise ValueError(f"'val_fraction' = {val_fraction} holds out none of the "
-                         f"{len(corpus)} articles")
+        raise config_error(("val_fraction",), f"'val_fraction' = {val_fraction} holds out none "
+                                              f"of the {len(corpus)} articles")
     return train_set, val_set
 
 

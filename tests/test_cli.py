@@ -319,7 +319,7 @@ class TestErrorExits:
                 return [*argv, "--folds", "20"], want
             config = tmp_path / "run.cfg"
             config.write_text("folds = 20\n")
-            return [*argv, "--config", str(config)], [f"{config}: ", *want]
+            return [*argv, "--config", str(config)], [f"{config}:1: ", *want]
         if name == "empty path":
             return [*self.train_argv(pre, "--no-knowledge"), "--corpus", ""], \
                 ["missing required path", "'corpus'", "--corpus"]
@@ -444,6 +444,102 @@ class TestErrorExits:
         assert rc == 1
         assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
 
+    @staticmethod
+    def line_case(tmp_path, name):
+        """The argv, config file lines and error message (less any prefix) of one refused
+        config value. Every argv reads a 12-article corpus whose article 4 has no title."""
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        corpus = pre / "corpus.npz"
+        with np.load(corpus) as data:
+            arrays = dict(data)
+        arrays["titles"][4] = td.PAD_ID
+        np.savez(corpus, **arrays)
+        inputs = ["--corpus", str(corpus), "--vocab", str(pre / "vocab.txt"), "--no-knowledge",
+                  "--epochs", "1"]
+        model = ["--mode", "W", "--d", "8", "--heads", "2"]
+        grid = ["--alphas", "0.5", "--betas", "0.5"]
+        kg_path = TestTrainKge.write_kg(tmp_path / "kg", CYCLE)
+        return {
+            "heads file, d flag": (["train", *inputs, "--d", "8"], ["heads = 3"],
+                                   "heads (3) must divide d (8)"),
+            "d file, heads flag": (["train", *inputs, "--heads", "3"], ["# model", "d = 8"],
+                                   "heads (3) must divide d (8)"),
+            "heads and d file": (["train", *inputs], ["heads = 3", "", "d = 8"],
+                                 "heads (3) must divide d (8)"),
+            "val_fraction train": (["train", *inputs, *model], ["val_fraction = 0.99"],
+                                   "'val_fraction' = 0.99 leaves none of the 12 articles to "
+                                   "train on"),
+            "val_fraction sweep": (["sweep", *inputs, *model, *grid], ["val_fraction = 0.01"],
+                                   "'val_fraction' = 0.01 holds out none of the 12 articles"),
+            "entity_links": (["train-kge", str(kg_path), "--kge-dim", "4"],
+                             [f"entity_links = {kg_path}"],
+                             "config key 'entity_links' needs 'vocab' to align its table"),
+            "mode": (["train", *inputs, *model[2:]], ["mode = WST"],
+                     f"{corpus}: article 4 has no title word, which mode WST needs"),
+        }[name]
+
+    @pytest.mark.parametrize("name, lines", [
+        ("heads file, d flag", "1"), ("d file, heads flag", "2"), ("heads and d file", "1,3"),
+        ("val_fraction train", "1"), ("val_fraction sweep", "1"), ("entity_links", "1"),
+        ("mode", "1")])
+    def test_a_refused_config_value_names_the_lines_that_set_it(self, tmp_path, capsys, name,
+                                                                 lines):
+        argv, config_lines, message = self.line_case(tmp_path, name)
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(config_lines) + "\n")
+        capsys.readouterr()
+        assert main([*argv, "--config", str(config), "--output-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {config}:{lines}: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_a_refused_flag_gets_no_config_prefix(self, tmp_path, capsys):
+        """The file set another key, so its lines are not named."""
+        config = tmp_path / "run.cfg"
+        config.write_text("lr = 0.01\n")
+        assert main(["train", "--config", str(config), "--patience", "0"]) == 2
+        assert capsys.readouterr().err == "error: patience must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("outcome", ["success", "exit 2"])
+    def test_every_command_reads_its_config_file_once(self, tmp_path, capsys, monkeypatch,
+                                                      outcome):
+        pre = preprocess(tmp_path, write_corpus(tmp_path))
+        inputs = ["--corpus", str(pre / "corpus.npz"), "--vocab", str(pre / "vocab.txt"),
+                  "--no-knowledge"]
+        train = [*inputs, "--mode", "W", "--d", "8", "--heads", "2", "--epochs", "1"]
+        assert main(["train", *train, "--output-dir", str(tmp_path / "model")]) == 0
+        kg_path = TestTrainKge.write_kg(tmp_path / "kg", CYCLE)
+        # command -> (argv, its config on success, a config it refuses)
+        commands = {
+            "preprocess": ([str(write_corpus(tmp_path)), "--n", "8", "--l", "3"], "seed = 1",
+                           "heads = 3"),
+            "train-kge": ([str(kg_path), "--kge-dim", "4", "--kge-epochs", "1"], "seed = 1",
+                          f"entity_links = {kg_path}"),
+            "train": (train, "seed = 1", "folds = 20"),
+            "eval": ([*inputs, "--checkpoint", str(tmp_path / "model" / "checkpoint.npz")],
+                     "seed = 1", "seed = -1"),
+            "sweep": ([*train, "--alphas", "0.5", "--betas", "0.5"], "alpha = 0.3",
+                      "val_fraction = 0.01"),
+            "gen-synthetic": (["--articles", "4", "--out", str(tmp_path / "synthetic.jsonl")],
+                              "seed = 1", "seed = -1"),
+        }
+        assert sorted(commands) == sorted(TestCommandLine.OPTIONS)  # all take --config
+        reads, text_lines = [], td.text_lines
+
+        def counted(path):
+            reads.append(str(path))
+            return text_lines(path)
+
+        monkeypatch.setattr(td, "text_lines", counted)
+        config = tmp_path / "run.cfg"
+        for command, (argv, good, refused) in commands.items():
+            config.write_text((good if outcome == "success" else refused) + "\n")
+            reads.clear()
+            rc = main([command, *argv, "--config", str(config),
+                       *(["--output-dir", str(tmp_path / "run")]
+                         if command not in ("eval", "gen-synthetic") else [])])
+            assert rc == (0 if outcome == "success" else 2), (command, capsys.readouterr().err)
+            assert reads.count(str(config)) == 1, command
+
     def test_a_repeated_triple_is_dropped_and_counted(self, tmp_path, capsys):
         kg_path = TestTrainKge.write_kg(tmp_path / "kg", [("a", "r", "b"), ("b", "r", "c"),
                                                           ("a", "r", "b")])
@@ -523,11 +619,13 @@ class TestTrainKge:
         assert not (tmp_path / "o").exists()
 
     def test_a_store_of_only_comments_exits_2_without_output(self, tmp_path, capsys):
+        """So does an empty file: either way the error names the file."""
         path = tmp_path / "comments.tsv"
-        path.write_text("# head\trelation\ttail\n\n")
-        assert main(["train-kge", str(path), "--output-dir", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: cannot train on an empty triple store\n"
-        assert not (tmp_path / "o").exists()
+        for text in ("# head\trelation\ttail\n\n", ""):
+            path.write_text(text)
+            assert main(["train-kge", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"error: {path}: no triple to train on\n"
+            assert not (tmp_path / "o").exists()
 
     def test_divergence_exits_2_naming_method_epoch_triple_and_kge_lr(self, tmp_path, capsys):
         """A learning rate that passes validation but drives the embeddings to a
@@ -1303,8 +1401,13 @@ class TestFuzzedLoaders:
            for command in ("train", "sweep")},
         ("eval", "checkpoint.npz"): r"array '[^']*'|manifest|parameter '[^']*'|"
                                     r"not a readable \.npz|vocabulary size",
-        ("train-kge", "triples"): r":\d+: |word '[^']*'",
+        # eval also checks the corpus's classes and the vocabulary's size against the checkpoint
+        **{("eval", key): where + {"corpus.npz": r"|\d+ classes",
+                                   "vocab": "|vocabulary size"}.get(key, "")
+           for key, where in TRAINING.items() if key != "config"},
+        ("train-kge", "triples"): r":\d+: |word '[^']*'|no triple",
         ("train-kge", "links"): r":\d+: |word '[^']*'",
+        ("train-kge", "vocab"): TRAINING["vocab"],
     }
     TOKENS = [b"nan", b"-1", b"1e400", b"true", b"", b"\xff"]
     MEMBER_KINDS = ("drop member", "cut member")
@@ -1387,7 +1490,7 @@ class TestFuzzedLoaders:
                           "--kge-epochs", "1", "--d", "8", *out],
         }[command]
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=500, deadline=None, derandomize=True)
     @given(target=st.sampled_from(sorted(TARGETS)),
            kind=st.sampled_from(["cut", "drop", "repeat", "token", *MEMBER_KINDS]),
            at=st.integers(0, 2**16), token=st.sampled_from(TOKENS))
