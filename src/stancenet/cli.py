@@ -92,6 +92,9 @@ def parse_config_file(path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is set again "
+                             f"(first at line {values[key][1]})")
         kind = _FIELD_TYPES[key]
         try:
             values[key] = _PARSERS[kind](raw), lineno
@@ -221,9 +224,7 @@ def cmd_train_kge(args) -> int:
     test = [store.triples[i] for i in order[:n_test]]
     train_triples = [store.triples[i] for i in order[n_test:]]
 
-    train_store = kg.TripleStore(store.entities, store.entity_names, store.relations,
-                                 store.relation_names, train_triples, cfg.stance)
-    model = kg.train_kge(train_store, kge_cfg)
+    model = kg.train_kge(replace(store, triples=train_triples), kge_cfg)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -40,9 +40,9 @@ one batched step with the per-step loop's bits. A step wraps the phases of
 the rows it updated, entities' and relations' alike.
 Evaluation scores every entity as a replacement for the head and for the
 tail of each test triple and ranks the true one in the filtered setting:
-one mask per side drops the other known-true triples from the candidate
-pool, and ties of the ranking scores are broken by ascending entity id. So a
-rank can differ from one computed with ``score_triple`` only where two
+the other known-true triples' candidates get a NaN score, which is never
+better, and ties of the ranking scores are broken by ascending entity id.
+So a rank can differ from one computed with ``score_triple`` only where two
 candidates' scores lie within a few ulps.
 """
 
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -105,9 +106,6 @@ def load_triples(path, stance_tag: str) -> TripleStore:
     entity_names: list[str] = []
     relations: dict[str, int] = {}
     relation_names: list[str] = []
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    duplicates = 0
 
     def intern(name: str, table: dict[str, int], names: list[str]) -> int:
         if name not in table:
@@ -115,17 +113,12 @@ def load_triples(path, stance_tag: str) -> TripleStore:
             names.append(name)
         return table[name]
 
-    for _, (head, relation, tail) in _tsv_rows(path, 3, "3 tab-separated fields, got {}"):
-        triple = (intern(head, entities, entity_names),
-                  intern(relation, relations, relation_names),
-                  intern(tail, entities, entity_names))
-        if triple in seen:
-            duplicates += 1
-            continue
-        seen.add(triple)
-        triples.append(triple)
+    rows = [(intern(head, entities, entity_names), intern(relation, relations, relation_names),
+             intern(tail, entities, entity_names))
+            for _, (head, relation, tail) in _tsv_rows(path, 3, "3 tab-separated fields, got {}")]
+    triples = list(dict.fromkeys(rows))  # each triple once, at its first appearance
     return TripleStore(entities, entity_names, relations, relation_names, triples,
-                       stance_tag, duplicates)
+                       stance_tag, len(rows) - len(triples))
 
 
 @dataclass
@@ -391,8 +384,9 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
     or by its own last update. So the parameters are those of a loop that wraps
     whole tables after every step, except that a phase a wrap returns as exactly pi
     stays pi until its row's next update. A non-finite gradient raises ``Diverged``
-    once the block has run every step before the first bad one, naming that step in
-    step order.
+    after its block has run, naming the block's first bad step in step order: no step
+    sees a later step's update, so each step before that one ran as the per-step loop
+    runs it; a later step may read the bad rows and turn bad too.
     """
     if not store.triples:
         raise ValueError("cannot train on an empty triple store")
@@ -419,10 +413,6 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
                 ids = np.concatenate((tails, heads), axis=1)  # in the order of grads' rows
                 stop = len(block)  # the block's first bad step found so far
                 for wave in _waves(ids, block[:, 1]):
-                    if stop < len(block):  # no step after a bad one needs to run
-                        wave = wave[wave < stop]
-                        if not wave.size:
-                            continue
                     wave_ids, rs = ids[wave], block[wave, 1]
                     rows, inv = np.unique(wave_ids, return_inverse=True)
                     scored = ent[wave_ids]
@@ -435,9 +425,9 @@ def train_kge(store: TripleStore, config: KgeConfig) -> KgeModel:
                     if not (np.isfinite(g_ent).all() and np.isfinite(g_rel).all()):
                         finite = (np.isfinite(g_ent).all(axis=1)[inv.reshape(wave_ids.shape)]
                                   .all(axis=1) & np.isfinite(g_rel).all(axis=1))
-                        stop = wave[finite.argmin()]
-                    # a bad step updates its rows too: a step that shares one and runs
-                    # later comes after it in step order, so never runs
+                        stop = min(stop, wave[finite.argmin()])
+                    # a bad step updates its rows too: a step that reads one comes after
+                    # it in step order, so cannot be the first bad step
                     ent[rows] -= config.lr * g_ent
                     rel[rs] -= config.lr * (g_rel + 0.0)  # a dense gradient's row: -0.0 becomes 0.0
                     if config.method == "HAKE":
@@ -537,28 +527,27 @@ def evaluate_completion(
     """Filtered ranking metrics (MR, MRR, HITS@k) over head and tail corruption.
 
     For each test triple and each side, every entity is scored as a
-    replacement; entities forming a different known-true triple are
-    excluded. The true entity's rank counts strictly-better scores plus
-    equal-score entities with a smaller id, on ``_side_scorer``'s scores.
+    replacement; entities forming a different known-true triple, in the store
+    or in ``test``, are excluded by a NaN score, which no comparison finds
+    better. The true entity's rank is 1 plus the strictly-better scores plus
+    the equal scores of entities with a smaller id, on ``_side_scorer``'s scores.
     """
     if not test:
         raise ValueError("evaluate_completion needs at least one test triple")
-    known_heads: dict[tuple[int, int], list[int]] = defaultdict(list)
-    known_tails: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for h, r, t in set(store.triples) | {tuple(tr) for tr in test}:
-        known_heads[r, t].append(h)
-        known_tails[h, r].append(t)
+    known: dict[tuple[int, int, bool], list[int]] = defaultdict(list)  # (r, fixed, head)
+    for h, r, t in chain(store.triples, test):  # a repeated triple repeats an index
+        known[r, t, True].append(h)
+        known[r, h, False].append(t)
 
-    ids = np.arange(m.n_entities)
     score = _side_scorer(m)
     ranks: list[int] = []
     for h, r, t in test:
-        for true_id, head, other, known in ((h, True, t, known_heads[r, t]),
-                                            (t, False, h, known_tails[h, r])):
+        for true_id, other, head in ((h, t, True), (t, h, False)):
             s = score(r, other, head)
-            better = (s > s[true_id]) | ((s == s[true_id]) & (ids < true_id))
-            better[known] = False  # includes the true entity itself
-            ranks.append(1 + int(better.sum()))
+            best = s[true_id]
+            s[known[r, other, head]] = np.nan  # never better; includes the true entity
+            ranks.append(1 + np.count_nonzero(s > best)
+                         + np.count_nonzero(s[:true_id] == best))
 
     arr = np.array(ranks, dtype=np.float64)
     metrics = {"MR": float(arr.mean()), "MRR": float((1.0 / arr).mean())}

@@ -240,6 +240,18 @@ class TestBackward:
             with pytest.raises(ValueError):
                 tape.backward(loss)
 
+    def test_a_record_the_loss_does_not_read_gives_no_gradient(self):
+        """Records whose output the loss does not read, before it on the tape and after,
+        are skipped, and a leaf that only they read keeps ``grad`` None."""
+        x, y = Tensor([3.0], requires_grad=True), Tensor([5.0], requires_grad=True)
+        with Tape() as tape:
+            ad.mul(y, y)
+            loss = ad.sum_all(ad.mul(x, x))
+            ad.scale(loss, 2.0)
+            tape.backward(loss)
+        assert np.array_equal(x.grad, [6.0])
+        assert y.grad is None
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_is_essentially_exact(self):
@@ -259,6 +271,10 @@ class TestFiniteDiffCheck:
             return ad.sum_all(ad.scale(t, 0.0))
 
         assert ad.finite_diff_check(f, x) < 1e-12
+
+    def test_a_tensor_without_requires_grad_rejected(self):
+        with pytest.raises(ValueError, match="requires_grad=True"):
+            ad.finite_diff_check(ad.sum_all, Tensor([1.0, 2.0]))
 
 
 def _weighted(out, rng):
@@ -592,6 +608,25 @@ def test_split_heads_rejects_rows_it_cannot_cut(shape, heads, m):
 ], ids=["split_row_count", "split_width", "split_rank1_mask", "merge_mask_shape",
         "merge_heads_do_not_divide", "merge_rank2"])
 def test_head_layout_shape_errors(op, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        op()
+
+
+@pytest.mark.parametrize("op,message", [
+    (lambda: Tensor(np.ones((1, 2, 3, 4))), r"rank <= 3, got shape \(1, 2, 3, 4\)"),
+    (lambda: ad.scale_rows(Tensor(np.ones((2, 3))), Tensor(np.ones(3))),
+     r"scale_rows got shapes \(2, 3\) and \(3,\)"),
+    (lambda: ad.softmax_rows(Tensor(np.ones(3))), r"softmax_rows needs a rank-2 or rank-3"),
+    (lambda: ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2))),
+     r"linear got incompatible shapes \(2, 3\) x \(4, 2\)"),
+    (lambda: ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3))),
+     r"linear bias shape \(3,\) does not match weight \(3, 2\)"),
+    (lambda: ad.gather_rows(Tensor(np.ones(4)), [0, 1]),
+     r"gather_rows got table shape \(4,\), ids shape \(2,\)"),
+    (lambda: ad.transpose(Tensor(np.ones(3))), r"transpose needs a rank-2 or rank-3"),
+], ids=["tensor_rank4", "scale_rows", "softmax_rank1", "linear_weight", "linear_bias",
+        "gather_rank1", "transpose_rank1"])
+def test_op_shape_errors(op, message):
     with pytest.raises(ShapeMismatch, match=message):
         op()
 

@@ -304,6 +304,11 @@ class TestErrorExits:
             return self.train_argv(pre, "--table-com", str(bad), "--table-lib",
                                    str(tables["table_lib"]), "--table-con",
                                    str(tables["table_con"])), [str(bad), want[name]]
+        if name == "config repeat":
+            config = tmp_path / "run.cfg"
+            config.write_text("d = 8\nheads = 2\nd = 16\n")
+            return self.train_argv(pre, "--no-knowledge", "--config", str(config)), \
+                [f"error: {config}:3: config key 'd' is set again (first at line 1)\n"]
         if name.startswith("config"):
             config = tmp_path / "run.cfg"
             config.write_text("# defaults\n" + ("d = eight\n" if name == "config value"
@@ -352,8 +357,8 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("name", [
         "table rows", "table width", "table header", "config value", "config line",
-        "empty path", "no article", "kge method", "kge dim", "kge negatives", "vocab start",
-        "classes header", "label range", "folds flag train", "folds file train",
+        "config repeat", "empty path", "no article", "kge method", "kge dim", "kge negatives",
+        "vocab start", "classes header", "label range", "folds flag train", "folds file train",
         "folds flag sweep", "folds file sweep"])
     def test_bad_input_exits_2_naming_its_file(self, tmp_path, capsys, name):
         argv, want = self.case(tmp_path, name)
@@ -1290,7 +1295,7 @@ class TestLoadBoundary:
     TEXT_LOADERS = {
         "vocabulary": (td.Vocabulary.load, "w{i}", ["<pad>", "<unk>"]),
         "corpus": (td.load_corpus, '{{"title": "t", "body": "w{i}", "label": 0}}', []),
-        "config": (parse_config_file, "seed = {i}", []),
+        "config": (parse_config_file, "# line {i}", ["seed = 0"]),  # a key is set once
         "triples": (lambda path: kg.load_triples(path, "common"), "e{i}\tr\te0", []),
         "entity links": (kg.load_links, "w{i}\te{i}", []),
         "table": (KnowledgeEmbeddingTable.load, "0.5 -0.{i}", ["stance=common", "dim=2"]),

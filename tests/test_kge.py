@@ -702,6 +702,51 @@ class TestWaves:
         with pytest.raises(ad.Diverged, match="diverged at epoch 1, triple 2 of 3: a non-fin"):
             train_kge(store, cfg)
 
+    def test_steps_that_read_a_bad_steps_rows_run_and_the_first_bad_step_is_named(
+            self, monkeypatch):
+        """Step 2 scores an infinite relation row and writes non-finite rows of its head
+        entity; steps 3 and 4 score that entity too, so they run in later waves on those
+        rows and turn bad as well. Every step runs, and the message still names the
+        first bad step in step order: triple 2."""
+        n_ent = 40
+        names = [f"e{i}" for i in range(n_ent)]
+        triples = [(2, 0, 3), (4, 1, 5), (4, 0, 6), (7, 2, 4)]
+        store = TripleStore({name: i for i, name in enumerate(names)}, names,
+                            {"r0": 0, "r1": 1, "r2": 2}, ["r0", "r1", "r2"], triples, "common")
+        cfg = KgeConfig(method="ModE", dim=2, negatives=1, lr=0.05, epochs=1, seed=13)
+        init, cut, step = kge.init_kge_model, kge._waves, kge._sgd_step
+        waves, finite_rows, finite_grads = [], [], []
+
+        def planted_init(n_entities, n_relations, config):
+            model = init(n_entities, n_relations, config)
+            model.relation[1] = np.inf
+            return model
+
+        def recorded_waves(ids, rels):
+            found = cut(ids, rels)
+            waves.extend(wave.tolist() for wave in found)
+            return found
+
+        def recorded_step(forward, h, r, t, signs, config, grads):
+            finite_rows.extend((np.isfinite(h).all(axis=(1, 2))
+                                & np.isfinite(t).all(axis=(1, 2))).tolist())
+            out = step(forward, h, r, t, signs, config, grads)
+            finite_grads.extend(np.isfinite(grads).all(axis=(1, 2)).tolist())
+            return out
+
+        monkeypatch.setattr(kge, "init_kge_model", planted_init)
+        monkeypatch.setattr(kge, "_waves", recorded_waves)
+        monkeypatch.setattr(kge, "_sgd_step", recorded_step)
+        with pytest.raises(ad.Diverged, match="diverged at epoch 1, triple 2 of 4: a non-fin"):
+            train_kge(store, cfg)
+        steps = [j for wave in waves for j in wave]
+        assert sorted(steps) == [0, 1, 2, 3]
+        level = {j: k for k, wave in enumerate(waves) for j in wave}
+        assert level[1] < level[2] < level[3]
+        rows_ok, grads_ok = dict(zip(steps, finite_rows)), dict(zip(steps, finite_grads))
+        assert rows_ok == {0: True, 1: True, 2: False, 3: False}
+        assert grads_ok == {0: True, 1: False, 2: False, 3: False}
+
 
 class TestNegativeDraws:
     """One draw per block of positives stands for the 2 * k interleaved scalar draws
@@ -931,6 +976,17 @@ class TestEvaluateCompletion:
                             triples + [(7, 0, 3), (25, 1, 21)], "common")
         test = triples + [(int(rng.integers(n_ent)), int(rng.integers(3)),
                            int(rng.integers(n_ent))) for _ in range(10)]
+        assert evaluate_completion(m, store, test) == brute_force_metrics(m, store, test)
+
+    @pytest.mark.parametrize("method", kge.METHODS)
+    def test_a_repeated_triple_ranks_as_the_oracle_ranks_it(self, method):
+        """A triple twice in the store, in the store and the test list, or twice in the
+        test list only repeats an entry of the filter; each test copy is ranked."""
+        rng = np.random.default_rng(5)
+        m = random_model(rng, method, 9, 2, dim=4)
+        store = TripleStore({}, [str(i) for i in range(9)], {}, ["r", "s"],
+                            [(0, 0, 1), (0, 0, 2), (3, 1, 1), (3, 1, 1), (4, 0, 1)], "common")
+        test = [(0, 0, 1), (0, 0, 1), (5, 1, 6), (3, 1, 1), (5, 1, 6), (7, 0, 1), (4, 0, 2)]
         assert evaluate_completion(m, store, test) == brute_force_metrics(m, store, test)
 
     def test_hand_ranked_toy_graph(self):

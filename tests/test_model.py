@@ -189,6 +189,13 @@ class TestInjectKnowledge:
         with pytest.raises(ValueError):
             inject_knowledge([0], params, zero_bundle(5, hp.d), 1.2, 0.5)
 
+    @pytest.mark.parametrize("n_words,width", [(6, 4), (5, 8)], ids=["words", "width"])
+    def test_tables_of_different_shapes_rejected(self, n_words, width):
+        com = KnowledgeEmbeddingTable("common", np.zeros((5, 4)))
+        other = KnowledgeEmbeddingTable("liberal", np.zeros((n_words, width)))
+        with pytest.raises(ValueError, match="knowledge tables disagree on shape"):
+            KnowledgeBundle(com, other, com)
+
     def test_bundle_holds_its_stored_rows_only(self):
         """Three 20,000 x 16 tables that cover 10 words each, their bundle and an injection
         on 100 ids hold less than one dense table once construction has returned."""

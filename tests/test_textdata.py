@@ -43,6 +43,10 @@ class TestBuildVocab:
         v1, v2 = td.build_vocab(corpus), td.build_vocab(list(corpus))
         assert v1.id_to_token == v2.id_to_token
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            td.build_vocab([])
+
     def test_size_is_distinct_tokens_plus_two(self):
         corpus = [
             RawArticle("alpha beta", "gamma delta <sep> alpha", 0),
@@ -97,6 +101,12 @@ class TestEncodeArticle:
         assert enc.sentences[0, 0] == vocab.token_to_id["a"]
         assert enc.sentences[1, 0] == vocab.token_to_id["b"]
         assert enc.sentence_mask.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("n,l", [(0, 2), (2, 0), (-1, -1)])
+    def test_limits_below_one_rejected(self, n, l):
+        vocab = td.build_vocab([RawArticle("t", "a", 0)])
+        with pytest.raises(ValueError, match=f"n={n}, l={l}"):
+            td.encode_article(RawArticle("t", "a", 0), vocab, n=n, l=l)
 
     def test_empty_body_rejected(self):
         vocab = td.build_vocab([RawArticle("t", "a", 0)])
@@ -179,6 +189,11 @@ class TestMakeFolds:
         with pytest.raises(ValueError):
             td.make_folds(3, 4, seed=0)
 
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, k):
+        with pytest.raises(ValueError, match=f"fold count must be >= 2, got {k}"):
+            td.make_folds(10, k, seed=0)
+
 
 def bow_majority_oracle(article: RawArticle, classes: int) -> int:
     """Count marker tokens per class and vote; ties go to the lowest class."""
@@ -255,6 +270,17 @@ class TestCorpusFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"title": "t", "body": "b", "label": 0}\nnot json\n')
         with pytest.raises(ValueError, match=":2:"):
+            td.load_corpus(path)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        """Blank and whitespace-only lines hold no article but keep their line numbers."""
+        record = '{"title": "t", "body": "b", "label": 1}'
+        path = tmp_path / "blank.jsonl"
+        path.write_text(f"\n{record}\n  \n\n{record}\n")
+        loaded, classes = td.load_corpus(path)
+        assert loaded == [RawArticle("t", "b", 1)] * 2 and classes == 2
+        path.write_text(f"{record}\n\n \t\nnot json\n")
+        with pytest.raises(ValueError, match=":4:"):
             td.load_corpus(path)
 
     def test_extra_key_rejected(self, tmp_path):

@@ -646,6 +646,12 @@ class TestPlateauStep:
             lrs = [plateau_step(state, 1.0) for _ in range(patience)]
             assert lrs == [1.0] * (patience - 1) + [0.5]
 
+    @pytest.mark.parametrize("loss", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_rejected(self, loss):
+        state = PlateauState(lr=1.0, patience=2, factor=0.5)
+        with pytest.raises(ValueError, match="epoch loss must be finite"):
+            plateau_step(state, loss)
+
 
 # --------------------------------------------------------------------------
 # Training loop
@@ -661,6 +667,21 @@ class TestTrain:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=-1)
+
+    def test_empty_dataset_rejected(self):
+        vocab, _, hp = encoded_synthetic(4)
+        bundle = zero_bundle(len(vocab), hp.d)
+        with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+            train([], bundle, TrainConfig(epochs=1, hp=hp))
+        with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
+            evaluate_accuracy(init_params(len(vocab), hp, seed=0), bundle, [], hp)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, np.nan])
+    def test_holdout_refuses_a_fraction_outside_0_1(self, fraction):
+        _, encoded, _ = encoded_synthetic(4)
+        with pytest.raises(ValueError, match=r"'val_fraction' must lie in \[0, 1\)") as err:
+            tr.holdout(encoded, fraction, seed=0)
+        assert err.value.config_keys == ("val_fraction",)
 
     def test_zero_epochs_returns_init(self):
         vocab, encoded, hp = encoded_synthetic(8)
